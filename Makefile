@@ -68,6 +68,7 @@ FUZZ_TARGETS := \
 	./internal/proto/mqttx:FuzzReadPacket \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/store:FuzzSegmentDecode \
+	./internal/cluster:FuzzCheckpointDecode \
 	./internal/cluster/transport:FuzzTransportFrameDecode \
 	./internal/netsim/link:FuzzLinkPlanDecode
 

@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"ntpscan/internal/core"
 )
@@ -30,9 +32,16 @@ func EncodeCheckpoint(w io.Writer, cp *core.Checkpoint) error {
 // DecodeCheckpoint reads one framed checkpoint. Truncation or
 // corruption anywhere in the frame returns ErrTruncatedCheckpoint
 // (wrapped with the detail), so a resume from a torn coordinator write
-// fails loudly instead of continuing from half a lease table.
+// fails loudly instead of continuing from half a lease table. The
+// input is read whole first and bounds the frame: a corrupt length
+// field declaring more than is there is a truncation, not a reason to
+// allocate gigabytes.
 func DecodeCheckpoint(r io.Reader) (*core.Checkpoint, error) {
-	body, err := DecodeFrame(r, checkpointMagic, 0)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: read checkpoint: %w", err)
+	}
+	body, err := DecodeFrame(bytes.NewReader(data), checkpointMagic, uint32(min(uint64(len(data)), math.MaxUint32)))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncatedCheckpoint, err)
 	}

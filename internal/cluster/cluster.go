@@ -32,7 +32,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"time"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/core"
@@ -98,39 +97,24 @@ type Config struct {
 	// heartbeat regardless; the TTL bounds how long a partitioned node
 	// keeps zombie-executing before it self-fences.
 	LeaseTTL int
-	// HeartbeatGrace is the largest heartbeat delay still counted as
-	// arrived (default 30m). Slow-heartbeat faults beyond it read as
-	// misses.
-	HeartbeatGrace time.Duration
-	// WorkersPerNode bounds each node's shard concurrency (default:
-	// pipeline Workers / Nodes, floored at 1).
-	WorkersPerNode int
-	// Dial, when set, supplies each node's control-plane handle in
-	// place of the coordinator's own methods — the transport seam. The
-	// handle returned for node n must speak cluster.API back to this
-	// same coordinator (typically a transport.Client pointed at its
-	// served endpoint). Leave nil for direct in-process dispatch. Since
-	// serving a coordinator requires constructing it first, transport
-	// wiring usually goes NewCoordinator → serve → SetDial.
-	Dial func(node int) API
 }
 
-func (c *Config) fillDefaults(pipelineWorkers int) {
+func (c *Config) fillDefaults() {
 	if c.Nodes < 1 {
 		c.Nodes = 1
 	}
 	if c.LeaseTTL < 1 {
 		c.LeaseTTL = 2
 	}
-	if c.HeartbeatGrace <= 0 {
-		c.HeartbeatGrace = 30 * time.Minute
+}
+
+// workersPerNode is each node's shard concurrency: the pipeline's
+// workers split evenly over the nodes, at least one each.
+func workersPerNode(pipelineWorkers, nodes int) int {
+	if w := pipelineWorkers / nodes; w > 1 {
+		return w
 	}
-	if c.WorkersPerNode < 1 {
-		c.WorkersPerNode = pipelineWorkers / c.Nodes
-		if c.WorkersPerNode < 1 {
-			c.WorkersPerNode = 1
-		}
-	}
+	return 1
 }
 
 // Run executes a campaign on a fresh pipeline through a cluster of

@@ -9,18 +9,13 @@ import (
 	"ntpscan/internal/obs"
 )
 
-// lease is one shard's control-plane state: who holds it, under which
-// fencing epoch, and through which slice the grant stays valid.
-type lease struct {
-	holder  int // node index, -1 unowned
-	epoch   uint64
-	expires int // grant valid while slice < expires
-}
-
-// Coordinator owns the campaign's control plane: the lease table over
-// the shard decomposition, node liveness, the fencing epochs, and the
-// cluster section of the campaign checkpoint. It implements API and
-// plugs into the campaign as its slice dispatcher.
+// Coordinator owns the campaign's control plane: it is the lease
+// table's in-process adapter. The table (lease.go) holds the leases and
+// the fencing rules; the Coordinator adds the lock, the metrics ledger,
+// node liveness as the fault plan dictates it (a missed heartbeat), the
+// per-slice dispatch loop, and the cluster section of the campaign
+// checkpoint. It implements API and plugs into the campaign as its
+// slice dispatcher.
 //
 // Every control decision is a pure function of (fault plan, slice,
 // node index): heartbeat outcomes come from the plan's node faults on
@@ -28,8 +23,10 @@ type lease struct {
 // and execution concurrency never feeds back into the protocol — so a
 // clustered campaign is exactly as replayable as a single-process one.
 type Coordinator struct {
-	p   *core.Pipeline
-	cfg Config
+	p       *core.Pipeline
+	cfg     Config
+	workers int                // each node's shard concurrency
+	dial    func(node int) API // transport seam (SetDial); nil = in-process
 
 	// Obs is the cluster's own metrics registry — separate from the
 	// pipeline's, so campaign telemetry stays byte-identical across
@@ -39,9 +36,9 @@ type Coordinator struct {
 	met *metrics
 
 	mu    sync.Mutex
-	table []lease
+	table *leaseTable
 	live  []bool
-	seen  []bool   // node has claimed at least once (Claim vs Heartbeat)
+	seen  []bool    // node has claimed at least once (Claim vs Heartbeat)
 	views [][]Grant // each node's last-received grant list (its lease belief)
 
 	apis []API // per-node control handles (fault seam over Dial or self)
@@ -53,19 +50,16 @@ func NewCoordinator(p *core.Pipeline, cfg Config) (*Coordinator, error) {
 	if p.Cfg.FullPacketNTP {
 		return nil, fmt.Errorf("cluster: FullPacketNTP campaigns cannot be dispatched across nodes")
 	}
-	cfg.fillDefaults(p.Cfg.Workers)
+	cfg.fillDefaults()
 	c := &Coordinator{
-		p:     p,
-		cfg:   cfg,
-		Obs:   obs.NewRegistry(),
-		table: make([]lease, p.Cfg.CollectShards),
-		live:  make([]bool, cfg.Nodes),
-		seen:  make([]bool, cfg.Nodes),
-		views: make([][]Grant, cfg.Nodes),
-	}
-	for i := range c.table {
-		// Epochs start at 1 so a zero value never passes the fence.
-		c.table[i] = lease{holder: -1, epoch: 1}
+		p:       p,
+		cfg:     cfg,
+		workers: workersPerNode(p.Cfg.Workers, cfg.Nodes),
+		Obs:     obs.NewRegistry(),
+		table:   newLeaseTable(p.Cfg.CollectShards, cfg.LeaseTTL),
+		live:    make([]bool, cfg.Nodes),
+		seen:    make([]bool, cfg.Nodes),
+		views:   make([][]Grant, cfg.Nodes),
 	}
 	c.met = newMetrics(c.Obs, cfg.Nodes)
 	return c, nil
@@ -80,7 +74,7 @@ func (c *Coordinator) Nodes() int { return c.cfg.Nodes }
 // dial back at that endpoint. Must be called before the campaign
 // starts; it resets any handles built under the previous dial.
 func (c *Coordinator) SetDial(d func(node int) API) {
-	c.cfg.Dial = d
+	c.dial = d
 	c.apis = nil
 }
 
@@ -97,10 +91,10 @@ func (c *Coordinator) handles() []API {
 	c.apis = make([]API, c.cfg.Nodes)
 	for n := range c.apis {
 		base := API(c)
-		if c.cfg.Dial != nil {
-			base = c.cfg.Dial(n)
+		if c.dial != nil {
+			base = c.dial(n)
 		}
-		w := NewNodeWire(base, n, plan, c.p.SliceWindow, c.cfg.HeartbeatGrace)
+		w := NewNodeWire(base, n, plan, c.p.SliceWindow)
 		w.onFault = func(k WireFaultKind) { c.met.wireFaults.Inc(int(k)) }
 		w.onDelay = func(d time.Duration) { c.met.hbDelay.Observe(d.Milliseconds()) }
 		c.apis[n] = w
@@ -137,10 +131,7 @@ func (c *Coordinator) campaignOpts(opts core.CampaignOpts) core.CampaignOpts {
 // state snapshots the coordinator's checkpoint section.
 func (c *Coordinator) state() *core.ClusterState {
 	c.mu.Lock()
-	epochs := make([]uint64, len(c.table))
-	for i := range c.table {
-		epochs[i] = c.table[i].epoch
-	}
+	epochs := c.table.epochs()
 	c.mu.Unlock()
 	return &core.ClusterState{Epochs: epochs, Obs: c.Obs.Snapshot()}
 }
@@ -153,17 +144,12 @@ func (c *Coordinator) restore(cp *core.Checkpoint) error {
 	if cp.Cluster == nil {
 		return fmt.Errorf("%w: checkpoint carries no cluster section", ErrLeaseTableMismatch)
 	}
-	if len(cp.Cluster.Epochs) != len(c.table) {
-		return fmt.Errorf("%w: checkpoint has %d epochs, pipeline has %d shards",
-			ErrLeaseTableMismatch, len(cp.Cluster.Epochs), len(c.table))
-	}
 	c.mu.Lock()
-	for i, e := range cp.Cluster.Epochs {
-		c.table[i].epoch = e
-		c.table[i].holder = -1
-		c.table[i].expires = 0
-	}
+	err := c.table.setEpochs(cp.Cluster.Epochs)
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	c.Obs.Restore(cp.Cluster.Obs)
 	return nil
 }
@@ -192,18 +178,10 @@ func (c *Coordinator) Heartbeat(node, slice int) ([]Grant, error) {
 	return c.renewLocked(node, slice), nil
 }
 
-// renewLocked re-grants every lease the node holds, valid through
-// slice+TTL.
+// renewLocked re-grants every lease the node holds and books the
+// grants.
 func (c *Coordinator) renewLocked(node, slice int) []Grant {
-	var grants []Grant
-	for sh := range c.table {
-		l := &c.table[sh]
-		if l.holder != node {
-			continue
-		}
-		l.expires = slice + c.cfg.LeaseTTL
-		grants = append(grants, Grant{Shard: sh, Epoch: l.epoch, ExpiresSlice: l.expires})
-	}
+	grants := c.table.renew(node, slice)
 	c.met.granted.Add(int64(len(grants)))
 	return grants
 }
@@ -219,19 +197,11 @@ func (c *Coordinator) SubmitSlice(node, shard, slice int, epoch uint64) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if shard < 0 || shard >= len(c.table) {
-		return fmt.Errorf("cluster: shard %d out of range", shard)
-	}
-	l := &c.table[shard]
-	if l.holder != node || l.epoch != epoch {
-		c.met.fenced.Inc()
+	err := c.table.admit(node, shard, slice, epoch)
+	if c.met.settle(err) {
 		c.met.inflight.Add(-1)
-		return fmt.Errorf("%w: shard %d slice %d epoch %d from node %d (current epoch %d, holder %d)",
-			ErrStaleEpoch, shard, slice, epoch, node, l.epoch, l.holder)
 	}
-	c.met.completed.Inc()
-	c.met.inflight.Add(-1)
-	return nil
+	return err
 }
 
 // Release implements API: voluntary lease handover. Epochs advance so
@@ -242,58 +212,28 @@ func (c *Coordinator) Release(node int) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for sh := range c.table {
-		l := &c.table[sh]
-		if l.holder == node {
-			l.holder = -1
-			l.epoch++
-			c.met.released.Inc()
-		}
-	}
+	c.met.released.Add(int64(c.table.fenceHolder(node)))
 	c.views[node] = nil
 	return nil
 }
 
-// expireLocked fences every lease the node holds: epoch bump (the
-// fence), holder cleared, expiry counted.
-func (c *Coordinator) expireLocked(node int) (freed int) {
-	for sh := range c.table {
-		l := &c.table[sh]
-		if l.holder == node {
-			l.holder = -1
-			l.epoch++
-			c.met.expired.Inc()
-			freed++
-		}
-	}
-	return freed
+// expire fences every lease the node holds (it missed a heartbeat or
+// died mid-slice) and books the expiries.
+func (c *Coordinator) expire(node int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.met.expired.Add(int64(c.table.fenceHolder(node)))
 }
 
-// rebalanceLocked assigns every unowned shard across the live nodes in
-// contiguous runs, node order — the deterministic placement rule.
-func (c *Coordinator) rebalanceLocked(slice int) {
-	var unowned []int
-	for sh := range c.table {
-		if c.table[sh].holder < 0 {
-			unowned = append(unowned, sh)
-		}
-	}
-	if len(unowned) == 0 {
-		return
-	}
-	var liveNodes []int
+// rebalance places every unowned shard over the nodes currently live.
+func (c *Coordinator) rebalance(slice int) {
+	var live []int
 	for n, ok := range c.live {
 		if ok {
-			liveNodes = append(liveNodes, n)
+			live = append(live, n)
 		}
 	}
-	if len(liveNodes) == 0 {
-		return // coordinator fallback handles execution this slice
-	}
-	for i, sh := range unowned {
-		n := liveNodes[i*len(liveNodes)/len(unowned)]
-		l := &c.table[sh]
-		l.holder = n
-		l.expires = slice + c.cfg.LeaseTTL
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.table.place(live, slice)
 }

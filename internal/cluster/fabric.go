@@ -8,9 +8,10 @@ import (
 )
 
 // Fabric is the standalone lease service for multi-process clusters:
-// the same lease table, fencing epochs, and contiguous-placement rule
-// as the in-process Coordinator, but with no pipeline and no dispatch
-// loop — authority is decided purely by the calls that arrive over the
+// the lease table's serve-only adapter. It holds the same table
+// (lease.go) as the in-process Coordinator — same fencing epochs, same
+// contiguous-placement rule — but with no pipeline and no dispatch
+// loop: authority is decided purely by the calls that arrive over the
 // wire. cmd/clusterd serves one Fabric; node processes (RunNode) each
 // run a full deterministic campaign replica and use their grants only
 // to decide which shard-slice submissions they are authoritative for.
@@ -33,7 +34,7 @@ type Fabric struct {
 	met *metrics
 
 	mu    sync.Mutex
-	table []lease
+	table *leaseTable
 	heard []int // highest slice each node has called in at (-1 never)
 	swept int   // highest slice the expiry sweep has run for
 }
@@ -47,16 +48,13 @@ func NewFabric(shards int, cfg Config) (*Fabric, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("cluster: fabric needs at least one shard, got %d", shards)
 	}
-	cfg.fillDefaults(0)
+	cfg.fillDefaults()
 	f := &Fabric{
 		cfg:   cfg,
 		Obs:   obs.NewRegistry(),
-		table: make([]lease, shards),
+		table: newLeaseTable(shards, cfg.LeaseTTL),
 		heard: make([]int, cfg.Nodes),
 		swept: -1,
-	}
-	for i := range f.table {
-		f.table[i] = lease{holder: -1, epoch: 1} // epoch 0 never passes the fence
 	}
 	for i := range f.heard {
 		f.heard[i] = -1
@@ -88,53 +86,15 @@ func (f *Fabric) sweepLocked(slice int) {
 		return
 	}
 	f.swept = slice
-	for sh := range f.table {
-		l := &f.table[sh]
-		if l.holder >= 0 && l.expires <= slice {
-			l.holder = -1
-			l.epoch++
-			f.met.expired.Inc()
-		}
-	}
+	f.met.expired.Add(int64(f.table.fenceExpired(slice)))
 	var live []int
-	liveCount := 0
 	for n, h := range f.heard {
 		if h >= 0 && h >= slice-f.cfg.LeaseTTL {
 			live = append(live, n)
-			liveCount++
 		}
 	}
-	f.met.live.Set(int64(liveCount))
-	var unowned []int
-	for sh := range f.table {
-		if f.table[sh].holder < 0 {
-			unowned = append(unowned, sh)
-		}
-	}
-	if len(unowned) == 0 || len(live) == 0 {
-		return
-	}
-	for i, sh := range unowned {
-		l := &f.table[sh]
-		l.holder = live[i*len(live)/len(unowned)]
-		l.expires = slice + f.cfg.LeaseTTL
-	}
-}
-
-// renewLocked re-grants every lease node holds, valid through
-// slice+TTL — identical to the Coordinator's renewal.
-func (f *Fabric) renewLocked(node, slice int) []Grant {
-	var grants []Grant
-	for sh := range f.table {
-		l := &f.table[sh]
-		if l.holder != node {
-			continue
-		}
-		l.expires = slice + f.cfg.LeaseTTL
-		grants = append(grants, Grant{Shard: sh, Epoch: l.epoch, ExpiresSlice: l.expires})
-	}
-	f.met.granted.Add(int64(len(grants)))
-	return grants
+	f.met.live.Set(int64(len(live)))
+	f.table.place(live, slice)
 }
 
 // Claim implements API: registration or rejoin. The sweep runs first
@@ -147,7 +107,9 @@ func (f *Fabric) Claim(node, slice int) ([]Grant, error) {
 	}
 	f.met.heartbeats.Inc(node)
 	f.sweepLocked(slice)
-	return f.renewLocked(node, slice), nil
+	grants := f.table.renew(node, slice)
+	f.met.granted.Add(int64(len(grants)))
+	return grants, nil
 }
 
 // Heartbeat implements API: renewal. Same motion as Claim — the
@@ -157,28 +119,22 @@ func (f *Fabric) Heartbeat(node, slice int) ([]Grant, error) {
 	return f.Claim(node, slice)
 }
 
-// SubmitSlice implements API: the fencing gate, byte-for-byte the
-// Coordinator's rule — current holder under the current epoch or
-// ErrStaleEpoch.
+// SubmitSlice implements API: the table's fencing gate — current
+// holder under the current epoch or ErrStaleEpoch — after the sweep, so
+// a lease that ran out by this slice is already fenced. Every verdict
+// is one offered task in the ledger.
 func (f *Fabric) SubmitSlice(node, shard, slice int, epoch uint64) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.checkNode(node, slice); err != nil {
 		return err
 	}
-	if shard < 0 || shard >= len(f.table) {
-		return fmt.Errorf("cluster: shard %d out of range", shard)
-	}
 	f.sweepLocked(slice)
-	l := &f.table[shard]
-	f.met.claimed.Inc()
-	if l.holder != node || l.epoch != epoch {
-		f.met.fenced.Inc()
-		return fmt.Errorf("%w: shard %d slice %d epoch %d from node %d (current epoch %d, holder %d)",
-			ErrStaleEpoch, shard, slice, epoch, node, l.epoch, l.holder)
+	err := f.table.admit(node, shard, slice, epoch)
+	if f.met.settle(err) {
+		f.met.claimed.Inc()
 	}
-	f.met.completed.Inc()
-	return nil
+	return err
 }
 
 // Release implements API: voluntary handover with the usual epoch
@@ -189,14 +145,7 @@ func (f *Fabric) Release(node int) error {
 	if node < 0 || node >= f.cfg.Nodes {
 		return ErrUnknownNode
 	}
-	for sh := range f.table {
-		l := &f.table[sh]
-		if l.holder == node {
-			l.holder = -1
-			l.epoch++
-			f.met.released.Inc()
-		}
-	}
+	f.met.released.Add(int64(f.table.fenceHolder(node)))
 	return nil
 }
 

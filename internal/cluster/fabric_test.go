@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// Fabric protocol white-box: the serve-only lease service must keep
-// the Coordinator's fencing guarantees on its TTL clock — no driver,
-// only the calls that arrive.
+// Fabric wiring tests. The lease rules are the shared table's, proven
+// against a model in lease_model_test.go; these check what the Fabric
+// adds: the TTL sweep on its heard/swept clock, argument validation,
+// and the claimed == completed + fenced ledger.
 
 func TestFabricGrantsAndFencing(t *testing.T) {
 	f, err := NewFabric(4, Config{Nodes: 2, LeaseTTL: 2})
@@ -22,11 +23,6 @@ func TestFabricGrantsAndFencing(t *testing.T) {
 	}
 	if len(g0) != 4 {
 		t.Fatalf("node 0 first claim got %d shards, want all 4", len(g0))
-	}
-	for _, g := range g0 {
-		if g.Epoch != 1 || g.ExpiresSlice != 2 {
-			t.Errorf("grant %+v, want epoch 1 expires 2", g)
-		}
 	}
 
 	// Node 1 joins the same slice: everything is owned, nothing yet.
@@ -50,10 +46,40 @@ func TestFabricGrantsAndFencing(t *testing.T) {
 		t.Errorf("non-holder submit = %v, want ErrStaleEpoch", err)
 	}
 
+	// An out-of-range shard is a rejected call, not a task.
+	if err := f.SubmitSlice(0, 9, 0, 1); err == nil || errors.Is(err, ErrStaleEpoch) {
+		t.Errorf("out-of-range shard submit = %v, want a non-fencing error", err)
+	}
+
 	claimed, completed, fenced := f.TaskCounts()
-	if claimed != completed+fenced {
-		t.Errorf("fabric conservation violated: claimed %d != completed %d + fenced %d",
-			claimed, completed, fenced)
+	if claimed != 5 || completed != 4 || fenced != 1 {
+		t.Errorf("fabric ledger claimed=%d completed=%d fenced=%d, want 5/4/1", claimed, completed, fenced)
+	}
+}
+
+// A renewal must never shorten a lease: a heartbeat that arrives late,
+// carrying an older slice than one already processed, keeps the later
+// expiry — or the next sweep would fence a node that renewed one slice
+// ago.
+func TestFabricLateHeartbeatKeepsLease(t *testing.T) {
+	f, err := NewFabric(2, Config{Nodes: 1, LeaseTTL: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Heartbeat(0, 9); err != nil {
+		t.Fatal(err)
+	}
+	late, err := f.Heartbeat(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range late {
+		if g.ExpiresSlice != 11 {
+			t.Errorf("late heartbeat re-granted shard %d through slice %d, want 11", g.Shard, g.ExpiresSlice)
+		}
+		if err := f.SubmitSlice(0, g.Shard, 10, g.Epoch); err != nil {
+			t.Errorf("slice-10 submit under a lease renewed at slice 9: %v", err)
+		}
 	}
 }
 
@@ -138,7 +164,8 @@ func TestFabricRejectsBadArguments(t *testing.T) {
 	}
 }
 
-// Release hands leases back with the epoch bump, so stragglers fence.
+// Release books every lease it hands back, and a straggler submission
+// under a released lease is a fenced task in the ledger.
 func TestFabricReleaseFencesStragglers(t *testing.T) {
 	f, err := NewFabric(2, Config{Nodes: 2, LeaseTTL: 3})
 	if err != nil {
@@ -151,9 +178,15 @@ func TestFabricReleaseFencesStragglers(t *testing.T) {
 	if err := f.Release(0); err != nil {
 		t.Fatal(err)
 	}
+	if got := f.met.released.Value(); got != 2 {
+		t.Errorf("released = %d, want both leases", got)
+	}
 	for _, gr := range g {
 		if err := f.SubmitSlice(0, gr.Shard, 1, gr.Epoch); !errors.Is(err, ErrStaleEpoch) {
 			t.Errorf("straggler submit after release = %v, want ErrStaleEpoch", err)
 		}
+	}
+	if claimed, completed, fenced := f.TaskCounts(); claimed != 2 || completed != 0 || fenced != 2 {
+		t.Errorf("fabric ledger claimed=%d completed=%d fenced=%d, want 2/0/2", claimed, completed, fenced)
 	}
 }

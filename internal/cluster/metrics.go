@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"ntpscan/internal/obs"
@@ -83,4 +84,20 @@ func newMetrics(r *obs.Registry, nodes int) *metrics {
 		inflight: r.NewGauge("cluster_tasks_inflight",
 			"dispatched tasks not yet completed, fenced, or lost"),
 	}
+}
+
+// settle books one verdict of the lease table's fencing gate: a nil
+// error is a completed task, ErrStaleEpoch a fenced one. It reports
+// whether err was a verdict at all — any other error (an out-of-range
+// shard) is a rejected call, not a task, and books nothing.
+func (m *metrics) settle(err error) bool {
+	switch {
+	case err == nil:
+		m.completed.Inc()
+	case errors.Is(err, ErrStaleEpoch):
+		m.fenced.Inc()
+	default:
+		return false
+	}
+	return true
 }

@@ -7,42 +7,30 @@ import (
 	"ntpscan/internal/core"
 )
 
-// node is one in-process campaign node: an executor over its granted
-// shards with a bounded worker pool. Nodes are deliberately stateless
-// beyond their grant list — shard state lives with the pipeline, and a
-// rejoining node re-Claims rather than trusting its memory.
-type node struct {
-	id      int
-	grants  []Grant
-	workers int
-}
-
-// execute runs the node's granted shard tasks (worker-pool, dynamic
-// pickup) and submits each through the fencing gate. A live node's
-// submission fencing is a protocol invariant violation, not a runtime
-// condition — the coordinator only dispatches to nodes whose leases it
-// just renewed — so it panics rather than silently dropping work.
-func (n *node) execute(api API, slice int, shards []core.ShardRef, run func(core.ShardRef)) {
-	w := n.workers
-	if w > len(n.grants) {
-		w = len(n.grants)
+// forEach calls fn(0) … fn(n-1) from up to workers goroutines (at
+// least one) and returns when all calls have. Indices are picked up
+// dynamically, so a slow call does not hold back the rest. Both
+// executors run their shard tasks through it: the coordinator's
+// in-process nodes (dispatch) and the replica node driver (RunNode).
+func forEach(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers < 1 {
+		workers = 1
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				t := int(next.Add(1)) - 1
-				if t >= len(n.grants) {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				g := n.grants[t]
-				run(shards[g.Shard])
-				if err := api.SubmitSlice(n.id, g.Shard, slice, g.Epoch); err != nil {
-					panic("cluster: live node's submission fenced: " + err.Error())
-				}
+				fn(i)
 			}
 		}()
 	}
@@ -54,9 +42,10 @@ func (n *node) execute(api API, slice int, shards []core.ShardRef, run func(core
 // order so every control decision is a pure function of (fault plan,
 // slice, node index). Every node→coordinator call goes through the
 // node's wire handle (c.handles()): in-process that is the fault seam
-// over the coordinator's own methods; with Config.Dial set it is the
+// over the coordinator's own methods; after SetDial it is the
 // same seam over a transport client, so the protocol below runs
-// unchanged over a real socket.
+// unchanged over a real socket. The lease table (lease.go) makes every
+// lease decision; this loop decides only when to ask it.
 //
 //  1. Heartbeats: each node's probe is sent through its wire handle; a
 //     call the seam refuses, blackholes, or times out is a miss.
@@ -107,13 +96,11 @@ func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.Shar
 	c.met.live.Set(int64(liveCount))
 
 	// Phase 2: expire (fence) everything held by a node that missed.
-	c.mu.Lock()
 	for n := 0; n < nodes; n++ {
 		if !c.live[n] {
-			c.expireLocked(n)
+			c.expire(n)
 		}
 	}
-	c.mu.Unlock()
 
 	// Phase 3: zombie executions by partitioned nodes, fenced and
 	// rolled back. Runs strictly before live execution so `run` is
@@ -163,9 +150,7 @@ func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.Shar
 			}
 			break
 		}
-		c.mu.Lock()
-		c.rebalanceLocked(s)
-		c.mu.Unlock()
+		c.rebalance(s)
 		tasks := make([][]Grant, nodes)
 		executing := make([]bool, nodes)
 		for n := 0; n < nodes; n++ {
@@ -204,20 +189,28 @@ func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.Shar
 				// the pool for the survivors.
 				c.met.lost.Add(k)
 				c.met.inflight.Add(-k)
-				c.mu.Lock()
-				c.expireLocked(n)
-				c.mu.Unlock()
+				c.expire(n)
 				c.live[n] = false
 				c.views[n] = nil
 				liveCount--
 				continue
 			}
 			executing[n] = true
-			nd := &node{id: n, grants: tasks[n], workers: c.cfg.WorkersPerNode}
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				nd.execute(apis[n], s, shards, run)
+				// The node's worker pool: run each granted task and submit
+				// it through the fencing gate. A live node being fenced is
+				// a protocol invariant violation, not a runtime condition —
+				// its leases were renewed this very slice — so it panics
+				// rather than silently dropping work.
+				forEach(c.workers, len(tasks[n]), func(i int) {
+					g := tasks[n][i]
+					run(shards[g.Shard])
+					if err := apis[n].SubmitSlice(n, g.Shard, s, g.Epoch); err != nil {
+						panic("cluster: live node's submission fenced: " + err.Error())
+					}
+				})
 			}()
 		}
 		wg.Wait()

@@ -8,9 +8,10 @@ import (
 	"ntpscan/internal/core"
 )
 
-// White-box protocol unit tests: the lease table's fencing rules,
-// checked directly against the coordinator's state machine without a
-// campaign around them.
+// Coordinator wiring tests. The lease rules themselves (fencing,
+// placement, renewal) are proven once, against a model, in
+// lease_model_test.go; what is checked here is what the Coordinator
+// adds around the table: argument validation and the metrics ledger.
 
 func testCoordinator(t *testing.T, nodes int) *Coordinator {
 	t.Helper()
@@ -22,117 +23,45 @@ func testCoordinator(t *testing.T, nodes int) *Coordinator {
 	return c
 }
 
+// Every SubmitSlice verdict lands in the ledger exactly once, and a
+// call that is not a verdict (unknown node, shard out of range) lands
+// nowhere.
 func TestSubmitSliceFencesStaleEpochs(t *testing.T) {
 	c := testCoordinator(t, 3)
-	c.table[0] = lease{holder: 1, epoch: 5, expires: 2}
-
-	if err := c.SubmitSlice(1, 0, 0, 4); !errors.Is(err, ErrStaleEpoch) {
-		t.Errorf("stale epoch: err = %v, want ErrStaleEpoch", err)
+	c.live[1] = true
+	c.rebalance(0)
+	grants, err := c.Claim(1, 0)
+	if err != nil || len(grants) != c.p.Cfg.CollectShards {
+		t.Fatalf("only live node claimed %d shards (err %v), want all %d", len(grants), err, c.p.Cfg.CollectShards)
 	}
-	if err := c.SubmitSlice(2, 0, 0, 5); !errors.Is(err, ErrStaleEpoch) {
+	g := grants[0]
+	c.met.claimed.Add(3)
+	c.met.inflight.Add(3)
+
+	if err := c.SubmitSlice(1, g.Shard, 0, g.Epoch+1); !errors.Is(err, ErrStaleEpoch) {
+		t.Errorf("wrong epoch: err = %v, want ErrStaleEpoch", err)
+	}
+	if err := c.SubmitSlice(2, g.Shard, 0, g.Epoch); !errors.Is(err, ErrStaleEpoch) {
 		t.Errorf("right epoch, wrong holder: err = %v, want ErrStaleEpoch", err)
 	}
-	if err := c.SubmitSlice(1, 0, 0, 5); err != nil {
+	if err := c.SubmitSlice(1, g.Shard, 0, g.Epoch); err != nil {
 		t.Errorf("current holder, current epoch: err = %v, want nil", err)
 	}
-	if err := c.SubmitSlice(1, 99, 0, 5); err == nil || errors.Is(err, ErrStaleEpoch) {
+	if err := c.SubmitSlice(1, 99, 0, g.Epoch); err == nil || errors.Is(err, ErrStaleEpoch) {
 		t.Errorf("out-of-range shard: err = %v, want a non-fencing error", err)
 	}
-	if got := c.met.fenced.Value(); got != 2 {
-		t.Errorf("epoch rejections = %d, want 2", got)
+	if err := c.SubmitSlice(3, g.Shard, 0, g.Epoch); !errors.Is(err, ErrUnknownNode) {
+		t.Errorf("unknown node: err = %v, want ErrUnknownNode", err)
 	}
-	if got := c.met.completed.Value(); got != 1 {
-		t.Errorf("completed = %d, want 1", got)
+	claimed, completed, fenced, lost := c.TaskCounts()
+	if claimed != 3 || completed != 1 || fenced != 2 || lost != 0 {
+		t.Errorf("ledger claimed=%d completed=%d fenced=%d lost=%d, want 3/1/2/0", claimed, completed, fenced, lost)
 	}
-}
-
-func TestExpireAndReleaseAdvanceEpochs(t *testing.T) {
-	c := testCoordinator(t, 2)
-	c.table[0] = lease{holder: 0, epoch: 3}
-	c.table[1] = lease{holder: 0, epoch: 7}
-	c.table[2] = lease{holder: 1, epoch: 1}
-
-	c.mu.Lock()
-	freed := c.expireLocked(0)
-	c.mu.Unlock()
-	if freed != 2 {
-		t.Fatalf("expired %d leases, want 2", freed)
+	if got := c.met.inflight.Value(); got != 0 {
+		t.Errorf("inflight = %d after every task settled, want 0", got)
 	}
-	if c.table[0] != (lease{holder: -1, epoch: 4}) || c.table[1] != (lease{holder: -1, epoch: 8}) {
-		t.Errorf("expiry did not fence: %+v %+v", c.table[0], c.table[1])
-	}
-	if c.table[2].holder != 1 {
-		t.Error("expiry touched another node's lease")
-	}
-
-	if err := c.Release(1); err != nil {
-		t.Fatal(err)
-	}
-	if c.table[2] != (lease{holder: -1, epoch: 2}) {
-		t.Errorf("release did not fence: %+v", c.table[2])
-	}
-	// A straggler submission under the released epoch fences.
-	if err := c.SubmitSlice(1, 2, 0, 1); !errors.Is(err, ErrStaleEpoch) {
-		t.Errorf("post-release submission: err = %v, want ErrStaleEpoch", err)
-	}
-}
-
-// Rebalance must be the deterministic placement rule the determinism
-// argument leans on: contiguous runs of shards over live nodes in node
-// order, every unowned shard placed, no owned lease disturbed.
-func TestRebalanceContiguousOverLiveNodes(t *testing.T) {
-	c := testCoordinator(t, 4)
-	c.live = []bool{true, false, true, true} // node 1 dead
-	c.table[5] = lease{holder: 2, epoch: 9, expires: 1}
-
-	c.mu.Lock()
-	c.rebalanceLocked(3)
-	c.mu.Unlock()
-
-	if c.table[5] != (lease{holder: 2, epoch: 9, expires: 1}) {
-		t.Errorf("rebalance disturbed an owned lease: %+v", c.table[5])
-	}
-	prev := -1
-	counts := map[int]int{}
-	for sh := range c.table {
-		l := c.table[sh]
-		if l.holder < 0 {
-			t.Fatalf("shard %d left unowned", sh)
-		}
-		if l.holder == 1 {
-			t.Fatalf("shard %d assigned to a dead node", sh)
-		}
-		if sh == 5 {
-			continue
-		}
-		if l.holder < prev {
-			t.Fatalf("placement not contiguous in node order: shard %d holder %d after %d", sh, l.holder, prev)
-		}
-		prev = l.holder
-		counts[l.holder]++
-		if l.expires != 3+c.cfg.LeaseTTL {
-			t.Fatalf("shard %d expires at %d, want %d", sh, l.expires, 3+c.cfg.LeaseTTL)
-		}
-	}
-	for _, n := range []int{0, 2, 3} {
-		if counts[n] == 0 {
-			t.Errorf("live node %d received no shards", n)
-		}
-	}
-}
-
-func TestHeartbeatRenewsLeases(t *testing.T) {
-	c := testCoordinator(t, 2)
-	c.table[4] = lease{holder: 1, epoch: 2, expires: 1}
-	grants, err := c.Heartbeat(1, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(grants) != 1 || grants[0] != (Grant{Shard: 4, Epoch: 2, ExpiresSlice: 6 + c.cfg.LeaseTTL}) {
-		t.Fatalf("grants = %+v", grants)
-	}
-	if c.table[4].expires != 6+c.cfg.LeaseTTL {
-		t.Errorf("lease expiry not renewed: %+v", c.table[4])
+	if got := c.met.granted.Value(); got != int64(len(grants)) {
+		t.Errorf("granted = %d, want %d", got, len(grants))
 	}
 }
 
@@ -146,9 +75,9 @@ func TestNewCoordinatorRejectsFullPacketNTP(t *testing.T) {
 
 func TestEpochsStartAtOne(t *testing.T) {
 	c := testCoordinator(t, 1)
-	for sh := range c.table {
-		if c.table[sh].epoch != 1 {
-			t.Fatalf("shard %d epoch %d, want 1 (zero must never pass the fence)", sh, c.table[sh].epoch)
+	for sh, e := range c.state().Epochs {
+		if e != 1 {
+			t.Fatalf("shard %d epoch %d, want 1 (zero must never pass the fence)", sh, e)
 		}
 	}
 }

@@ -116,17 +116,23 @@ func TestClusterResumeRejectsMissingSection(t *testing.T) {
 	}
 }
 
-// An epoch table that does not match the pipeline's shard decomposition
-// (wrong length — a checkpoint from a differently-sharded campaign)
-// is rejected with the typed error.
+// An epoch table that does not fit the pipeline is rejected with the
+// typed error: the wrong length (a checkpoint from a differently-sharded
+// campaign), or a zero epoch, which would hand the resumed table a
+// value the fence is built never to hold.
 func TestClusterResumeRejectsLeaseTableMismatch(t *testing.T) {
 	seed := chaos.Seeds()[0]
-	cp := clusterCheckpoint(t, seed)
-	cp.Cluster.Epochs = cp.Cluster.Epochs[:len(cp.Cluster.Epochs)/2]
-	p := chaos.FaultedPipeline(chaos.Config(seed), seed+1, chaos.DefaultSpec())
-	_, _, err := cluster.Resume(context.Background(), p, cp, cluster.Config{Nodes: 3}, core.CampaignOpts{})
-	if !errors.Is(err, cluster.ErrLeaseTableMismatch) {
-		t.Fatalf("resume with truncated epoch table: err = %v, want ErrLeaseTableMismatch", err)
+	for name, mangle := range map[string]func(epochs []uint64) []uint64{
+		"truncated epoch table": func(e []uint64) []uint64 { return e[:len(e)/2] },
+		"zero epoch":            func(e []uint64) []uint64 { e[len(e)-1] = 0; return e },
+	} {
+		cp := clusterCheckpoint(t, seed)
+		cp.Cluster.Epochs = mangle(cp.Cluster.Epochs)
+		p := chaos.FaultedPipeline(chaos.Config(seed), seed+1, chaos.DefaultSpec())
+		_, _, err := cluster.Resume(context.Background(), p, cp, cluster.Config{Nodes: 3}, core.CampaignOpts{})
+		if !errors.Is(err, cluster.ErrLeaseTableMismatch) {
+			t.Errorf("resume with %s: err = %v, want ErrLeaseTableMismatch", name, err)
+		}
 	}
 }
 

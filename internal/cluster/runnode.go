@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/core"
@@ -42,11 +40,11 @@ func RunNode(ctx context.Context, p *core.Pipeline, api API, nodeID int, cfg Con
 	if p.Cfg.FullPacketNTP {
 		return nil, nil, fmt.Errorf("cluster: FullPacketNTP campaigns cannot be dispatched across nodes")
 	}
-	cfg.fillDefaults(p.Cfg.Workers)
+	cfg.fillDefaults()
 	if nodeID < 0 || nodeID >= cfg.Nodes {
 		return nil, nil, fmt.Errorf("%w: node %d of %d", ErrUnknownNode, nodeID, cfg.Nodes)
 	}
-	nd := &nodeDriver{api: api, id: nodeID, workers: cfg.WorkersPerNode}
+	nd := &nodeDriver{api: api, id: nodeID, workers: workersPerNode(p.Cfg.Workers, cfg.Nodes)}
 	opts.Dispatch = nd.dispatch
 	ds, err := p.RunCampaign(ctx, opts)
 	if err == nil {
@@ -110,31 +108,8 @@ func (d *nodeDriver) dispatch(s int, shards []core.ShardRef, run func(core.Shard
 		d.stats.Offline++
 	}
 
-	// Execute every shard — the replica's whole point. Worker pool with
-	// dynamic pickup, same shape as the in-process node executor.
-	w := d.workers
-	if w > len(shards) {
-		w = len(shards)
-	}
-	if w < 1 {
-		w = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= len(shards) {
-					return
-				}
-				run(shards[t])
-			}
-		}()
-	}
-	wg.Wait()
+	// Execute every shard — the replica's whole point.
+	forEach(d.workers, len(shards), func(i int) { run(shards[i]) })
 	d.stats.Executed += int64(len(shards))
 
 	// Submit the shard-slices we believe we hold. A grant view past its

@@ -225,7 +225,7 @@ func (c *Client) Release(node int) error {
 // never race conn teardown.
 func (c *Client) CloseIdle() { c.hc.CloseIdleConnections() }
 
-// Dial is the one-line client constructor for cluster.Config.Dial:
+// Dial is the one-line client constructor for Coordinator.SetDial:
 //
 //	coord.SetDial(transport.Dial(ep.URL, reg))
 func Dial(base string, reg *obs.Registry) func(node int) cluster.API {

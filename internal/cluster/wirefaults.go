@@ -31,6 +31,10 @@ import (
 // expiry, and zombie fencing are bit-equal whether the base API is the
 // coordinator's methods or an HTTP client pointed at a served socket.
 
+// heartbeatGrace is the largest heartbeat delay still counted as
+// arrived; a slow-heartbeat fault beyond it reads as a miss.
+const heartbeatGrace = 30 * time.Minute
+
 // WireFaultKind names the seam's interventions for the
 // cluster_wire_faults_total counter.
 type WireFaultKind uint8
@@ -68,11 +72,10 @@ func (k WireFaultKind) String() string {
 // state of its own — every decision is a pure function of (plan, node,
 // slice window), so the seam cannot desynchronize driver and server.
 type NodeWire struct {
-	base  API
-	node  int
-	plan  *netsim.FaultPlan
-	win   func(slice int) (from, until time.Time)
-	grace time.Duration
+	base API
+	node int
+	plan *netsim.FaultPlan
+	win  func(slice int) (from, until time.Time)
 
 	// onFault and onDelay, when non-nil, feed the owner's metrics:
 	// interventions by kind, and stamped heartbeat latency.
@@ -83,11 +86,8 @@ type NodeWire struct {
 // NewNodeWire builds the fault seam for one node. plan may be nil (no
 // faults: every call passes). window maps a slice index to its span on
 // the logical clock — core.Pipeline.SliceWindow in campaign use.
-func NewNodeWire(base API, node int, plan *netsim.FaultPlan, window func(slice int) (from, until time.Time), grace time.Duration) *NodeWire {
-	if grace <= 0 {
-		grace = 30 * time.Minute
-	}
-	return &NodeWire{base: base, node: node, plan: plan, win: window, grace: grace}
+func NewNodeWire(base API, node int, plan *netsim.FaultPlan, window func(slice int) (from, until time.Time)) *NodeWire {
+	return &NodeWire{base: base, node: node, plan: plan, win: window}
 }
 
 // gate applies the control-channel fault mapping for a call made in
@@ -106,7 +106,7 @@ func (w *NodeWire) gate(slice int) error {
 		return netsim.DialTimeout()
 	}
 	if d := w.plan.HeartbeatDelay(w.node, at); d > 0 {
-		if d > w.grace {
+		if d > heartbeatGrace {
 			w.fault(WireLate)
 			return netsim.DialTimeout()
 		}

@@ -54,7 +54,7 @@ func TestNodeWireFaultMapping(t *testing.T) {
 	base := &recordAPI{}
 	var faults []WireFaultKind
 	var delays []time.Duration
-	w := NewNodeWire(base, 0, &plan, window, 30*time.Minute)
+	w := NewNodeWire(base, 0, &plan, window)
 	w.onFault = func(k WireFaultKind) { faults = append(faults, k) }
 	w.onDelay = func(d time.Duration) { delays = append(delays, d) }
 
@@ -117,7 +117,7 @@ func TestNodeWireFaultMapping(t *testing.T) {
 
 func TestNodeWireNilPlanPassesEverything(t *testing.T) {
 	base := &recordAPI{}
-	w := NewNodeWire(base, 3, nil, nil, 0) // grace defaulted, window unused
+	w := NewNodeWire(base, 3, nil, nil) // window unused
 	if _, err := w.Claim(3, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +126,6 @@ func TestNodeWireNilPlanPassesEverything(t *testing.T) {
 	}
 	if err := w.SubmitSlice(3, 0, 1, 1); err != nil {
 		t.Fatal(err)
-	}
-	if w.grace != 30*time.Minute {
-		t.Errorf("defaulted grace = %v, want 30m", w.grace)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"net/netip"
 	"testing"
+	"time"
+
+	"ntpscan/internal/netsim"
 )
 
 // TestSessionTableLifecycle exercises the dense table directly: ids are
@@ -62,9 +65,13 @@ func TestSessionTableZeroAllocSteadyState(t *testing.T) {
 
 // TestScannerSessionAccounting checks the table through the public
 // surface: after a drained run every session has been released and the
-// high-water mark reflects that chunks were actually in flight.
+// high-water mark reflects that chunks were actually in flight. The
+// targets are all dark, so the fabric runs on a ManualClock (as the
+// campaign's does): dial timeouts are stamped, not waited out.
 func TestScannerSessionAccounting(t *testing.T) {
-	s := NewScanner(Config{Fabric: testFabric(), Source: scanSrc, Workers: 4})
+	clock := netsim.NewManualClock(time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC))
+	f := netsim.New(netsim.Config{Clock: clock, DialTimeout: 10 * time.Millisecond})
+	s := NewScanner(Config{Fabric: f, Source: scanSrc, Workers: 4})
 	s.Start(context.Background())
 	defer s.Close()
 	addrs := make([]netip.Addr, 0, 3*submitChunk+5)
