@@ -39,9 +39,8 @@ race:
 # links with mid-campaign route churn (internal/netsim/link) and
 # demands byte-identical output across worker counts, across a resume,
 # and across cluster node counts, plus the link_* conservation laws. A
-# final leg re-runs the end-to-end campaign suites for one seed at 10x
-# world scale against the lazy (arena-materialized) world — same
-# faults, same oracles, sub-linear memory path.
+# final leg re-runs the end-to-end campaign suites for one seed against
+# a 10x world through the arenas — same faults, same oracles.
 chaos:
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race -skip 'Congested' ./internal/chaos/ ./internal/netsim/ ./internal/netsim/link/ ./internal/zgrab/ ./internal/core/ ./internal/obs/ ./internal/store/
@@ -49,7 +48,7 @@ chaos:
 		$(GO) test -race ./internal/cluster/ ./internal/cluster/transport/ ./cmd/clusterd/
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race -run 'Congested|TestLink' ./internal/chaos/ ./internal/obs/
-	NTPSCAN_CHAOS_SEEDS=23 NTPSCAN_CHAOS_SCALE=10 NTPSCAN_CHAOS_LAZY=1 \
+	NTPSCAN_CHAOS_SEEDS=23 NTPSCAN_CHAOS_SCALE=10 \
 		$(GO) test -race -skip 'Congested' ./internal/chaos/ ./internal/obs/
 
 # fuzz-smoke runs every fuzz target for a short burst (FUZZTIME each,
@@ -150,7 +149,7 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -pkg ./internal/query/ -bench '$(QUERY_BENCH)' \
 		-compare -benchtime 1x -out BENCH_query.json
 
-# bench-scale runs only the lazy-world memory scale ladder
+# bench-scale runs only the memory scale ladder
 # (BenchmarkCampaignScale, SCALE=1/10/100 at fixed measurement effort)
 # and diffs it against the committed BENCH_pipeline.json. Two gates
 # fire here: the benchmark itself fails if SCALE=100 retains >= 20x the

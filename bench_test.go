@@ -165,8 +165,8 @@ var scaleHeap = map[int]float64{}
 // BenchmarkCampaignScale climbs the memory scale ladder: the
 // address-only eyeball population (the bulk of the world) grows
 // 1x/10x/100x while the reachable population — and therefore the
-// campaign's work — stays fixed. The lazy world derives that population
-// on demand through the bounded shard arenas instead of building it,
+// campaign's work — stays fixed. The world derives that population on
+// demand through the bounded shard arenas and never holds it resident,
 // so the live heap retained by a run must grow sub-linearly: the
 // SCALE=100 rung fails if it holds >= 20x the SCALE=1 rung's bytes.
 // The per-rung live-heap-B metric is the number recorded in
@@ -180,7 +180,6 @@ func BenchmarkCampaignScale(b *testing.B) {
 	warm := benchOptions()
 	warm.DeviceScale /= 5
 	warm.AddrScale /= 3
-	warm.LazyWorld = true
 	warm.CaptureBudget = 20000
 	ntpscan.CollectExperiments(warm)
 	for _, scale := range []int{1, 10, 100} {
@@ -188,7 +187,6 @@ func BenchmarkCampaignScale(b *testing.B) {
 			opts := benchOptions()
 			opts.DeviceScale /= 5
 			opts.AddrScale = opts.AddrScale / 3 * float64(scale)
-			opts.LazyWorld = true
 			// Fixed measurement effort against a growing world: without
 			// the pin, the default budget tracks client mass and the
 			// retained datasets scale linearly by construction.

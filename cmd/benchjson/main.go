@@ -197,7 +197,7 @@ func main() {
 			"eliminating those sleeps; additional multi-core scaling (BenchmarkCampaignWorkers) requires " +
 			"NumCPU > 1 — on a 1-CPU host the worker variants measure coordination overhead only. " +
 			"Output is bit-identical across worker counts (see TestCampaignDeterministicAcrossWorkers). " +
-			"BenchmarkCampaignScale climbs the lazy-world memory ladder: the address-only population grows " +
+			"BenchmarkCampaignScale climbs the memory scale ladder: the address-only population grows " +
 			"1x/10x/100x at fixed measurement effort, and the retained live heap (live_heap_bytes) must stay " +
 			"sub-linear — SCALE=100 under 20x SCALE=1, asserted inside the benchmark itself. " +
 			"BenchmarkCampaignCongested runs the campaign behind a utilization-0.9 emulated link " +

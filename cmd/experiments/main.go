@@ -33,7 +33,6 @@ func main() {
 		nodes       = flag.Int("nodes", 1, "run the NTP campaign through a fault-tolerant cluster of N nodes (coordinator + shard leases; output is byte-identical at any N)")
 		clusterURL  = flag.String("cluster", "", "multi-process node mode: clusterd base URL (http://addr); pair with -node and -nodes")
 		nodeID      = flag.Int("node", 0, "this process's node index under -cluster (0-based)")
-		lazy        = flag.Bool("lazy", false, "derive the address-only population on demand through bounded arenas (bit-identical output, sub-linear memory)")
 		collectOnly = flag.Bool("collect-only", false, "collection tables only (fast)")
 		ablations   = flag.Bool("ablations", false, "also run the ablation experiments")
 		out         = flag.String("out", "", "write output to file instead of stdout")
@@ -60,7 +59,6 @@ func main() {
 		ClusterURL:  *clusterURL,
 		NodeID:      *nodeID,
 		StoreDir:    *storeDir,
-		LazyWorld:   *lazy,
 	}
 	if *clusterURL != "" && *collectOnly {
 		fmt.Fprintln(os.Stderr, "experiments: -cluster needs the scan campaign (drop -collect-only)")

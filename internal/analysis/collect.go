@@ -77,22 +77,6 @@ func (s *AddrSummary) Add(addr netip.Addr) bool {
 	return true
 }
 
-// Merge folds other into s. The two summaries must have observed
-// disjoint address sets (the sharded accumulator's hash partition
-// guarantees this); per-prefix and per-AS counts then sum exactly.
-func (s *AddrSummary) Merge(other *AddrSummary) {
-	s.set.Merge(other.set)
-	s.per48.Merge(other.per48)
-	for as, n := range other.perAS {
-		s.perAS[as] += n
-	}
-	for i, n := range other.classes {
-		s.classes[i] += n
-	}
-	s.cable += other.cable
-	s.asKnown += other.asKnown
-}
-
 // Set exposes the underlying address set (overlap computations).
 func (s *AddrSummary) Set() *ipv6x.AddrSet { return s.set }
 

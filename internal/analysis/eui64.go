@@ -115,42 +115,6 @@ func (e *EUI64Stats) Add(addr netip.Addr, captureCountry string) {
 	origin[captureCountry]++
 }
 
-// Merge folds other into e. The two accumulators must have observed
-// disjoint address sets; MACs and vendors may overlap (one hardware
-// address embedded by addresses in different shards) and are unioned.
-func (e *EUI64Stats) Merge(other *EUI64Stats) {
-	e.AddrsTotal += other.AddrsTotal
-	e.AddrsEUI += other.AddrsEUI
-	e.AddrsUnique += other.AddrsUnique
-	for a := range other.seen {
-		e.seen[a] = struct{}{}
-	}
-	for mac, class := range other.macs {
-		e.macs[mac] = class
-	}
-	for vendor, ovc := range other.vendors {
-		vc := e.vendors[vendor]
-		if vc == nil {
-			vc = &VendorCount{Vendor: vendor, MACs: make(map[ipv6x.MAC]struct{})}
-			e.vendors[vendor] = vc
-		}
-		for mac := range ovc.MACs {
-			vc.MACs[mac] = struct{}{}
-		}
-		vc.IPs += ovc.IPs
-	}
-	for class, origin := range other.perClassOrigin {
-		dst := e.perClassOrigin[class]
-		if dst == nil {
-			dst = make(map[string]int)
-			e.perClassOrigin[class] = dst
-		}
-		for country, n := range origin {
-			dst[country] += n
-		}
-	}
-}
-
 // DistinctMACs returns how many distinct embedded hardware addresses
 // were seen (all classes).
 func (e *EUI64Stats) DistinctMACs() int { return len(e.macs) }

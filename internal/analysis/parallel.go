@@ -3,33 +3,16 @@ package analysis
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // The analysis aggregations are embarrassingly parallel: each builds
 // per-key state by folding a commutative, associative update (boolean
-// OR, first-wins keyed by input position) over result records. workers
-// below controls the fan-out; every parallel path merges per-chunk
-// state in chunk order, so the output is bit-identical at any setting.
+// OR, first-wins keyed by input position) over result records. The
+// fan-out is GOMAXPROCS; every parallel path merges per-chunk state in
+// chunk order, so the output is bit-identical at any setting.
 
-var workersKnob atomic.Int64
-
-// SetWorkers sets the aggregation fan-out for this package; n < 1
-// restores the default (GOMAXPROCS).
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 0
-	}
-	workersKnob.Store(int64(n))
-}
-
-// Workers returns the current aggregation fan-out.
-func Workers() int {
-	if n := int(workersKnob.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Workers returns the aggregation fan-out.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
 // parallelChunks is the smallest input that is worth fanning out; below
 // it the goroutine overhead dominates.

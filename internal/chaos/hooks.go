@@ -40,14 +40,13 @@ func Seeds() []uint64 {
 }
 
 // Config is the canonical chaos-scale pipeline configuration for a
-// seed: small world scales, retries and the circuit breaker on. Two
-// environment knobs widen the matrix without touching the scenario
+// seed: small world scales, retries and the circuit breaker on. One
+// environment knob widens the matrix without touching the scenario
 // definition: NTPSCAN_CHAOS_SCALE multiplies the address-only eyeball
-// population, and NTPSCAN_CHAOS_LAZY=1 derives that population through
-// the shard arenas instead of building it (`make chaos` runs one seed
-// at SCALE=10 against the lazy world). The capture budget is pinned, so
-// scaled runs do the same campaign work against a bigger universe. A
-// malformed scale panics, like a malformed seed matrix.
+// population (`make chaos` runs one seed against a 10x world through
+// the arenas). The capture budget is pinned, so scaled runs do the same
+// campaign work against a bigger universe. A malformed scale panics,
+// like a malformed seed matrix.
 func Config(seed uint64) core.Config {
 	scale := 1.0
 	if env := os.Getenv("NTPSCAN_CHAOS_SCALE"); env != "" {
@@ -63,7 +62,6 @@ func Config(seed uint64) core.Config {
 			DeviceScale: 1e-3,
 			AddrScale:   1e-6 * scale,
 			ASScale:     0.02,
-			Lazy:        os.Getenv("NTPSCAN_CHAOS_LAZY") == "1",
 		},
 		Workers:       8,
 		CaptureBudget: 2500,

@@ -207,11 +207,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// orderedSink accumulates scan results per worker (lock-free, like
-// resultSink) and flushes them in sequence order at each slice's drain
+// orderedSink accumulates scan results lock-free — every scanner worker
+// appends to its own bucket (the scanner guarantees one worker index
+// per goroutine) — and flushes them in the order of the sequence
+// numbers the scanner stamped at submission, at each slice's drain
 // barrier. Per-slice sorting yields the global order: the barrier
 // guarantees every slice-s sequence number precedes every slice-s+1
-// one.
+// one. The hitlist batch scan is the one-flush case with no writer.
 type orderedSink struct {
 	buckets [][]*zgrab.Result
 	all     []*zgrab.Result
@@ -247,7 +249,8 @@ func newOrderedSink(workers int, out io.Writer) *orderedSink {
 	return s
 }
 
-// add is the scanner's OnResultWorker hook.
+// add is the scanner's OnResultWorker hook. No locking: bucket w is
+// only ever touched by worker w.
 func (s *orderedSink) add(worker int, r *zgrab.Result) {
 	s.buckets[worker] = append(s.buckets[worker], r)
 }
@@ -439,7 +442,7 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 			werr = err
 		}
 	}
-	p.restoreCp = nil
+	p.restoreCp, p.restoreArenas = nil, nil
 	return analysis.NewDataset("ntp", sink.all), werr
 }
 
@@ -492,23 +495,22 @@ func (p *Pipeline) restore(cp *Checkpoint) error {
 	if cp.NextSlice < 1 || cp.NextSlice > collectSlices {
 		return fmt.Errorf("core: checkpoint slice %d out of range", cp.NextSlice)
 	}
-	// Arena snapshots only restore onto the same byte budget: slot
-	// counts must match or the clock hand and resident set misread.
-	// Probe with a throwaway arena so the capacity math lives in one
-	// place (the world package).
-	if len(cp.Shards) > 0 {
-		capSlots := p.W.NewMaterializer(p.Cfg.ArenaBytes).Capacity()
-		for i := range cp.Shards {
-			if st := cp.Shards[i].Arena; st != nil && len(st.Slots) != capSlots {
-				return fmt.Errorf("core: shard %d arena snapshot has %d slots, budget %d gives %d (ArenaBytes changed?)",
-					i, len(st.Slots), p.Cfg.ArenaBytes, capSlots)
-			}
-		}
-	}
 	if p.captures.Load() != 0 {
 		return fmt.Errorf("core: resume requires a fresh pipeline")
 	}
-	p.restoreCp = cp
+	// Rebuild the shard arenas here rather than in makeCollectShards:
+	// the snapshots come from disk, and Restore rejects one taken under
+	// a different ArenaBytes or damaged since.
+	arenas := make([]*world.Materializer, len(cp.Shards))
+	for i := range cp.Shards {
+		arenas[i] = p.W.NewMaterializer(p.Cfg.ArenaBytes)
+		if st := cp.Shards[i].Arena; st != nil {
+			if err := arenas[i].Restore(st); err != nil {
+				return fmt.Errorf("core: shard %d: %w", i, err)
+			}
+		}
+	}
+	p.restoreCp, p.restoreArenas = cp, arenas
 	if clock := p.W.Clock(); cp.Time.After(clock.Now()) {
 		clock.Set(cp.Time)
 	}
@@ -521,10 +523,10 @@ func (p *Pipeline) restore(cp *Checkpoint) error {
 	// side effects are not needed here (any address scanned after the
 	// resume point is re-registered by its own capture's CurrentAddr).
 	for _, rec := range cp.CapLog {
-		p.euiShards.Add(rec.Addr, rec.Country)
-		if p.sumShards.Add(rec.Addr) {
+		p.EUI.Add(rec.Addr, rec.Country)
+		if p.Summary.Add(rec.Addr) {
 			if vs, ok := p.ServerByCountry(rec.Country); ok {
-				p.perCountryN[vs.idx].Add(1)
+				p.perCountryN[vs.idx]++
 			}
 		}
 	}

@@ -104,7 +104,6 @@ func (p *Pipeline) makeCollectShards() []*collectShard {
 			vol:     p.rng.DeriveIndexed("volume/shard", i),
 			resp:    p.rng.DeriveIndexed("responsive/shard", i),
 			ports:   p.rng.DeriveIndexed("ports/shard", i),
-			arena:   p.W.NewMaterializer(p.Cfg.ArenaBytes),
 			ntp:     make([]*ntp.Server, len(p.Servers)),
 			reqBuf:  make([]byte, 0, ntp.PacketSize),
 			respBuf: make([]byte, 0, ntp.PacketSize),
@@ -116,18 +115,14 @@ func (p *Pipeline) makeCollectShards() []*collectShard {
 				RateLimited: obs.LocalCounter(),
 			},
 		}
-		if p.restoreCp != nil && i < len(p.restoreCp.Shards) {
+		if p.restoreCp != nil {
 			st := p.restoreCp.Shards[i]
 			sh.vol.SetState(st.Vol)
 			sh.resp.SetState(st.Resp)
 			sh.ports.SetState(st.Ports)
-			if st.Arena != nil {
-				// Capacity was validated against the budget in restore();
-				// a failure here is an invariant violation, not bad input.
-				if err := sh.arena.Restore(st.Arena); err != nil {
-					panic("core: arena restore after validation: " + err.Error())
-				}
-			}
+			sh.arena = p.restoreArenas[i]
+		} else {
+			sh.arena = p.W.NewMaterializer(p.Cfg.ArenaBytes)
 		}
 		for _, vs := range p.Servers {
 			vi := vs.idx
@@ -320,15 +315,13 @@ func (p *Pipeline) collectFrom(startSlice int, batch func([]netip.Addr), drain f
 	// reused across publishes: cleared and refilled in place, with the
 	// deploy-time server-count capacity (the only keys it can ever hold).
 	p.Captures = int(p.captures.Load())
-	p.Summary = p.sumShards.Merge()
-	p.EUI = p.euiShards.Merge()
 	if p.PerCountry == nil {
 		p.PerCountry = make(map[string]int, len(p.Servers))
 	} else {
 		clear(p.PerCountry)
 	}
-	for i := range p.perCountryN {
-		if v := int(p.perCountryN[i].Load()); v > 0 {
+	for i, v := range p.perCountryN {
+		if v > 0 {
 			p.PerCountry[p.Servers[i].Country] = v
 		}
 	}
@@ -355,9 +348,9 @@ func (p *Pipeline) commitShard(sh *collectShard, batch func([]netip.Addr)) {
 			vi := int(ev.vantage)
 			country := p.Servers[vi].Country
 			p.met.capEvents.Inc(vi)
-			p.euiShards.Add(ev.addr, country)
-			if p.sumShards.Add(ev.addr) {
-				p.perCountryN[vi].Add(1)
+			p.EUI.Add(ev.addr, country)
+			if p.Summary.Add(ev.addr) {
+				p.perCountryN[vi]++
 				p.met.capDistinct.Inc(vi)
 				if p.recordCaps {
 					// First sighting: log it so a resume can replay the
@@ -570,8 +563,8 @@ func (p *Pipeline) responsive() []*world.Device {
 // expectedDistinct estimates the distinct-address yield of the
 // address-only population (devices x epochs), for auto-sizing the
 // capture budget. It reads the world's precomputed per-country epoch
-// masses — no device enumeration, so it works identically on lazy
-// worlds where the population is never resident.
+// masses — no device enumeration, since the population is never
+// resident.
 func (p *Pipeline) expectedDistinct() int {
 	var total int64
 	for _, c := range p.W.Countries {

@@ -68,11 +68,9 @@ type Config struct {
 	// (default 256 KiB). Sampled client devices are materialized on
 	// demand into the arena and evicted clock-wise when it fills, so the
 	// pipeline's resident device state is bounded regardless of how
-	// large the address-only population grows. Arenas run in both eager
-	// and lazy worlds — derivation is identical, so output and telemetry
-	// never depend on World.Lazy. Like CollectShards, the budget is part
-	// of the experiment definition: checkpoints snapshot arena contents
-	// and only resume onto the same budget.
+	// large the address-only population grows. Like CollectShards, the
+	// budget is part of the experiment definition: checkpoints snapshot
+	// arena contents and only resume onto the same budget.
 	ArenaBytes int
 	// Timeout per scan connection; UDPTimeout for connectionless
 	// probes.
@@ -148,14 +146,6 @@ func ckey(code string) (countryKey, bool) {
 	return countryKey{code[0], code[1]}, true
 }
 
-// CaptureRecord is one captured client address with its capturing
-// vantage, the raw material of Tables 1/7 and Appendix B.
-type CaptureRecord struct {
-	Addr    netip.Addr
-	Country string // vantage country
-	Time    time.Time
-}
-
 // Pipeline is a deployed experiment.
 type Pipeline struct {
 	Cfg  Config
@@ -176,7 +166,10 @@ type Pipeline struct {
 
 	Servers []*VantageServer
 
-	// Collection outputs, published at the end of each Collect.
+	// Collection outputs. Summary and EUI are fed at each slice's drain
+	// barrier (and by a resume's capture-log replay), always on the
+	// campaign goroutine; PerCountry and Captures are published at the
+	// end of each Collect.
 	Summary    *analysis.AddrSummary
 	EUI        *analysis.EUI64Stats
 	PerCountry map[string]int // distinct addresses per vantage country
@@ -194,16 +187,13 @@ type Pipeline struct {
 	// hashing on the per-device path).
 	serverByCountry map[countryKey]*VantageServer
 
-	// Concurrent accumulators behind the published outputs: hash-
-	// sharded dedup summaries and atomic counters, merged into
-	// Summary/EUI/PerCountry/Captures in fixed order when Collect
-	// finishes. perCountryN is indexed by VantageServer.idx and sized at
-	// deploy time (the vantage set is fixed), so collection workers only
-	// ever load-and-add — no map lookups, no pointer boxing.
-	sumShards   *analysis.ShardedAddrSummary
-	euiShards   *analysis.ShardedEUI64Stats
+	// Counters behind PerCountry and Captures. perCountryN is indexed
+	// by VantageServer.idx, sized at deploy time (the vantage set is
+	// fixed), and like Summary/EUI only moves on the campaign goroutine.
+	// captures is atomic because stray fabric captures outside a slice
+	// arrive from scanner workers (recordCaptureShard's nil-shard path).
 	captures    atomic.Int64
-	perCountryN []atomic.Int64
+	perCountryN []int
 
 	// activeShard routes fabric-side capture hooks to the collection
 	// shard being driven. Only the FullPacketNTP path uses it — the
@@ -241,8 +231,11 @@ type Pipeline struct {
 	refs        []ShardRef
 
 	// restoreCp, when set, seeds makeCollectShards with checkpointed
-	// stream positions instead of fresh derivations.
-	restoreCp *Checkpoint
+	// stream positions instead of fresh derivations, and restoreArenas
+	// with the shard arenas restore() already rebuilt from it (there,
+	// because a bad arena snapshot is an error ResumeCampaign returns).
+	restoreCp     *Checkpoint
+	restoreArenas []*world.Materializer
 
 	// met holds the pipeline's metric handles (see obsmetrics.go).
 	met *pipelineMetrics
@@ -266,8 +259,6 @@ func NewPipeline(cfg Config) *Pipeline {
 	}
 	p.Summary = analysis.NewAddrSummary(p.Ctx)
 	p.EUI = analysis.NewEUI64Stats(p.Ctx)
-	p.sumShards = analysis.NewShardedAddrSummary(p.Ctx)
-	p.euiShards = analysis.NewShardedEUI64Stats(p.Ctx)
 	p.Obs = obs.NewRegistry()
 	p.met = newPipelineMetrics(p.Obs)
 	p.Monitor = ntppool.NewMonitor(p.Pool)
@@ -322,7 +313,7 @@ func (p *Pipeline) deployServers() {
 		p.tuneNetspeed(vs)
 	}
 	p.Pool.SetGlobalBackground(5000)
-	p.perCountryN = make([]atomic.Int64, len(p.Servers))
+	p.perCountryN = make([]int, len(p.Servers))
 	p.PerCountry = make(map[string]int, len(p.Servers))
 	codes := make([]string, len(p.Servers))
 	for i, vs := range p.Servers {

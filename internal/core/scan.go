@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"net/netip"
-	"sort"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/hitlist"
@@ -14,42 +13,6 @@ import (
 // and web page identify the research scan in the real deployment; here
 // it identifies us to the telescope.
 var ScanSource = netip.MustParseAddr("2a10:ffff:5ca::1")
-
-// resultSink accumulates scan results lock-free: every scanner worker
-// appends to its own bucket (the scanner guarantees one worker index
-// per goroutine), and merged restores the deterministic submission
-// order by sorting on the sequence numbers the scanner stamped.
-type resultSink struct {
-	buckets [][]*zgrab.Result
-}
-
-func newResultSink(workers int) *resultSink {
-	if workers < 1 {
-		workers = 1
-	}
-	return &resultSink{buckets: make([][]*zgrab.Result, workers)}
-}
-
-// add is the scanner's OnResultWorker hook. No locking: bucket w is
-// only ever touched by worker w.
-func (s *resultSink) add(worker int, r *zgrab.Result) {
-	s.buckets[worker] = append(s.buckets[worker], r)
-}
-
-// merged concatenates the buckets and sorts by submission sequence.
-// Call after the scanner is closed.
-func (s *resultSink) merged() []*zgrab.Result {
-	n := 0
-	for _, b := range s.buckets {
-		n += len(b)
-	}
-	all := make([]*zgrab.Result, 0, n)
-	for _, b := range s.buckets {
-		all = append(all, b...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	return all
-}
 
 // newScanner assembles a scanner wired to the pipeline's fabric,
 // carrying the pipeline's retry policy and breaker configuration.
@@ -100,12 +63,14 @@ func (p *Pipeline) BuildHitlist(cfg hitlist.Config) *hitlist.Hitlist {
 // ScanHitlist batch-scans the full hitlist (the paper scans the
 // unfiltered variant, §4.1) and returns the dataset.
 func (p *Pipeline) ScanHitlist(ctx context.Context, h *hitlist.Hitlist) *analysis.Dataset {
-	sink := newResultSink(p.Cfg.Workers)
+	sink := newOrderedSink(p.Cfg.Workers, nil)
 	scanner := p.newScanner(sink.add)
 	scanner.Start(ctx)
 	scanner.SubmitBatch(h.Full)
 	scanner.Close()
-	return analysis.NewDataset("hitlist", sink.merged())
+	// With no writer, flush only sorts the buckets into sink.all.
+	_ = sink.flush()
+	return analysis.NewDataset("hitlist", sink.all)
 }
 
 // PublicHitlist applies the responsiveness filter plus aliased-prefix

@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"net/netip"
 	"strings"
 
 	"ntpscan/internal/analysis"
@@ -46,12 +45,6 @@ type Options struct {
 	// internal/store; readable by cmd/analyze). Attaching the store
 	// does not change the campaign's dataset or tables.
 	StoreDir string
-	// LazyWorld skips the eager device build: the address-only
-	// population is derived on demand through the collection shards'
-	// arenas instead of being resident. Output is bit-identical either
-	// way — the switch only changes memory, which is what lets the
-	// scale ladder climb 100x without a 100x heap.
-	LazyWorld bool
 	// CaptureBudget pins the campaign's volume-channel capture count
 	// (core.Config.CaptureBudget). Zero keeps the default, which scales
 	// with the world's client mass; the scale ladder pins it so
@@ -147,7 +140,6 @@ func Run(opts Options) *Suite {
 			DeviceScale: opts.DeviceScale,
 			AddrScale:   opts.AddrScale,
 			ASScale:     opts.ASScale,
-			Lazy:        opts.LazyWorld,
 		},
 		Workers:       opts.Workers,
 		CollectShards: opts.CollectShards,
@@ -208,7 +200,6 @@ func CollectOnly(opts Options) *Suite {
 			DeviceScale: opts.DeviceScale,
 			AddrScale:   opts.AddrScale,
 			ASScale:     opts.ASScale,
-			Lazy:        opts.LazyWorld,
 		},
 		Workers:       opts.Workers,
 		CollectShards: opts.CollectShards,
@@ -236,11 +227,6 @@ func section(title, body string) string {
 	}
 	b.WriteByte('\n')
 	return b.String()
-}
-
-// addrsOf extracts an address list from a summary.
-func addrsOf(s *analysis.AddrSummary) []netip.Addr {
-	return s.Set().Sorted()
 }
 
 // All renders every table and figure.

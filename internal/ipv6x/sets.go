@@ -25,13 +25,6 @@ func (s *AddrSet) Add(addr netip.Addr) bool {
 	return true
 }
 
-// Merge inserts every address of other.
-func (s *AddrSet) Merge(other *AddrSet) {
-	for a := range other.m {
-		s.m[a] = struct{}{}
-	}
-}
-
 // Contains reports membership.
 func (s *AddrSet) Contains(addr netip.Addr) bool {
 	_, ok := s.m[addr]
@@ -97,14 +90,6 @@ func (c *PrefixCounter) Bits() int { return c.bits }
 // Add counts addr against its enclosing prefix.
 func (c *PrefixCounter) Add(addr netip.Addr) {
 	c.m[Prefix(addr, c.bits)]++
-}
-
-// Merge adds other's per-prefix counts into c. Both counters must
-// aggregate at the same bit length.
-func (c *PrefixCounter) Merge(other *PrefixCounter) {
-	for p, n := range other.m {
-		c.m[p] += n
-	}
 }
 
 // Len returns the number of distinct prefixes observed.

@@ -212,13 +212,6 @@ func (n *Network) hostAtLocked(addr netip.Addr) (*Host, bool) {
 	return nil, false
 }
 
-// NumHosts returns the number of bound addresses.
-func (n *Network) NumHosts() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.hosts)
-}
-
 // Sniff registers fn for all traffic destined into prefix (the
 // telescope's tcpdump). It returns a function removing the sniffer.
 func (n *Network) Sniff(prefix netip.Prefix, fn SnifferFunc) (cancel func()) {

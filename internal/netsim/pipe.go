@@ -74,14 +74,6 @@ func (d *pipeDeadline) wait() chan struct{} {
 	return d.cancel
 }
 
-// armed reports whether a deadline is currently configured (pending or
-// already passed).
-func (d *pipeDeadline) armed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.timer != nil || (d.cancel != nil && isClosedChan(d.cancel))
-}
-
 func isClosedChan(c <-chan struct{}) bool {
 	select {
 	case <-c:

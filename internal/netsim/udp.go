@@ -125,13 +125,6 @@ func (c *UDPConn) SetReadDeadline(t time.Time) error {
 	return nil
 }
 
-// Pending returns the number of queued inbound datagrams.
-func (c *UDPConn) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
 // Close unbinds the socket and unblocks readers.
 func (c *UDPConn) Close() error {
 	c.mu.Lock()

@@ -62,9 +62,6 @@ func (v Version) String() string {
 // analysis) share a KeyID across certificates and hosts.
 type KeyID [16]byte
 
-// Hex returns the lowercase hex form.
-func (k KeyID) Hex() string { return hex.EncodeToString(k[:]) }
-
 // Certificate is the identity document exchanged in the handshake. It
 // carries the fields the paper's analyses read from real X.509
 // certificates.

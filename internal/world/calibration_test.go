@@ -15,7 +15,7 @@ func TestPopulationCalibration(t *testing.T) {
 
 	responsive := map[string]int{}
 	hitlistOnly := map[string]int{}
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		switch d.Role() {
 		case RoleResponsive:
 			responsive[d.Profile.Name]++

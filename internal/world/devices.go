@@ -76,30 +76,6 @@ func shortVendor(v string) string {
 	return string(out)
 }
 
-// buildDevices materializes the whole population eagerly into
-// w.Devices, in global-ID order. Reachable devices reuse the structs
-// buildReachable already created (they carry fabric hosts); the
-// address-only mass is derived through the same pure function a lazy
-// world's Materializer uses, so both modes agree field for field.
-func (w *World) buildDevices() {
-	w.Devices = make([]*Device, 0, w.deviceTotal)
-	var r rng.Stream
-	next := 0 // cursor into w.reachable, which is in global-ID order
-	for si := range w.segments {
-		seg := &w.segments[si]
-		if seg.role != RoleAddrOnly {
-			w.Devices = append(w.Devices, w.reachable[next:next+int(seg.n)]...)
-			next += int(seg.n)
-			continue
-		}
-		for i := int32(0); i < seg.n; i++ {
-			d := &Device{}
-			w.materializeInto(seg.base+i, d, &r)
-			w.Devices = append(w.Devices, d)
-		}
-	}
-}
-
 // cust48Pool sizes an AS's customer /48 pool so eyeball density matches
 // the country profile (Indian mobile carriers pack hundreds of clients
 // per /48; European DSL gives nearly every customer their own).
@@ -235,27 +211,6 @@ func (w *World) pickAS(c *Country, typ asn.Type, pr *rng.Stream) *AS {
 	return lst[pr.Zipf(len(lst), 1.15)]
 }
 
-// indexDevices resolves the per-country client-ID index (built by the
-// counting pass over the address-only population — responsive NTP
-// devices are excluded because DeviceScale and AddrScale differ, so
-// volume-sampling them would grossly overweight their share of the
-// captured address mass; the collection driver captures them through a
-// dedicated channel instead, see core) into materialized device slices
-// for the eager accessors.
-func (w *World) indexDevices() {
-	for code, ids := range w.clientIDs {
-		devs := make([]*Device, len(ids))
-		for i, gid := range ids {
-			devs[i] = w.Devices[gid]
-		}
-		w.byCountry[code] = devs
-	}
-}
-
 // SyncMass returns the total sync weight of NTP clients in a country —
 // the expected relative capture volume for a vantage server there.
 func (w *World) SyncMass(country string) float64 { return w.syncMass[country] }
-
-// NTPClients returns the NTP-client devices in a country (eager worlds
-// only; lazy worlds resolve SampleClientID through a Materializer).
-func (w *World) NTPClients(country string) []*Device { return w.byCountry[country] }

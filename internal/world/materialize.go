@@ -12,7 +12,7 @@ import (
 	"ntpscan/internal/rng"
 )
 
-// Lazy materialization: device state is a pure function of
+// On-demand materialization: device state is a pure function of
 // (world seed, global device ID). The global ID space is partitioned
 // into contiguous segments, one per (profile, role) block in catalog
 // order, so the profile and role of any ID follow from a binary search
@@ -26,7 +26,7 @@ import (
 // the per-AS customer /48 pools and builds the per-country sync-
 // sampling indexes. That pass allocates a few words per NTP client, not
 // a Device, so memory grows with the index, two orders of magnitude
-// below the eager build.
+// below a resident population.
 
 // deviceSalt seeds the per-device derivation stream.
 const deviceSalt = 0x6d61747a // "matz"
@@ -50,8 +50,7 @@ type weightKey struct {
 }
 
 // buildSegments lays out the global ID space in catalog order —
-// responsive, hitlist-only, then address-only per profile — mirroring
-// the order the eager build appends devices in.
+// responsive, hitlist-only, then address-only per profile.
 func (w *World) buildSegments() {
 	tab := map[weightKey][]float64{}
 	var base int32
@@ -81,8 +80,7 @@ func (w *World) buildSegments() {
 	w.deviceTotal = base
 }
 
-// countryWeights precomputes the placement weight vector for one shape,
-// replacing the per-device allocation the eager builder paid.
+// countryWeights precomputes the placement weight vector for one shape.
 func (w *World) countryWeights(key weightKey) []float64 {
 	weights := make([]float64, len(w.Countries))
 	for i, c := range w.Countries {
@@ -95,7 +93,7 @@ func (w *World) countryWeights(key weightKey) []float64 {
 }
 
 // DeviceCount returns the number of devices in the world's ID space,
-// materialized or not.
+// resident or not.
 func (w *World) DeviceCount() int { return int(w.deviceTotal) }
 
 // segmentOf locates the segment containing gid.
@@ -127,7 +125,11 @@ func (w *World) placeDevice(seg *segment, r *rng.Stream) (*Country, *AS) {
 // countPlacement replays every device's placement draws without
 // materializing anything: it counts devices per AS (sizing the customer
 // /48 pools) and builds the per-country sync-sampling and epoch-mass
-// indexes over the address-only NTP-client population.
+// indexes over the address-only NTP-client population. Responsive NTP
+// devices stay out of the indexes: DeviceScale and AddrScale differ, so
+// volume-sampling them would grossly overweight their share of the
+// captured address mass; the collection driver captures them through a
+// dedicated channel instead (see core).
 func (w *World) countPlacement() {
 	var r rng.Stream
 	for si := range w.segments {
@@ -241,7 +243,7 @@ func (w *World) materializeInto(gid int32, d *Device, r *rng.Stream) {
 }
 
 // buildReachable materializes the scan-reachable population — the only
-// devices with mutable fabric state — in both eager and lazy worlds.
+// devices with mutable fabric state, and the only ones held resident.
 // Their count scales with DeviceScale, not AddrScale, so they stay
 // resident at every rung of the scale ladder.
 func (w *World) buildReachable() {
@@ -268,7 +270,7 @@ func (w *World) buildReachable() {
 
 // Reachable returns every scan-reachable device (responsive and
 // hitlist-only roles) in global-ID order. The slice is shared and must
-// not be mutated. It is populated in both eager and lazy worlds.
+// not be mutated.
 func (w *World) Reachable() []*Device { return w.reachable }
 
 // ClientEpochMass returns the summed address-epoch count of a country's
@@ -279,8 +281,7 @@ func (w *World) ClientEpochMass(country string) int64 { return w.epochMass[count
 // SampleClientID draws one NTP-client device ID from a country's
 // syncing population, weighted by per-profile sync frequency. It
 // returns -1 (consuming nothing from r) when the country has no NTP
-// clients. Resolve the ID through a Materializer, or through
-// w.Devices[id] on an eager world.
+// clients. Resolve the ID through a Materializer.
 func (w *World) SampleClientID(country string, r *rng.Stream) int32 {
 	cum := w.cumSync[country]
 	if len(cum) == 0 {
@@ -432,7 +433,9 @@ func (m *Materializer) Snapshot() *ArenaState {
 
 // Restore rebuilds the arena from a snapshot, re-deriving every
 // resident device. The snapshot must come from an arena of the same
-// capacity (i.e. the same byte budget).
+// capacity (i.e. the same byte budget). Snapshots are read back from
+// disk, so the whole of it is validated before the arena is touched: a
+// rejected snapshot leaves the arena as it was.
 func (m *Materializer) Restore(st *ArenaState) error {
 	if len(st.Slots) != len(m.slots) {
 		return fmt.Errorf("world: arena snapshot has %d slots, arena has %d (byte budget changed?)",
@@ -441,9 +444,23 @@ func (m *Materializer) Restore(st *ArenaState) error {
 	if st.Hand < 0 || st.Hand >= len(m.slots) {
 		return fmt.Errorf("world: arena snapshot hand %d out of range", st.Hand)
 	}
-	for gid := range m.index {
-		delete(m.index, gid)
+	index := make(map[int32]int32, len(m.slots))
+	for i, gid := range st.Slots {
+		if gid == -1 {
+			continue
+		}
+		// Snapshot re-emits slot IDs verbatim, so an ID below -1 would
+		// drift checkpoint bytes; a repeated ID would have its live index
+		// entry deleted by the first eviction of either slot.
+		if gid < 0 || gid >= m.w.deviceTotal {
+			return fmt.Errorf("world: arena snapshot slot %d: gid %d outside population %d", i, gid, m.w.deviceTotal)
+		}
+		if prev, dup := index[gid]; dup {
+			return fmt.Errorf("world: arena snapshot slots %d and %d both hold gid %d", prev, i, gid)
+		}
+		index[gid] = int32(i)
 	}
+	m.index = index
 	m.hand = st.Hand
 	m.stats = ArenaStats{}
 	for i := range m.slots {
@@ -451,10 +468,6 @@ func (m *Materializer) Restore(st *ArenaState) error {
 		s.gid = st.Slots[i]
 		s.ref = len(st.Refs) > i/8 && st.Refs[i/8]&(1<<(i%8)) != 0
 		if s.gid >= 0 {
-			if s.gid >= m.w.deviceTotal {
-				return fmt.Errorf("world: arena snapshot gid %d outside population %d", s.gid, m.w.deviceTotal)
-			}
-			m.index[s.gid] = int32(i)
 			m.w.materializeInto(s.gid, &s.dev, &m.scratch)
 		}
 	}

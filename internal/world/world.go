@@ -48,12 +48,6 @@ type Config struct {
 	AddrScale float64
 	// ASScale multiplies per-country AS counts (default 0.05).
 	ASScale float64
-	// Lazy skips eager materialization of the address-only population:
-	// Devices stays empty and consumers resolve device IDs on demand
-	// through a Materializer. Reachable devices are always resident.
-	// Derivation is identical in both modes — an eager world's Devices
-	// are exactly what lazy materialization would produce.
-	Lazy bool
 	// Start is the collection start instant (default 2024-07-20 UTC).
 	Start time.Time
 	// Loss, if set, configures fabric packet loss.
@@ -228,18 +222,13 @@ type World struct {
 	OUIReg    *oui.Registry
 	Countries []*Country
 
-	// Devices is the eagerly materialized population, in global-ID
-	// order. Lazy worlds leave it empty; use Reachable, SampleClientID,
-	// and a Materializer instead.
-	Devices []*Device
-
 	// segments partitions the global device-ID space by (profile,
 	// role); device state is derived on demand from the ID alone (see
 	// materialize.go). deviceTotal is the ID-space size.
 	segments    []segment
 	deviceTotal int32
-	// reachable holds the materialized scan-reachable population (the
-	// devices with fabric state), present in eager and lazy worlds.
+	// reachable holds the scan-reachable population (the devices with
+	// fabric state) — the only devices the world keeps resident.
 	reachable []*Device
 
 	// Per-country sync-sampling indexes over the address-only NTP
@@ -249,9 +238,6 @@ type World struct {
 	cumSync   map[string][]float64
 	syncMass  map[string]float64
 	epochMass map[string]int64
-	// byCountry resolves clientIDs to materialized devices (eager
-	// worlds only).
-	byCountry map[string][]*Device
 
 	root *rng.Stream
 }
@@ -272,17 +258,12 @@ func New(cfg Config) *World {
 		cumSync:   make(map[string][]float64),
 		syncMass:  make(map[string]float64),
 		epochMass: make(map[string]int64),
-		byCountry: make(map[string][]*Device),
 		root:      root,
 	}
 	w.buildTopology(root.Derive("topology"))
 	w.buildSegments()
 	w.countPlacement()
 	w.buildReachable()
-	if !cfg.Lazy {
-		w.buildDevices()
-		w.indexDevices()
-	}
 	return w
 }
 

@@ -18,8 +18,27 @@ func testCfg(seed uint64) Config {
 	return Config{Seed: seed, DeviceScale: 1e-3, AddrScale: 1e-6, ASScale: 0.02}
 }
 
+// allDevices returns the whole population in global-ID order, for the
+// tests that walk it: reachable devices are the world's resident
+// structs (they carry fabric hosts), address-only ones are derived
+// fresh through the same materializeInto the arenas call.
+func allDevices(w *World) []*Device {
+	devs := make([]*Device, w.DeviceCount())
+	for _, d := range w.Reachable() {
+		devs[d.ID] = d
+	}
+	var r rng.Stream
+	for gid := range devs {
+		if devs[gid] == nil {
+			devs[gid] = &Device{}
+			w.materializeInto(int32(gid), devs[gid], &r)
+		}
+	}
+	return devs
+}
+
 func findDevice(w *World, profile string, role Role) *Device {
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		if d.Profile.Name == profile && d.role == role {
 			return d
 		}
@@ -29,11 +48,12 @@ func findDevice(w *World, profile string, role Role) *Device {
 
 func TestBuildDeterministic(t *testing.T) {
 	a, b := New(testCfg(1)), New(testCfg(1))
-	if len(a.Devices) != len(b.Devices) {
-		t.Fatalf("device counts differ: %d vs %d", len(a.Devices), len(b.Devices))
+	devsA, devsB := allDevices(a), allDevices(b)
+	if len(devsA) != len(devsB) {
+		t.Fatalf("device counts differ: %d vs %d", len(devsA), len(devsB))
 	}
-	for i := range a.Devices {
-		da, db := a.Devices[i], b.Devices[i]
+	for i := range devsA {
+		da, db := devsA[i], devsB[i]
 		if da.Profile.Name != db.Profile.Name || da.Country != db.Country ||
 			da.AS.Number != db.AS.Number || da.KeyID != db.KeyID {
 			t.Fatalf("device %d differs", i)
@@ -59,16 +79,16 @@ func TestSeedChangesWorld(t *testing.T) {
 func TestScalesApply(t *testing.T) {
 	small := New(testCfg(1))
 	big := New(Config{Seed: 1, DeviceScale: 2e-3, AddrScale: 1e-6, ASScale: 0.02})
-	if len(big.Devices) <= len(small.Devices) {
+	if big.DeviceCount() <= small.DeviceCount() {
 		t.Fatalf("larger DeviceScale should yield more devices: %d vs %d",
-			len(big.Devices), len(small.Devices))
+			big.DeviceCount(), small.DeviceCount())
 	}
 }
 
 func TestEveryProfileRepresented(t *testing.T) {
 	w := New(testCfg(1))
 	seen := map[string]bool{}
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		seen[d.Profile.Name] = true
 	}
 	for _, p := range allProfiles() {
@@ -84,7 +104,7 @@ func TestResponsiveLiveInVantageCountries(t *testing.T) {
 	for _, c := range w.VantageCountries() {
 		vantage[c] = true
 	}
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		if d.role != RoleHitlistOnly && !vantage[d.Country] {
 			t.Fatalf("%s device in non-vantage %s", d.Profile.Name, d.Country)
 		}
@@ -232,7 +252,7 @@ func TestRegisterStatic(t *testing.T) {
 
 func TestASRegistryResolvesDeviceAddrs(t *testing.T) {
 	w := New(testCfg(1))
-	for _, d := range w.Devices[:50] {
+	for _, d := range allDevices(w)[:50] {
 		addr := w.AddrAt(d, 0)
 		asn, ok := w.ASReg.LookupASN(addr)
 		if !ok || asn != d.AS.Number {
@@ -248,11 +268,13 @@ func TestASRegistryResolvesDeviceAddrs(t *testing.T) {
 func TestSampleClientCountryAndWeight(t *testing.T) {
 	w := New(testCfg(1))
 	r := rng.New(9)
+	m := w.NewMaterializer(1 << 16)
 	for i := 0; i < 200; i++ {
-		d := w.SampleClient("IN", r)
-		if d == nil {
+		gid := w.SampleClientID("IN", r)
+		if gid < 0 {
 			t.Fatal("no client sampled")
 		}
+		d := m.Device(gid)
 		if d.Country != "IN" {
 			t.Fatalf("sampled %s device", d.Country)
 		}
@@ -260,7 +282,7 @@ func TestSampleClientCountryAndWeight(t *testing.T) {
 			t.Fatalf("non-NTP device %s sampled", d.Profile.Name)
 		}
 	}
-	if w.SampleClient("XX", r) != nil {
+	if w.SampleClientID("XX", r) != -1 {
 		t.Fatal("unknown country sampled a device")
 	}
 }
@@ -278,7 +300,7 @@ func TestKeyReusePools(t *testing.T) {
 	w := New(Config{Seed: 3, DeviceScale: 5e-3, AddrScale: 1e-6, ASScale: 0.02})
 	keys := map[[16]byte]int{}
 	devs := 0
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		if d.Profile.Name == "ufi-hotspot" {
 			keys[d.KeyID]++
 			devs++
@@ -295,7 +317,7 @@ func TestKeyReusePools(t *testing.T) {
 func TestReusedCertsShareFingerprint(t *testing.T) {
 	w := New(Config{Seed: 3, DeviceScale: 5e-3, AddrScale: 1e-6, ASScale: 0.02})
 	bySlot := map[int][]*Device{}
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		if d.Profile.Name == "mqtt-enduser" && d.KeySlot >= 0 {
 			bySlot[d.KeySlot] = append(bySlot[d.KeySlot], d)
 		}
@@ -407,7 +429,7 @@ func TestCertificateProperties(t *testing.T) {
 
 func TestPatchRevWithinRange(t *testing.T) {
 	w := New(testCfg(1))
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		if d.Profile.SSH == nil || d.Profile.SSH.NoPatch {
 			continue
 		}
@@ -421,9 +443,10 @@ func TestOutdatedBiasOrdering(t *testing.T) {
 	// Raspbian (end-user, bias 2.2) must be more outdated on average
 	// than debian-server (bias 0.7) — the Figure 2 mechanism.
 	w := New(Config{Seed: 11, DeviceScale: 0.02, AddrScale: 1e-6, ASScale: 0.02})
+	devs := allDevices(w)
 	outdatedShare := func(name string) float64 {
 		outdated, total := 0, 0
-		for _, d := range w.Devices {
+		for _, d := range devs {
 			if d.Profile.Name != name {
 				continue
 			}
@@ -456,14 +479,17 @@ func TestAddrsDuring(t *testing.T) {
 	}
 }
 
+// The per-country NTP-client index holds exactly that country's
+// address-only devices.
 func TestNTPClientsAccessor(t *testing.T) {
 	w := New(testCfg(1))
-	devs := w.NTPClients("IN")
-	if len(devs) == 0 {
+	ids := w.clientIDs["IN"]
+	if len(ids) == 0 {
 		t.Fatal("no Indian NTP clients")
 	}
-	for _, d := range devs {
-		if d.Country != "IN" || d.Role() != RoleAddrOnly {
+	m := w.NewMaterializer(1 << 16)
+	for _, gid := range ids {
+		if d := m.Device(gid); d.Country != "IN" || d.Role() != RoleAddrOnly {
 			t.Fatalf("bad index entry: %s %v", d.Country, d.Role())
 		}
 	}
@@ -490,14 +516,14 @@ func TestDeviceAddressesMostlyUnique(t *testing.T) {
 	w := New(testCfg(1))
 	seen := map[string]int{}
 	dups := 0
-	for _, d := range w.Devices {
+	for _, d := range allDevices(w) {
 		a := w.AddrAt(d, 0).String()
 		if _, ok := seen[a]; ok {
 			dups++
 		}
 		seen[a] = d.ID
 	}
-	if dups > len(w.Devices)/200 {
-		t.Fatalf("%d address collisions among %d devices", dups, len(w.Devices))
+	if dups > w.DeviceCount()/200 {
+		t.Fatalf("%d address collisions among %d devices", dups, w.DeviceCount())
 	}
 }
