@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: all check vet build test race bench bench-query bench-compare \
-	bench-scale profiles chaos fuzz-smoke cover cover-gate
+	bench-scale profiles chaos fuzz-smoke cover cover-gate reach
 
 all: check
 
@@ -94,6 +94,15 @@ cover-gate: cover
 	echo "coverage: $$total% (baseline $$base%)"; \
 	awk -v t="$$total" -v b="$$base" 'BEGIN { exit !(t >= b - 0.5) }' || \
 		{ echo "cover-gate: coverage $$total% fell below baseline $$base% - 0.5"; exit 1; }
+
+# reach is the pruning gate: a type-checked reachability pass over the
+# whole module, tests included (internal/reach). It fails on any
+# declaration under internal/ or cmd/ that only its own package's tests
+# reach and that internal/reach/allowlist.txt does not name with a
+# reason, and on allowlist lines that have gone stale. Not tier-1: it
+# type-checks the standard library from source.
+reach:
+	NTPSCAN_REACH=1 $(GO) test -count=1 -v -run '^TestReach$$' ./internal/reach/
 
 # bench runs the pipeline benchmarks and records them, with host
 # metadata, in BENCH_pipeline.json, then the columnar-store ingest /

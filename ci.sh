@@ -19,6 +19,9 @@ make fuzz-smoke FUZZTIME="${NTPSCAN_FUZZTIME:-10s}"
 # Coverage gate: library statement coverage must not drop below the
 # committed baseline (COVERAGE_baseline.txt) minus 0.5 points.
 make cover-gate
+# Pruning gate: no declaration under internal/ or cmd/ that only its own
+# package's tests reach, unless internal/reach/allowlist.txt says why.
+make reach
 # Optional bench regression gate against the committed BENCH baseline.
 # The timed run is plain `go test -bench` — deliberately NOT -race,
 # whose overhead would swamp every threshold. Opt in with

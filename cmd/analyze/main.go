@@ -115,7 +115,6 @@ func main() {
 	}
 	fmt.Print(th.String())
 
-	_ = ctx // reserved for per-AS analyses below
 	kr := analysis.KeyReuse(ctx, ntp)
 	fmt.Printf("\nkey reuse (NTP): %d reused keys over %d addresses (top key: %d addrs, %d ASes)\n",
 		kr.ReusedKeys, kr.ReusedIPs, kr.TopKeyIPs, kr.TopKeyASes)

@@ -27,11 +27,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"ntpscan/internal/core"
@@ -45,47 +47,60 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("v6scan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed        = flag.Uint64("seed", 20240720, "world seed (must match the target source)")
-		deviceScale = flag.Float64("device-scale", 3e-3, "responsive population scale")
-		addrScale   = flag.Float64("addr-scale", 6e-6, "address-only population scale")
-		asScale     = flag.Float64("as-scale", 0.03, "AS count scale")
-		targets     = flag.String("targets", "", "target file, '-' for stdin")
-		useHitlist  = flag.Bool("hitlist", false, "build and scan the TUM-style hitlist")
-		workers     = flag.Int("workers", 64, "worker pool size")
-		rate        = flag.Float64("rate", 0, "probe rate limit in pps (0 = unlimited)")
-		modules     = flag.String("modules", "", "comma-separated module subset (default: all)")
-		real        = flag.Bool("real", false, "scan real networks with kernel sockets instead of the simulation")
-		ports       = flag.String("ports", "", "port overrides, e.g. http=8080,ssh=2222")
-		storeDir    = flag.String("store", "", "also persist results to a columnar store DIR (readable by cmd/analyze)")
-		metricsOut  = flag.String("metrics", "", "write Prometheus-format metrics to FILE at exit")
+		seed        = fs.Uint64("seed", 20240720, "world seed (must match the target source)")
+		deviceScale = fs.Float64("device-scale", 3e-3, "responsive population scale")
+		addrScale   = fs.Float64("addr-scale", 6e-6, "address-only population scale")
+		asScale     = fs.Float64("as-scale", 0.03, "AS count scale")
+		targets     = fs.String("targets", "", "target file, '-' for stdin")
+		useHitlist  = fs.Bool("hitlist", false, "build and scan the TUM-style hitlist")
+		workers     = fs.Int("workers", 64, "worker pool size")
+		rate        = fs.Float64("rate", 0, "probe rate limit in pps (0 = unlimited)")
+		modules     = fs.String("modules", "", "comma-separated module subset (default: all)")
+		real        = fs.Bool("real", false, "scan real networks with kernel sockets instead of the simulation")
+		ports       = fs.String("ports", "", "port overrides, e.g. http=8080,ssh=2222")
+		storeDir    = fs.String("store", "", "also persist results to a columnar store DIR (readable by cmd/analyze)")
+		metricsOut  = fs.String("metrics", "", "write Prometheus-format metrics to FILE at exit")
 	)
-	profCfg := prof.Flags(nil)
-	flag.Parse()
-	stopProf, err := profCfg.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "v6scan:", err)
-		os.Exit(1)
+	profCfg := prof.Flags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err any) int {
+		fmt.Fprintln(stderr, "v6scan:", err)
+		return code
 	}
 	if !*useHitlist && *targets == "" {
-		fmt.Fprintln(os.Stderr, "v6scan: need -targets FILE or -hitlist")
-		os.Exit(2)
+		return fail(2, "need -targets FILE or -hitlist")
 	}
-
+	if *real && *useHitlist {
+		return fail(2, "-hitlist requires the simulation (drop -real)")
+	}
 	overrides, err := parsePorts(*ports)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "v6scan:", err)
-		os.Exit(2)
+		return fail(2, err)
+	}
+	var mods []zgrab.Module
+	if *modules != "" {
+		if mods, err = zgrab.ModulesByName(strings.Split(*modules, ",")); err != nil {
+			return fail(2, err)
+		}
+	}
+	stopProf, err := profCfg.Start()
+	if err != nil {
+		return fail(1, err)
 	}
 
 	var fabric *netsim.Network
 	var transport zgrab.Net
 	var timeout = 500 * time.Millisecond
 	if *real {
-		if *useHitlist {
-			fmt.Fprintln(os.Stderr, "v6scan: -hitlist requires the simulation (drop -real)")
-			os.Exit(2)
-		}
 		transport = zgrab.NewRealNet()
 		timeout = 3 * time.Second
 	}
@@ -121,44 +136,33 @@ func main() {
 	if *useHitlist {
 		h := p.BuildHitlist(hitlist.Config{})
 		list = h.Full
-		fmt.Fprintf(os.Stderr, "v6scan: hitlist with %d targets\n", len(list))
+		fmt.Fprintf(stderr, "v6scan: hitlist with %d targets\n", len(list))
 	} else {
-		var err error
-		list, err = readTargets(*targets)
+		list, err = readTargets(*targets, stdin)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "v6scan:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintf(os.Stderr, "v6scan: %d targets\n", len(list))
+		fmt.Fprintf(stderr, "v6scan: %d targets\n", len(list))
 	}
 
 	var st *store.Store
-	var stRows []*zgrab.Result
 	if *storeDir != "" {
-		var err error
 		st, err = store.Open(*storeDir, store.Options{Obs: reg})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "v6scan:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 
-	bw := bufio.NewWriter(os.Stdout)
-	defer bw.Flush()
+	bw := bufio.NewWriter(stdout)
 	jw := zgrab.NewJSONLWriter(bw)
 	var limiter zgrab.Limiter
 	if *rate > 0 {
 		limiter = zgrab.NewTokenBucket(*rate, *rate/10+1)
 	}
-	var mods []zgrab.Module
-	if *modules != "" {
-		var err error
-		mods, err = zgrab.ModulesByName(strings.Split(*modules, ","))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "v6scan:", err)
-			os.Exit(2)
-		}
-	}
+	// OnResult runs on every scan worker. The JSONL writer locks
+	// itself; the store's rows are kept under rowsMu.
+	var rowsMu sync.Mutex
+	var stRows []*zgrab.Result
 	scanner := zgrab.NewScanner(zgrab.Config{
 		Fabric:        fabric,
 		Net:           transport,
@@ -172,7 +176,9 @@ func main() {
 		OnResult: func(r *zgrab.Result) {
 			jw.Write(r)
 			if st != nil {
+				rowsMu.Lock()
 				stRows = append(stRows, r)
+				rowsMu.Unlock()
 			}
 		},
 	})
@@ -181,28 +187,32 @@ func main() {
 		scanner.Submit(a)
 	}
 	scanner.Close()
-	bw.Flush()
+	if err := bw.Flush(); err != nil {
+		return fail(1, err)
+	}
 	if st != nil {
+		// Workers finish in any order; submission order makes the store
+		// directory a function of the input alone.
+		sort.Slice(stRows, func(i, j int) bool { return stRows[i].Seq < stRows[j].Seq })
 		err := st.AppendResults(stRows)
 		if err == nil {
 			err = st.Seal()
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "v6scan:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		fmt.Fprintln(os.Stderr, "v6scan: wrote store to", *storeDir)
+		fmt.Fprintln(stderr, "v6scan: wrote store to", *storeDir)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(reg, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "v6scan:", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
 	}
 	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "v6scan:", err)
+		fmt.Fprintln(stderr, "v6scan:", err)
 	}
-	fmt.Fprintf(os.Stderr, "v6scan: wrote %d results\n", jw.Count())
+	fmt.Fprintf(stderr, "v6scan: wrote %d results\n", jw.Count())
+	return 0
 }
 
 func writeMetrics(reg *obs.Registry, path string) error {
@@ -236,11 +246,9 @@ func parsePorts(spec string) (map[string]uint16, error) {
 	return out, nil
 }
 
-func readTargets(path string) ([]netip.Addr, error) {
-	var in *os.File
-	if path == "-" {
-		in = os.Stdin
-	} else {
+func readTargets(path string, stdin io.Reader) ([]netip.Addr, error) {
+	in := stdin
+	if path != "-" {
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, err

@@ -122,7 +122,7 @@ func TestIIDShareAndASNumbers(t *testing.T) {
 	if got := st.IIDShare(ipv6x.IIDLastByte); got != 0.5 {
 		t.Fatalf("IIDShare = %v", got)
 	}
-	if len(s.ASNumbers()) != 1 {
-		t.Fatalf("ASNumbers = %v", s.ASNumbers())
+	if len(s.perAS) != 1 {
+		t.Fatalf("origin ASes = %v", s.perAS)
 	}
 }

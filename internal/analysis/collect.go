@@ -83,9 +83,6 @@ func (s *AddrSummary) Set() *ipv6x.AddrSet { return s.set }
 // Per48 exposes the /48 counter (overlap computations).
 func (s *AddrSummary) Per48() *ipv6x.PrefixCounter { return s.per48 }
 
-// ASNumbers returns the distinct origin ASes observed.
-func (s *AddrSummary) ASNumbers() map[uint32]int { return s.perAS }
-
 // ASOverlap counts ASes present in both summaries.
 func (s *AddrSummary) ASOverlap(other *AddrSummary) int {
 	a, b := s.perAS, other.perAS

@@ -45,11 +45,9 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the control plane for a pipeline. The
-// pipeline must not have started a campaign yet.
+// pipeline must not have started a campaign yet. Nothing here can fail
+// today; the error result is part of the signature benchmark/ calls.
 func NewCoordinator(p *core.Pipeline, cfg Config) (*Coordinator, error) {
-	if p.Cfg.FullPacketNTP {
-		return nil, fmt.Errorf("cluster: FullPacketNTP campaigns cannot be dispatched across nodes")
-	}
 	cfg.fillDefaults()
 	c := &Coordinator{
 		p:       p,
@@ -64,9 +62,6 @@ func NewCoordinator(p *core.Pipeline, cfg Config) (*Coordinator, error) {
 	c.met = newMetrics(c.Obs, cfg.Nodes)
 	return c, nil
 }
-
-// Nodes returns the configured node count.
-func (c *Coordinator) Nodes() int { return c.cfg.Nodes }
 
 // SetDial installs the node→coordinator control path after
 // construction. The transport wiring order needs this: build the

@@ -65,14 +65,6 @@ func TestSubmitSliceFencesStaleEpochs(t *testing.T) {
 	}
 }
 
-func TestNewCoordinatorRejectsFullPacketNTP(t *testing.T) {
-	cfg := chaos.Config(11)
-	cfg.FullPacketNTP = true
-	if _, err := NewCoordinator(core.NewPipeline(cfg), Config{Nodes: 2}); err == nil {
-		t.Fatal("FullPacketNTP pipeline accepted — the fabric hook needs serial shards")
-	}
-}
-
 func TestEpochsStartAtOne(t *testing.T) {
 	c := testCoordinator(t, 1)
 	for sh, e := range c.state().Epochs {

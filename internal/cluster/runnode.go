@@ -37,9 +37,6 @@ import (
 //
 // The returned NodeStats summarize the node's view of the protocol.
 func RunNode(ctx context.Context, p *core.Pipeline, api API, nodeID int, cfg Config, opts core.CampaignOpts) (*analysis.Dataset, *NodeStats, error) {
-	if p.Cfg.FullPacketNTP {
-		return nil, nil, fmt.Errorf("cluster: FullPacketNTP campaigns cannot be dispatched across nodes")
-	}
 	cfg.fillDefaults()
 	if nodeID < 0 || nodeID >= cfg.Nodes {
 		return nil, nil, fmt.Errorf("%w: node %d of %d", ErrUnknownNode, nodeID, cfg.Nodes)

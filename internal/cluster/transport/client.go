@@ -109,9 +109,6 @@ func NewClient(base string, node int, reg *obs.Registry) *Client {
 	return c
 }
 
-// Node returns the node index this client submits as.
-func (c *Client) Node() int { return c.node }
-
 // call does one API round-trip: frame the request, POST with retry on
 // transport failure, unframe the response, map wire errors back to
 // sentinels.

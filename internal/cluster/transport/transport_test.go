@@ -335,8 +335,8 @@ func TestWireErrorCodeTable(t *testing.T) {
 
 func TestClientNodeAndRelease(t *testing.T) {
 	api, c := serveScript(t)
-	if c.Node() != 0 {
-		t.Errorf("Node() = %d, want 0", c.Node())
+	if c.node != 0 {
+		t.Errorf("node = %d, want 0", c.node)
 	}
 	if err := c.Release(0); err != nil {
 		t.Fatalf("release: %v", err)

@@ -49,7 +49,6 @@ const (
 	methodHeartbeat
 	methodSubmit
 	methodRelease
-	methodCount
 )
 
 var methodNames = []string{"claim", "heartbeat", "submit", "release"}

@@ -49,8 +49,6 @@ const (
 	// WireLate is a heartbeat suppressed because its injected delay
 	// exceeds the coordinator's grace.
 	WireLate
-
-	wireFaultKinds = 3
 )
 
 // String names the kind for the metric label.

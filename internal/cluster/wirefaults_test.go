@@ -175,8 +175,8 @@ func TestCoordinatorSetDialReroutesHandles(t *testing.T) {
 	if dialed[0] != nil && dialed[0].claims != 0 {
 		t.Error("claim leaked to the wrong node's handle")
 	}
-	if c.Nodes() != 2 {
-		t.Errorf("Nodes() = %d, want 2", c.Nodes())
+	if c.cfg.Nodes != 2 {
+		t.Errorf("Nodes = %d, want 2", c.cfg.Nodes)
 	}
 }
 

@@ -166,9 +166,7 @@ type CampaignOpts struct {
 	// an interrupted-and-resumed run.
 	Store *store.Store
 	// Dispatch, when non-nil, replaces the built-in worker pool as the
-	// slice executor (see DispatchFunc). Incompatible with
-	// FullPacketNTP, whose fabric-side hook needs strictly serial
-	// shards.
+	// slice executor (see DispatchFunc).
 	Dispatch DispatchFunc
 	// Aggregates, when non-nil, observes every slice's drained data at
 	// the same barrier the store append runs at, letting a serving layer
@@ -330,9 +328,6 @@ func (p *Pipeline) ResumeCampaign(ctx context.Context, cp *Checkpoint, opts Camp
 // attached, flushing output and taking checkpoints at slice
 // boundaries.
 func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts CampaignOpts) (*analysis.Dataset, error) {
-	if opts.Dispatch != nil && p.Cfg.FullPacketNTP {
-		return nil, fmt.Errorf("core: campaign dispatcher is incompatible with FullPacketNTP (fabric hook needs serial shards)")
-	}
 	p.dispatch = opts.Dispatch
 	p.dispatchErr = nil
 	defer func() { p.dispatch = nil }()

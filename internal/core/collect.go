@@ -25,7 +25,7 @@ type collectShard struct {
 	vol   *rng.Stream // volume-channel sampling
 	resp  *rng.Stream // responsive-channel re-capture draws
 	ports *rng.Stream // client source ports
-	// ntp holds per-vantage capture servers for the codec fast path,
+	// ntp holds the shard's clone of every vantage's capture server,
 	// indexed by VantageServer.idx; their hooks record into this shard.
 	ntp []*ntp.Server
 	// arena bounds the shard's resident device state: sampled clients
@@ -34,8 +34,8 @@ type collectShard struct {
 	// hit/miss sequence a pure function of the shard's draw stream, so
 	// the folded counters stay byte-identical across worker counts.
 	arena *world.Materializer
-	// reqBuf/respBuf are the shard's reusable NTP wire buffers: the
-	// codec fast path encodes every request slab and receives every
+	// reqBuf/respBuf are the shard's reusable NTP wire buffers: both
+	// codec capture calls encode every request slab and receive every
 	// response slab here, so steady-state captures allocate nothing.
 	// Owned by exactly one shard, never shared — pooling per shard keeps
 	// the buffers out of any cross-goroutine ordering.
@@ -130,11 +130,13 @@ func (p *Pipeline) makeCollectShards() []*collectShard {
 				Now: p.W.Clock().Now,
 				// Shard clones account into the shard's private buffer;
 				// the barrier folds the deltas into the same books as the
-				// fabric-registered vantage servers, so totals still read
-				// per fleet, whichever path served the request.
+				// fabric-registered vantage servers, so totals read per
+				// fleet.
 				Metrics: sh.ntpMet,
-				Capture: func(client netip.AddrPort, at time.Time) {
-					p.recordCaptureShard(sh, client.Addr(), vi, at)
+				// Captures buffer in the shard until the drain barrier
+				// (see collectShard.events).
+				Capture: func(client netip.AddrPort, _ time.Time) {
+					sh.events = append(sh.events, capEvent{addr: client.Addr(), vantage: int32(vi), volume: sh.volumeStats})
 				},
 			})
 		}
@@ -166,7 +168,7 @@ type collectQuota struct {
 //   - the responsive channel captures every scan-reachable NTP client
 //     at least once (their sync cadence over four weeks makes capture
 //     near-certain; see DESIGN.md), plus extra captures in later
-//     address epochs with rate ResponsiveDupRate — dynamic addresses
+//     address epochs with rate responsiveDupRate — dynamic addresses
 //     re-observed, the mechanism behind addrs > certs in Table 2.
 //
 // feed, when non-nil, receives every captured address as it happens
@@ -241,10 +243,7 @@ func (p *Pipeline) collectFrom(startSlice int, batch func([]netip.Addr), drain f
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	if workers < 1 || p.Cfg.FullPacketNTP {
-		// FullPacketNTP captures arrive through the fabric-registered
-		// vantage server, whose hook routes via p.activeShard — shards
-		// must run one at a time.
+	if workers < 1 {
 		workers = 1
 	}
 
@@ -406,12 +405,11 @@ func (p *Pipeline) vantageUp(vs *VantageServer) bool {
 	return p.Pool.Healthy(vs.ID)
 }
 
-// runShards executes one slice across the shard set with up to workers
+// runShards executes one slice across the shard set with workers
 // goroutines. Shards are picked up dynamically (they are independent,
-// so pickup order is irrelevant); with workers == 1 they run in order,
-// with activeShard routing for the FullPacketNTP fabric hook. A
-// campaign dispatcher, when installed, replaces the pool wholesale —
-// the cluster path, where leased nodes decide who runs what.
+// so pickup order is irrelevant). A campaign dispatcher, when
+// installed, replaces the pool wholesale — the cluster path, where
+// leased nodes decide who runs what.
 func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quotas []collectQuota) {
 	if p.dispatch != nil {
 		if p.dispatchErr != nil {
@@ -426,16 +424,6 @@ func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quo
 		}); err != nil {
 			p.dispatchErr = err
 		}
-		return
-	}
-	if workers <= 1 {
-		for _, sh := range shards {
-			if p.Cfg.FullPacketNTP {
-				p.activeShard = sh
-			}
-			p.runShardSlice(sh, s, slices, len(shards), quotas)
-		}
-		p.activeShard = nil
 		return
 	}
 	var next atomic.Int64
@@ -460,7 +448,6 @@ func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quo
 // of every country's volume quota, then its subset of the responsive
 // population.
 func (p *Pipeline) runShardSlice(sh *collectShard, s, slices, nshards int, quotas []collectQuota) {
-	clock := p.W.Clock()
 	for _, q := range quotas {
 		if !p.vantageUp(q.vs) {
 			// Drained by the monitor: no sync lands on this vantage
@@ -479,21 +466,7 @@ func (p *Pipeline) runShardSlice(sh *collectShard, s, slices, nshards int, quota
 			sn++
 		}
 		sh.volumeStats = true
-		if p.Cfg.FullPacketNTP {
-			// Full UDP exchanges stay per-event: each sync is its own
-			// round-trip on the fabric.
-			for i := 0; i < sn; i++ {
-				gid := p.W.SampleClientID(q.vs.Country, sh.vol)
-				if gid < 0 {
-					continue
-				}
-				dev := sh.arena.Device(gid)
-				addr := p.W.CurrentAddr(dev, clock.Now())
-				p.captureVia(sh, q.vs, addr)
-			}
-		} else {
-			p.volumeBatch(sh, q.vs, sn)
-		}
+		p.volumeBatch(sh, q.vs, sn)
 		sh.volumeStats = false
 	}
 	p.responsiveShardSlice(sh, s, slices, nshards)
@@ -507,7 +480,7 @@ func (p *Pipeline) runShardSlice(sh *collectShard, s, slices, nshards int, quota
 // retried every following slice until it lands (the device keeps
 // syncing — a four-week window makes eventual capture near-certain
 // even under faults). Once captured, dynamic devices are re-captured
-// in later epochs with probability derived from ResponsiveDupRate —
+// in later epochs with probability derived from responsiveDupRate —
 // drawn from the shard's own stream, so the decision sequence is fixed
 // per shard regardless of worker count.
 func (p *Pipeline) responsiveShardSlice(sh *collectShard, s, slices, nshards int) {
@@ -541,7 +514,7 @@ func (p *Pipeline) responsiveShardSlice(sh *collectShard, s, slices, nshards int
 			// Dynamic devices may be re-captured after renumbering. The
 			// stream is drawn before the health check so the shard's
 			// draw schedule does not depend on the fault plan's timing.
-			perSlice := p.Cfg.ResponsiveDupRate / float64(slices-first)
+			perSlice := responsiveDupRate / float64(slices-first)
 			if sh.resp.Bool(perSlice) && p.vantageUp(vs) {
 				addr := p.W.CurrentAddr(dev, clock.Now())
 				p.captureVia(sh, vs, addr)

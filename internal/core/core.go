@@ -47,14 +47,6 @@ type Config struct {
 	// (address-only eyeball syncs reaching our servers). Zero derives
 	// ~3 events per expected distinct address.
 	CaptureBudget int
-	// TargetShare is the per-zone traffic share the netspeed
-	// controller aims for (the paper tuned netspeed until the request
-	// rate matched the scanning budget).
-	TargetShare float64
-	// ResponsiveDupRate is the expected number of *extra* captures of
-	// a responsive device in later address epochs (dynamic addresses
-	// re-captured; drives the addrs-per-cert ratio of Table 2).
-	ResponsiveDupRate float64
 	// Workers for the scan pool and the collection fan-out. Workers is
 	// pure concurrency: any value produces bit-identical output for a
 	// given (Seed, scales, CollectShards).
@@ -76,12 +68,6 @@ type Config struct {
 	// probes.
 	Timeout    time.Duration
 	UDPTimeout time.Duration
-	// FullPacketNTP routes every capture through a complete UDP
-	// exchange on the fabric instead of the codec fast path. Slower,
-	// and collection shards run one at a time (the fabric-side capture
-	// hook cannot tag a shard); used by tests and small demos to prove
-	// equivalence.
-	FullPacketNTP bool
 	// Faults, when set, is installed on the fabric at construction: the
 	// campaign runs under the plan's scheduled outages, loss bursts,
 	// slow links and garbled banners. The (Seed, Faults) pair defines
@@ -94,14 +80,18 @@ type Config struct {
 	Breaker *zgrab.BreakerConfig
 }
 
+// targetShare is the per-zone traffic share the netspeed controller
+// aims for (the paper tuned netspeed until the request rate matched the
+// scanning budget).
+const targetShare = 0.08
+
+// responsiveDupRate is the expected number of *extra* captures of a
+// responsive device in later address epochs (dynamic addresses
+// re-captured; drives the addrs-per-cert ratio of Table 2).
+const responsiveDupRate = 0.8
+
 func (c *Config) fillDefaults() {
 	c.World.Seed = c.Seed
-	if c.TargetShare == 0 {
-		c.TargetShare = 0.08
-	}
-	if c.ResponsiveDupRate == 0 {
-		c.ResponsiveDupRate = 0.8
-	}
 	if c.Workers < 1 {
 		c.Workers = 64
 	}
@@ -176,9 +166,6 @@ type Pipeline struct {
 	Captures   int            // total capture events
 
 	rng *rng.Stream
-	// onAddr is invoked for every captured address (duplicates
-	// included) — the real-time scan feed hook.
-	onAddr func(netip.Addr)
 	// respCache memoises the responsive NTP population.
 	respCache []*world.Device
 
@@ -190,16 +177,11 @@ type Pipeline struct {
 	// Counters behind PerCountry and Captures. perCountryN is indexed
 	// by VantageServer.idx, sized at deploy time (the vantage set is
 	// fixed), and like Summary/EUI only moves on the campaign goroutine.
-	// captures is atomic because stray fabric captures outside a slice
-	// arrive from scanner workers (recordCaptureShard's nil-shard path).
+	// captures is atomic because a fabric-registered vantage server
+	// books stray NTP traffic on whichever goroutine sent it (see
+	// deployServers).
 	captures    atomic.Int64
 	perCountryN []int
-
-	// activeShard routes fabric-side capture hooks to the collection
-	// shard being driven. Only the FullPacketNTP path uses it — the
-	// registered vantage server's hook cannot tag a shard, so shards
-	// run one at a time in that mode.
-	activeShard *collectShard
 
 	// respCaptured tracks which responsive devices have had their
 	// guaranteed first capture. Indexed like responsive(); shard i owns
@@ -297,8 +279,14 @@ func (p *Pipeline) deployServers() {
 		srv := ntp.NewServer(ntp.ServerConfig{
 			Now:     p.W.Clock().Now,
 			Metrics: p.met.ntp,
-			Capture: func(client netip.AddrPort, at time.Time) {
-				p.recordCapture(client.Addr(), vs.idx, at)
+			// The campaign's own syncs go through the shard clones of
+			// this server (makeCollectShards), whose hooks buffer into
+			// their shard. What reaches the registered address is stray
+			// fabric traffic: there is no shard and no barrier to defer
+			// to, so it is only counted.
+			Capture: func(netip.AddrPort, time.Time) {
+				p.captures.Add(1)
+				p.met.captures.Inc()
 			},
 		})
 		vs.NTP = srv
@@ -327,7 +315,7 @@ func (p *Pipeline) deployServers() {
 func (p *Pipeline) tuneNetspeed(vs *VantageServer) {
 	speed := 1.0
 	for i := 0; i < 64; i++ {
-		if p.Pool.ShareEstimate(vs.Country) >= p.Cfg.TargetShare {
+		if p.Pool.ShareEstimate(vs.Country) >= targetShare {
 			return
 		}
 		speed *= 1.5
@@ -345,70 +333,27 @@ func (p *Pipeline) ServerByCountry(code string) (*VantageServer, bool) {
 	return vs, ok
 }
 
-// recordCapture is the fabric-side capture hook (FullPacketNTP and any
-// stray NTP traffic reaching a vantage address): it attributes the
-// event to the shard currently being driven, if any.
-func (p *Pipeline) recordCapture(addr netip.Addr, vantage int, at time.Time) {
-	p.recordCaptureShard(p.activeShard, addr, vantage, at)
-}
-
-// recordCaptureShard is the capture hook. A shard-attributed capture
-// only appends to the shard's private event buffer — no shared state
-// moves until the drain barrier replays the buffer in ascending shard
-// order (commitShard). Deferring the dedup Adds to the barrier is what
-// makes first-seen attribution (and with it the checkpoint capture log
-// and the store's capture rows) independent of worker scheduling: two
-// shards first-capturing the same address in one slice now always
-// resolve in shard order, not in whichever-goroutine-got-there-first
-// order. Unattributed captures (stray fabric traffic outside a slice)
-// keep the immediate path — there is no barrier to defer to.
-func (p *Pipeline) recordCaptureShard(sh *collectShard, addr netip.Addr, vantage int, at time.Time) {
-	if sh == nil {
-		p.captures.Add(1)
-		p.met.captures.Inc()
-		if p.onAddr != nil {
-			p.onAddr(addr)
-		}
-		return
-	}
-	sh.events = append(sh.events, capEvent{addr: addr, vantage: int32(vantage), volume: sh.volumeStats})
-}
-
-// captureVia routes one client sync through the vantage server: either
-// a full UDP exchange on the fabric or the shard's codec fast path.
-// Both paths run the same ntp.Server logic and fire the same capture
-// hook. The fast path encodes the request and receives the response in
-// the shard's scratch buffers — zero heap allocations per capture in
-// steady state (asserted by TestCaptureFastPathZeroAlloc).
+// captureVia routes one client sync through the shard's clone of the
+// vantage server: the codec capture call for a single event (the
+// responsive channel). The request is encoded and the response received
+// in the shard's scratch buffers — zero heap allocations per capture in
+// steady state (asserted by TestCaptureFastPathZeroAlloc). The clone
+// runs the same ntp.Server logic as the fabric-registered server;
+// TestCodecCaptureMatchesFabricExchange holds the two to each other.
 func (p *Pipeline) captureVia(sh *collectShard, vs *VantageServer, client netip.Addr) error {
 	now := p.W.Clock().Now()
 	port := 40000 + uint16(sh.ports.Intn(20000))
 	if !p.W.Fabric().HostUp(vs.Addr, now) {
 		// The vantage is blacked out by the fault plan: the sync never
-		// completes, on either capture path. (The port draw above still
-		// happened, keeping the shard's stream schedule independent of
-		// the plan's timing.)
+		// completes. (The port draw above still happened, keeping the
+		// shard's stream schedule independent of the plan's timing.)
 		sh.dropped[vs.idx]++
 		return fmt.Errorf("core: vantage %s is down", vs.ID)
 	}
-	if p.Cfg.FullPacketNTP {
-		// The fabric has no latency: a response either arrives
-		// immediately or was lost. A short timeout keeps lossy mass
-		// collections from serialising on dead queries.
-		_, err := ntp.QuerySim(p.W.Fabric(),
-			netip.AddrPortFrom(client, port),
-			netip.AddrPortFrom(vs.Addr, ntp.Port),
-			p.W.Clock().Now, 10*time.Millisecond)
-		if err != nil {
-			sh.dropped[vs.idx]++
-		}
-		return err
-	}
-	// The codec fast path bypasses the fabric, so the link-layer round
+	// The codec call does not cross the fabric, so the link-layer round
 	// trip is modelled here: request through the vantage's link,
 	// response through the client's. A blocked exchange is a drop — the
-	// same accounting as a blacked-out vantage. (FullPacketNTP campaigns
-	// take the SendUDP path above, where the fabric itself traverses.)
+	// same accounting as a blacked-out vantage.
 	if !p.W.Fabric().LinkAdmit(client, vs.Addr, port) {
 		sh.dropped[vs.idx]++
 		return fmt.Errorf("core: vantage %s link blocked", vs.ID)
@@ -424,15 +369,14 @@ func (p *Pipeline) captureVia(sh *collectShard, vs *VantageServer, client netip.
 	return nil
 }
 
-// volumeBatch emits n volume-channel events for one vantage through the
-// codec batch path. Per-event semantics — stream draw order (client
-// sample, then source port), the down-vantage drop accounting, and the
-// capture hook sequence — are exactly the per-event captureVia loop's;
-// what the batch buys is that every client in a frozen slice sends the
-// same mode-3 request, so the slab is encoded by stride copy, decoded
-// once, and answered with one RespondBatch call instead of n codec
-// round-trips. FullPacketNTP campaigns never reach here (runShardSlice
-// keeps them on the per-event fabric path).
+// volumeBatch emits n volume-channel events for one vantage: the codec
+// capture call for a batch. Per-event semantics — stream draw order
+// (client sample, then source port), the down-vantage drop accounting,
+// and the capture hook sequence — are exactly those of n captureVia
+// calls; what the batch buys is that every client in a frozen slice
+// sends the same mode-3 request, so the slab is encoded by stride copy,
+// decoded once, and answered with one RespondBatch call instead of n
+// codec round-trips.
 func (p *Pipeline) volumeBatch(sh *collectShard, vs *VantageServer, n int) {
 	now := p.W.Clock().Now()
 	fabric := p.W.Fabric()
@@ -452,9 +396,9 @@ func (p *Pipeline) volumeBatch(sh *collectShard, vs *VantageServer, n int) {
 			sh.dropped[vs.idx]++
 			continue
 		}
-		// Same link-layer round trip as captureVia's codec path; the
-		// admit hash excludes payload, so batch and per-event paths
-		// agree on which exchanges survive.
+		// Same link-layer round trip as captureVia; the admit hash
+		// excludes payload, so the two calls agree on which exchanges
+		// survive.
 		if !fabric.LinkAdmit(addr, vs.Addr, port) {
 			sh.dropped[vs.idx]++
 			continue

@@ -4,9 +4,13 @@ import (
 	"context"
 	"net/netip"
 	"testing"
+	"time"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/hitlist"
+	"ntpscan/internal/netsim"
+	"ntpscan/internal/ntp"
+	"ntpscan/internal/rng"
 	"ntpscan/internal/world"
 )
 
@@ -37,7 +41,7 @@ func TestDeployment(t *testing.T) {
 			t.Fatalf("server %s not on fabric", s.ID)
 		}
 		share := p.Pool.ShareEstimate(s.Country)
-		if share < p.Cfg.TargetShare*0.9 {
+		if share < targetShare*0.9 {
 			t.Fatalf("%s share = %v, controller failed", s.Country, share)
 		}
 	}
@@ -92,27 +96,134 @@ func TestCollectFeedSeesEveryCapture(t *testing.T) {
 	}
 }
 
-func TestFullPacketEquivalence(t *testing.T) {
-	// The codec fast path and full UDP exchanges must capture the same
-	// address set.
-	cfgA := testConfig(3)
-	cfgA.CaptureBudget = 500
-	a := NewPipeline(cfgA)
-	a.CollectOnly()
+// respFields is what a client can tell one server's answer from
+// another's by.
+type respFields struct {
+	stratum           uint8
+	refID             [4]byte
+	origin, recv, xmt ntp.Time64
+}
 
-	cfgB := testConfig(3)
-	cfgB.CaptureBudget = 500
-	cfgB.FullPacketNTP = true
-	b := NewPipeline(cfgB)
-	b.CollectOnly()
+func fieldsOf(p *ntp.Packet) respFields {
+	return respFields{p.Stratum, p.ReferenceID, p.OriginTime, p.ReceiveTime, p.TransmitTime}
+}
 
-	if a.Summary.Set().Len() != b.Summary.Set().Len() {
-		t.Fatalf("fast path %d addrs, full packet %d addrs",
-			a.Summary.Set().Len(), b.Summary.Set().Len())
+// TestCodecCaptureMatchesFabricExchange holds the campaign's two codec
+// capture calls to the exchange they stand in for. The reference is a
+// complete UDP round trip on a clean fabric — ntp.QuerySim against the
+// vantage server registered at its address. The shard's clone of that
+// server, asked through RespondAppend (captureVia's call) and through
+// RespondBatch (volumeBatch's call), must capture the same client
+// addresses in the same order and answer with the same stratum,
+// reference ID and origin/receive/transmit timestamps.
+func TestCodecCaptureMatchesFabricExchange(t *testing.T) {
+	p := NewPipeline(testConfig(3))
+	sh := p.makeCollectShards()[0]
+	fabric, clock := p.W.Fabric(), p.W.Clock()
+	draw := rng.New(3)
+
+	type triple struct {
+		vs     *VantageServer
+		client netip.AddrPort
 	}
-	if a.Summary.Set().OverlapWith(b.Summary.Set()) != a.Summary.Set().Len() {
-		t.Fatal("address sets differ between capture paths")
+	var triples []triple
+	for _, vs := range p.Servers {
+		for i := 0; i < 30; i++ {
+			gid := p.W.SampleClientID(vs.Country, draw)
+			if gid < 0 {
+				continue // no eyeball population there at this scale
+			}
+			addr := p.W.CurrentAddr(sh.arena.Device(gid), clock.Now())
+			triples = append(triples, triple{vs, netip.AddrPortFrom(addr, 40000+uint16(draw.Intn(20000)))})
+		}
 	}
+	if len(triples) < 200 {
+		t.Fatalf("sampled %d triples, want at least 200", len(triples))
+	}
+
+	// Reference: the fabric exchange. The registered server's hook only
+	// counts (stray traffic has no shard to buffer into), so the source
+	// it was handed is read off the datagram at the vantage address and
+	// the hook's firing off the capture counter.
+	var arrived []netip.Addr
+	var want []respFields
+	for _, tr := range triples {
+		stop := fabric.Sniff(netip.PrefixFrom(tr.vs.Addr, 128), func(pi netsim.PacketInfo) {
+			arrived = append(arrived, pi.Src.Addr())
+		})
+		before := p.captures.Load()
+		res, err := ntp.QuerySim(fabric, tr.client, netip.AddrPortFrom(tr.vs.Addr, ntp.Port), clock.Now, time.Second)
+		stop()
+		if err != nil {
+			t.Fatalf("fabric exchange %v -> %s: %v", tr.client, tr.vs.ID, err)
+		}
+		if got := p.captures.Load() - before; got != 1 {
+			t.Fatalf("registered %s fired its capture hook %d times for one exchange", tr.vs.ID, got)
+		}
+		want = append(want, fieldsOf(res.Response))
+	}
+
+	// check compares what the clone hooks buffered in the shard, and the
+	// answers got, against the reference, then empties the buffer.
+	check := func(call string, got []respFields) {
+		t.Helper()
+		if len(sh.events) != len(triples) || len(got) != len(triples) {
+			t.Fatalf("%s: %d captures and %d responses for %d triples", call, len(sh.events), len(got), len(triples))
+		}
+		for i, tr := range triples {
+			ev := sh.events[i]
+			if ev.addr != arrived[i] || ev.addr != tr.client.Addr() || ev.vantage != int32(tr.vs.idx) {
+				t.Fatalf("%s: capture %d = %v at vantage %d, fabric exchange captured %v at %d",
+					call, i, ev.addr, ev.vantage, arrived[i], tr.vs.idx)
+			}
+			if got[i] != want[i] {
+				t.Fatalf("%s: response %d = %+v, fabric exchange answered %+v", call, i, got[i], want[i])
+			}
+		}
+		sh.events = sh.events[:0]
+	}
+	decode := func(call string, raw []byte) respFields {
+		t.Helper()
+		pkt, err := ntp.Decode(raw)
+		if err != nil {
+			t.Fatalf("%s: %v", call, err)
+		}
+		return fieldsOf(pkt)
+	}
+
+	req := ntp.ClientPacket(clock.Now())
+	wire := req.AppendEncode(nil)
+	var got []respFields
+	for _, tr := range triples {
+		resp, ok := sh.ntp[tr.vs.idx].RespondAppend(tr.client, wire, nil)
+		if !ok {
+			t.Fatalf("RespondAppend: %s did not answer %v", tr.vs.ID, tr.client)
+		}
+		got = append(got, decode("RespondAppend", resp))
+	}
+	check("RespondAppend", got)
+
+	// RespondBatch takes one vantage's clients per call, as volumeBatch
+	// hands them over; triples are grouped by vantage already.
+	got = got[:0]
+	for lo := 0; lo < len(triples); {
+		hi := lo
+		var clients []netip.AddrPort
+		var pkts []ntp.Packet
+		for ; hi < len(triples) && triples[hi].vs == triples[lo].vs; hi++ {
+			clients = append(clients, triples[hi].client)
+			pkts = append(pkts, req)
+		}
+		resp, answered := sh.ntp[triples[lo].vs.idx].RespondBatch(clients, ntp.EncodeBatch(pkts, nil), nil, nil)
+		if answered != len(clients) {
+			t.Fatalf("RespondBatch: %s answered %d of %d", triples[lo].vs.ID, answered, len(clients))
+		}
+		for i := range clients {
+			got = append(got, decode("RespondBatch", resp[i*ntp.PacketSize:(i+1)*ntp.PacketSize]))
+		}
+		lo = hi
+	}
+	check("RespondBatch", got)
 }
 
 func TestNTPCampaignFindsConsumerDevices(t *testing.T) {

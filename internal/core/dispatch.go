@@ -41,9 +41,6 @@ type ShardRef struct {
 	sh *collectShard
 }
 
-// Index is the shard's position in the canonical decomposition.
-func (r ShardRef) Index() int { return r.sh.idx }
-
 // ShardSnap is a shard's restorable execution state: rng stream
 // positions and the device arena's resident set. Taken at a slice
 // boundary (or before a speculative execution), it is everything a

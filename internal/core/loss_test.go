@@ -2,83 +2,65 @@ package core
 
 import (
 	"context"
+	"net/netip"
 	"testing"
 
 	"ntpscan/internal/analysis"
+	"ntpscan/internal/netsim"
 	"ntpscan/internal/world"
 )
 
 // Failure injection: the pipeline must behave sensibly on a lossy
-// fabric — fewer full-packet captures and degraded UDP scans, never
-// hangs or crashes.
+// fabric — degraded scans, never hangs or crashes.
 
-func lossyConfig(seed uint64, loss float64) Config {
-	return Config{
+// lossyPipeline deploys a pipeline whose fabric loses each packet with
+// probability loss for the whole collection window, everywhere: one
+// FaultLoss over ::/0, the mechanism the chaos plans use per /48.
+func lossyPipeline(seed uint64, loss float64) *Pipeline {
+	p := NewPipeline(Config{
 		Seed: seed,
 		World: world.Config{
 			DeviceScale: 1e-3,
 			AddrScale:   1e-6,
 			ASScale:     0.02,
-			Loss:        loss,
 		},
-		Workers:       16,
-		CaptureBudget: 2000,
-		FullPacketNTP: true,
+		Workers: 16,
+	})
+	if loss > 0 {
+		plan := &netsim.FaultPlan{Seed: seed}
+		plan.Add(netsim.Fault{
+			Kind:   netsim.FaultLoss,
+			Prefix: netip.MustParsePrefix("::/0"),
+			From:   p.W.Cfg.Start,
+			Until:  p.W.Cfg.Start.Add(2 * world.CollectionWindow),
+			Prob:   loss,
+		})
+		p.InstallFaults(plan)
 	}
-}
-
-func TestLossReducesFullPacketCaptures(t *testing.T) {
-	clean := NewPipeline(lossyConfig(5, 0))
-	clean.CollectOnly()
-
-	lossy := NewPipeline(lossyConfig(5, 0.5))
-	lossy.CollectOnly()
-
-	if lossy.Captures >= clean.Captures {
-		t.Fatalf("50%% loss should reduce captures: %d vs %d",
-			lossy.Captures, clean.Captures)
-	}
-	if lossy.Captures == 0 {
-		t.Fatal("all captures lost at 50% loss")
-	}
-	// Roughly half the volume-channel request packets vanish (capture
-	// happens server-side on request arrival). The responsive channel
-	// self-heals — a lost first capture is retried in later slices — so
-	// the overall ratio sits somewhat above the raw loss rate.
-	ratio := float64(lossy.Captures) / float64(clean.Captures)
-	if ratio < 0.35 || ratio > 0.85 {
-		t.Fatalf("capture ratio %.2f far from the configured loss", ratio)
-	}
+	return p
 }
 
 func TestLossyScanStillFindsDevices(t *testing.T) {
-	cfg := lossyConfig(6, 0.3)
-	cfg.FullPacketNTP = false // codec captures; loss hits the scans
-	cfg.CaptureBudget = 0
-	p := NewPipeline(cfg)
+	p := lossyPipeline(6, 0.3)
 	data := p.RunNTPCampaign(context.Background())
 	resp, _, _ := analysis.HitRate(data)
 	if resp == 0 {
 		t.Fatal("nothing found through a 30% lossy fabric")
 	}
-	// TCP grabs are connection-oriented in the sim (loss applies to
-	// datagrams), so HTTP findings survive; CoAP suffers.
+	// A TCP grab needs only its SYN to survive, a UDP probe both its
+	// datagrams: HTTP findings survive where CoAP suffers.
 	groups := analysis.TitleGroups(data)
 	if analysis.FindGroup(groups, "FRITZ!Box") == nil {
-		t.Fatal("TCP findings lost under UDP loss")
+		t.Fatal("TCP findings lost under 30% loss")
 	}
 }
 
 func TestCoAPDegradesUnderLoss(t *testing.T) {
 	count := func(loss float64) int {
-		cfg := lossyConfig(7, loss)
-		cfg.FullPacketNTP = false
-		cfg.CaptureBudget = 0
-		p := NewPipeline(cfg)
+		p := lossyPipeline(7, loss)
 		data := p.RunNTPCampaign(context.Background())
 		n := 0
-		for _, r := range data.Successes("coap") {
-			_ = r
+		for range data.Successes("coap") {
 			n++
 		}
 		return n

@@ -35,11 +35,6 @@ type Options struct {
 	ASScale     float64
 	// Workers for scanning.
 	Workers int
-	// CollectShards partitions collection work. Unlike Workers it is
-	// part of the experiment definition (shard streams are derived from
-	// it), so leave it zero (= core default) unless you intend to
-	// define a different experiment.
-	CollectShards int
 	// StoreDir, when non-empty, persists the NTP campaign's captures
 	// and results to a columnar store directory there (see
 	// internal/store; readable by cmd/analyze). Attaching the store
@@ -142,7 +137,6 @@ func Run(opts Options) *Suite {
 			ASScale:     opts.ASScale,
 		},
 		Workers:       opts.Workers,
-		CollectShards: opts.CollectShards,
 		CaptureBudget: opts.CaptureBudget,
 	})
 	installLinkPlan(p, opts.LinkPlan)
@@ -202,7 +196,6 @@ func CollectOnly(opts Options) *Suite {
 			ASScale:     opts.ASScale,
 		},
 		Workers:       opts.Workers,
-		CollectShards: opts.CollectShards,
 		CaptureBudget: opts.CaptureBudget,
 	})
 	installLinkPlan(p, opts.LinkPlan)

@@ -112,7 +112,7 @@ func (s *Suite) Table3() string {
 		"Title group", "Our Data", "TUM Hitlist").
 		SetAligns(tabulate.Left, tabulate.Right, tabulate.Right)
 	listed := map[string]bool{}
-	addRow := func(g analysis.TitleGroup, source int) {
+	addRow := func(g analysis.TitleGroup) {
 		if listed[g.Representative] {
 			return
 		}
@@ -126,19 +126,18 @@ func (s *Suite) Table3() string {
 		}
 		th.Cells(clip(g.Representative, 42),
 			tabulate.CountPct(oCount, oursTotal), tabulate.CountPct(hCount, hitTotal))
-		_ = source
 	}
 	for i, g := range oursTG {
 		if i >= 8 {
 			break
 		}
-		addRow(g, 0)
+		addRow(g)
 	}
 	for i, g := range hitTG {
 		if i >= 8 {
 			break
 		}
-		addRow(g, 1)
+		addRow(g)
 	}
 	b.WriteString(th.String())
 	b.WriteByte('\n')

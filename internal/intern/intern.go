@@ -108,15 +108,3 @@ func fnv1aString(s string) uint32 {
 	}
 	return h
 }
-
-// Len returns the number of distinct strings held.
-func (t *Table) Len() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.RLock()
-		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}

@@ -58,3 +58,15 @@ func TestBytesHitPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("interned lookup allocated %v times per run", allocs)
 	}
 }
+
+// Len returns the number of distinct strings held.
+func (t *Table) Len() int {
+	n := 0
+	for i := range t.shards {
+		sh := &t.shards[i]
+		sh.mu.RLock()
+		n += len(sh.m)
+		sh.mu.RUnlock()
+	}
+	return n
+}

@@ -126,15 +126,6 @@ func (c *PrefixCounter) OverlapWith(other *PrefixCounter) int {
 	return n
 }
 
-// ForEach calls fn for every (prefix, count) pair in unspecified order.
-func (c *PrefixCounter) ForEach(fn func(netip.Prefix, int) bool) {
-	for p, n := range c.m {
-		if !fn(p, n) {
-			return
-		}
-	}
-}
-
 // Prefixes returns all distinct prefixes in ascending order.
 func (c *PrefixCounter) Prefixes() []netip.Prefix {
 	out := make([]netip.Prefix, 0, len(c.m))

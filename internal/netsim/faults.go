@@ -252,10 +252,6 @@ type faultEffects struct {
 	garble  bool
 }
 
-func (e faultEffects) any() bool {
-	return e.down || e.loss > 0 || e.latency > 0 || e.garble
-}
-
 // effectsOn folds every fault scoped to addr and active at the given
 // time.
 func (p *FaultPlan) effectsOn(addr netip.Addr, at time.Time) faultEffects {

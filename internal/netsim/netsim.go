@@ -122,9 +122,6 @@ type Network struct {
 	// faults). Atomic so plans can be swapped mid-run.
 	faults atomic.Pointer[faultBox]
 
-	dials   atomic.Int64 // TCP dial attempts
-	packets atomic.Int64 // UDP datagrams sent
-
 	// fm, when set, counts fault-plan interventions (see obsmetrics.go).
 	fm atomic.Pointer[FaultMetrics]
 	// lm, when set, books link-traversal outcomes (see linkfabric.go).
@@ -240,11 +237,6 @@ func (n *Network) notifySniffers(pi PacketInfo) {
 	}
 }
 
-// Stats returns cumulative dial attempts and UDP datagrams.
-func (n *Network) Stats() (tcpDials, udpPackets int64) {
-	return n.dials.Load(), n.packets.Load()
-}
-
 // DialTCP attempts a TCP connection from src to dst. Error semantics:
 //
 //   - open port: success, the host's handler runs in a new goroutine;
@@ -258,7 +250,6 @@ func (n *Network) Stats() (tcpDials, udpPackets int64) {
 // truncated mid-banner.
 func (n *Network) DialTCP(ctx context.Context, src netip.Addr, dst netip.AddrPort) (net.Conn, error) {
 	now := n.clock.Now()
-	n.dials.Add(1)
 	n.notifySniffers(PacketInfo{
 		Time: now, Proto: "tcp",
 		Src: netip.AddrPortFrom(src, ephemeralPort(src, dst)), Dst: dst,
@@ -381,7 +372,6 @@ func (n *Network) dropDatagram(dir byte, from, to netip.Addr, serverPort uint16,
 // back within any deadline), and garble corrupts the responses.
 func (n *Network) SendUDP(src, dst netip.AddrPort, payload []byte) {
 	now := n.clock.Now()
-	n.packets.Add(1)
 	n.notifySniffers(PacketInfo{
 		Time: now, Proto: "udp", Src: src, Dst: dst, Payload: payload,
 	})

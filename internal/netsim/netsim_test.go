@@ -453,12 +453,21 @@ func TestLossDropsPackets(t *testing.T) {
 }
 
 func TestStatsCount(t *testing.T) {
+	// A sniffer over everything is the fabric's traffic count: one
+	// event per dial attempt and per datagram, delivered or not.
 	n := New(Config{DialTimeout: time.Millisecond})
+	var dials, pkts int
+	n.Sniff(netip.MustParsePrefix("::/0"), func(pi PacketInfo) {
+		if pi.Proto == "tcp" {
+			dials++
+		} else {
+			pkts++
+		}
+	})
 	ctx := context.Background()
 	n.DialTCP(ctx, addr("::1"), ap("[2001:db8::1]:80"))
 	n.SendUDP(ap("[::1]:1"), ap("[2001:db8::1]:123"), nil)
 	n.SendUDP(ap("[::1]:1"), ap("[2001:db8::1]:123"), nil)
-	dials, pkts := n.Stats()
 	if dials != 1 || pkts != 2 {
 		t.Fatalf("stats = %d %d", dials, pkts)
 	}

@@ -78,12 +78,13 @@ func TestDecodeBatchErrors(t *testing.T) {
 // and rate-limited repeats.
 func TestRespondBatchMatchesSequential(t *testing.T) {
 	start := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
-	mk := func(captured *[]netip.AddrPort) *Server {
+	mk := func(captured *[]netip.AddrPort, met *ServerMetrics) *Server {
 		return NewServer(ServerConfig{
 			Stratum:     2,
 			ReferenceID: [4]byte{'G', 'P', 'S', 0},
 			Now:         func() time.Time { return start },
 			MinInterval: time.Minute,
+			Metrics:     met,
 			Capture: func(c netip.AddrPort, _ time.Time) {
 				*captured = append(*captured, c)
 			},
@@ -106,7 +107,8 @@ func TestRespondBatchMatchesSequential(t *testing.T) {
 	}
 
 	var capSeq, capBatch []netip.AddrPort
-	seq, batch := mk(&capSeq), mk(&capBatch)
+	metSeq, metBatch := localMetrics(), localMetrics()
+	seq, batch := mk(&capSeq, metSeq), mk(&capBatch, metBatch)
 
 	var want []byte
 	wantOks := make([]bool, len(clients))
@@ -141,11 +143,11 @@ func TestRespondBatchMatchesSequential(t *testing.T) {
 			t.Fatalf("capture %d: %v vs %v", i, capBatch[i], capSeq[i])
 		}
 	}
-	gr, ga := batch.Stats()
-	wr, wa := seq.Stats()
-	if gr != wr || ga != wa || batch.RateLimited() != seq.RateLimited() {
-		t.Fatalf("server books diverge: %d/%d/%d vs %d/%d/%d",
-			gr, ga, batch.RateLimited(), wr, wa, seq.RateLimited())
+	books := func(m *ServerMetrics) [3]int64 {
+		return [3]int64{m.Requests.Value(), m.Answered.Value(), m.RateLimited.Value()}
+	}
+	if got, want := books(metBatch), books(metSeq); got != want {
+		t.Fatalf("server books diverge: %v vs %v", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ntpscan/internal/netsim"
+	"ntpscan/internal/obs"
 )
 
 func TestTime64RoundTrip(t *testing.T) {
@@ -100,13 +101,25 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// localMetrics is a server's books on free-standing counters, the
+// form collection shards hand their clones.
+func localMetrics() *ServerMetrics {
+	return &ServerMetrics{
+		Requests:    obs.LocalCounter(),
+		Answered:    obs.LocalCounter(),
+		RateLimited: obs.LocalCounter(),
+	}
+}
+
 func TestServerRespond(t *testing.T) {
 	now := time.Date(2024, 7, 20, 12, 0, 0, 0, time.UTC)
 	var captured []netip.AddrPort
+	met := localMetrics()
 	s := NewServer(ServerConfig{
 		Stratum:     2,
 		ReferenceID: [4]byte{1, 2, 3, 4},
 		Now:         func() time.Time { return now },
+		Metrics:     met,
 		Capture: func(c netip.AddrPort, at time.Time) {
 			captured = append(captured, c)
 			if !at.Equal(now) {
@@ -133,14 +146,14 @@ func TestServerRespond(t *testing.T) {
 	if len(captured) != 1 || captured[0] != client {
 		t.Fatalf("captured = %v", captured)
 	}
-	reqs, ans := s.Stats()
-	if reqs != 1 || ans != 1 {
-		t.Fatalf("stats = %d %d", reqs, ans)
+	if reqs, ans := met.Requests.Value(), met.Answered.Value(); reqs != 1 || ans != 1 {
+		t.Fatalf("requests, answered = %d %d", reqs, ans)
 	}
 }
 
 func TestServerIgnoresGarbageAndWrongMode(t *testing.T) {
-	s := NewServer(ServerConfig{})
+	met := localMetrics()
+	s := NewServer(ServerConfig{Metrics: met})
 	client := netip.MustParseAddrPort("[2001:db8::1]:1")
 	if s.Respond(client, []byte("short")) != nil {
 		t.Fatal("garbage answered")
@@ -149,9 +162,8 @@ func TestServerIgnoresGarbageAndWrongMode(t *testing.T) {
 	if s.Respond(client, serverMode.Encode()) != nil {
 		t.Fatal("mode-4 packet answered")
 	}
-	reqs, ans := s.Stats()
-	if reqs != 2 || ans != 0 {
-		t.Fatalf("stats = %d %d", reqs, ans)
+	if reqs, ans := met.Requests.Value(), met.Answered.Value(); reqs != 2 || ans != 0 {
+		t.Fatalf("requests, answered = %d %d", reqs, ans)
 	}
 }
 
@@ -297,7 +309,8 @@ func BenchmarkEncodeDecode(b *testing.B) {
 func TestRateLimitKissOfDeath(t *testing.T) {
 	now := time.Date(2024, 7, 20, 12, 0, 0, 0, time.UTC)
 	clock := func() time.Time { return now }
-	s := NewServer(ServerConfig{Now: clock, MinInterval: 10 * time.Second})
+	met := localMetrics()
+	s := NewServer(ServerConfig{Now: clock, MinInterval: 10 * time.Second, Metrics: met})
 	client := netip.MustParseAddrPort("[2001:db8::1]:5000")
 	req := NewClientPacket(now)
 
@@ -314,8 +327,8 @@ func TestRateLimitKissOfDeath(t *testing.T) {
 	if resp.Stratum != 0 || string(resp.ReferenceID[:]) != "RATE" {
 		t.Fatalf("expected KoD, got %+v", resp)
 	}
-	if s.RateLimited() != 1 {
-		t.Fatalf("RateLimited = %d", s.RateLimited())
+	if got := met.RateLimited.Value(); got != 1 {
+		t.Fatalf("RateLimited = %d", got)
 	}
 	// Other clients are unaffected.
 	other := netip.MustParseAddrPort("[2001:db8::2]:5000")

@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ntpscan/internal/obs"
@@ -54,7 +53,7 @@ type ServerConfig struct {
 	// (stratum 0, refid RATE) instead of time, as abusive clients do
 	// from real pool servers. Zero disables limiting.
 	MinInterval time.Duration
-	// Metrics, if non-nil, additionally accounts requests into a shared
+	// Metrics, if non-nil, accounts requests into a shared
 	// observability bundle (see ServerMetrics).
 	Metrics *ServerMetrics
 }
@@ -67,10 +66,7 @@ const rateTableMax = 1 << 16
 // transport-agnostic: Respond computes a response for one datagram, and
 // the Handle/Serve adapters bind it to netsim and net sockets.
 type Server struct {
-	cfg      ServerConfig
-	requests atomic.Int64
-	answered atomic.Int64
-	limited  atomic.Int64
+	cfg ServerConfig
 
 	rateMu   sync.Mutex
 	lastSeen map[netip.Addr]time.Time
@@ -90,15 +86,6 @@ func NewServer(cfg ServerConfig) *Server {
 	}
 	return s
 }
-
-// Stats returns how many datagrams arrived and how many were answered.
-func (s *Server) Stats() (requests, answered int64) {
-	return s.requests.Load(), s.answered.Load()
-}
-
-// RateLimited returns how many requests were answered with a
-// kiss-of-death.
-func (s *Server) RateLimited() int64 { return s.limited.Load() }
 
 // overRate records the client and reports whether it queried too soon.
 func (s *Server) overRate(client netip.Addr, now time.Time) bool {
@@ -150,7 +137,6 @@ func (s *Server) Respond(client netip.AddrPort, payload []byte) []byte {
 // cycle runs without heap allocation — the collection fast path calls
 // this once per capture event.
 func (s *Server) RespondAppend(client netip.AddrPort, payload, dst []byte) (out []byte, ok bool) {
-	s.requests.Add(1)
 	if m := s.cfg.Metrics; m != nil {
 		m.Requests.Inc()
 	}
@@ -166,7 +152,6 @@ func (s *Server) RespondAppend(client netip.AddrPort, payload, dst []byte) (out 
 	}
 	now := s.cfg.Now()
 	if s.overRate(client.Addr(), now) {
-		s.limited.Add(1)
 		if m := s.cfg.Metrics; m != nil {
 			m.RateLimited.Inc()
 		}
@@ -186,7 +171,6 @@ func (s *Server) RespondAppend(client netip.AddrPort, payload, dst []byte) (out 
 		ReceiveTime:   ToTime64(now),
 		TransmitTime:  ToTime64(now),
 	}
-	s.answered.Add(1)
 	if m := s.cfg.Metrics; m != nil {
 		m.Answered.Inc()
 	}
@@ -220,7 +204,6 @@ func (s *Server) RespondBatch(clients []netip.AddrPort, reqs, dst []byte, oks []
 	)
 	for i := 0; i < n; i++ {
 		raw := reqs[i*PacketSize : (i+1)*PacketSize]
-		s.requests.Add(1)
 		if m := s.cfg.Metrics; m != nil {
 			m.Requests.Inc()
 		}
@@ -237,7 +220,6 @@ func (s *Server) RespondBatch(clients []netip.AddrPort, reqs, dst []byte, oks []
 		}
 		now = s.cfg.Now()
 		if s.overRate(clients[i].Addr(), now) {
-			s.limited.Add(1)
 			if m := s.cfg.Metrics; m != nil {
 				m.RateLimited.Inc()
 			}
@@ -250,7 +232,6 @@ func (s *Server) RespondBatch(clients []netip.AddrPort, reqs, dst []byte, oks []
 			answered++
 			continue
 		}
-		s.answered.Add(1)
 		if m := s.cfg.Metrics; m != nil {
 			m.Answered.Inc()
 		}

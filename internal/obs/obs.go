@@ -232,9 +232,6 @@ func (v *CounterVec) Add(i int, n int64) { v.vals[i].Add(n) }
 // Value reads series i.
 func (v *CounterVec) Value(i int) int64 { return v.vals[i].Load() }
 
-// Len is the number of series.
-func (v *CounterVec) Len() int { return len(v.vals) }
-
 // Sum totals every series.
 func (v *CounterVec) Sum() int64 {
 	var n int64

@@ -38,11 +38,6 @@ func Flags(fs *flag.FlagSet) *Config {
 	return cfg
 }
 
-// Enabled reports whether any profile output is requested.
-func (c *Config) Enabled() bool {
-	return c != nil && (c.CPU != "" || c.Mem != "" || c.Trace != "")
-}
-
 // Start begins the requested profiles. The returned stop function ends
 // them and writes the heap profile; call it exactly once (defer it
 // before the workload). Errors opening or starting any output abort

@@ -13,9 +13,6 @@ func TestStartStopWritesProfiles(t *testing.T) {
 		Mem:   filepath.Join(dir, "mem.out"),
 		Trace: filepath.Join(dir, "trace.out"),
 	}
-	if !cfg.Enabled() {
-		t.Fatal("Enabled() = false with all outputs set")
-	}
 	stop, err := cfg.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -42,17 +39,11 @@ func TestStartStopWritesProfiles(t *testing.T) {
 
 func TestNilAndDisabled(t *testing.T) {
 	var cfg *Config
-	if cfg.Enabled() {
-		t.Fatal("nil config reports enabled")
-	}
 	stop, err := cfg.Start()
 	if err != nil || stop() != nil {
 		t.Fatal("nil config must be a no-op")
 	}
 	empty := &Config{}
-	if empty.Enabled() {
-		t.Fatal("empty config reports enabled")
-	}
 	stop, err = empty.Start()
 	if err != nil || stop() != nil {
 		t.Fatal("empty config must be a no-op")

@@ -208,6 +208,16 @@ func TestRespondKnownAndUnknownPath(t *testing.T) {
 	}
 }
 
+// scan is ScanConn over a fresh fabric socket bound at src.
+func scan(fabric *netsim.Network, src netip.AddrPort, dst netip.AddrPort, messageID uint16, timeout time.Duration) (*ScanResult, error) {
+	conn, err := fabric.ListenUDP(src)
+	if err != nil {
+		return nil, err
+	}
+	defer conn.Close()
+	return ScanConn(conn, dst, messageID, timeout)
+}
+
 func TestScanEndToEnd(t *testing.T) {
 	fabric := netsim.New(netsim.Config{})
 	dev := netsim.NewHost("cast-device").HandleUDP(Port,
@@ -215,7 +225,7 @@ func TestScanEndToEnd(t *testing.T) {
 	devAddr := netip.MustParseAddr("2001:db8::cafe")
 	fabric.Register(devAddr, dev)
 
-	res, err := Scan(fabric,
+	res, err := scan(fabric,
 		netip.MustParseAddrPort("[2001:db8::1]:40000"),
 		netip.AddrPortFrom(devAddr, Port), 0x1234, time.Second)
 	if err != nil {
@@ -230,7 +240,7 @@ func TestScanEmptyResources(t *testing.T) {
 	fabric := netsim.New(netsim.Config{})
 	devAddr := netip.MustParseAddr("2001:db8::1:1")
 	fabric.Register(devAddr, netsim.NewHost("bare").HandleUDP(Port, Handler(DeviceOptions{})))
-	res, err := Scan(fabric,
+	res, err := scan(fabric,
 		netip.MustParseAddrPort("[2001:db8::2]:40000"),
 		netip.AddrPortFrom(devAddr, Port), 1, time.Second)
 	if err != nil {
@@ -243,7 +253,7 @@ func TestScanEmptyResources(t *testing.T) {
 
 func TestScanTimeout(t *testing.T) {
 	fabric := netsim.New(netsim.Config{})
-	_, err := Scan(fabric,
+	_, err := scan(fabric,
 		netip.MustParseAddrPort("[2001:db8::2]:40000"),
 		netip.MustParseAddrPort("[2001:db8::dead]:5683"), 1, 30*time.Millisecond)
 	if err == nil {

@@ -5,8 +5,6 @@ import (
 	"net/netip"
 	"sync"
 	"time"
-
-	"ntpscan/internal/netsim"
 )
 
 // DeviceOptions describes a simulated CoAP endpoint.
@@ -246,14 +244,4 @@ func ScanConn(sock PacketSocket, dst netip.AddrPort, messageID uint16, timeout t
 		}
 		return res, nil
 	}
-}
-
-// Scan is ScanConn over a fresh fabric socket bound at src.
-func Scan(fabric *netsim.Network, src netip.AddrPort, dst netip.AddrPort, messageID uint16, timeout time.Duration) (*ScanResult, error) {
-	conn, err := fabric.ListenUDP(src)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	return ScanConn(conn, dst, messageID, timeout)
 }

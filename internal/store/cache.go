@@ -174,13 +174,3 @@ func (c *blockCache) put(k blockKey, rows []Row, cost int64) {
 		c.met.BlockCacheBytes.Set(c.cur)
 	}
 }
-
-// bytes reports the cache's current decoded-byte footprint.
-func (c *blockCache) bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cur
-}

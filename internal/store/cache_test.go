@@ -87,3 +87,13 @@ func TestFooterCacheEdgeCases(t *testing.T) {
 		t.Error("post-clear insert missing")
 	}
 }
+
+// bytes reports the cache's current decoded-byte footprint.
+func (c *blockCache) bytes() int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cur
+}

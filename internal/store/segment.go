@@ -200,8 +200,6 @@ func (sb *segBuilder) flushCaptures() {
 		}
 	}
 	// vantage dict + index column
-	idxStart := len(body) // placeholder: dict must precede indexes
-	_ = idxStart
 	idxs := make([]int, len(rows))
 	for i, c := range rows {
 		id := vd.id(c.Vantage)
@@ -579,7 +577,7 @@ func decodeCaptureBlock(raw []byte, fn func(CaptureRow, int) error) error {
 
 // decodeResultBlock streams a result block's rows (with their slice
 // ids) through fn. Vocabulary strings are canonicalised through the
-// shared intern table, like ReadJSONL does.
+// shared intern table, like DecodeJSONL does.
 func decodeResultBlock(raw []byte, fn func(*zgrab.Result, int) error) error {
 	r := &colReader{b: raw}
 	n, err := r.uvarint()

@@ -41,27 +41,11 @@ func (t *Table) SetAligns(aligns ...Align) *Table {
 	return t
 }
 
-// Row appends a row. Values are formatted with %v; use Cells for
-// preformatted strings.
-func (t *Table) Row(cells ...any) *Table {
-	ss := make([]string, len(cells))
-	for i, c := range cells {
-		ss[i] = fmt.Sprintf("%v", c)
-	}
-	return t.Cells(ss...)
-}
-
 // Cells appends a row of preformatted cells.
 func (t *Table) Cells(cells ...string) *Table {
 	row := make([]string, len(t.header))
 	copy(row, cells)
 	t.rows = append(t.rows, row)
-	return t
-}
-
-// Separator appends a horizontal rule row.
-func (t *Table) Separator() *Table {
-	t.rows = append(t.rows, nil)
 	return t
 }
 
@@ -115,15 +99,9 @@ func (t *Table) String() string {
 		}
 		total += w
 	}
-	rule := strings.Repeat("-", total)
-	b.WriteString(rule)
+	b.WriteString(strings.Repeat("-", total))
 	b.WriteByte('\n')
 	for _, row := range t.rows {
-		if row == nil {
-			b.WriteString(rule)
-			b.WriteByte('\n')
-			continue
-		}
 		writeRow(row)
 	}
 	for _, n := range t.notes {

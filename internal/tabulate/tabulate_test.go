@@ -8,16 +8,15 @@ import (
 func TestTableRendering(t *testing.T) {
 	tab := New("Table X", "Name", "Count").
 		SetAligns(Left, Right).
-		Row("alpha", 12).
-		Separator().
-		Row("b", 3456)
+		Cells("alpha", "12").
+		Cells("b", "3456")
 	out := tab.String()
 	if !strings.HasPrefix(out, "Table X\n") {
 		t.Fatalf("missing title:\n%s", out)
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// title, header, rule, row, rule, row
-	if len(lines) != 6 {
+	// title, header, rule, row, row
+	if len(lines) != 5 {
 		t.Fatalf("got %d lines:\n%s", len(lines), out)
 	}
 	if !strings.Contains(lines[3], "alpha") || !strings.Contains(lines[3], "12") {
@@ -25,20 +24,20 @@ func TestTableRendering(t *testing.T) {
 	}
 	// Right-aligned count column: "12" should end the row at same width
 	// as "3456"'s row.
-	if len(lines[3]) != len(lines[5]) {
-		t.Fatalf("alignment off: %q vs %q", lines[3], lines[5])
+	if len(lines[3]) != len(lines[4]) {
+		t.Fatalf("alignment off: %q vs %q", lines[3], lines[4])
 	}
 }
 
 func TestTableNoTitle(t *testing.T) {
-	out := New("", "A").Row("x").String()
+	out := New("", "A").Cells("x").String()
 	if strings.HasPrefix(out, "\n") {
 		t.Fatalf("empty title should not emit blank line:\n%q", out)
 	}
 }
 
 func TestTableNotes(t *testing.T) {
-	out := New("T", "A").Row("x").Note("n=%d", 5).String()
+	out := New("T", "A").Cells("x").Note("n=%d", 5).String()
 	if !strings.Contains(out, "n=5") {
 		t.Fatalf("note missing:\n%s", out)
 	}

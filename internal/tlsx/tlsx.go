@@ -21,7 +21,6 @@ package tlsx
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
@@ -96,25 +95,14 @@ func (c *Certificate) Fingerprint() [32]byte {
 	return sum
 }
 
-// FingerprintHex is Fingerprint in lowercase hex.
-func (c *Certificate) FingerprintHex() string {
-	fp := c.Fingerprint()
-	return hex.EncodeToString(fp[:])
-}
-
 // ValidAt reports whether t falls within the certificate's validity
 // window.
 func (c *Certificate) ValidAt(t time.Time) bool {
 	return !t.Before(c.NotBefore) && !t.After(c.NotAfter)
 }
 
-// marshal encodes the certificate deterministically.
-func (c *Certificate) marshal() []byte {
-	return c.appendMarshal(make([]byte, 0, 2+len(c.Subject)+2+len(c.Issuer)+8*3+1+16))
-}
-
-// appendMarshal encodes the certificate onto b, allocating only if b
-// lacks capacity — the handshake hot path encodes into pooled buffers.
+// appendMarshal encodes the certificate deterministically onto b,
+// allocating only if b lacks capacity — the handshake hot path encodes into pooled buffers.
 func (c *Certificate) appendMarshal(b []byte) []byte {
 	putStr := func(s string) {
 		var l [2]byte

@@ -163,7 +163,7 @@ func TestCertificateMarshalRoundTrip(t *testing.T) {
 			NotAfter:   time.Unix(1800000000, 0).UTC(),
 			SelfSigned: self, Key: key,
 		}
-		got, err := unmarshalCert(c.marshal())
+		got, err := unmarshalCert(c.appendMarshal(nil))
 		return err == nil && *got == *c
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -172,7 +172,7 @@ func TestCertificateMarshalRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalTruncated(t *testing.T) {
-	full := testCert().marshal()
+	full := testCert().appendMarshal(nil)
 	for i := 0; i < len(full); i++ {
 		if _, err := unmarshalCert(full[:i]); err == nil {
 			t.Fatalf("truncation at %d accepted", i)
@@ -193,9 +193,6 @@ func TestFingerprintSensitivity(t *testing.T) {
 	c.Key = KeyID{9}
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Fatal("key change did not alter fingerprint")
-	}
-	if len(a.FingerprintHex()) != 64 {
-		t.Fatal("hex fingerprint length wrong")
 	}
 }
 

@@ -42,7 +42,7 @@ func sameDevice(t *testing.T, w *World, a, b *Device) {
 // every miss, a 64 KiB one mixes hits, misses and clock evictions.
 func TestArenaMatchesDerivation(t *testing.T) {
 	w := New(testCfg(1))
-	order := make([]int32, 0, 2*w.DeviceCount())
+	order := make([]int32, 0, 2*int(w.deviceTotal))
 	for gid := int32(0); gid < w.deviceTotal; gid++ {
 		order = append(order, gid, gid)
 	}
@@ -137,8 +137,8 @@ func TestArenaHitPathAllocates(t *testing.T) {
 func TestArenaEviction(t *testing.T) {
 	w := New(testCfg(1))
 	m := w.NewMaterializer(1) // clamps to one slot
-	if m.Capacity() != 1 {
-		t.Fatalf("capacity = %d, want 1", m.Capacity())
+	if len(m.slots) != 1 {
+		t.Fatalf("capacity = %d, want 1", len(m.slots))
 	}
 	a := m.Device(0)
 	if a.ID != 0 {

@@ -16,7 +16,7 @@ func TestPopulationCalibration(t *testing.T) {
 	responsive := map[string]int{}
 	hitlistOnly := map[string]int{}
 	for _, d := range allDevices(w) {
-		switch d.Role() {
+		switch d.role {
 		case RoleResponsive:
 			responsive[d.Profile.Name]++
 		case RoleHitlistOnly:

@@ -22,9 +22,6 @@ const (
 	RoleAddrOnly
 )
 
-// Role returns the device's population role.
-func (d *Device) Role() Role { return d.role }
-
 // addrOnlyVendorTail lists the remaining Table 4 manufacturers, expanded
 // into address-only device profiles programmatically.
 var addrOnlyVendorTail = []struct {

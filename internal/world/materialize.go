@@ -92,10 +92,6 @@ func (w *World) countryWeights(key weightKey) []float64 {
 	return weights
 }
 
-// DeviceCount returns the number of devices in the world's ID space,
-// resident or not.
-func (w *World) DeviceCount() int { return int(w.deviceTotal) }
-
 // segmentOf locates the segment containing gid.
 func (w *World) segmentOf(gid int32) *segment {
 	idx := sort.Search(len(w.segments), func(i int) bool {
@@ -361,9 +357,6 @@ func (w *World) NewMaterializer(budgetBytes int) *Materializer {
 	}
 	return m
 }
-
-// Capacity returns the arena's slot count.
-func (m *Materializer) Capacity() int { return len(m.slots) }
 
 // ResidentBytes returns the bytes of device state currently resident.
 func (m *Materializer) ResidentBytes() int { return len(m.index) * slotBytes }

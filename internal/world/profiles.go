@@ -37,7 +37,6 @@ const (
 	SvcAMQP
 	SvcAMQPS
 	SvcCoAP
-	numServiceKinds
 )
 
 // Region tags bias a profile's population toward country groups.

@@ -19,28 +19,6 @@ func (w *World) ResponsiveNTP() []*Device {
 	return out
 }
 
-// VantageCountries returns the codes of countries hosting our capture
-// servers, in spec order.
-func (w *World) VantageCountries() []string {
-	var out []string
-	for _, c := range w.Countries {
-		if c.Spec.Vantage {
-			out = append(out, c.Spec.Code)
-		}
-	}
-	return out
-}
-
-// Country returns the generated country by code.
-func (w *World) Country(code string) (*Country, bool) {
-	for _, c := range w.Countries {
-		if c.Spec.Code == code {
-			return c, true
-		}
-	}
-	return nil, false
-}
-
 // AddrsDuring enumerates the distinct addresses a device holds across
 // the window [start, start+dur), in epoch order. Used by tests and the
 // R&L-era comparison run.

@@ -50,8 +50,6 @@ type Config struct {
 	ASScale float64
 	// Start is the collection start instant (default 2024-07-20 UTC).
 	Start time.Time
-	// Loss, if set, configures fabric packet loss.
-	Loss float64
 	// DialTimeout is the fabric's blackhole patience (default 5 ms;
 	// mass experiments drop it to ~100 µs — the fabric has no real
 	// latency, so a silent address is silent immediately).
@@ -249,7 +247,7 @@ func New(cfg Config) *World {
 	clock := netsim.NewManualClock(cfg.Start)
 	w := &World{
 		Cfg:       cfg,
-		fabric:    netsim.New(netsim.Config{Clock: clock, DialTimeout: cfg.DialTimeout, LossProb: cfg.Loss, Seed: cfg.Seed}),
+		fabric:    netsim.New(netsim.Config{Clock: clock, DialTimeout: cfg.DialTimeout, Seed: cfg.Seed}),
 		clock:     clock,
 		ASReg:     asn.NewRegistry(),
 		Geo:       geo.NewDB(),

@@ -23,7 +23,7 @@ func testCfg(seed uint64) Config {
 // structs (they carry fabric hosts), address-only ones are derived
 // fresh through the same materializeInto the arenas call.
 func allDevices(w *World) []*Device {
-	devs := make([]*Device, w.DeviceCount())
+	devs := make([]*Device, int(w.deviceTotal))
 	for _, d := range w.Reachable() {
 		devs[d.ID] = d
 	}
@@ -79,9 +79,9 @@ func TestSeedChangesWorld(t *testing.T) {
 func TestScalesApply(t *testing.T) {
 	small := New(testCfg(1))
 	big := New(Config{Seed: 1, DeviceScale: 2e-3, AddrScale: 1e-6, ASScale: 0.02})
-	if big.DeviceCount() <= small.DeviceCount() {
+	if int(big.deviceTotal) <= int(small.deviceTotal) {
 		t.Fatalf("larger DeviceScale should yield more devices: %d vs %d",
-			big.DeviceCount(), small.DeviceCount())
+			int(big.deviceTotal), int(small.deviceTotal))
 	}
 }
 
@@ -101,8 +101,10 @@ func TestEveryProfileRepresented(t *testing.T) {
 func TestResponsiveLiveInVantageCountries(t *testing.T) {
 	w := New(testCfg(1))
 	vantage := map[string]bool{}
-	for _, c := range w.VantageCountries() {
-		vantage[c] = true
+	for _, c := range w.Countries {
+		if c.Spec.Vantage {
+			vantage[c.Spec.Code] = true
+		}
 	}
 	for _, d := range allDevices(w) {
 		if d.role != RoleHitlistOnly && !vantage[d.Country] {
@@ -489,8 +491,8 @@ func TestNTPClientsAccessor(t *testing.T) {
 	}
 	m := w.NewMaterializer(1 << 16)
 	for _, gid := range ids {
-		if d := m.Device(gid); d.Country != "IN" || d.Role() != RoleAddrOnly {
-			t.Fatalf("bad index entry: %s %v", d.Country, d.Role())
+		if d := m.Device(gid); d.Country != "IN" || d.role != RoleAddrOnly {
+			t.Fatalf("bad index entry: %s %v", d.Country, d.role)
 		}
 	}
 }
@@ -523,7 +525,7 @@ func TestDeviceAddressesMostlyUnique(t *testing.T) {
 		}
 		seen[a] = d.ID
 	}
-	if dups > w.DeviceCount()/200 {
-		t.Fatalf("%d address collisions among %d devices", dups, w.DeviceCount())
+	if dups > int(w.deviceTotal)/200 {
+		t.Fatalf("%d address collisions among %d devices", dups, int(w.deviceTotal))
 	}
 }

@@ -39,9 +39,9 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 
 // Breaker states.
 const (
-	breakerClosed int32 = iota // normal operation
-	breakerOpen                // shedding: targets are skipped
-	breakerProbing             // probation slice: admit everything, judge at the boundary
+	breakerClosed  int32 = iota // normal operation
+	breakerOpen                 // shedding: targets are skipped
+	breakerProbing              // probation slice: admit everything, judge at the boundary
 )
 
 // breakerEntry is one prefix's state. Outcome counters for the current
@@ -67,8 +67,6 @@ type Breaker struct {
 
 	mu      sync.RWMutex
 	entries map[netip.Prefix]*breakerEntry
-
-	skipped atomic.Int64
 
 	// met, when set (by the owning scanner), receives transition
 	// counters and the open-set gauge from Advance. Transitions only
@@ -107,11 +105,7 @@ func (b *Breaker) entry(pfx netip.Prefix, create bool) *breakerEntry {
 // prefix sheds; closed and probing prefixes admit.
 func (b *Breaker) Allow(addr netip.Addr) bool {
 	e := b.entry(b.prefixOf(addr), false)
-	if e != nil && e.state.Load() == breakerOpen {
-		b.skipped.Add(1)
-		return false
-	}
-	return true
+	return e == nil || e.state.Load() != breakerOpen
 }
 
 // Record accumulates one target's fate: alive if any module got an
@@ -182,22 +176,6 @@ func (b *Breaker) Advance(now time.Time) {
 	if b.met != nil {
 		b.met.BreakerOpen.Set(open)
 	}
-}
-
-// Skipped returns how many targets the breaker shed.
-func (b *Breaker) Skipped() int64 { return b.skipped.Load() }
-
-// Open returns how many prefixes are currently shedding.
-func (b *Breaker) Open() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	n := 0
-	for _, e := range b.entries {
-		if e.state.Load() == breakerOpen {
-			n++
-		}
-	}
-	return n
 }
 
 // BreakerEntryState is one prefix's checkpointed state.

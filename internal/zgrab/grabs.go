@@ -165,20 +165,6 @@ func DecodeJSONL(r io.Reader, fn func(*Result) error) error {
 	}
 }
 
-// ReadJSONL parses results back from a JSONL stream into one slice;
-// callers that can process incrementally should prefer DecodeJSONL.
-func ReadJSONL(r io.Reader) ([]*Result, error) {
-	var out []*Result
-	err := DecodeJSONL(r, func(res *Result) error {
-		out = append(out, res)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // grabPayload is exactly the module-specific grab surface of a Result,
 // marshalled as one compact JSON object: the columnar store keeps the
 // envelope fields in typed columns and this payload as an opaque
@@ -221,8 +207,7 @@ func (r *Result) SetGrabs(data []byte) error {
 }
 
 // Intern canonicalises the result's vocabulary-bounded strings through
-// the shared intern table; ReadJSONL and DecodeJSONL apply it
-// automatically, the columnar store's row decoder calls it directly.
+// the shared intern table; DecodeJSONL applies it automatically, the columnar store's row decoder calls it directly.
 func (r *Result) Intern() { r.internStrings() }
 
 // internStrings replaces the result's vocabulary-bounded string fields

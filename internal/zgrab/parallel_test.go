@@ -152,7 +152,8 @@ func TestSubmitBatchAndDrain(t *testing.T) {
 		seen[q] = true
 	}
 
-	submitted, scanned, suppressed, _ := s.Stats()
+	m := s.Metrics()
+	submitted, scanned, suppressed := m.Submitted.Value(), m.Completed.Value(), m.Suppressed.Value()
 	if submitted != 201 || scanned != 200 || suppressed != 1 {
 		t.Fatalf("stats = %d %d %d", submitted, scanned, suppressed)
 	}

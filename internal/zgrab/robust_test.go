@@ -18,16 +18,16 @@ func TestRevisitSweepEvictsExpired(t *testing.T) {
 	b := netip.MustParseAddr("2001:db8::2")
 	rv.Allow(a, t0)
 	rv.Allow(b, t0.Add(30*time.Minute))
-	if rv.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", rv.Len())
+	if n := len(rv.Snapshot()); n != 2 {
+		t.Fatalf("tracking %d addresses, want 2", n)
 	}
 
 	// Only a's holdoff has expired at t0+1h.
 	if n := rv.Sweep(t0.Add(time.Hour)); n != 1 {
 		t.Fatalf("Sweep evicted %d, want 1", n)
 	}
-	if rv.Len() != 1 {
-		t.Fatalf("Len after sweep = %d, want 1", rv.Len())
+	if n := len(rv.Snapshot()); n != 1 {
+		t.Fatalf("tracking %d addresses after sweep, want 1", n)
 	}
 	if !rv.Allow(a, t0.Add(time.Hour)) {
 		t.Fatal("evicted address still suppressed")
@@ -128,8 +128,8 @@ func TestBreakerOpenKeepsSeqDense(t *testing.T) {
 	}
 	s.SubmitBatch(dark[:4])
 	s.Drain() // folds 4 dark targets → breaker trips
-	if s.Breaker().Open() != 1 {
-		t.Fatalf("breaker Open = %d, want 1", s.Breaker().Open())
+	if got := s.Metrics().BreakerOpen.Value(); got != 1 {
+		t.Fatalf("breaker_open = %d, want 1", got)
 	}
 	s.SubmitBatch(dark[4:])
 	s.Drain()
@@ -158,8 +158,48 @@ func TestBreakerOpenKeepsSeqDense(t *testing.T) {
 	if shed != 4*mods {
 		t.Fatalf("shed %d module results, want %d", shed, 4*mods)
 	}
-	if s.Breaker().Skipped() != 4 {
-		t.Fatalf("Skipped = %d, want 4", s.Breaker().Skipped())
+	if got := s.Metrics().Shed.Value(); got != 4 {
+		t.Fatalf("scan_shed_total = %d, want 4", got)
+	}
+}
+
+// The paper spaces one target's protocols apart to spare low-powered
+// devices (Appendix A.2.1). On the latency-free fabric the spacing is a
+// stamp: module i's result time moves by i x InterProtocolDelay, and
+// nothing else about the result — its sequence number included — does.
+func TestInterProtocolDelayStampsSchedule(t *testing.T) {
+	start := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
+	target := netip.MustParseAddr("2001:db8::d")
+	const delay = 10 * time.Second
+	run := func(delay time.Duration) map[string]*Result {
+		f := netsim.New(netsim.Config{Clock: netsim.NewManualClock(start), DialTimeout: time.Millisecond})
+		f.Register(target, fullHost())
+		results := make(map[string]*Result)
+		s := NewScanner(Config{
+			Fabric: f, Source: scanSrc, Timeout: time.Second, Workers: 1,
+			InterProtocolDelay: delay,
+			OnResult:           func(r *Result) { results[r.Module] = r },
+		})
+		s.Start(context.Background())
+		s.Submit(target)
+		s.Close()
+		return results
+	}
+	plain, spaced := run(0), run(delay)
+	for i, m := range AllModules() {
+		p, d := plain[m.Name()], spaced[m.Name()]
+		if p == nil || d == nil {
+			t.Fatalf("%s: missing result", m.Name())
+		}
+		if d.Seq != p.Seq || d.Seq != int64(i) {
+			t.Errorf("%s: Seq %d with the delay, %d without, want %d both", m.Name(), d.Seq, p.Seq, i)
+		}
+		if got, want := d.Time.Sub(p.Time), time.Duration(i)*delay; got != want {
+			t.Errorf("%s: result time shifted by %v, want %v", m.Name(), got, want)
+		}
+		if d.Status != p.Status {
+			t.Errorf("%s: status %q with the delay, %q without", m.Name(), d.Status, p.Status)
+		}
 	}
 }
 
@@ -206,7 +246,7 @@ func TestRetryStampsBackoffOnLogicalClock(t *testing.T) {
 			t.Errorf("%s: schedule offset %v, want 3s of stamped backoff", r.Module, got)
 		}
 	}
-	_, _, _, probes := s.Stats()
+	probes := s.Metrics().Probes.Sum()
 	if want := int64(3 * len(AllModules())); probes != want {
 		t.Fatalf("probes = %d, want %d", probes, want)
 	}

@@ -2,7 +2,6 @@ package zgrab
 
 import (
 	"context"
-	"hash/maphash"
 	"net/netip"
 	"sort"
 	"sync"
@@ -102,72 +101,40 @@ func (tb *TokenBucket) Wait(ctx context.Context) error {
 
 // NopLimiter never blocks; mass simulations run on logical time where
 // the 100 kpps budget is accounted for analytically instead.
-type NopLimiter struct{ n atomic.Int64 }
+type NopLimiter struct{}
 
 // Wait implements Limiter.
-func (l *NopLimiter) Wait(context.Context) error {
-	l.n.Add(1)
-	return nil
-}
+func (*NopLimiter) Wait(context.Context) error { return nil }
 
-// Count returns how many probes passed.
-func (l *NopLimiter) Count() int64 { return l.n.Load() }
-
-// revisitShards is the fan-out of the revisit map. The shard is a pure
-// function of the address, so the same address always serialises on the
-// same lock and distinct addresses almost never contend.
-const revisitShards = 64
-
-var revisitSeed = maphash.MakeSeed()
-
-func revisitShard(addr netip.Addr) int {
-	b := addr.As16()
-	return int(maphash.Bytes(revisitSeed, b[:]) % revisitShards)
-}
+// revisitAfter is the paper's re-scan holdoff (Appendix A.2.1).
+const revisitAfter = 72 * time.Hour
 
 // Revisit suppresses re-scans of recently scanned addresses: the paper
 // refrains from re-scanning an address for three days (Appendix A.2.1).
-// The map is hash-sharded so the feed path scales with submitter and
-// worker counts; all methods are safe for concurrent use.
+// Only the submitting goroutine and the drain barrier touch it — no
+// scan worker does — so one map behind one mutex serves; all methods
+// are safe for concurrent use.
 type Revisit struct {
-	after  time.Duration
-	shards [revisitShards]struct {
-		mu   sync.Mutex
-		last map[netip.Addr]time.Time
-	}
+	after time.Duration
+	mu    sync.Mutex
+	last  map[netip.Addr]time.Time
 }
 
 // NewRevisit returns a suppressor with the given re-scan holdoff.
 func NewRevisit(after time.Duration) *Revisit {
-	rv := &Revisit{after: after}
-	for i := range rv.shards {
-		rv.shards[i].last = make(map[netip.Addr]time.Time)
-	}
-	return rv
+	return &Revisit{after: after, last: make(map[netip.Addr]time.Time)}
 }
 
 // Allow reports whether addr may be scanned at now, and records the scan
 // if so.
 func (rv *Revisit) Allow(addr netip.Addr, now time.Time) bool {
-	sh := &rv.shards[revisitShard(addr)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if t, seen := sh.last[addr]; seen && now.Sub(t) < rv.after {
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	if t, seen := rv.last[addr]; seen && now.Sub(t) < rv.after {
 		return false
 	}
-	sh.last[addr] = now
+	rv.last[addr] = now
 	return true
-}
-
-// Len returns how many addresses are tracked.
-func (rv *Revisit) Len() int {
-	n := 0
-	for i := range rv.shards {
-		rv.shards[i].mu.Lock()
-		n += len(rv.shards[i].last)
-		rv.shards[i].mu.Unlock()
-	}
-	return n
 }
 
 // Sweep evicts entries whose holdoff has expired — they no longer
@@ -175,17 +142,14 @@ func (rv *Revisit) Len() int {
 // would otherwise accumulate without bound. Returns how many entries
 // were dropped. The scanner sweeps at each drain barrier.
 func (rv *Revisit) Sweep(now time.Time) int {
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
 	evicted := 0
-	for i := range rv.shards {
-		sh := &rv.shards[i]
-		sh.mu.Lock()
-		for addr, t := range sh.last {
-			if now.Sub(t) >= rv.after {
-				delete(sh.last, addr)
-				evicted++
-			}
+	for addr, t := range rv.last {
+		if now.Sub(t) >= rv.after {
+			delete(rv.last, addr)
+			evicted++
 		}
-		sh.mu.Unlock()
 	}
 	return evicted
 }
@@ -198,32 +162,23 @@ type RevisitEntry struct {
 
 // Snapshot exports the tracked addresses in canonical (address) order.
 func (rv *Revisit) Snapshot() []RevisitEntry {
+	rv.mu.Lock()
 	var out []RevisitEntry
-	for i := range rv.shards {
-		sh := &rv.shards[i]
-		sh.mu.Lock()
-		for addr, t := range sh.last {
-			out = append(out, RevisitEntry{Addr: addr, Last: t})
-		}
-		sh.mu.Unlock()
+	for addr, t := range rv.last {
+		out = append(out, RevisitEntry{Addr: addr, Last: t})
 	}
+	rv.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
 	return out
 }
 
 // Restore replaces the tracked set with a snapshot.
 func (rv *Revisit) Restore(entries []RevisitEntry) {
-	for i := range rv.shards {
-		sh := &rv.shards[i]
-		sh.mu.Lock()
-		sh.last = make(map[netip.Addr]time.Time)
-		sh.mu.Unlock()
-	}
+	rv.mu.Lock()
+	defer rv.mu.Unlock()
+	rv.last = make(map[netip.Addr]time.Time, len(entries))
 	for _, e := range entries {
-		sh := &rv.shards[revisitShard(e.Addr)]
-		sh.mu.Lock()
-		sh.last[e.Addr] = e.Last
-		sh.mu.Unlock()
+		rv.last[e.Addr] = e.Last
 	}
 }
 
@@ -252,8 +207,6 @@ type Config struct {
 	Workers int
 	// Limiter defaults to NopLimiter.
 	Limiter Limiter
-	// RevisitAfter defaults to 72 h (logical).
-	RevisitAfter time.Duration
 	// PortOverrides redirects modules (by name) to non-IANA ports.
 	PortOverrides map[string]uint16
 	// InterProtocolDelay spaces one target's modules apart on the
@@ -314,14 +267,13 @@ type session struct {
 
 // sessionTable is the scanner's dense, index-keyed session registry:
 // slot i holds session id i forever, freed ids recycle LIFO, and the
-// table only ever grows to the campaign's in-flight high-water mark, so
-// steady-state acquire/release touches no allocator. Safe for
-// concurrent use by the feed and the worker pool.
+// table only ever grows to the campaign's in-flight high-water mark
+// (len(slots)), so steady-state acquire/release touches no allocator.
+// Safe for concurrent use by the feed and the worker pool.
 type sessionTable struct {
 	mu    sync.Mutex
 	slots []*session
 	free  []int32
-	high  int // high-water live sessions
 }
 
 // acquire hands out a free session (growing the table when none is
@@ -337,9 +289,6 @@ func (t *sessionTable) acquire() *session {
 		t.slots = append(t.slots, s)
 	}
 	s.inUse = true
-	if live := len(t.slots) - len(t.free); live > t.high {
-		t.high = live
-	}
 	t.mu.Unlock()
 	s.targets = s.targets[:0]
 	return s
@@ -356,13 +305,6 @@ func (t *sessionTable) release(s *session) {
 	s.inUse = false
 	t.free = append(t.free, s.id)
 	t.mu.Unlock()
-}
-
-// stats returns the live session count and the high-water mark.
-func (t *sessionTable) stats() (live, high int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.slots) - len(t.free), t.high
 }
 
 // Scanner is the zgrab2-style runtime: submit addresses, modules fan
@@ -391,11 +333,6 @@ type Scanner struct {
 	pending     int
 
 	nextSeq atomic.Int64
-
-	submitted  atomic.Int64
-	scanned    atomic.Int64
-	probes     atomic.Int64
-	suppressed atomic.Int64
 }
 
 // NewScanner validates cfg and builds a scanner.
@@ -422,9 +359,6 @@ func NewScanner(cfg Config) *Scanner {
 	if cfg.Limiter == nil {
 		cfg.Limiter = &NopLimiter{}
 	}
-	if cfg.RevisitAfter <= 0 {
-		cfg.RevisitAfter = 72 * time.Hour
-	}
 	_, logical := cfg.Clock.(logicalClock)
 	s := &Scanner{
 		cfg: cfg,
@@ -433,7 +367,7 @@ func NewScanner(cfg Config) *Scanner {
 			Timeout: cfg.Timeout, UDPTimeout: cfg.UDPTimeout,
 			PortOverrides: cfg.PortOverrides, Logical: logical,
 		},
-		revisit: NewRevisit(cfg.RevisitAfter),
+		revisit: NewRevisit(revisitAfter),
 		queue:   make(chan *session, 4096),
 	}
 	reg := cfg.Obs
@@ -513,10 +447,8 @@ func (s *Scanner) Submit(addr netip.Addr) bool {
 	if s.closed {
 		return false
 	}
-	s.submitted.Add(1)
 	s.met.Submitted.Inc()
 	if !s.revisit.Allow(addr, s.cfg.Clock.Now()) {
-		s.suppressed.Add(1)
 		s.met.Suppressed.Inc()
 		return false
 	}
@@ -537,14 +469,12 @@ func (s *Scanner) SubmitBatch(addrs []netip.Addr) int {
 	if s.closed {
 		return 0
 	}
-	s.submitted.Add(int64(len(addrs)))
 	s.met.Submitted.Add(int64(len(addrs)))
 	accepted := 0
 	now := s.cfg.Clock.Now()
 	sess := s.sessions.acquire()
 	for _, addr := range addrs {
 		if !s.revisit.Allow(addr, now) {
-			s.suppressed.Add(1)
 			s.met.Suppressed.Inc()
 			continue
 		}
@@ -598,7 +528,6 @@ func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
 		if err != nil {
 			return out
 		}
-		s.probes.Add(1)
 		s.met.Probes.Inc(i)
 		r := m.Scan(ctx, s.env, addr)
 		if r.Status == StatusSuccess {
@@ -608,7 +537,6 @@ func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
 		out = append(out, r)
 		s.emit(0, r)
 	}
-	s.scanned.Add(1)
 	s.met.Completed.Inc()
 	return out
 }
@@ -637,7 +565,6 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 			r.Seq = t.seq*int64(len(s.cfg.Modules)) + int64(i)
 			s.emit(worker, r)
 		}
-		s.scanned.Add(1)
 		s.met.Shed.Inc()
 		return
 	}
@@ -662,7 +589,6 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 	if s.breaker != nil {
 		s.breaker.Record(t.addr, alive)
 	}
-	s.scanned.Add(1)
 	s.met.Completed.Inc()
 }
 
@@ -681,7 +607,6 @@ func (s *Scanner) scanModule(ctx context.Context, addr netip.Addr, mi int, m Mod
 		if err != nil {
 			return nil
 		}
-		s.probes.Add(1)
 		s.met.Probes.Inc(mi)
 		r := m.Scan(netsim.WithAttempt(ctx, attempt), s.env, addr)
 		if attempt > 0 {
@@ -744,9 +669,6 @@ func (s *Scanner) Restore(st ScanState) {
 	}
 }
 
-// Breaker returns the scanner's circuit breaker (nil if not enabled).
-func (s *Scanner) Breaker() *Breaker { return s.breaker }
-
 // Close drains the queue and stops the workers. The scanner cannot be
 // restarted; Submit calls racing or following Close are rejected rather
 // than panicking.
@@ -760,17 +682,4 @@ func (s *Scanner) Close() {
 	close(s.queue)
 	s.closeMu.Unlock()
 	s.wg.Wait()
-}
-
-// Stats returns submitted, scanned, suppressed target counts and the
-// total probe count.
-func (s *Scanner) Stats() (submitted, scanned, suppressed, probes int64) {
-	return s.submitted.Load(), s.scanned.Load(), s.suppressed.Load(), s.probes.Load()
-}
-
-// Sessions returns the scanner's live in-flight session count and the
-// campaign's high-water mark — the bound on transport state the session
-// table ever held.
-func (s *Scanner) Sessions() (live, high int) {
-	return s.sessions.stats()
 }

@@ -9,6 +9,14 @@ import (
 	"ntpscan/internal/netsim"
 )
 
+// tableStats reads the live session count and the high-water mark. The
+// table never shrinks, so the mark is its size.
+func tableStats(t *sessionTable) (live, high int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.slots) - len(t.free), len(t.slots)
+}
+
 // TestSessionTableLifecycle exercises the dense table directly: ids are
 // handed out densely, freed ids recycle LIFO, the high-water mark
 // tracks peak liveness, and a double release panics.
@@ -18,7 +26,7 @@ func TestSessionTableLifecycle(t *testing.T) {
 	if a.id != 0 || b.id != 1 || c.id != 2 {
 		t.Fatalf("ids not dense: %d %d %d", a.id, b.id, c.id)
 	}
-	if live, high := tab.stats(); live != 3 || high != 3 {
+	if live, high := tableStats(&tab); live != 3 || high != 3 {
 		t.Fatalf("stats = %d live, %d high, want 3/3", live, high)
 	}
 	tab.release(b)
@@ -28,7 +36,7 @@ func TestSessionTableLifecycle(t *testing.T) {
 	tab.release(a)
 	tab.release(b)
 	tab.release(c)
-	if live, high := tab.stats(); live != 0 || high != 3 {
+	if live, high := tableStats(&tab); live != 0 || high != 3 {
 		t.Fatalf("stats = %d live, %d high, want 0/3", live, high)
 	}
 
@@ -63,8 +71,8 @@ func TestSessionTableZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestScannerSessionAccounting checks the table through the public
-// surface: after a drained run every session has been released and the
+// TestScannerSessionAccounting checks the table behind a running
+// scanner: after a drained run every session has been released and the
 // high-water mark reflects that chunks were actually in flight. The
 // targets are all dark, so the fabric runs on a ManualClock (as the
 // campaign's does): dial timeouts are stamped, not waited out.
@@ -81,7 +89,7 @@ func TestScannerSessionAccounting(t *testing.T) {
 	}
 	s.SubmitBatch(addrs)
 	s.Drain()
-	live, high := s.Sessions()
+	live, high := tableStats(&s.sessions)
 	if live != 0 {
 		t.Fatalf("%d sessions still live after drain", live)
 	}

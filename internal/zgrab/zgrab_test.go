@@ -172,8 +172,8 @@ func TestRevisitSuppression(t *testing.T) {
 	if !rv.Allow(addr, t0.Add(73*time.Hour)) {
 		t.Fatal("re-scan after holdoff blocked")
 	}
-	if rv.Len() != 1 {
-		t.Fatalf("Len = %d", rv.Len())
+	if n := len(rv.Snapshot()); n != 1 {
+		t.Fatalf("tracking %d addresses", n)
 	}
 }
 
@@ -239,7 +239,8 @@ func TestScannerEndToEnd(t *testing.T) {
 	if !results["http"].Success() {
 		t.Fatalf("http = %+v", results["http"])
 	}
-	submitted, scanned, suppressed, probes := s.Stats()
+	m := s.Metrics()
+	submitted, scanned, suppressed, probes := m.Submitted.Value(), m.Completed.Value(), m.Suppressed.Value(), m.Probes.Sum()
 	if submitted != 2 || scanned != 1 || suppressed != 1 || probes != int64(len(AllModules())) {
 		t.Fatalf("stats = %d %d %d %d", submitted, scanned, suppressed, probes)
 	}
@@ -276,7 +277,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if w.Count() != 2 {
 		t.Fatalf("Count = %d", w.Count())
 	}
-	got, err := ReadJSONL(&buf)
+	var got []*Result
+	err := DecodeJSONL(&buf, func(r *Result) error {
+		got = append(got, r)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,16 +290,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if got[0].IP != r1.IP {
 		t.Fatalf("IP round trip = %v", got[0].IP)
-	}
-}
-
-func TestNopLimiterCounts(t *testing.T) {
-	l := &NopLimiter{}
-	for i := 0; i < 5; i++ {
-		l.Wait(context.Background())
-	}
-	if l.Count() != 5 {
-		t.Fatalf("Count = %d", l.Count())
 	}
 }
 
