@@ -66,6 +66,7 @@ FUZZ_TARGETS := \
 	./internal/proto/httpx:FuzzExtractTitle \
 	./internal/proto/mqttx:FuzzReadPacket \
 	./internal/proto/mqttx:FuzzDecodeConnect \
+	./internal/zgrab:FuzzResultAppendJSON \
 	./internal/store:FuzzSegmentDecode \
 	./internal/cluster:FuzzCheckpointDecode \
 	./internal/cluster/transport:FuzzTransportFrameDecode \

@@ -160,9 +160,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		limiter = zgrab.NewTokenBucket(*rate, *rate/10+1)
 	}
 	// OnResult runs on every scan worker. The JSONL writer locks
-	// itself; the store's rows are kept under rowsMu.
+	// itself; the store's rows and the first write error are kept under
+	// rowsMu.
 	var rowsMu sync.Mutex
 	var stRows []*zgrab.Result
+	var writeErr error
 	scanner := zgrab.NewScanner(zgrab.Config{
 		Fabric:        fabric,
 		Net:           transport,
@@ -174,12 +176,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		Limiter:       limiter,
 		PortOverrides: overrides,
 		OnResult: func(r *zgrab.Result) {
-			jw.Write(r)
-			if st != nil {
-				rowsMu.Lock()
-				stRows = append(stRows, r)
-				rowsMu.Unlock()
+			err := jw.Write(r)
+			rowsMu.Lock()
+			if err != nil && writeErr == nil {
+				writeErr = err
 			}
+			if st != nil {
+				stRows = append(stRows, r)
+			}
+			rowsMu.Unlock()
 		},
 	})
 	scanner.Start(context.Background())
@@ -187,8 +192,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		scanner.Submit(a)
 	}
 	scanner.Close()
-	if err := bw.Flush(); err != nil {
-		return fail(1, err)
+	if writeErr == nil {
+		writeErr = bw.Flush()
+	}
+	if writeErr != nil {
+		return fail(1, fmt.Errorf("write results: %w", writeErr))
 	}
 	if st != nil {
 		// Workers finish in any order; submission order makes the store

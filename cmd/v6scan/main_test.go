@@ -141,3 +141,29 @@ func TestV6scanRejectsBadArguments(t *testing.T) {
 		}
 	}
 }
+
+// fullDisk accepts a few bytes and then fails every write.
+type fullDisk struct{ room int }
+
+func (w *fullDisk) Write(p []byte) (int, error) {
+	if len(p) > w.room {
+		return 0, fmt.Errorf("no space left on device")
+	}
+	w.room -= len(p)
+	return len(p), nil
+}
+
+// A result stream that cannot be written is the run's failure: v6scan
+// keeps the first write error, names it, and exits non-zero instead of
+// reporting every row as written.
+func TestV6scanReportsWriteError(t *testing.T) {
+	args := append([]string{"-targets", "-", "-workers", "4"}, tinyWorld...)
+	var stderr bytes.Buffer
+	code := run(args, strings.NewReader(tinyTargets(t)), &fullDisk{room: 6000}, &stderr)
+	if code != 1 || !strings.Contains(stderr.String(), "write results: no space left on device") {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if strings.Contains(stderr.String(), "wrote ") {
+		t.Fatalf("a failed run still reported its rows as written: %s", stderr.String())
+	}
+}

@@ -16,11 +16,13 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -92,6 +94,22 @@ type Checkpoint struct {
 	// itself never reads it; the coordinator fills it on checkpoint and
 	// validates it on resume.
 	Cluster *ClusterState `json:"cluster,omitempty"`
+}
+
+// encoding/json builds a type's reflective encoder the first time it
+// sees the type — about five hundred allocations for this document.
+// Build it at package load, so the construction never lands inside a
+// process's first campaign, whose allocation count would then differ
+// from every later one's (DESIGN.md "Result encoding", the
+// first-campaign rule).
+func init() {
+	// One entry in each section with a MarshalJSON of its own: those
+	// marshal their keys and values one by one, each a type of its own.
+	json.Marshal(&Checkpoint{
+		Store:      &store.Manifest{},
+		PoolScores: PoolScoreMap{"": 0},
+		Obs:        obs.Snapshot{"": {0}},
+	})
 }
 
 // ClusterState is the plain-data cluster checkpoint section (owned by
@@ -216,23 +234,13 @@ type orderedSink struct {
 	buckets [][]*zgrab.Result
 	all     []*zgrab.Result
 	cw      *countingWriter
-	enc     *json.Encoder
-	// batch and encBuf are flush scratch, reused across the campaign's
+	// batch and jsonlBuf are flush scratch, reused across the campaign's
 	// 96 slice flushes: batch collects the slice's results for sorting,
-	// encBuf accumulates their JSONL bytes so each slice costs one
+	// jsonlBuf accumulates their JSONL bytes so each slice costs one
 	// Write instead of one per result. Both keep their high-water
 	// capacity.
-	batch  []*zgrab.Result
-	encBuf jsonlBuf
-}
-
-// jsonlBuf is the minimal reusable byte sink behind the campaign's
-// json.Encoder (bytes.Buffer without the unused machinery).
-type jsonlBuf struct{ b []byte }
-
-func (j *jsonlBuf) Write(p []byte) (int, error) {
-	j.b = append(j.b, p...)
-	return len(p), nil
+	batch    []*zgrab.Result
+	jsonlBuf []byte
 }
 
 func newOrderedSink(workers int, out io.Writer) *orderedSink {
@@ -242,7 +250,6 @@ func newOrderedSink(workers int, out io.Writer) *orderedSink {
 	s := &orderedSink{buckets: make([][]*zgrab.Result, workers)}
 	if out != nil {
 		s.cw = &countingWriter{w: out}
-		s.enc = json.NewEncoder(&s.encBuf)
 	}
 	return s
 }
@@ -261,18 +268,21 @@ func (s *orderedSink) flush() error {
 		batch = append(batch, b...)
 		s.buckets[i] = b[:0]
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].Seq < batch[j].Seq })
+	slices.SortFunc(batch, func(a, b *zgrab.Result) int { return cmp.Compare(a.Seq, b.Seq) })
 	s.all = append(s.all, batch...)
 	s.batch = batch
-	if s.enc != nil {
-		s.encBuf.b = s.encBuf.b[:0]
+	if s.cw != nil {
+		buf := s.jsonlBuf[:0]
 		for _, r := range batch {
-			if err := s.enc.Encode(r); err != nil {
+			var err error
+			if buf, err = r.AppendJSON(buf); err != nil {
 				return err
 			}
+			buf = append(buf, '\n')
 		}
-		if len(s.encBuf.b) > 0 {
-			if _, err := s.cw.Write(s.encBuf.b); err != nil {
+		s.jsonlBuf = buf
+		if len(buf) > 0 {
+			if _, err := s.cw.Write(buf); err != nil {
 				return err
 			}
 		}

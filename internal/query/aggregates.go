@@ -301,6 +301,13 @@ type sliceState struct {
 	Results  int64 `json:"results"`
 }
 
+// The snapshot's reflective encoders (this package's and the Table 2
+// builder's) are built at package load, not inside a process's first
+// campaign (see core.Checkpoint's init).
+func init() {
+	NewAggregates().Snapshot()
+}
+
 // Snapshot implements core.SliceAggregator: a byte-deterministic JSON
 // snapshot. Two aggregate states with equal contents — however
 // accumulated — serialize to identical bytes.

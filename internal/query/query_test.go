@@ -306,7 +306,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Ad-hoc query with module pushdown: only http results, and the
 	// sparse index must have skipped blocks.
-	var rows []query.QueryRow
+	var rows []queryRow
 	qstats := getJSON(t, ts.URL+"/v1/query?kind=results&module=http", &rows)
 	if len(rows) == 0 {
 		t.Fatal("no http rows")
@@ -327,7 +327,7 @@ func TestServerEndpoints(t *testing.T) {
 	}
 
 	// Truncation.
-	var few []query.QueryRow
+	var few []queryRow
 	tstats := getJSON(t, ts.URL+"/v1/query?limit=7", &few)
 	if len(few) != 7 || !tstats.Truncated {
 		t.Fatalf("limit: rows=%d truncated=%v", len(few), tstats.Truncated)
@@ -335,7 +335,7 @@ func TestServerEndpoints(t *testing.T) {
 
 	// Exact-/48 prefix query stays inside the prefix.
 	p48 := netip.PrefixFrom(mkAddr(3), 48).Masked()
-	var inPfx []query.QueryRow
+	var inPfx []queryRow
 	getJSON(t, ts.URL+"/v1/query?prefix="+p48.String(), &inPfx)
 	if len(inPfx) == 0 {
 		t.Fatal("prefix query returned nothing")

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/netip"
 	"strconv"
+	"sync"
 	"time"
 
 	"ntpscan/internal/analysis"
@@ -107,15 +108,6 @@ type Response struct {
 	Stats *Stats `json:"stats"`
 }
 
-// QueryRow is one /v1/query hit in wire form.
-type QueryRow struct {
-	Kind    string        `json:"kind"`
-	Slice   int           `json:"slice"`
-	Addr    string        `json:"addr,omitempty"`
-	Vantage string        `json:"vantage,omitempty"`
-	Result  *zgrab.Result `json:"result,omitempty"`
-}
-
 // Handler returns the HTTP mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -181,26 +173,30 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	}
 	it := s.Store.Scan(pred)
 	defer it.Close()
-	rows := []QueryRow{}
-	truncated := false
+	// The body is written by hand, straight from the iterator: the bytes
+	// json.Encoder would produce for a Response whose Data is a non-nil
+	// slice of row structs, without building the rows or reflecting over
+	// them.
+	bp := bodyPool.Get().(*[]byte)
+	body := append((*bp)[:0], `{"data":[`...)
+	defer func() {
+		*bp = body[:0]
+		bodyPool.Put(bp)
+	}()
+	rows, truncated := 0, false
 	for it.Next() {
-		if len(rows) >= limit {
+		if rows >= limit {
 			truncated = true
 			break
 		}
-		row := it.Row()
-		qr := QueryRow{Slice: row.Slice}
-		switch row.Kind {
-		case store.KindCaptures:
-			qr.Kind = "capture"
-			qr.Addr = row.Capture.Addr.String()
-			qr.Vantage = row.Capture.Vantage
-		case store.KindResults:
-			qr.Kind = "result"
-			qr.Addr = row.Result.IP.String()
-			qr.Result = row.Result
+		if rows > 0 {
+			body = append(body, ',')
 		}
-		rows = append(rows, qr)
+		if body, err = appendQueryRow(body, it.Row()); err != nil {
+			s.fail(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		rows++
 	}
 	if err := it.Err(); err != nil {
 		s.fail(w, http.StatusInternalServerError, err.Error())
@@ -208,7 +204,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	}
 	st := it.Stats()
 	stats := &Stats{
-		Rows:          int64(len(rows)),
+		Rows:          int64(rows),
 		Truncated:     truncated,
 		Segments:      st.Segments,
 		BlocksRead:    st.BlocksRead,
@@ -218,7 +214,55 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		CacheHits:     st.CacheHits,
 		CacheMisses:   st.CacheMisses,
 	}
-	s.respond(w, epQuery, rows, stats, start)
+	s.account(w, epQuery, stats, start)
+	statsJSON, err := json.Marshal(stats)
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	body = append(body, `],"stats":`...)
+	body = append(body, statsJSON...)
+	body = append(body, '}', '\n')
+	if _, err := w.Write(body); err != nil {
+		s.Met.Errors.Inc()
+	}
+}
+
+// bodyPool recycles /v1/query body buffers, as encoding/json recycles
+// its encode buffers: scan replies run to megabytes, and growing a
+// fresh slice per request churns large spans for nothing.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendQueryRow appends one /v1/query hit in wire form:
+//
+//	{"kind":"capture","slice":N,"addr":"…","vantage":"…"}   vantage omitted when empty
+//	{"kind":"result","slice":N,"addr":"…","result":{…}}     result as Result.AppendJSON writes it
+//
+// Store rows always carry a valid, zoneless address, whose JSON form is
+// its String.
+func appendQueryRow(dst []byte, row store.Row) ([]byte, error) {
+	switch row.Kind {
+	case store.KindCaptures:
+		dst = append(dst, `{"kind":"capture","slice":`...)
+		dst = strconv.AppendInt(dst, int64(row.Slice), 10)
+		dst = append(dst, `,"addr":`...)
+		dst = zgrab.AppendJSONAddr(dst, row.Capture.Addr)
+		if v := row.Capture.Vantage; v != "" {
+			dst = append(dst, `,"vantage":`...)
+			dst = zgrab.AppendJSONString(dst, v)
+		}
+	case store.KindResults:
+		dst = append(dst, `{"kind":"result","slice":`...)
+		dst = strconv.AppendInt(dst, int64(row.Slice), 10)
+		dst = append(dst, `,"addr":`...)
+		dst = zgrab.AppendJSONAddr(dst, row.Result.IP)
+		dst = append(dst, `,"result":`...)
+		var err error
+		if dst, err = row.Result.AppendJSON(dst); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
 }
 
 // parsePred maps query parameters onto the store predicate:
@@ -283,12 +327,20 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) respond(w http.ResponseWriter, ep int, data any, stats *Stats, start time.Time) {
+// account closes a request's books — elapsed time, endpoint, latency
+// and row counters — and sets the JSON content type; the caller writes
+// the body.
+func (s *Server) account(w http.ResponseWriter, ep int, stats *Stats, start time.Time) {
 	stats.ElapsedNs = s.Clock.Now().Sub(start).Nanoseconds()
 	s.Met.Requests.Inc(ep)
 	s.Met.LatencyNs.Observe(stats.ElapsedNs)
 	s.Met.RowsOut.Add(stats.Rows)
 	w.Header().Set("Content-Type", "application/json")
+}
+
+// respond answers a table endpoint.
+func (s *Server) respond(w http.ResponseWriter, ep int, data any, stats *Stats, start time.Time) {
+	s.account(w, ep, stats, start)
 	if err := json.NewEncoder(w).Encode(Response{Data: data, Stats: stats}); err != nil {
 		s.Met.Errors.Inc()
 	}

@@ -73,16 +73,19 @@ type HTTPGrab struct {
 
 // TLSGrab carries handshake results.
 type TLSGrab struct {
-	Version         string    `json:"version,omitempty"`
-	HandshakeOK     bool      `json:"handshake_ok"`
-	Alert           string    `json:"alert,omitempty"`
-	CertFingerprint string    `json:"cert_fingerprint,omitempty"`
-	Subject         string    `json:"subject,omitempty"`
-	Issuer          string    `json:"issuer,omitempty"`
-	SelfSigned      bool      `json:"self_signed,omitempty"`
-	KeyID           string    `json:"key_id,omitempty"`
-	NotBefore       time.Time `json:"not_before,omitempty"`
-	NotAfter        time.Time `json:"not_after,omitempty"`
+	Version         string `json:"version,omitempty"`
+	HandshakeOK     bool   `json:"handshake_ok"`
+	Alert           string `json:"alert,omitempty"`
+	CertFingerprint string `json:"cert_fingerprint,omitempty"`
+	Subject         string `json:"subject,omitempty"`
+	Issuer          string `json:"issuer,omitempty"`
+	SelfSigned      bool   `json:"self_signed,omitempty"`
+	KeyID           string `json:"key_id,omitempty"`
+	// NotBefore and NotAfter carry no omitempty: encoding/json never
+	// omits a struct, so every TLS row has both keys, zero time
+	// ("0001-01-01T00:00:00Z") included.
+	NotBefore time.Time `json:"not_before"`
+	NotAfter  time.Time `json:"not_after"`
 }
 
 // SSHGrab carries the identification string and host key.
@@ -119,24 +122,33 @@ type CoAPGrab struct {
 type JSONLWriter struct {
 	mu  sync.Mutex
 	w   io.Writer
-	enc *json.Encoder
+	buf []byte // one line, reused
 	n   int
 }
 
 // NewJSONLWriter wraps w.
 func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: w, enc: json.NewEncoder(w)}
+	return &JSONLWriter{w: w}
 }
 
-// Write emits one result line.
+// Write emits one result line, in one Write to the underlying writer.
 func (jw *JSONLWriter) Write(r *Result) error {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
+	line, err := r.AppendJSON(jw.buf[:0])
+	if err != nil {
+		return err
+	}
+	line = append(line, '\n')
+	jw.buf = line
+	if _, err := jw.w.Write(line); err != nil {
+		return err
+	}
 	jw.n++
-	return jw.enc.Encode(r)
+	return nil
 }
 
-// Count returns how many results were written.
+// Count returns how many lines were written.
 func (jw *JSONLWriter) Count() int {
 	jw.mu.Lock()
 	defer jw.mu.Unlock()
@@ -165,10 +177,11 @@ func DecodeJSONL(r io.Reader, fn func(*Result) error) error {
 	}
 }
 
-// grabPayload is exactly the module-specific grab surface of a Result,
-// marshalled as one compact JSON object: the columnar store keeps the
-// envelope fields in typed columns and this payload as an opaque
-// per-row value.
+// grabPayload is exactly the module-specific grab surface of a Result
+// as one compact JSON object: the columnar store keeps the envelope
+// fields in typed columns and this payload as an opaque per-row value.
+// AppendGrabs writes these bytes by hand; SetGrabs decodes through the
+// struct, which is also the reference the encoder is tested against.
 type grabPayload struct {
 	HTTP *HTTPGrab `json:"http,omitempty"`
 	TLS  *TLSGrab  `json:"tls,omitempty"`
@@ -178,18 +191,12 @@ type grabPayload struct {
 	CoAP *CoAPGrab `json:"coap,omitempty"`
 }
 
-// AppendGrabs appends the result's module-specific payload to buf as
-// one JSON object, or appends nothing when the result carries no grab.
-func (r *Result) AppendGrabs(buf []byte) ([]byte, error) {
-	if r.HTTP == nil && r.TLS == nil && r.SSH == nil &&
-		r.MQTT == nil && r.AMQP == nil && r.CoAP == nil {
-		return buf, nil
-	}
-	b, err := json.Marshal(grabPayload{r.HTTP, r.TLS, r.SSH, r.MQTT, r.AMQP, r.CoAP})
-	if err != nil {
-		return nil, err
-	}
-	return append(buf, b...), nil
+// SetGrabs decodes through encoding/json, which builds a type's field
+// tables on first use. Build them at package load: the first decode
+// otherwise happens in a campaign's first store compaction (see
+// core.Checkpoint's init).
+func init() {
+	json.Unmarshal([]byte("{}"), new(grabPayload))
 }
 
 // SetGrabs restores the grab pointers from AppendGrabs bytes; empty
