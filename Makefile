@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: all check vet build test race bench bench-query bench-compare \
-	bench-scale profiles chaos fuzz-smoke cover cover-gate reach
+	bench-scale profiles chaos fuzz-smoke cover cover-gate reach loc
 
 all: check
 
@@ -68,6 +68,7 @@ FUZZ_TARGETS := \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/zgrab:FuzzResultAppendJSON \
 	./internal/store:FuzzSegmentDecode \
+	./internal/query:FuzzQueryParams \
 	./internal/cluster:FuzzCheckpointDecode \
 	./internal/cluster/transport:FuzzTransportFrameDecode \
 	./internal/netsim/link:FuzzLinkPlanDecode
@@ -104,6 +105,15 @@ cover-gate: cover
 # type-checks the standard library from source.
 reach:
 	NTPSCAN_REACH=1 $(GO) test -count=1 -v -run '^TestReach$$' ./internal/reach/
+
+# loc prints non-test code lines per package — lines that are neither
+# blank nor only a // comment, over the non-_test.go files — the count
+# every CHANGES.md entry reports before and after.
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | grep -cvE '^\s*(//.*)?$$'); \
+		printf '%6d %s\n' "$$n" "$${d#./}"; \
+	done
 
 # bench runs the pipeline benchmarks and records them, with host
 # metadata, in BENCH_pipeline.json, then the columnar-store ingest /

@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var tinyWorld = []string{"-seed", "9", "-device-scale", "1e-3", "-addr-scale", "1e-6", "-as-scale", "0.02", "-workers", "4"}
+
+// TestExperimentsCollectOnlySmoke drives the binary's one cheap mode
+// end to end: the collection sections on stdout, none of the scan-side
+// ones, and the same text in the -out file.
+func TestExperimentsCollectOnlySmoke(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run(append([]string{"-collect-only"}, tinyWorld...), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, stderr.String())
+	}
+	text := stdout.String()
+	for _, want := range []string{"seed=9", "== Table 1 ==", "== Figure 1 ==", "== Table 4 (Appendix B) ==", "== Table 7 (Appendix D) =="} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output has no %q", want)
+		}
+	}
+	for _, not := range []string{"== Table 2 ==", "Section 5"} {
+		if strings.Contains(text, not) {
+			t.Errorf("-collect-only printed %q", not)
+		}
+	}
+
+	outPath := filepath.Join(t.TempDir(), "out.txt")
+	stdout.Reset()
+	if code := run(append([]string{"-collect-only", "-out", outPath}, tinyWorld...), &stdout, &stderr); code != 0 {
+		t.Fatalf("-out: exit %d (stderr: %s)", code, stderr.String())
+	}
+	if file, err := os.ReadFile(outPath); err != nil || string(file) != text || stdout.Len() != 0 {
+		t.Errorf("-out wrote %d bytes (err %v) and %d to stdout; want the %d bytes stdout carried and nothing on it",
+			len(file), err, stdout.Len(), len(text))
+	}
+}
+
+// Argument errors exit 2 before a profile file is created or a world
+// is built.
+func TestExperimentsRejectsBadArguments(t *testing.T) {
+	dir := t.TempDir()
+	garbled := filepath.Join(dir, "plan.json")
+	if err := os.WriteFile(garbled, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(dir, "cpu.out")
+	for _, args := range [][]string{
+		{"-no-such-flag"},
+		{"-collect-only", "-cluster", "http://127.0.0.1:1"},
+		{"-collect-only", "-store", filepath.Join(dir, "s.store")},
+		{"-linkplan", filepath.Join(dir, "missing.json")},
+		{"-linkplan", garbled},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(append([]string{"-cpuprofile", prof}, args...), &stdout, &stderr)
+		if code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
+			t.Errorf("experiments %v: exit %d, stdout %q, stderr %q; want exit 2 and a message", args, code, stdout.String(), stderr.String())
+		}
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
+		t.Errorf("rejected runs left files behind: %v (err %v)", ents, err)
+	}
+}

@@ -92,16 +92,10 @@ func TestV6scanStoreIsAFunctionOfTheInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, _ := st.Results(store.Pred{})
+	it := st.Scan(store.Pred{Kind: store.KindResults})
 	rows, lastSeq, responsive := 0, int64(-1), 0
-	for {
-		r, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == nil {
-			break
-		}
+	for it.Next() {
+		r := it.Row().Result
 		if r.Seq <= lastSeq {
 			t.Fatalf("store row %d has Seq %d after %d: not in submission order", rows, r.Seq, lastSeq)
 		}
@@ -110,6 +104,9 @@ func TestV6scanStoreIsAFunctionOfTheInput(t *testing.T) {
 			responsive++
 		}
 		rows++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if rows != lines {
 		t.Fatalf("store holds %d result rows, stdout carried %d JSONL lines", rows, lines)

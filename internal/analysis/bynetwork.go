@@ -12,10 +12,6 @@ import (
 // are counted per address and per network. Key-reusing outdated servers
 // count once per address here, which is why Figure 5 shows much more
 // outdatedness than Figure 2 — the paper discusses exactly this effect.
-//
-// Both rollups fold a boolean OR per address/prefix, which commutes, so
-// the record stream is chunked across analysis workers (parallelFold)
-// and the per-chunk maps are OR-merged without affecting the output.
 
 // PatchByNet holds Figure 5 counts at one granularity.
 type PatchByNet struct {
@@ -32,37 +28,38 @@ func (p PatchByNet) OutdatedShare() float64 {
 	return float64(p.Outdated) / float64(p.Assessable)
 }
 
-// netFlags accumulates one boolean per address and per prefix at the
-// three paper granularities.
-type netFlags struct {
-	addrs map[netip.Addr]bool
-	nets  map[int]map[netip.Prefix]bool
-}
+// netGranularities are the keys both rollups count by; an address is
+// its own /128.
+var netGranularities = [...]struct {
+	label string
+	bits  int
+}{{"addr", 128}, {"/48", 48}, {"/56", 56}, {"/64", 64}}
 
-func newNetFlags() *netFlags {
-	return &netFlags{
-		addrs: map[netip.Addr]bool{},
-		nets:  map[int]map[netip.Prefix]bool{48: {}, 56: {}, 64: {}},
-	}
-}
+// netFlags ORs one boolean per key at each granularity: a network
+// carries the flag if any address in it does.
+type netFlags [len(netGranularities)]map[netip.Prefix]bool
 
 func (f *netFlags) observe(addr netip.Addr, flag bool) {
-	f.addrs[addr] = f.addrs[addr] || flag
-	for bits, m := range f.nets {
-		p := ipv6x.Prefix(addr, bits)
-		m[p] = m[p] || flag
+	for i, g := range netGranularities {
+		if f[i] == nil {
+			f[i] = map[netip.Prefix]bool{}
+		}
+		p := ipv6x.Prefix(addr, g.bits)
+		f[i][p] = f[i][p] || flag
 	}
 }
 
-func (f *netFlags) merge(o *netFlags) {
-	for a, flag := range o.addrs {
-		f.addrs[a] = f.addrs[a] || flag
-	}
-	for bits, om := range o.nets {
-		m := f.nets[bits]
-		for p, flag := range om {
-			m[p] = m[p] || flag
+// each reports, per granularity, the keys observed and how many of
+// them carry the flag.
+func (f *netFlags) each(row func(label string, keys, flagged int)) {
+	for i, g := range netGranularities {
+		flagged := 0
+		for _, set := range f[i] {
+			if set {
+				flagged++
+			}
 		}
+		row(g.label, len(f[i]), flagged)
 	}
 }
 
@@ -82,76 +79,35 @@ func SSHOutdatedByNetwork(datasets ...*Dataset) [][]PatchByNet {
 	}
 	all := make([][]rec, len(datasets))
 	for i, d := range datasets {
-		ssh := d.Successes("ssh")
-		type parsed struct {
-			recs   []rec
-			latest map[releaseKey]int
+		for _, r := range d.Successes("ssh") {
+			if r.SSH == nil {
+				continue
+			}
+			id, err := sshx.ParseServerID(r.SSH.ServerID)
+			if err != nil {
+				continue
+			}
+			base, rev, ok := id.PatchLevel()
+			if !ok {
+				continue
+			}
+			k := releaseKey{software: id.Software, base: base}
+			if rev > latest[k] {
+				latest[k] = rev
+			}
+			all[i] = append(all[i], rec{release: k, rev: rev, addr: r.IP})
 		}
-		parallelFold(len(ssh), func(lo, hi int) parsed {
-			p := parsed{latest: map[releaseKey]int{}}
-			for _, r := range ssh[lo:hi] {
-				if r.SSH == nil {
-					continue
-				}
-				id, err := sshx.ParseServerID(r.SSH.ServerID)
-				if err != nil {
-					continue
-				}
-				base, rev, ok := id.PatchLevel()
-				if !ok {
-					continue
-				}
-				k := releaseKey{software: id.Software, base: base}
-				if rev > p.latest[k] {
-					p.latest[k] = rev
-				}
-				p.recs = append(p.recs, rec{release: k, rev: rev, addr: r.IP})
-			}
-			return p
-		}, func(p parsed) {
-			for k, rev := range p.latest {
-				if rev > latest[k] {
-					latest[k] = rev
-				}
-			}
-			all[i] = append(all[i], p.recs...)
-		})
 	}
 
 	out := make([][]PatchByNet, len(datasets))
-	for i := range datasets {
-		recs := all[i]
-		flags := newNetFlags()
-		parallelFold(len(recs), func(lo, hi int) *netFlags {
-			f := newNetFlags()
-			for _, rc := range recs[lo:hi] {
-				f.observe(rc.addr, rc.rev < latest[rc.release])
-			}
-			return f
-		}, flags.merge)
-		count := func(label string, m map[netip.Prefix]bool) PatchByNet {
-			out := PatchByNet{Granularity: label}
-			for _, outdated := range m {
-				out.Assessable++
-				if outdated {
-					out.Outdated++
-				}
-			}
-			return out
+	for i, recs := range all {
+		var flags netFlags
+		for _, rc := range recs {
+			flags.observe(rc.addr, rc.rev < latest[rc.release])
 		}
-		byAddr := PatchByNet{Granularity: "addr"}
-		for _, outdated := range flags.addrs {
-			byAddr.Assessable++
-			if outdated {
-				byAddr.Outdated++
-			}
-		}
-		out[i] = []PatchByNet{
-			byAddr,
-			count("/48", flags.nets[48]),
-			count("/56", flags.nets[56]),
-			count("/64", flags.nets[64]),
-		}
+		flags.each(func(label string, keys, outdated int) {
+			out[i] = append(out[i], PatchByNet{Granularity: label, Assessable: keys, Outdated: outdated})
+		})
 	}
 	return out
 }
@@ -176,56 +132,20 @@ func (a AccessByNet) OpenShare() float64 {
 // (Figure 6). A network counts as open if any broker in it accepted the
 // anonymous probe.
 func BrokerAccessByNetwork(d *Dataset, proto string) []AccessByNet {
-	type rec struct {
-		addr netip.Addr
-		open bool
-	}
-	var recs []rec
+	var flags netFlags
 	for _, module := range []string{proto, proto + "s"} {
 		for _, r := range d.Successes(module) {
-			switch proto {
-			case "mqtt":
-				if r.MQTT != nil {
-					recs = append(recs, rec{addr: r.IP, open: r.MQTT.Open})
-				}
-			case "amqp":
-				if r.AMQP != nil {
-					recs = append(recs, rec{addr: r.IP, open: r.AMQP.Open})
-				}
+			switch {
+			case proto == "mqtt" && r.MQTT != nil:
+				flags.observe(r.IP, r.MQTT.Open)
+			case proto == "amqp" && r.AMQP != nil:
+				flags.observe(r.IP, r.AMQP.Open)
 			}
 		}
 	}
-	flags := newNetFlags()
-	parallelFold(len(recs), func(lo, hi int) *netFlags {
-		f := newNetFlags()
-		for _, rc := range recs[lo:hi] {
-			f.observe(rc.addr, rc.open)
-		}
-		return f
-	}, flags.merge)
-	count := func(label string, m map[netip.Prefix]bool) AccessByNet {
-		out := AccessByNet{Granularity: label}
-		for _, open := range m {
-			if open {
-				out.Open++
-			} else {
-				out.AccessControl++
-			}
-		}
-		return out
-	}
-	byAddr := AccessByNet{Granularity: "addr"}
-	for _, open := range flags.addrs {
-		if open {
-			byAddr.Open++
-		} else {
-			byAddr.AccessControl++
-		}
-	}
-	return []AccessByNet{
-		byAddr,
-		count("/48", flags.nets[48]),
-		count("/56", flags.nets[56]),
-		count("/64", flags.nets[64]),
-	}
+	var out []AccessByNet
+	flags.each(func(label string, keys, open int) {
+		out = append(out, AccessByNet{Granularity: label, Open: open, AccessControl: keys - open})
+	})
+	return out
 }

@@ -58,24 +58,6 @@ func (d *Dataset) Add(r *zgrab.Result) {
 	}
 }
 
-// NewDatasetStream builds a dataset by pulling results from next until
-// it reports the end with (nil, nil) — the shape both the columnar
-// store's query iterator and a streaming JSONL decoder adapt to, so no
-// caller ever materialises an undecoded input file.
-func NewDatasetStream(name string, next func() (*zgrab.Result, error)) (*Dataset, error) {
-	d := NewDataset(name, nil)
-	for {
-		r, err := next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			return d, nil
-		}
-		d.Add(r)
-	}
-}
-
 // uniqueAddrs returns the distinct addresses among results.
 func uniqueAddrs(results []*zgrab.Result) map[netip.Addr]struct{} {
 	out := make(map[netip.Addr]struct{})
@@ -110,39 +92,22 @@ type Table2Row struct {
 	CertsKeys int // unique certificates (TLS) or host keys (SSH)
 }
 
-// Table2 computes "Successful scans by protocol" for the dataset.
+// Table2 computes "Successful scans by protocol" for the dataset: the
+// per-module success index folded through a Table2Builder's groups, the
+// fold a live campaign's aggregates run one result at a time.
 func Table2(d *Dataset) []Table2Row {
-	var rows []Table2Row
-	for _, g := range table2Groups {
-		addrs := make(map[netip.Addr]struct{})
-		tlsAddrs := make(map[netip.Addr]struct{})
-		idents := make(map[string]struct{})
-
+	b := NewTable2Builder()
+	for i, g := range table2Groups {
 		for _, r := range d.Successes(g.Plain) {
-			addrs[r.IP] = struct{}{}
-			if g.Plain == "ssh" && r.SSH != nil && r.SSH.KeyFingerprint != "" {
-				idents[r.SSH.KeyFingerprint] = struct{}{}
-			}
+			b.groups[i].addPlain(r)
 		}
 		if g.TLS != "" {
 			for _, r := range d.Successes(g.TLS) {
-				addrs[r.IP] = struct{}{}
-				if r.TLS != nil && r.TLS.HandshakeOK {
-					tlsAddrs[r.IP] = struct{}{}
-					if r.TLS.CertFingerprint != "" {
-						idents[r.TLS.CertFingerprint] = struct{}{}
-					}
-				}
+				b.groups[i].addTLS(r)
 			}
 		}
-		rows = append(rows, Table2Row{
-			Protocol:  g.Label,
-			Addrs:     len(addrs),
-			AddrsTLS:  len(tlsAddrs),
-			CertsKeys: len(idents),
-		})
 	}
-	return rows
+	return b.Rows()
 }
 
 // HitRate returns responsive-address share: distinct addresses with at

@@ -26,37 +26,15 @@ type TitleGroup struct {
 // title is kept as its own "(no title)" group rather than clustered.
 func TitleGroups(d *Dataset) []TitleGroup {
 	// Pre-pass: first title per certificate, first-wins in dataset
-	// order. Chunks tag each certificate with the position of its first
-	// occurrence and the merge keeps the lowest, so the parallel build
-	// picks the same title as a serial scan.
-	https := d.Successes("https")
-	type firstTitle struct {
-		idx   int
-		title string
-	}
-	certTitles := make(map[string]firstTitle)
-	parallelFold(len(https), func(lo, hi int) map[string]firstTitle {
-		local := make(map[string]firstTitle)
-		for i := lo; i < hi; i++ {
-			r := https[i]
-			if r.TLS == nil || !r.TLS.HandshakeOK || r.HTTP == nil || r.HTTP.StatusCode != 200 {
-				continue
-			}
-			if _, seen := local[r.TLS.CertFingerprint]; !seen {
-				local[r.TLS.CertFingerprint] = firstTitle{idx: i, title: r.HTTP.Title}
-			}
+	// order.
+	titleByCert := make(map[string]string)
+	for _, r := range d.Successes("https") {
+		if r.TLS == nil || !r.TLS.HandshakeOK || r.HTTP == nil || r.HTTP.StatusCode != 200 {
+			continue
 		}
-		return local
-	}, func(local map[string]firstTitle) {
-		for cert, ft := range local {
-			if cur, seen := certTitles[cert]; !seen || ft.idx < cur.idx {
-				certTitles[cert] = ft
-			}
+		if _, seen := titleByCert[r.TLS.CertFingerprint]; !seen {
+			titleByCert[r.TLS.CertFingerprint] = r.HTTP.Title
 		}
-	})
-	titleByCert := make(map[string]string, len(certTitles))
-	for cert, ft := range certTitles {
-		titleByCert[cert] = ft.title
 	}
 
 	// Count identical titles first so clustering runs over distinct
@@ -81,7 +59,7 @@ func TitleGroups(d *Dataset) []TitleGroup {
 	if empty > 0 {
 		out = append(out, TitleGroup{Representative: "(no title present)", Certs: empty})
 	}
-	for _, g := range levenshtein.ClusterN(titles, weights, TitleThreshold, Workers()) {
+	for _, g := range levenshtein.Cluster(titles, weights, TitleThreshold) {
 		out = append(out, TitleGroup{Representative: g.Representative, Certs: g.Count})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Certs > out[j].Certs })

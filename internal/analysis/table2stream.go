@@ -41,8 +41,7 @@ func NewTable2Builder() *Table2Builder {
 }
 
 // Add folds one result into the table. Results whose module belongs to
-// no Table 2 group, and unsuccessful grabs, are ignored — exactly the
-// rows batch Table2 skips.
+// no Table 2 group, and unsuccessful grabs, are ignored.
 func (b *Table2Builder) Add(r *zgrab.Result) {
 	if !r.Success() {
 		return
@@ -50,26 +49,35 @@ func (b *Table2Builder) Add(r *zgrab.Result) {
 	for i, g := range table2Groups {
 		switch r.Module {
 		case g.Plain:
-			b.groups[i].addrs[r.IP] = struct{}{}
-			if g.Plain == "ssh" && r.SSH != nil && r.SSH.KeyFingerprint != "" {
-				b.groups[i].idents[r.SSH.KeyFingerprint] = struct{}{}
-			}
+			b.groups[i].addPlain(r)
 		case g.TLS:
-			if g.TLS == "" {
-				continue
-			}
-			b.groups[i].addrs[r.IP] = struct{}{}
-			if r.TLS != nil && r.TLS.HandshakeOK {
-				b.groups[i].tlsAddrs[r.IP] = struct{}{}
-				if r.TLS.CertFingerprint != "" {
-					b.groups[i].idents[r.TLS.CertFingerprint] = struct{}{}
-				}
+			if g.TLS != "" {
+				b.groups[i].addTLS(r)
 			}
 		}
 	}
 }
 
-// Rows materialises the current table in the batch Table2 row order.
+// addPlain folds a successful grab of the group's plain module.
+func (g *t2group) addPlain(r *zgrab.Result) {
+	g.addrs[r.IP] = struct{}{}
+	if r.Module == "ssh" && r.SSH != nil && r.SSH.KeyFingerprint != "" {
+		g.idents[r.SSH.KeyFingerprint] = struct{}{}
+	}
+}
+
+// addTLS folds a successful grab of the group's TLS sibling.
+func (g *t2group) addTLS(r *zgrab.Result) {
+	g.addrs[r.IP] = struct{}{}
+	if r.TLS != nil && r.TLS.HandshakeOK {
+		g.tlsAddrs[r.IP] = struct{}{}
+		if r.TLS.CertFingerprint != "" {
+			g.idents[r.TLS.CertFingerprint] = struct{}{}
+		}
+	}
+}
+
+// Rows materialises the current table, one row per Table 2 group.
 func (b *Table2Builder) Rows() []Table2Row {
 	var rows []Table2Row
 	for i, g := range table2Groups {

@@ -60,17 +60,23 @@ func (p *Pipeline) BuildHitlist(cfg hitlist.Config) *hitlist.Hitlist {
 	return hitlist.Build(p.W, cfg)
 }
 
-// ScanHitlist batch-scans the full hitlist (the paper scans the
-// unfiltered variant, §4.1) and returns the dataset.
-func (p *Pipeline) ScanHitlist(ctx context.Context, h *hitlist.Hitlist) *analysis.Dataset {
+// ScanList batch-scans addrs with a fresh scanner and returns the
+// results, in submission (Seq) order, as the dataset called name.
+func (p *Pipeline) ScanList(ctx context.Context, name string, addrs []netip.Addr) *analysis.Dataset {
 	sink := newOrderedSink(p.Cfg.Workers, nil)
 	scanner := p.newScanner(sink.add)
 	scanner.Start(ctx)
-	scanner.SubmitBatch(h.Full)
+	scanner.SubmitBatch(addrs)
 	scanner.Close()
 	// With no writer, flush only sorts the buckets into sink.all.
 	_ = sink.flush()
-	return analysis.NewDataset("hitlist", sink.all)
+	return analysis.NewDataset(name, sink.all)
+}
+
+// ScanHitlist batch-scans the full hitlist (the paper scans the
+// unfiltered variant, §4.1) and returns the dataset.
+func (p *Pipeline) ScanHitlist(ctx context.Context, h *hitlist.Hitlist) *analysis.Dataset {
+	return p.ScanList(ctx, "hitlist", h.Full)
 }
 
 // PublicHitlist applies the responsiveness filter plus aliased-prefix

@@ -4,18 +4,15 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sync"
+	"sort"
 	"time"
 
 	"ntpscan/internal/analysis"
-	"ntpscan/internal/core"
 	"ntpscan/internal/ipv6x"
 	"ntpscan/internal/levenshtein"
 	"ntpscan/internal/ntppool"
 	"ntpscan/internal/rng"
 	"ntpscan/internal/tabulate"
-	"ntpscan/internal/world"
-	"ntpscan/internal/zgrab"
 )
 
 // AblationFeedVsBatch quantifies the paper's §6 "Dynamic IP Addresses"
@@ -25,28 +22,17 @@ import (
 // batch scan loses exactly the population NTP sourcing exists to find.
 func AblationFeedVsBatch(opts Options) string {
 	opts.fill()
-	mk := func() *core.Pipeline {
-		return core.NewPipeline(core.Config{
-			Seed: opts.Seed,
-			World: world.Config{
-				DeviceScale: opts.DeviceScale,
-				AddrScale:   opts.AddrScale,
-				ASScale:     opts.ASScale,
-			},
-			Workers: opts.Workers,
-		})
-	}
 	ctx := context.Background()
 
 	// Arm A: real-time feed.
-	live := mk()
+	live := newPipeline(opts)
 	liveData := live.RunNTPCampaign(ctx)
 	liveResp, liveScanned, _ := analysis.HitRate(liveData)
 	liveFritz := groupCount(liveData, "FRITZ!Box")
 
 	// Arm B: collect first, let a week pass (addresses churn), then
 	// scan the aggregated list.
-	batch := mk()
+	batch := newPipeline(opts)
 	var collected []netip.Addr
 	seen := map[netip.Addr]struct{}{}
 	batch.Collect(func(a netip.Addr) {
@@ -56,14 +42,7 @@ func AblationFeedVsBatch(opts Options) string {
 		}
 	})
 	batch.AdvanceWorld(7 * 24 * time.Hour)
-	sink := make([]*zgrab.Result, 0, len(collected))
-	scanner := batchScanner(batch, &sink)
-	scanner.Start(ctx)
-	for _, a := range collected {
-		scanner.Submit(a)
-	}
-	scanner.Close()
-	batchData := analysis.NewDataset("batch", sink)
+	batchData := batch.ScanList(ctx, "batch", collected)
 	batchResp, batchScanned, _ := analysis.HitRate(batchData)
 	batchFritz := groupCount(batchData, "FRITZ!Box")
 
@@ -81,23 +60,6 @@ func groupCount(d *analysis.Dataset, needle string) int {
 		return g.Certs
 	}
 	return 0
-}
-
-func batchScanner(p *core.Pipeline, sink *[]*zgrab.Result) *zgrab.Scanner {
-	var mu sync.Mutex
-	return zgrab.NewScanner(zgrab.Config{
-		Fabric:     p.W.Fabric(),
-		Clock:      p.W.Clock(),
-		Source:     core.ScanSource,
-		Timeout:    p.Cfg.Timeout,
-		UDPTimeout: p.Cfg.UDPTimeout,
-		Workers:    p.Cfg.Workers,
-		OnResult: func(r *zgrab.Result) {
-			mu.Lock()
-			*sink = append(*sink, r)
-			mu.Unlock()
-		},
-	})
 }
 
 // AblationDedup compares the three host-counting strategies the paper
@@ -178,17 +140,23 @@ func AblationTitleThreshold(s *Suite) string {
 	for _, title := range titleByCert {
 		counts[title]++
 	}
-	var titles []string
-	var weights []int
-	for title, n := range counts {
+	// Greedy first-fit clustering depends on the order it sees titles
+	// in: most common first, ties by spelling, as TitleGroups has it.
+	titles := make([]string, 0, len(counts))
+	for title := range counts {
 		titles = append(titles, title)
-		weights = append(weights, n)
 	}
+	sort.Slice(titles, func(i, j int) bool {
+		if ni, nj := counts[titles[i]], counts[titles[j]]; ni != nj {
+			return ni > nj
+		}
+		return titles[i] < titles[j]
+	})
 	t := tabulate.New("Ablation: title-grouping threshold sweep",
 		"Threshold", "Groups").
 		SetAligns(tabulate.Right, tabulate.Right)
 	for _, th := range []float64{0, 0.1, 0.25, 0.5, 0.9} {
-		groups := levenshtein.Cluster(titles, weights, th)
+		groups := levenshtein.Cluster(titles, nil, th)
 		t.Cells(fmt.Sprintf("%.2f", th), tabulate.Count(len(groups)))
 	}
 	t.Note("distinct titles: %d; the paper groups at 0.25", len(titles))

@@ -70,7 +70,7 @@ func CongestionLadder(seed uint64) string {
 
 // ladderPlan builds the rung's link plan: one Default link that every
 // flow crosses, sized like a loaded access circuit. The time grid is
-// left zero — installLinkPlan pins it to the campaign's slices. util
+// left zero — newPipeline pins it to the campaign's slices. util
 // < 0 returns nil (clean fabric, no plan installed).
 func ladderPlan(seed uint64, util float64) *link.Plan {
 	if util < 0 {

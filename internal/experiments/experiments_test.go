@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/ipv6x"
@@ -328,8 +329,16 @@ func TestAblations(t *testing.T) {
 	if out := AblationNetspeed(3); !strings.Contains(out, "1000") {
 		t.Error("netspeed ablation broken")
 	}
-	if out := AblationTitleThreshold(s); !strings.Contains(out, "0.25") {
+	out := AblationTitleThreshold(s)
+	if !strings.Contains(out, "0.25") {
 		t.Error("threshold ablation broken")
+	}
+	// The sweep clusters greedily, so it must fix the order it feeds
+	// titles in; from a map it printed different group counts per run.
+	for i := 0; i < 8; i++ {
+		if again := AblationTitleThreshold(s); again != out {
+			t.Fatalf("threshold ablation differs between calls:\n%s\nvs\n%s", out, again)
+		}
 	}
 }
 
@@ -413,5 +422,41 @@ func TestSection5Deterministic(t *testing.T) {
 	a, b := Section5(123), Section5(123)
 	if a.Rendered != b.Rendered {
 		t.Fatal("Section5 not deterministic")
+	}
+}
+
+// clip must cut by runes: tabulate pads by runes, so a byte cut both
+// misaligns the row and can leave half a character behind.
+func TestClipCutsRunes(t *testing.T) {
+	type clipCase struct {
+		in   string
+		n    int
+		want string
+	}
+	cases := []clipCase{
+		{"short", 42, "short"},
+		{"exactly-ten", 11, "exactly-ten"},
+		{"FRITZ!Box 7590", 10, "FRITZ!Box…"},
+		// Input that is already broken: passed through when it fits,
+		// one U+FFFD (one column) per broken byte when it is cut.
+		{"bad\xffbyte", 42, "bad\xffbyte"},
+		{"bad\xffbyte tail", 6, "bad\ufffdb…"},
+	}
+	umlauts := []rune("ÄÖÜäöüß…")
+	for n := 1; n <= len(umlauts)+1; n++ {
+		want := string(umlauts)
+		if n < len(umlauts) {
+			want = string(umlauts[:n-1]) + "…"
+		}
+		cases = append(cases, clipCase{string(umlauts), n, want})
+	}
+	for _, c := range cases {
+		got := clip(c.in, c.n)
+		if got != c.want {
+			t.Errorf("clip(%q, %d) = %q, want %q", c.in, c.n, got, c.want)
+		}
+		if utf8.ValidString(c.in) && !utf8.ValidString(got) {
+			t.Errorf("clip(%q, %d) = %q: invalid UTF-8 from valid input", c.in, c.n, got)
+		}
 	}
 }

@@ -3,13 +3,10 @@ package experiments
 import (
 	"context"
 	"net/netip"
-	"sync"
 
 	"ntpscan/internal/analysis"
-	"ntpscan/internal/core"
 	"ntpscan/internal/tabulate"
 	"ntpscan/internal/targetgen"
-	"ntpscan/internal/zgrab"
 )
 
 // ExtensionTargetGen answers the paper's §6 future-work question: are
@@ -25,8 +22,6 @@ func ExtensionTargetGen(s *Suite, candidates int) string {
 	if candidates <= 0 {
 		candidates = 2000
 	}
-	ctx := context.Background()
-
 	// Seed sets: collected NTP addresses (volume channel) plus the
 	// addresses our scans actually saw; and the hitlist's responsive
 	// addresses.
@@ -60,11 +55,7 @@ func ExtensionTargetGen(s *Suite, candidates int) string {
 	} {
 		model := targetgen.Train(arm.seeds)
 		cands := model.Generate(candidates, s.Opts.Seed)
-		responsive := scanCandidates(ctx, s.P, cands)
-		rate := 0.0
-		if len(cands) > 0 {
-			rate = float64(responsive) / float64(len(cands))
-		}
+		responsive, rate := respondingShare(s, cands)
 		t.Cells(arm.name,
 			tabulate.Count(model.SeedCount()),
 			tabulate.Pct(model.LearnableShare()),
@@ -76,32 +67,15 @@ func ExtensionTargetGen(s *Suite, candidates int) string {
 	return section("Extension: target generation", t.String())
 }
 
-// scanCandidates probes candidates with the full module set and counts
-// responsive addresses.
-func scanCandidates(ctx context.Context, p *core.Pipeline, cands []netip.Addr) int {
-	var mu sync.Mutex
-	responsive := map[netip.Addr]struct{}{}
-	scanner := zgrab.NewScanner(zgrab.Config{
-		Fabric:     p.W.Fabric(),
-		Clock:      p.W.Clock(),
-		Source:     core.ScanSource,
-		Timeout:    p.Cfg.Timeout,
-		UDPTimeout: p.Cfg.UDPTimeout,
-		Workers:    p.Cfg.Workers,
-		OnResult: func(r *zgrab.Result) {
-			if r.Success() {
-				mu.Lock()
-				responsive[r.IP] = struct{}{}
-				mu.Unlock()
-			}
-		},
-	})
-	scanner.Start(ctx)
-	for _, a := range cands {
-		scanner.Submit(a)
+// respondingShare scans candidates with the full module set and
+// returns how many distinct addresses answered and their share of the
+// candidates.
+func respondingShare(s *Suite, cands []netip.Addr) (responsive int, rate float64) {
+	responsive, _, _ = analysis.HitRate(s.P.ScanList(context.Background(), "candidates", cands))
+	if len(cands) > 0 {
+		rate = float64(responsive) / float64(len(cands))
 	}
-	scanner.Close()
-	return len(responsive)
+	return responsive, rate
 }
 
 // ExtensionGeneratedVsLive contrasts the generator's best case against
@@ -117,11 +91,7 @@ func ExtensionGeneratedVsLive(s *Suite) string {
 	seeds := s.P.Summary.Set().Sorted()
 	model := targetgen.Train(seeds)
 	cands := model.Generate(2000, s.Opts.Seed+1)
-	responsive := scanCandidates(context.Background(), s.P, cands)
-	rate := 0.0
-	if len(cands) > 0 {
-		rate = float64(responsive) / float64(len(cands))
-	}
+	_, rate := respondingShare(s, cands)
 	t.Cells("generated from collected addrs", tabulate.Pct(rate))
 	return section("Extension: generated vs live", t.String())
 }

@@ -90,28 +90,45 @@ func (o *Options) fill() {
 	}
 }
 
-// installLinkPlan wraps a link plan in a fault plan and installs it.
-// A nil plan leaves the pipeline untouched (no fabric intervention at
-// all), so zero-link suites stay byte-identical to pre-link ones. A
-// plan without a time grid inherits the campaign's: epoch at the
-// collection start, one churn slice per collection slice.
-func installLinkPlan(p *core.Pipeline, lp *link.Plan) {
-	if lp == nil {
-		return
+// newPipeline builds the pipeline every suite entry point runs on:
+// the world and campaign sized by opts, with opts.LinkPlan installed as
+// the fault plan. A nil plan leaves the pipeline untouched (no fabric
+// intervention at all), so zero-link suites stay byte-identical to
+// pre-link ones. A plan without a time grid inherits the campaign's:
+// epoch at the collection start, one churn slice per collection slice.
+func newPipeline(opts Options) *core.Pipeline {
+	p := core.NewPipeline(core.Config{
+		Seed: opts.Seed,
+		World: world.Config{
+			DeviceScale: opts.DeviceScale,
+			AddrScale:   opts.AddrScale,
+			ASScale:     opts.ASScale,
+		},
+		Workers:       opts.Workers,
+		CaptureBudget: opts.CaptureBudget,
+	})
+	if lp := opts.LinkPlan; lp != nil {
+		if lp.Epoch.IsZero() {
+			lp.Epoch = p.W.Cfg.Start
+		}
+		if lp.SliceLen <= 0 {
+			lp.SliceLen = world.CollectionWindow / core.CollectSlices
+		}
+		p.InstallFaults(&netsim.FaultPlan{Seed: lp.Seed, Links: lp})
 	}
-	if lp.Epoch.IsZero() {
-		lp.Epoch = p.W.Cfg.Start
-	}
-	if lp.SliceLen <= 0 {
-		lp.SliceLen = world.CollectionWindow / core.CollectSlices
-	}
-	p.InstallFaults(&netsim.FaultPlan{Seed: lp.Seed, Links: lp})
+	return p
 }
 
-// Suite is one executed campaign with all derived datasets.
+// Suite is one executed campaign with all derived datasets. A suite
+// with only Opts, Ctx, NTP and Hitlist set (cmd/analyze builds one from
+// saved results) renders every scan-side section; the collection
+// sections need P.
 type Suite struct {
 	Opts Options
 	P    *core.Pipeline
+	// Ctx resolves addresses for the scan-side analyses; Run and
+	// CollectOnly set it from the pipeline.
+	Ctx *analysis.Context
 	// Err is set when the optional store sink failed (open or write);
 	// the datasets are not usable in that case.
 	Err error
@@ -129,18 +146,8 @@ type Suite struct {
 // Run executes the campaign.
 func Run(opts Options) *Suite {
 	opts.fill()
-	p := core.NewPipeline(core.Config{
-		Seed: opts.Seed,
-		World: world.Config{
-			DeviceScale: opts.DeviceScale,
-			AddrScale:   opts.AddrScale,
-			ASScale:     opts.ASScale,
-		},
-		Workers:       opts.Workers,
-		CaptureBudget: opts.CaptureBudget,
-	})
-	installLinkPlan(p, opts.LinkPlan)
-	s := &Suite{Opts: opts, P: p}
+	p := newPipeline(opts)
+	s := &Suite{Opts: opts, P: p, Ctx: p.Ctx}
 	ctx := context.Background()
 
 	runCampaign := func(copts core.CampaignOpts) (*analysis.Dataset, error) {
@@ -188,18 +195,8 @@ func Run(opts Options) *Suite {
 // Figure 1, Table 4, Figure 4, Table 7) — much faster than Run.
 func CollectOnly(opts Options) *Suite {
 	opts.fill()
-	p := core.NewPipeline(core.Config{
-		Seed: opts.Seed,
-		World: world.Config{
-			DeviceScale: opts.DeviceScale,
-			AddrScale:   opts.AddrScale,
-			ASScale:     opts.ASScale,
-		},
-		Workers:       opts.Workers,
-		CaptureBudget: opts.CaptureBudget,
-	})
-	installLinkPlan(p, opts.LinkPlan)
-	s := &Suite{Opts: opts, P: p}
+	p := newPipeline(opts)
+	s := &Suite{Opts: opts, P: p, Ctx: p.Ctx}
 	p.CollectOnly()
 	s.HL = p.BuildHitlist(hitlist.Config{})
 	s.HitFullSum = p.SummarizeHitlist(s.HL.Full)
@@ -222,13 +219,17 @@ func section(title, body string) string {
 	return b.String()
 }
 
-// All renders every table and figure.
+// All renders every table and figure the suite has the inputs for:
+// the collection sections need the pipeline, the scan-side ones the
+// datasets.
 func (s *Suite) All() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ntpscan experiment suite (seed=%d, device-scale=%g, addr-scale=%g)\n\n",
 		s.Opts.Seed, s.Opts.DeviceScale, s.Opts.AddrScale)
-	b.WriteString(s.Table1())
-	b.WriteString(s.Figure1())
+	if s.P != nil {
+		b.WriteString(s.Table1())
+		b.WriteString(s.Figure1())
+	}
 	if s.NTP != nil {
 		b.WriteString(s.Table2())
 		b.WriteString(s.Table3())
@@ -242,8 +243,10 @@ func (s *Suite) All() string {
 		b.WriteString(s.Figure6())
 		b.WriteString(s.Table8())
 	}
-	b.WriteString(s.Table4())
-	b.WriteString(s.Figure4())
-	b.WriteString(s.Table7())
+	if s.P != nil {
+		b.WriteString(s.Table4())
+		b.WriteString(s.Figure4())
+		b.WriteString(s.Table7())
+	}
 	return b.String()
 }

@@ -203,9 +203,11 @@ func sumCoAP(m map[string]int) int {
 	return n
 }
 
+// clip cuts s to n runes, the last an ellipsis when it cut. Runes, not
+// bytes: tabulate pads by runes, and a byte cut can split one.
 func clip(s string, n int) string {
-	if len(s) > n {
-		return s[:n-1] + "…"
+	if r := []rune(s); len(r) > n {
+		return string(r[:n-1]) + "…"
 	}
 	return s
 }
@@ -264,7 +266,7 @@ func (s *Suite) KeyReuse() string {
 		SetAligns(tabulate.Left, tabulate.Right, tabulate.Right, tabulate.Right, tabulate.Right, tabulate.Right)
 	for i, d := range []*analysis.Dataset{s.NTP, s.Hitlist} {
 		name := []string{"Our Data", "TUM Hitlist"}[i]
-		st := analysis.KeyReuse(s.P.Ctx, d)
+		st := analysis.KeyReuse(s.Ctx, d)
 		t.Cells(name, tabulate.Count(st.ReusedKeys), tabulate.Count(st.ReusedIPs),
 			tabulate.Count(st.TopKeyIPs), tabulate.Count(st.TopKeyASes),
 			tabulate.Count(st.WidestKeyASes))
@@ -330,7 +332,7 @@ func (s *Suite) Table5() string {
 			"Protocol", "Addrs", "/32", "/48", "/56", "/64", "ASes", "Countries").
 			SetAligns(tabulate.Left, tabulate.Right, tabulate.Right, tabulate.Right,
 				tabulate.Right, tabulate.Right, tabulate.Right, tabulate.Right)
-		for _, row := range analysis.Table5(s.P.Ctx, d) {
+		for _, row := range analysis.Table5(s.Ctx, d) {
 			t.Cells(row.Module, tabulate.Count(row.Addrs),
 				tabulate.Count(row.Nets32), tabulate.Count(row.Nets48),
 				tabulate.Count(row.Nets56), tabulate.Count(row.Nets64),

@@ -4,11 +4,7 @@
 // 0.25).
 package levenshtein
 
-import (
-	"sync"
-	"sync/atomic"
-	"unicode/utf8"
-)
+import "unicode/utf8"
 
 // Distance returns the Levenshtein edit distance between a and b, counting
 // insertions, deletions and substitutions at unit cost. It operates on
@@ -100,87 +96,27 @@ func Similar(a, b string, threshold float64) bool {
 // reported for each cluster is its first (founding) item, and counts are
 // summed weights. With nil weights every item counts once.
 func Cluster(items []string, weights []int, threshold float64) []Group {
-	return ClusterN(items, weights, threshold, 1)
-}
-
-// clusterParallelMin is the group count below which the representative
-// scan stays serial; fanning out over a handful of groups costs more
-// than the distance computations it saves.
-const clusterParallelMin = 64
-
-// ClusterN is Cluster with the per-item representative scan fanned out
-// over up to workers goroutines. Each item still joins the FIRST
-// (lowest-index) similar cluster: the chunks report their first local
-// match and the minimum wins, so the grouping is bit-identical to the
-// serial greedy pass at any worker count.
-func ClusterN(items []string, weights []int, threshold float64, workers int) []Group {
 	var groups []Group
+next:
 	for i, it := range items {
 		w := 1
 		if weights != nil {
 			w = weights[i]
 		}
-		gi := firstSimilar(groups, it, threshold, workers)
-		if gi >= 0 {
-			groups[gi].Members = append(groups[gi].Members, it)
-			groups[gi].Count += w
-		} else {
-			groups = append(groups, Group{
-				Representative: it,
-				Members:        []string{it},
-				Count:          w,
-			})
-		}
-	}
-	return groups
-}
-
-// firstSimilar returns the lowest group index whose representative is
-// similar to it, or -1.
-func firstSimilar(groups []Group, it string, threshold float64, workers int) int {
-	n := len(groups)
-	if workers > n {
-		workers = n
-	}
-	if workers < 2 || n < clusterParallelMin {
 		for gi := range groups {
 			if Similar(groups[gi].Representative, it, threshold) {
-				return gi
+				groups[gi].Members = append(groups[gi].Members, it)
+				groups[gi].Count += w
+				continue next
 			}
 		}
-		return -1
+		groups = append(groups, Group{
+			Representative: it,
+			Members:        []string{it},
+			Count:          w,
+		})
 	}
-	// best holds the lowest matching index found so far; chunks past it
-	// stop early since they cannot improve the first-fit answer.
-	var best atomic.Int64
-	best.Store(int64(n))
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := n*i/workers, n*(i+1)/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gi := lo; gi < hi; gi++ {
-				if best.Load() <= int64(lo) {
-					return
-				}
-				if Similar(groups[gi].Representative, it, threshold) {
-					for {
-						cur := best.Load()
-						if int64(gi) >= cur || best.CompareAndSwap(cur, int64(gi)) {
-							break
-						}
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b := best.Load(); b < int64(n) {
-		return int(b)
-	}
-	return -1
+	return groups
 }
 
 // Group is one cluster produced by Cluster.

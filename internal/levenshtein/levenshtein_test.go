@@ -169,30 +169,3 @@ func BenchmarkDistanceTitles(b *testing.B) {
 		Distance(x, y)
 	}
 }
-
-func TestClusterNMatchesSerial(t *testing.T) {
-	// A corpus large enough to engage the parallel representative scan
-	// (>64 groups), with near-duplicates that must land in one group.
-	var items []string
-	var weights []int
-	models := []string{"FRITZ!Box", "Speedport", "EdgeRouter", "TL-WR", "Archer", "RT-AX", "DIR-", "WNDR"}
-	for i := 0; i < 400; i++ {
-		m := models[i%len(models)]
-		items = append(items, m+" "+string(rune('A'+i%26))+"-"+string(rune('0'+i%10))+string(rune('0'+(i/10)%10)))
-		weights = append(weights, 1+i%5)
-	}
-	serial := Cluster(items, weights, 0.2)
-	for _, w := range []int{2, 4, 8} {
-		par := ClusterN(items, weights, 0.2, w)
-		if len(par) != len(serial) {
-			t.Fatalf("workers=%d: %d groups vs %d serial", w, len(par), len(serial))
-		}
-		for i := range par {
-			if par[i].Representative != serial[i].Representative ||
-				par[i].Count != serial[i].Count ||
-				len(par[i].Members) != len(serial[i].Members) {
-				t.Fatalf("workers=%d group %d diverges: %+v vs %+v", w, i, par[i], serial[i])
-			}
-		}
-	}
-}

@@ -97,16 +97,12 @@ func TestScanWhileAppendAndCompact(t *testing.T) {
 	wg.Wait()
 
 	var n int
-	next, _ := s.Results(Pred{})
-	for {
-		r, err := next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r == nil {
-			break
-		}
+	it := s.Scan(Pred{Kind: KindResults})
+	for it.Next() {
 		n++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
 	}
 	if n != nSlices*rowsPer {
 		t.Fatalf("final scan saw %d results, want %d", n, nSlices*rowsPer)

@@ -361,19 +361,3 @@ func (it *Iter) Close() error {
 	}
 	return nil
 }
-
-// Results returns a pull source of result rows matching pred (Kind is
-// forced to KindResults), shaped for analysis.NewDatasetStream: each
-// call yields the next row in canonical order, then (nil, nil) at the
-// end of the scan.
-func (s *Store) Results(pred Pred) (next func() (*zgrab.Result, error), stats func() ScanStats) {
-	pred.Kind = KindResults
-	it := s.Scan(pred)
-	next = func() (*zgrab.Result, error) {
-		if it.Next() {
-			return it.Row().Result, nil
-		}
-		return nil, it.Err()
-	}
-	return next, func() ScanStats { return it.Stats() }
-}

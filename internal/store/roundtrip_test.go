@@ -47,15 +47,18 @@ func TestAnalysisRoundTripThroughStore(t *testing.T) {
 	}
 
 	// Store-queried dataset (the query-engine path).
-	next, stats := st.Results(store.Pred{})
-	dsStore, err := analysis.NewDatasetStream("ntp", next)
-	if err != nil {
+	dsStore := analysis.NewDataset("ntp", nil)
+	it := st.Scan(store.Pred{Kind: store.KindResults})
+	for it.Next() {
+		dsStore.Add(it.Row().Result)
+	}
+	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if len(dsStore.Results) == 0 || len(dsStore.Results) != len(dsJSON.Results) {
 		t.Fatalf("store dataset has %d results, JSONL %d", len(dsStore.Results), len(dsJSON.Results))
 	}
-	if s := stats(); s.BlocksSkipped == 0 || s.BytesSkipped == 0 {
+	if s := it.Stats(); s.BlocksSkipped == 0 || s.BytesSkipped == 0 {
 		t.Fatalf("result-only query skipped nothing (capture blocks must be pruned): %+v", s)
 	}
 
