@@ -52,6 +52,17 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// What one client may hold of the daemon: a request's header must
+// arrive within readHeaderTimeout and the whole request (a submit body
+// is one shard-slice) within readTimeout, a kept-alive connection may
+// idle for idleTimeout, and a header is at most maxHeaderBytes.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 60 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
+
 // status is the single JSON line clusterd prints once it is serving.
 type status struct {
 	Listening string `json:"listening"`
@@ -107,7 +118,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		LeaseTTL:  *leaseTTL,
 	})
 
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ntpscan/internal/chaos"
 	"ntpscan/internal/cluster"
@@ -149,5 +151,28 @@ func TestClusterdRejectsBadFlags(t *testing.T) {
 	if code := run(context.Background(), []string{"-shards", "4", "-listen", "127.0.0.1:port"},
 		&out, &errOut); code != 1 {
 		t.Errorf("run with unparseable listen address = %d, want 1", code)
+	}
+}
+
+// A client that sends half a request line and goes quiet is
+// disconnected at readHeaderTimeout, and the daemon still shuts down
+// with nothing left running.
+func TestClusterdDropsStalledClient(t *testing.T) {
+	chaos.NoGoroutineLeaks(t)
+	st, stop := startDaemon(t, "-shards", "4", "-nodes", "2")
+	conn, err := net.Dial("tcp", st.Listening)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/cluster/claim HT"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client still connected %v past the header timeout: %v (read %q)", 10*time.Second, err, reply)
+	}
+	if code := stop(); code != 0 {
+		t.Fatalf("exit %d", code)
 	}
 }

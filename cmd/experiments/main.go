@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/url"
 	"os"
 	"strings"
 
@@ -70,6 +71,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *collectOnly && *clusterURL != "" {
 		return fail(2, "-cluster needs the scan campaign (drop -collect-only)")
+	}
+	if *clusterURL != "" {
+		// A replica that cannot reach its coordinator retries for over a
+		// minute and then prints a campaign it took no part in: refuse
+		// what can never connect before building a world.
+		u, err := url.Parse(*clusterURL)
+		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+			return fail(2, fmt.Sprintf("-cluster %q is not an http(s)://host[:port] URL", *clusterURL))
+		}
+		if *nodeID < 0 || *nodeID >= *nodes {
+			return fail(2, fmt.Sprintf("-node %d is outside [0, -nodes %d)", *nodeID, *nodes))
+		}
 	}
 	if *collectOnly && *storeDir != "" {
 		return fail(2, "-store needs the scan campaign (drop -collect-only)")

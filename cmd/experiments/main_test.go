@@ -2,11 +2,16 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite docs/measured_output.txt from this build's -ablations output")
 
 var tinyWorld = []string{"-seed", "9", "-device-scale", "1e-3", "-addr-scale", "1e-6", "-as-scale", "0.02", "-workers", "4"}
 
@@ -53,6 +58,9 @@ func TestExperimentsRejectsBadArguments(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
 		{"-collect-only", "-cluster", "http://127.0.0.1:1"},
+		{"-cluster", "://nope", "-nodes", "2", "-node", "0"},
+		{"-cluster", "127.0.0.1:1", "-nodes", "2", "-node", "0"},
+		{"-cluster", "http://127.0.0.1:1", "-nodes", "2", "-node", "2"},
 		{"-collect-only", "-store", filepath.Join(dir, "s.store")},
 		{"-linkplan", filepath.Join(dir, "missing.json")},
 		{"-linkplan", garbled},
@@ -66,4 +74,55 @@ func TestExperimentsRejectsBadArguments(t *testing.T) {
 	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 {
 		t.Errorf("rejected runs left files behind: %v (err %v)", ents, err)
 	}
+}
+
+// TestAblationsPrintTheCommittedEvaluation makes the printed evaluation
+// an oracle: `experiments -ablations` at the default seed and scales is
+// docs/measured_output.txt byte for byte, on one CPU and on all of
+// them. EXPERIMENTS.md's tables are read off that file, so a change
+// that moves a number moves the document in the same commit:
+//
+//	go test ./cmd/experiments -run TestAblationsPrintTheCommittedEvaluation -update
+func TestAblationsPrintTheCommittedEvaluation(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the default-scale evaluation takes over a minute under the race detector; the campaign's determinism has its own -race oracles")
+			}
+		}
+	}
+	const golden = "../../docs/measured_output.txt"
+	want, err := os.ReadFile(golden)
+	if err != nil && !*update {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		prev := runtime.GOMAXPROCS(procs)
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-ablations"}, &stdout, &stderr)
+		runtime.GOMAXPROCS(prev)
+		if code != 0 {
+			t.Fatalf("GOMAXPROCS=%d: exit %d (stderr: %s)", procs, code, stderr.String())
+		}
+		got := stdout.Bytes()
+		if *update && procs == 1 {
+			if err := os.WriteFile(golden, got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			want = got
+		}
+		if !bytes.Equal(got, want) {
+			line := 1 + bytes.Count(got[:commonPrefix(got, want)], []byte("\n"))
+			t.Fatalf("GOMAXPROCS=%d: -ablations printed %d bytes, %s holds %d; first difference on line %d (rerun with -update if the change is meant)",
+				procs, len(got), golden, len(want), line)
+		}
+	}
+}
+
+func commonPrefix(a, b []byte) int {
+	n := 0
+	for n < len(a) && n < len(b) && a[n] == b[n] {
+		n++
+	}
+	return n
 }

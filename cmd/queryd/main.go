@@ -58,6 +58,18 @@ func main() {
 	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// What one client may hold of the daemon: a request's header must
+// arrive within readHeaderTimeout and the whole request within
+// readTimeout, a kept-alive connection may idle for idleTimeout, and a
+// header is at most maxHeaderBytes. There is no write timeout: a scan
+// reply may legitimately take long.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 60 * time.Second
+	maxHeaderBytes    = 16 << 10
+)
+
 // status is the single JSON line queryd prints once it is serving.
 type status struct {
 	Listening string `json:"listening"`
@@ -155,7 +167,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Results:   results,
 	})
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

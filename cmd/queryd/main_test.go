@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/netip"
 	"strings"
 	"testing"
 	"time"
 
+	"ntpscan/internal/chaos"
 	"ntpscan/internal/store"
 	"ntpscan/internal/zgrab"
 )
@@ -177,5 +179,30 @@ func TestQuerydArgErrors(t *testing.T) {
 	}
 	if code := run(context.Background(), []string{"-store", t.TempDir(), "-listen", "256.256.256.256:0"}, &out, &errb); code != 1 {
 		t.Fatalf("bad listen addr: exit %d", code)
+	}
+}
+
+// A client that sends half a request line and goes quiet is
+// disconnected at readHeaderTimeout — it does not hold a connection and
+// its goroutine for as long as it likes — and the daemon still shuts
+// down with nothing left running.
+func TestQuerydDropsStalledClient(t *testing.T) {
+	chaos.NoGoroutineLeaks(t)
+	dir := t.TempDir()
+	seedStore(t, dir)
+	st, shutdown := startQueryd(t, []string{"-store", dir, "-listen", "127.0.0.1:0"})
+	defer shutdown()
+
+	conn, err := net.Dial("tcp", st.Listening)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/tables/modules HT"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+	if reply, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("stalled client still connected %v past the header timeout: %v (read %q)", 10*time.Second, err, reply)
 	}
 }

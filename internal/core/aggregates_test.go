@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -11,20 +10,16 @@ import (
 	"ntpscan/internal/zgrab"
 )
 
-// countingAggregator is a minimal SliceAggregator: it tallies rows and
-// snapshots the tallies, enough to pin the feed/checkpoint/restore
-// plumbing without internal/query (which has its own end-to-end
-// byte-identity suite against this interface).
+// countingAggregator is a minimal SliceAggregator: it tallies rows,
+// enough to pin the feed and the resume replay without internal/query
+// (which has its own end-to-end byte-identity suite against this
+// interface).
 type countingAggregator struct {
-	Caps      int64 `json:"caps"`
-	Results   int64 `json:"results"`
-	Slices    int   `json:"slices"`
-	TailSeen  bool  `json:"tail_seen"`
-	restored  int
-	failFeed  bool
-	failSnap  bool
-	failRest  bool
-	snapshots int
+	Caps     int64
+	Results  int64
+	Slices   int // calls, not slices: a replayed slice may arrive in several
+	TailSeen bool
+	failFeed bool
 }
 
 func (a *countingAggregator) AggregateSlice(slice int, caps []store.CaptureRow, results []*zgrab.Result) error {
@@ -34,30 +29,15 @@ func (a *countingAggregator) AggregateSlice(slice int, caps []store.CaptureRow, 
 	a.Caps += int64(len(caps))
 	a.Results += int64(len(results))
 	a.Slices++
-	if caps == nil {
+	if slice == collectSlices {
 		a.TailSeen = true
 	}
 	return nil
 }
 
-func (a *countingAggregator) Snapshot() (json.RawMessage, error) {
-	if a.failSnap {
-		return nil, errors.New("aggregator snapshot boom")
-	}
-	a.snapshots++
-	return json.Marshal(a)
-}
-
-func (a *countingAggregator) Restore(raw json.RawMessage) error {
-	if a.failRest {
-		return errors.New("aggregator restore boom")
-	}
-	a.restored++
-	return json.Unmarshal(raw, a)
-}
-
 // The aggregator sees exactly the rows the store appends — same
-// barrier, same data — and the tail flush arrives as a nil-caps slice.
+// barrier, same data — and the tail flush arrives as the synthetic
+// slice past the last collection slice.
 func TestAggregatorSeesStoreRows(t *testing.T) {
 	cfg := testConfig(45)
 	cfg.CaptureBudget = 1500
@@ -97,63 +77,67 @@ func TestAggregatorSeesStoreRows(t *testing.T) {
 	}
 }
 
-// Checkpoints carry the aggregator snapshot; resume restores it and
-// the resumed run finishes with the uninterrupted run's totals.
+// A checkpoint holds nothing of the aggregator: resume rewinds the
+// store and feeds it back through AggregateSlice, and the resumed run
+// finishes with the uninterrupted run's totals.
 func TestAggregatorCheckpointResume(t *testing.T) {
 	cfg := testConfig(46)
 	cfg.CaptureBudget = 1500
 	var cps []*Checkpoint
 	p := NewPipeline(cfg)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{Obs: p.Obs})
+	if err != nil {
+		t.Fatal(err)
+	}
 	full := &countingAggregator{}
 	if _, err := p.RunCampaign(context.Background(), CampaignOpts{
+		Store:           st,
 		Aggregates:      full,
 		CheckpointEvery: 32,
 		OnCheckpoint:    func(cp *Checkpoint) { cps = append(cps, cp) },
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(cps) == 0 || full.snapshots != len(cps) {
-		t.Fatalf("snapshots = %d, checkpoints = %d", full.snapshots, len(cps))
-	}
-	if cps[0].Aggregates == nil {
-		t.Fatal("checkpoint carries no aggregate snapshot")
+	if len(cps) == 0 {
+		t.Fatal("no checkpoints")
 	}
 
-	p2 := NewPipeline(cfg)
+	// Every segment the first checkpoint pins survived compaction and
+	// Seal (32 is a multiple of the compaction cadence), so the finished
+	// directory rewinds to it.
+	resume := func(agg *countingAggregator) error {
+		p := NewPipeline(cfg)
+		st, err := store.Open(dir, store.Options{Obs: p.Obs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = p.ResumeCampaign(context.Background(), cps[0], CampaignOpts{Store: st, Aggregates: agg})
+		return err
+	}
 	resumed := &countingAggregator{}
-	if _, err := p2.ResumeCampaign(context.Background(), cps[0], CampaignOpts{Aggregates: resumed}); err != nil {
+	if err := resume(resumed); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.restored != 1 {
-		t.Errorf("restored %d times, want 1", resumed.restored)
-	}
-	if resumed.Caps != full.Caps || resumed.Results != full.Results || !resumed.TailSeen {
+	if resumed.Caps != full.Caps || resumed.Results != full.Results || resumed.TailSeen != full.TailSeen {
 		t.Errorf("resumed totals %+v, want %+v", resumed, full)
 	}
 
-	// A checkpoint from an aggregator-less run is refused.
-	var plain []*Checkpoint
-	p3 := NewPipeline(cfg)
-	if _, err := p3.RunCampaign(context.Background(), CampaignOpts{
-		CheckpointEvery: 48,
-		OnCheckpoint:    func(cp *Checkpoint) { plain = append(plain, cp) },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p4 := NewPipeline(cfg)
-	if _, err := p4.ResumeCampaign(context.Background(), plain[0], CampaignOpts{Aggregates: &countingAggregator{}}); err == nil {
-		t.Error("resume accepted a snapshot-less checkpoint with an aggregator attached")
+	// A replay error surfaces before the slice loop starts.
+	if err := resume(&countingAggregator{failFeed: true}); err == nil || !strings.Contains(err.Error(), "feed boom") {
+		t.Errorf("resume swallowed a replay error: %v", err)
 	}
 
-	// A restore failure surfaces before the slice loop starts.
-	p5 := NewPipeline(cfg)
-	if _, err := p5.ResumeCampaign(context.Background(), cps[0], CampaignOpts{Aggregates: &countingAggregator{failRest: true}}); err == nil {
-		t.Error("resume swallowed a Restore error")
+	// The store is the record: an aggregator with no store to replay is
+	// refused, not silently started empty.
+	p2 := NewPipeline(cfg)
+	if _, err := p2.ResumeCampaign(context.Background(), cps[0], CampaignOpts{Aggregates: &countingAggregator{}}); err == nil {
+		t.Error("resume accepted an aggregator with no store attached")
 	}
 }
 
-// Aggregator errors — from the slice feed and from Snapshot — fail the
-// campaign instead of silently desynchronising the materialized view.
+// An aggregator error fails the campaign instead of silently
+// desynchronising the materialized view.
 func TestAggregatorErrorsFailCampaign(t *testing.T) {
 	cfg := testConfig(47)
 	cfg.CaptureBudget = 1000
@@ -161,14 +145,5 @@ func TestAggregatorErrorsFailCampaign(t *testing.T) {
 	_, err := p.RunCampaign(context.Background(), CampaignOpts{Aggregates: &countingAggregator{failFeed: true}})
 	if err == nil || !strings.Contains(err.Error(), "feed boom") {
 		t.Errorf("feed error not surfaced: %v", err)
-	}
-	p2 := NewPipeline(cfg)
-	_, err = p2.RunCampaign(context.Background(), CampaignOpts{
-		Aggregates:      &countingAggregator{failSnap: true},
-		CheckpointEvery: 24,
-		OnCheckpoint:    func(*Checkpoint) {},
-	})
-	if err == nil || !strings.Contains(err.Error(), "snapshot boom") {
-		t.Errorf("snapshot error not surfaced: %v", err)
 	}
 }

@@ -81,12 +81,6 @@ type Checkpoint struct {
 	// rewinds the store directory to exactly this state — the durable
 	// replacement for the fragile JSONL byte offset.
 	Store *store.Manifest `json:"store,omitempty"`
-	// Aggregates is the slice aggregator's snapshot (present only when
-	// the campaign ran with CampaignOpts.Aggregates). Resume restores
-	// the aggregator from it before re-entering the slice loop, so
-	// incrementally maintained query tables stay exactly consistent with
-	// the store the checkpoint pins.
-	Aggregates json.RawMessage `json:"aggregates,omitempty"`
 	// Cluster is the coordinator's section, present only when the
 	// campaign ran under internal/cluster: the per-shard lease epochs
 	// (the fencing state — a resumed coordinator must keep rejecting
@@ -189,9 +183,9 @@ type CampaignOpts struct {
 	// Aggregates, when non-nil, observes every slice's drained data at
 	// the same barrier the store append runs at, letting a serving layer
 	// maintain materialized query tables incrementally instead of
-	// rescanning the store. Checkpoints carry its Snapshot and
-	// ResumeCampaign calls Restore, so aggregate state survives
-	// interruption exactly in step with the pinned store manifest.
+	// rescanning the store. A checkpoint holds none of its state:
+	// ResumeCampaign feeds the rewound store back through it, so the view
+	// is rebuilt exactly in step with the pinned store manifest.
 	Aggregates SliceAggregator
 }
 
@@ -202,13 +196,13 @@ type CampaignOpts struct {
 // call (the campaign reuses the backing arrays), so implementations
 // must copy what they keep. The post-Close result tail arrives as one
 // final synthetic slice (caps nil), mirroring the store's tail append.
-// Aggregate state must be order-insensitive in its snapshot: Snapshot
-// bytes are compared across worker counts and against full-store
-// recomputation.
+// A slice may arrive in more than one call, and calls need not come in
+// slice order: a resume replays the rewound store segment by segment
+// (store.ReplaySlices), and a compacted segment holds all its slices'
+// captures ahead of their results. Aggregate state must therefore
+// depend only on the multiset of rows fed, never on their grouping.
 type SliceAggregator interface {
 	AggregateSlice(slice int, caps []store.CaptureRow, results []*zgrab.Result) error
-	Snapshot() (json.RawMessage, error)
-	Restore(json.RawMessage) error
 }
 
 // countingWriter tracks the output byte offset for checkpoints.
@@ -310,7 +304,9 @@ func (p *Pipeline) RunCampaign(ctx context.Context, opts CampaignOpts) (*analysi
 // Config (seed, scales, shards) — and the same FaultPlan installed —
 // as the run that took the checkpoint; the resumed run then emits the
 // exact output the uninterrupted run would have produced from
-// cp.OutOffset onward.
+// cp.OutOffset onward. An attached store is rewound to the manifest the
+// checkpoint pins, and an attached aggregator is then fed that store
+// again, so it needs the store: without one the resume is refused.
 func (p *Pipeline) ResumeCampaign(ctx context.Context, cp *Checkpoint, opts CampaignOpts) (*analysis.Dataset, error) {
 	if err := p.restore(cp); err != nil {
 		return nil, err
@@ -324,11 +320,13 @@ func (p *Pipeline) ResumeCampaign(ctx context.Context, cp *Checkpoint, opts Camp
 		}
 	}
 	if opts.Aggregates != nil {
-		if cp.Aggregates == nil {
-			return nil, fmt.Errorf("core: checkpoint carries no aggregate snapshot but an aggregator is attached")
+		// The store is the record: the aggregate view is rebuilt from the
+		// segments the checkpoint pins, not carried beside them.
+		if opts.Store == nil {
+			return nil, fmt.Errorf("core: an aggregator resumes from the rewound store, but no store is attached")
 		}
-		if err := opts.Aggregates.Restore(cp.Aggregates); err != nil {
-			return nil, fmt.Errorf("core: restore aggregates: %w", err)
+		if err := opts.Store.ReplaySlices(opts.Aggregates.AggregateSlice); err != nil {
+			return nil, fmt.Errorf("core: rebuild aggregates: %w", err)
 		}
 	}
 	return p.runCampaignFrom(ctx, cp.NextSlice, opts)
@@ -408,13 +406,6 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 			if opts.Store != nil {
 				m := opts.Store.Manifest()
 				cp.Store = &m
-			}
-			if opts.Aggregates != nil {
-				raw, err := opts.Aggregates.Snapshot()
-				if err != nil && werr == nil {
-					werr = err
-				}
-				cp.Aggregates = raw
 			}
 			opts.OnCheckpoint(cp)
 		}

@@ -4,11 +4,12 @@
 //   - Aggregates, incrementally maintained materialized tables (the
 //     paper's per-module, per-vantage, per-/48, per-slice and Table 2
 //     summaries). A running campaign feeds them at each slice's drain
-//     barrier through core's SliceAggregator hook; an offline store is
-//     recomputed with FromStore. Both routes land on identical state:
-//     the aggregates are pure sets and counts, so accumulation order
-//     cannot leak into them, and the snapshot encoding is
-//     deterministic (sorted keys, sorted set members).
+//     barrier through core's SliceAggregator hook (a resumed one
+//     replays the rewound store through the same hook first); an
+//     offline store is recomputed with FromStore. All routes land on
+//     identical state: the aggregates are pure sets and counts, so
+//     accumulation order cannot leak into them, and the snapshot
+//     encoding is deterministic (sorted keys, sorted set members).
 //   - Server, an HTTP/JSON front end exposing the tables plus ad-hoc
 //     predicate scans that push down to the store's block index.
 //
@@ -301,16 +302,12 @@ type sliceState struct {
 	Results  int64 `json:"results"`
 }
 
-// The snapshot's reflective encoders (this package's and the Table 2
-// builder's) are built at package load, not inside a process's first
-// campaign (see core.Checkpoint's init).
-func init() {
-	NewAggregates().Snapshot()
-}
-
-// Snapshot implements core.SliceAggregator: a byte-deterministic JSON
-// snapshot. Two aggregate states with equal contents — however
-// accumulated — serialize to identical bytes.
+// Snapshot is a byte-deterministic JSON image of the tables: two
+// aggregate states with equal contents — however accumulated —
+// serialize to identical bytes, which is what the consistency oracles
+// compare (incremental against FromStore, resumed against
+// uninterrupted). No campaign takes one: a checkpoint pins the store
+// and a resume replays it through AggregateSlice.
 func (a *Aggregates) Snapshot() (json.RawMessage, error) {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
@@ -340,8 +337,7 @@ func (a *Aggregates) Snapshot() (json.RawMessage, error) {
 	return json.Marshal(st)
 }
 
-// Restore implements core.SliceAggregator: it replaces the tables with
-// a Snapshot's contents.
+// Restore replaces the tables with a Snapshot's contents.
 func (a *Aggregates) Restore(raw json.RawMessage) error {
 	var st aggState
 	if err := json.Unmarshal(raw, &st); err != nil {

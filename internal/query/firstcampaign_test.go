@@ -21,14 +21,13 @@ const coldChildEnv = "NTPSCAN_COLD_CHILD"
 
 // A process's first durable campaign must allocate like its tenth.
 // encoding/json builds a type's reflective encoder on first use; when
-// that happens inside a campaign — the checkpoint document, the
-// aggregate snapshot, a grab payload — the first campaign carries a
-// thousand allocations the others do not, and a harness that holds
-// allocations per result to a thousandth of their median reads it as
-// a fault. The result encoder is hand-written and what a campaign still
-// reflects over (the checkpoint, the aggregate snapshot, the grab
-// payload's decode side) is warmed at package load, so the construction
-// is nobody's campaign.
+// that happens inside a campaign — the checkpoint document, a grab
+// payload — the first campaign carries a thousand allocations the
+// others do not, and a harness that holds allocations per result to a
+// thousandth of their median reads it as a fault. The result encoder
+// is hand-written and what a campaign still reflects over (the
+// checkpoint, the grab payload's decode side) is warmed at package
+// load, so the construction is nobody's campaign.
 //
 // The test re-executes its own binary so every cache is cold, then in
 // the child runs one clean campaign and three durable ones (store,

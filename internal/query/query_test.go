@@ -77,14 +77,17 @@ func TestAggregatesBitIdenticalAcrossWorkersAndFromStore(t *testing.T) {
 	}
 }
 
-// TestAggregatesCheckpointResume interrupts a campaign at a checkpoint
-// and resumes it with a fresh aggregator restored from the checkpoint:
-// the final snapshot must equal the uninterrupted run's byte-for-byte.
-func TestAggregatesCheckpointResume(t *testing.T) {
-	cfg := campaignConfig(48, 16)
-
+// resumeDurable runs a durable campaign — store, aggregates, telemetry,
+// a checkpoint every `every` slices — to its end, copying the store
+// directory as a crash would leave it at the third checkpoint, then
+// resumes the copy from the first checkpoint on a fresh pipeline with a
+// fresh aggregator. It returns both runs' final aggregate snapshots and
+// telemetry, the full run's cut to the lines from the resume slice on.
+func resumeDurable(t *testing.T, cfg core.Config, every int) (wantSnap, gotSnap, wantTel, gotTel []byte) {
+	t.Helper()
 	fullDir, crashDir := t.TempDir(), t.TempDir()
 	var cps []*core.Checkpoint
+	var fullTel, restTel bytes.Buffer
 	p1 := core.NewPipeline(cfg)
 	st1, err := store.Open(fullDir, store.Options{Obs: p1.Obs})
 	if err != nil {
@@ -94,7 +97,8 @@ func TestAggregatesCheckpointResume(t *testing.T) {
 	_, err = p1.RunCampaign(context.Background(), core.CampaignOpts{
 		Store:           st1,
 		Aggregates:      agg1,
-		CheckpointEvery: 24,
+		Telemetry:       &fullTel,
+		CheckpointEvery: every,
 		OnCheckpoint: func(cp *core.Checkpoint) {
 			cps = append(cps, cp)
 			if len(cps) == 3 {
@@ -108,17 +112,12 @@ func TestAggregatesCheckpointResume(t *testing.T) {
 	if len(cps) < 3 {
 		t.Fatalf("expected 3 checkpoints, got %d", len(cps))
 	}
-	want, err := agg1.Snapshot()
-	if err != nil {
+	if wantSnap, err = agg1.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 
-	cp := cps[0]
-	if cp.Aggregates == nil {
-		t.Fatal("checkpoint carries no aggregate snapshot")
-	}
 	// JSON round-trip: checkpoints cross process boundaries as files.
-	blob, err := json.Marshal(cp)
+	blob, err := json.Marshal(cps[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,23 +132,47 @@ func TestAggregatesCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg2 := query.NewAggregates()
-	if _, err := p2.ResumeCampaign(context.Background(), &back, core.CampaignOpts{Store: st2, Aggregates: agg2}); err != nil {
+	if _, err := p2.ResumeCampaign(context.Background(), &back, core.CampaignOpts{
+		Store:           st2,
+		Aggregates:      agg2,
+		Telemetry:       &restTel,
+		CheckpointEvery: every,
+		OnCheckpoint:    func(*core.Checkpoint) {},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := agg2.Snapshot()
-	if err != nil {
+	if gotSnap, err = agg2.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	lines := bytes.SplitAfter(fullTel.Bytes(), []byte("\n"))
+	return wantSnap, gotSnap, bytes.Join(lines[back.NextSlice:], nil), restTel.Bytes()
+}
+
+// TestAggregatesCheckpointResume interrupts a campaign at a checkpoint
+// and resumes it with a fresh aggregator, which the resume rebuilds by
+// replaying the rewound store: the final snapshot must equal the
+// uninterrupted run's byte-for-byte.
+func TestAggregatesCheckpointResume(t *testing.T) {
+	want, got, _, _ := resumeDurable(t, campaignConfig(48, 16), 24)
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed aggregate snapshot diverges from uninterrupted run")
 	}
+}
 
-	// An aggregator attached to a checkpoint without an aggregate
-	// section must be rejected, not silently started empty.
-	back.Aggregates = nil
-	p3 := core.NewPipeline(cfg)
-	if _, err := p3.ResumeCampaign(context.Background(), &back, core.CampaignOpts{Aggregates: query.NewAggregates()}); err == nil {
-		t.Fatal("resume accepted a checkpoint with no aggregate snapshot")
+// TestDurableResumeTelemetryByteExact attaches all three of store,
+// aggregates and telemetry across a resume. The cadence of 20 leaves
+// the first checkpoint pinning L0 segments a later compaction consumed
+// (ResetTo resurrects them and the replay walks both levels), and the
+// replay reads the very store whose counters every later telemetry
+// line carries: read through Scan, it would book blocks and cache
+// traffic the uninterrupted run never saw.
+func TestDurableResumeTelemetryByteExact(t *testing.T) {
+	wantSnap, gotSnap, wantTel, gotTel := resumeDurable(t, campaignConfig(49, 4), 20)
+	if !bytes.Equal(gotSnap, wantSnap) {
+		t.Error("resumed aggregate snapshot diverges from uninterrupted run")
+	}
+	if len(wantTel) == 0 || !bytes.Equal(gotTel, wantTel) {
+		t.Fatalf("resumed telemetry diverges: %d bytes vs %d expected", len(gotTel), len(wantTel))
 	}
 }
 

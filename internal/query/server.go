@@ -203,6 +203,9 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := it.Stats()
+	// The scan is over: release it before the reply is written, so a slow
+	// client cannot hold back the store's Seal.
+	it.Close()
 	stats := &Stats{
 		Rows:          int64(rows),
 		Truncated:     truncated,

@@ -1,12 +1,14 @@
 package query
 
 import (
+	"bytes"
 	"net/http/httptest"
 	"net/netip"
 	"strings"
 	"testing"
 
 	"ntpscan/internal/store"
+	"ntpscan/internal/zgrab"
 )
 
 // These are white-box unit tests for the request-parsing and
@@ -134,5 +136,32 @@ func TestAggregatesRestoreRejectsBadState(t *testing.T) {
 		if err := a.Restore([]byte(raw)); err == nil {
 			t.Errorf("Restore(%s) accepted", raw)
 		}
+	}
+}
+
+// No campaign restores a snapshot any more, so the round trip is held
+// here: Restore(Snapshot(a)) snapshots to the same bytes.
+func TestAggregatesRestoreRoundTrip(t *testing.T) {
+	a := NewAggregates()
+	addr := netip.MustParseAddr("2001:db8:1::7")
+	err := a.AggregateSlice(3,
+		[]store.CaptureRow{{Addr: addr, Vantage: "DE"}},
+		[]*zgrab.Result{
+			{IP: addr, Module: "ssh", Status: zgrab.StatusSuccess, SSH: &zgrab.SSHGrab{ServerID: "SSH-2.0-OpenSSH_9.6"}},
+			{IP: addr, Module: "http", Status: zgrab.StatusTimeout},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := a.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewAggregates()
+	if err := b.Restore(want); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Snapshot(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("restored snapshot (err %v):\n got  %s\n want %s", err, got, want)
 	}
 }

@@ -94,7 +94,7 @@ func (s *Store) compact(inputs []SegmentInfo) error {
 	if err != nil {
 		return err
 	}
-	name := fmt.Sprintf("seg-L1-%05d-%05d.seg", sb.sliceLo, sb.sliceHi)
+	name := segmentName(1, sb.sliceLo, sb.sliceHi)
 	if err := s.writeFileAtomic(name, data); err != nil {
 		return err
 	}

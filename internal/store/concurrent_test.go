@@ -2,6 +2,8 @@ package store
 
 import (
 	"net/netip"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,6 +94,11 @@ func TestScanWhileAppendAndCompact(t *testing.T) {
 
 	for sl := 0; sl < nSlices; sl++ {
 		appendOne(t, s, sl, rowsPer)
+		// Seal deletes what the compaction just retired — files the
+		// readers' open snapshots may still list.
+		if err := s.Seal(); err != nil {
+			t.Errorf("seal after slice %d: %v", sl, err)
+		}
 	}
 	done.Store(true)
 	wg.Wait()
@@ -178,6 +185,52 @@ func TestIterAcrossCompactionRetire(t *testing.T) {
 	}
 	if n != 4*rowsPer {
 		t.Fatalf("post-seal scan saw %d rows, want %d", n, 4*rowsPer)
+	}
+}
+
+// TestSealWaitsForOpenIterators: an iterator whose snapshot lists L0
+// segments outlives the compaction that retires them and the Seal that
+// deletes the retired files. It must still yield every row of its
+// snapshot — Seal holds its deletions until the iterator closes.
+func TestSealWaitsForOpenIterators(t *testing.T) {
+	const rowsPer = 50
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CompactEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sl := 0; sl < 3; sl++ {
+		appendOne(t, s, sl, rowsPer)
+	}
+	it := s.Scan(Pred{Kind: KindResults})
+	if !it.Next() {
+		t.Fatalf("empty scan: %v", it.Err())
+	}
+	appendOne(t, s, 3, rowsPer) // compacts: slices 0-2 are *.retired now
+
+	sealed := make(chan error, 1)
+	go func() { sealed <- s.Seal() }()
+	// A waiting writer turns new readers away: once TryRLock fails, Seal
+	// is parked behind the iterator.
+	for s.pins.TryRLock() {
+		s.pins.RUnlock()
+		runtime.Gosched()
+	}
+	n := 1
+	for it.Next() {
+		n++
+	}
+	if err := it.Err(); err != nil {
+		t.Fatalf("iterator across Seal: %v", err)
+	}
+	if n != 3*rowsPer {
+		t.Fatalf("iterator saw %d rows, want %d (snapshot of 3 slices)", n, 3*rowsPer)
+	}
+	if err := <-sealed; err != nil {
+		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*"+retiredSuffix)); len(left) != 0 {
+		t.Errorf("Seal left retired files behind: %v", left)
 	}
 }
 

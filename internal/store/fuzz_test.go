@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ntpscan/internal/zgrab"
@@ -45,8 +47,8 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(full)
 	f.Add(seedSegment(f, 1, 0))
 	f.Add(seedSegment(f, 0, 3))
-	f.Add(full[:len(full)/2])     // truncated tail
-	f.Add([]byte(segMagic))       // header only
+	f.Add(full[:len(full)/2]) // truncated tail
+	f.Add([]byte(segMagic))   // header only
 	f.Add([]byte("not a segment"))
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x40
@@ -146,34 +148,168 @@ func FuzzSegmentDecode(f *testing.F) {
 	})
 }
 
-// TestRegenerateFuzzCorpus rewrites the committed seed corpus under
-// testdata/fuzz/FuzzSegmentDecode. Skipped unless explicitly asked
-// for:
+// manifestFixture is what FuzzManifestRecover puts beside the manifest
+// under test: two valid one-slice segments, and the manifest the store
+// itself wrote for them.
+type manifestFixture struct {
+	segs  map[string][]byte
+	valid []byte
+}
+
+func newManifestFixture(tb testing.TB) manifestFixture {
+	dir := tb.TempDir()
+	s, err := Open(dir, Options{CompactEvery: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	appendOne(tb, s, 0, 8)
+	appendOne(tb, s, 1, 8)
+	fx := manifestFixture{segs: map[string][]byte{}}
+	for _, si := range s.Manifest().Segments {
+		if fx.segs[si.Name], err = os.ReadFile(filepath.Join(dir, si.Name)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if fx.valid, err = os.ReadFile(filepath.Join(dir, manifestName)); err != nil {
+		tb.Fatal(err)
+	}
+	return fx
+}
+
+// seeds are the manifests a hostile or damaged directory might hold,
+// each derived from the valid one.
+func (fx manifestFixture) seeds(tb testing.TB) map[string][]byte {
+	var m Manifest
+	if err := json.Unmarshal(fx.valid, &m); err != nil || len(m.Segments) != 2 {
+		tb.Fatalf("fixture manifest: %v (%d segments)", err, len(m.Segments))
+	}
+	edit := func(fn func(first *SegmentInfo, m *Manifest)) []byte {
+		c := m.clone()
+		fn(&c.Segments[0], &c)
+		out, err := json.Marshal(c)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return out
+	}
+	return map[string][]byte{
+		"valid":     fx.valid,
+		"empty":     {},
+		"null":      []byte("null"),
+		"truncated": fx.valid[:len(fx.valid)/2],
+		// Size and CRC still describe segment 0's bytes, which the fuzz
+		// target also leaves outside the directory as ../x.seg.retired.
+		"dotdot":        edit(func(si *SegmentInfo, _ *Manifest) { si.Name = "../x.seg" }),
+		"absolute":      edit(func(si *SegmentInfo, _ *Manifest) { si.Name = "/x.seg" }),
+		"nul":           edit(func(si *SegmentInfo, _ *Manifest) { si.Name += "\x00" }),
+		"duplicate":     edit(func(si *SegmentInfo, m *Manifest) { m.Segments = append(m.Segments, *si) }),
+		"negative":      edit(func(si *SegmentInfo, _ *Manifest) { si.SliceLo = -1 }),
+		"inverted":      edit(func(si *SegmentInfo, _ *Manifest) { si.SliceLo, si.SliceHi = 5, 2 }),
+		"bad-level":     edit(func(si *SegmentInfo, _ *Manifest) { si.Level = 7 }),
+		"rows-overflow": bytes.Replace(fx.valid, []byte(`"rows":`), []byte(`"rows":99999999999999999999`), 1),
+		"size-overflow": bytes.Replace(fx.valid, []byte(`"size":`), []byte(`"size":1e400,"x":`), 1),
+	}
+}
+
+// FuzzManifestRecover hardens the one file in a store directory that
+// names other files. Whatever MANIFEST.json holds, Open must not panic
+// or fail, must touch nothing outside the directory, must come back
+// with a manifest whose every entry is a segment the store could have
+// written and that checks out against its file, and must leave the
+// directory in a state a second Open does not change.
+func FuzzManifestRecover(f *testing.F) {
+	fx := newManifestFixture(f)
+	for _, seed := range fx.seeds(f) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		root := t.TempDir()
+		dir := filepath.Join(root, "store")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{filepath.Join(dir, manifestName): manifest}
+		for name, data := range fx.segs {
+			files[filepath.Join(dir, name)] = data
+		}
+		// Bait beside the directory: what an entry named ../x.seg would
+		// rename into place and validate against.
+		files[filepath.Join(root, "x.seg"+retiredSuffix)] = fx.segs[segmentName(0, 0, 0)]
+		for path, data := range files {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		outside := func() string {
+			ents, err := os.ReadDir(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range ents {
+				names = append(names, e.Name())
+			}
+			return fmt.Sprint(names)
+		}
+		before := outside()
+
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if after := outside(); after != before {
+			t.Fatalf("Open reached outside the directory: %s -> %s", before, after)
+		}
+		man, hi := s.Manifest(), -1
+		for _, si := range man.Segments {
+			if err := s.restoreSegment(si, hi); err != nil {
+				t.Fatalf("recovered manifest keeps an invalid entry: %v", err)
+			}
+			hi = si.SliceHi
+		}
+		first := hashDir(t, dir)
+		s2, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatalf("second Open: %v", err)
+		}
+		if !reflect.DeepEqual(s2.Manifest(), man) || hashDir(t, dir) != first {
+			t.Fatalf("second Open is not a fixed point:\n first  %+v\n second %+v", man, s2.Manifest())
+		}
+	})
+}
+
+// TestRegenerateFuzzCorpus rewrites the committed seed corpora under
+// testdata/fuzz. Skipped unless explicitly asked for:
 //
 //	NTPSCAN_REGEN_FUZZ_CORPUS=1 go test -run TestRegenerateFuzzCorpus ./internal/store/
 func TestRegenerateFuzzCorpus(t *testing.T) {
 	if os.Getenv("NTPSCAN_REGEN_FUZZ_CORPUS") == "" {
 		t.Skip("set NTPSCAN_REGEN_FUZZ_CORPUS=1 to rewrite the committed corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzSegmentDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	full := seedSegment(t, 24, 24)
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/3] ^= 0x40
-	entries := map[string][]byte{
-		"seed-full":        full,
-		"seed-captures":    seedSegment(t, 5, 0),
-		"seed-results":     seedSegment(t, 0, 5),
-		"seed-truncated":   full[:len(full)/2],
-		"seed-magic-only":  []byte(segMagic),
-		"seed-flipped-bit": flipped,
+	corpora := map[string]map[string][]byte{
+		"FuzzSegmentDecode": {
+			"seed-full":        full,
+			"seed-captures":    seedSegment(t, 5, 0),
+			"seed-results":     seedSegment(t, 0, 5),
+			"seed-truncated":   full[:len(full)/2],
+			"seed-magic-only":  []byte(segMagic),
+			"seed-flipped-bit": flipped,
+		},
+		"FuzzManifestRecover": newManifestFixture(t).seeds(t),
 	}
-	for name, data := range entries {
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+	for target, entries := range corpora {
+		dir := filepath.Join("testdata", "fuzz", target)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for name, data := range entries {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

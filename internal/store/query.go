@@ -92,10 +92,10 @@ type Iter struct {
 	buf    []Row
 	bufPos int
 
-	row     Row
-	err     error
-	stats   ScanStats
-	flushed bool
+	row    Row
+	err    error
+	stats  ScanStats
+	closed bool
 }
 
 // Scan opens a streaming iterator over all live rows matching pred.
@@ -103,8 +103,13 @@ type Iter struct {
 // so it is safe to run while AppendSlice and compaction mutate the
 // store: slices appended after Scan are not seen, and segments a
 // compaction retires mid-scan remain readable through their retired
-// names until Seal garbage-collects them.
+// names for as long as the iterator is open — Seal and ResetTo, which
+// delete files, wait for every open iterator to Close. Close it (or run
+// it to exhaustion) promptly, and never Seal, ResetTo or — while
+// another goroutine may be doing either — Scan again from the goroutine
+// that holds one open.
 func (s *Store) Scan(pred Pred) *Iter {
+	s.pins.RLock()
 	s.mu.RLock()
 	segs := s.man.clone().Segments
 	s.mu.RUnlock()
@@ -342,22 +347,27 @@ func (it *Iter) closeFile() {
 	}
 }
 
-// Close releases the iterator and folds its stats into the store's
-// metric families. Idempotent.
+// Close releases the iterator — its file, its pin on the files of its
+// snapshot — and folds its stats into the store's metric families.
+// Idempotent.
 func (it *Iter) Close() error {
+	if it.closed {
+		return nil
+	}
+	it.closed = true
 	it.closeFile()
 	it.cur = nil
 	it.segIdx = len(it.segs)
 	it.buf = nil
 	it.bufPos = 0
-	if st, m := it.stats, it.s.met; m != nil && !it.flushed {
+	it.s.pins.RUnlock()
+	if st, m := it.stats, it.s.met; m != nil {
 		m.BlocksRead.Add(st.BlocksRead)
 		m.BlocksSkipped.Add(st.BlocksSkipped)
 		m.BytesRead.Add(st.BytesRead)
 		m.BytesSkipped.Add(st.BytesSkipped)
 		m.BlockCacheHits.Add(st.CacheHits)
 		m.BlockCacheMisses.Add(st.CacheMisses)
-		it.flushed = true
 	}
 	return nil
 }

@@ -1,0 +1,68 @@
+package store
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+
+	"ntpscan/internal/zgrab"
+)
+
+// ReplaySlices feeds the live rows back to fn the way AppendSlice
+// received them, which is how a resumed campaign rebuilds the view it
+// maintains beside the store (core.SliceAggregator) after ResetTo. It
+// walks the manifest in order and decodes each segment file whole with
+// DecodeSegment; fn gets runs of rows of one slice — a one-slice L0
+// segment's captures and results together, a compacted segment's
+// slices first as capture-only and then as result-only calls — so a
+// slice may arrive in more than one call, and every row arrives exactly
+// once. caps and results are reused between calls: fn copies what it
+// keeps. An error from fn stops the replay.
+//
+// The replay is not a query: it goes through neither the block cache
+// nor the footer cache and moves no store_* counter, so a resumed run's
+// memory and telemetry are the uninterrupted run's. It holds the
+// store's read lock throughout; fn must not append to, reset or seal
+// the store.
+func (s *Store) ReplaySlices(fn func(slice int, caps []CaptureRow, results []*zgrab.Result) error) error {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var (
+		slice   int
+		caps    []CaptureRow
+		results []*zgrab.Result
+	)
+	// next hands fn the pending run, if any, and starts one for slice to.
+	next := func(to int) (err error) {
+		if len(caps) > 0 || len(results) > 0 {
+			err = fn(slice, caps, results)
+		}
+		slice, caps, results = to, caps[:0], results[:0]
+		return err
+	}
+	for _, si := range s.man.Segments {
+		data, err := os.ReadFile(filepath.Join(s.dir, si.Name))
+		if err == nil {
+			err = DecodeSegment(data, func(c CaptureRow, sl int) (err error) {
+				if sl != slice {
+					err = next(sl)
+				}
+				caps = append(caps, c)
+				return err
+			}, func(r *zgrab.Result, sl int) (err error) {
+				if sl != slice {
+					err = next(sl)
+				}
+				results = append(results, r)
+				return err
+			})
+		}
+		if err == nil {
+			err = next(0)
+		}
+		if err != nil {
+			return fmt.Errorf("store: replay: segment %s: %w", si.Name, err)
+		}
+	}
+	return nil
+}

@@ -712,9 +712,11 @@ func decodeResultBlock(raw []byte, fn func(*zgrab.Result, int) error) error {
 }
 
 // DecodeSegment fully parses and decodes an in-memory segment image —
-// footer, every block, every row. It is the crash-recovery validator's
-// strict sibling and the FuzzSegmentDecode entry point: any input must
-// either decode cleanly or fail with an error, never panic.
+// footer, every block, every row, in file order. It is the walker
+// ReplaySlices runs over every live segment on a resume and the
+// FuzzSegmentDecode entry point: any input must either decode cleanly
+// or fail with an error, never panic. capFn and resFn get every row
+// with its slice id; neither may be nil.
 func DecodeSegment(data []byte, capFn func(CaptureRow, int) error, resFn func(*zgrab.Result, int) error) error {
 	seg, err := parseSegmentBytes(data)
 	if err != nil {
@@ -727,23 +729,12 @@ func DecodeSegment(data []byte, capFn func(CaptureRow, int) error, resFn func(*z
 		}
 		switch bi.Kind {
 		case KindCaptures:
-			if err := decodeCaptureBlock(raw, func(c CaptureRow, slice int) error {
-				if capFn != nil {
-					return capFn(c, slice)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
+			err = decodeCaptureBlock(raw, capFn)
 		case KindResults:
-			if err := decodeResultBlock(raw, func(r *zgrab.Result, slice int) error {
-				if resFn != nil {
-					return resFn(r, slice)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
+			err = decodeResultBlock(raw, resFn)
+		}
+		if err != nil {
+			return err
 		}
 	}
 	return nil

@@ -159,6 +159,12 @@ type Store struct {
 	// are strictly ordered, like the collection slices that feed them.
 	nextSlice int
 
+	// pins is read-held by every open iterator from Scan to Close (and by
+	// Rows while it reads footers), and write-held by Seal and ResetTo,
+	// the two calls that delete files: a retired compaction input goes
+	// only when no snapshot can still list it. Taken before mu.
+	pins sync.RWMutex
+
 	// feet and blocks are the read path's caches (see cache.go). Either
 	// may be nil (disabled).
 	feet   *footerCache
@@ -203,12 +209,12 @@ func (s *Store) recover() error {
 			// corrupted file must not brick the directory: start empty.
 			m = Manifest{Version: 1}
 		}
-		kept := m.Segments[:0]
+		kept, hi := m.Segments[:0], -1
 		for _, si := range m.Segments {
-			if s.restoreSegment(si) != nil {
+			if s.restoreSegment(si, hi) != nil {
 				break // truncate at the first invalid entry
 			}
-			kept = append(kept, si)
+			kept, hi = append(kept, si), si.SliceHi
 		}
 		m.Segments = kept
 		if m.Version == 0 {
@@ -255,11 +261,38 @@ func (m Manifest) maxSliceHi() int {
 	return hi
 }
 
+// segmentName is the file name of a segment, a pure function of its
+// level and slice range ("" for a combination the store never writes).
+func segmentName(level, sliceLo, sliceHi int) string {
+	switch {
+	case sliceLo < 0 || sliceHi < sliceLo:
+		return ""
+	case level == 0 && sliceLo == sliceHi:
+		return fmt.Sprintf("seg-L0-%05d.seg", sliceLo)
+	case level == 1:
+		return fmt.Sprintf("seg-L1-%05d-%05d.seg", sliceLo, sliceHi)
+	}
+	return ""
+}
+
 // restoreSegment makes a manifest entry live again: if its file is
 // missing but a retired copy exists (a crash landed between a
 // compaction retiring its inputs and committing the merged manifest),
 // the retired copy is renamed back, then the entry is validated.
-func (s *Store) restoreSegment(si SegmentInfo) error {
+//
+// A manifest is outside input — a file in a directory someone hands to
+// analyze or queryd, a section of a checkpoint — and its names are
+// joined into paths that are opened and renamed, so an entry is
+// refused before it touches the disk unless the store could have
+// written it: its name is the one its level and slice range spell (a
+// base name, inside the directory), and it starts past prevHi, the
+// slice range of the entry before it (live segments are disjoint and
+// ordered, which also refuses a repeated entry).
+func (s *Store) restoreSegment(si SegmentInfo, prevHi int) error {
+	if si.Name != segmentName(si.Level, si.SliceLo, si.SliceHi) || si.SliceLo <= prevHi {
+		return fmt.Errorf("store: manifest entry %q (level %d, slices %d-%d) is not a segment this store writes after slice %d",
+			si.Name, si.Level, si.SliceLo, si.SliceHi, prevHi)
+	}
 	path := filepath.Join(s.dir, si.Name)
 	if _, err := os.Stat(path); os.IsNotExist(err) {
 		if err := os.Rename(path+retiredSuffix, path); err != nil {
@@ -327,8 +360,7 @@ func (s *Store) appendSlice(slice int, caps []CaptureRow, results []*zgrab.Resul
 		if err := sb.flushResults(); err != nil {
 			return err
 		}
-		name := fmt.Sprintf("seg-L0-%05d.seg", slice)
-		if err := s.writeSegment(name, 0, sb); err != nil {
+		if err := s.writeSegment(segmentName(0, slice, slice), 0, sb); err != nil {
 			return err
 		}
 	}
@@ -405,14 +437,18 @@ func (s *Store) persistManifest() error {
 // checkpoint was taken, so a resumed campaign reproduces the
 // uninterrupted run's directory byte-for-byte.
 func (s *Store) ResetTo(m Manifest) error {
+	s.pins.Lock()
+	defer s.pins.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	hi := -1
 	for _, si := range m.Segments {
 		// A segment consumed by a post-checkpoint compaction is
 		// resurrected from its retired copy.
-		if err := s.restoreSegment(si); err != nil {
+		if err := s.restoreSegment(si, hi); err != nil {
 			return fmt.Errorf("store: reset: %w", err)
 		}
+		hi = si.SliceHi
 	}
 	keep := make(map[string]bool, len(m.Segments)+1)
 	keep[manifestName] = true
@@ -438,8 +474,12 @@ func (s *Store) ResetTo(m Manifest) error {
 
 // Seal marks the run complete: retired compaction inputs are garbage-
 // collected (no checkpoint taken before this point will be resumed
-// past a completed run). The store remains readable and appendable.
+// past a completed run). An iterator opened before a compaction may
+// still list them, so Seal waits for every open iterator to close. The
+// store remains readable and appendable.
 func (s *Store) Seal() error {
+	s.pins.Lock()
+	defer s.pins.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ents, err := os.ReadDir(s.dir)
@@ -457,6 +497,8 @@ func (s *Store) Seal() error {
 // Rows returns the total live row count by kind, from the manifest and
 // footers (no block reads).
 func (s *Store) Rows() (captures, results int64, err error) {
+	s.pins.RLock()
+	defer s.pins.RUnlock()
 	s.mu.RLock()
 	segs := append([]SegmentInfo(nil), s.man.Segments...)
 	s.mu.RUnlock()

@@ -439,9 +439,9 @@ func TestDecodeSegmentRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nc, nr int
-	err = DecodeSegment(data,
-		func(CaptureRow, int) error { nc++; return nil },
-		func(*zgrab.Result, int) error { nr++; return nil })
+	countCap := func(CaptureRow, int) error { nc++; return nil }
+	countRes := func(*zgrab.Result, int) error { nr++; return nil }
+	err = DecodeSegment(data, countCap, countRes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestDecodeSegmentRoundTrip(t *testing.T) {
 	for _, off := range []int{0, 5, len(data) / 2, len(data) - 3} {
 		mut := append([]byte(nil), data...)
 		mut[off] ^= 0xff
-		if err := DecodeSegment(mut, nil, nil); err == nil {
+		if err := DecodeSegment(mut, countCap, countRes); err == nil {
 			t.Fatalf("corruption at offset %d decoded cleanly", off)
 		}
 	}
