@@ -68,6 +68,7 @@ FUZZ_TARGETS := \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/zgrab:FuzzResultAppendJSON \
 	./internal/store:FuzzSegmentDecode \
+	./internal/store:FuzzSpliceMatchesAppendJSON \
 	./internal/store:FuzzManifestRecover \
 	./internal/query:FuzzQueryParams \
 	./internal/cluster:FuzzCheckpointDecode \

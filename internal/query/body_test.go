@@ -145,9 +145,12 @@ func (d *discard) WriteHeader(int)             {}
 // A scan request costs a fixed number of allocations — not a row struct,
 // an address string and a reflective walk per row. Ten times the rows
 // from a warm cache may add per-block iterator state (and, until the
-// pooled body buffer has grown, a few doublings), nothing per row.
+// pooled body buffer has grown, a few doublings), nothing per row; and
+// a selective window — thousands of rows examined in the cached
+// vectors, hundreds returned — costs what its first row alone costs,
+// proportional to neither.
 func TestQueryScanAllocsNotPerRow(t *testing.T) {
-	st := buildStore(t, t.TempDir(), 6, 200)
+	st := buildStore(t, t.TempDir(), 16, 400)
 	h := query.NewServer(st, nil, nil).Handler()
 	allocs := func(url string) float64 {
 		req := httptest.NewRequest("GET", url, nil)
@@ -159,5 +162,22 @@ func TestQueryScanAllocsNotPerRow(t *testing.T) {
 	t.Logf("allocs per request: %.0f for 100 rows, %.0f for 1000", few, many)
 	if many-few > 20 {
 		t.Fatalf("900 more rows cost %.0f more allocations (%.0f vs %.0f): the handler allocates per row", many-few, many, few)
+	}
+
+	// Slices 4–11 straddle the two compacted segments: 6 400 result rows
+	// examined, the 800 ssh rows of the window returned.
+	const window = "/v1/query?kind=results&module=ssh&slice_lo=4&slice_hi=11"
+	var stats struct {
+		Stats query.Stats `json:"stats"`
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", window, nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil || stats.Stats.Rows != 800 {
+		t.Fatalf("%s: %d rows (err %v), want 800", window, stats.Stats.Rows, err)
+	}
+	one, all := allocs(window+"&limit=1"), allocs(window)
+	t.Logf("allocs per request: %.0f for the window's first row, %.0f for all 800", one, all)
+	if all-one > 20 {
+		t.Fatalf("the whole window costs %.0f more allocations than its first row (%.0f vs %.0f)", all-one, all, one)
 	}
 }

@@ -179,10 +179,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 	// them.
 	bp := bodyPool.Get().(*[]byte)
 	body := append((*bp)[:0], `{"data":[`...)
-	defer func() {
-		*bp = body[:0]
-		bodyPool.Put(bp)
-	}()
+	defer func() { putBody(bp, body) }()
 	rows, truncated := 0, false
 	for it.Next() {
 		if rows >= limit {
@@ -192,10 +189,7 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		if rows > 0 {
 			body = append(body, ',')
 		}
-		if body, err = appendQueryRow(body, it.Row()); err != nil {
-			s.fail(w, http.StatusInternalServerError, err.Error())
-			return
-		}
+		body = appendQueryRow(body, it)
 		rows++
 	}
 	if err := it.Err(); err != nil {
@@ -236,36 +230,51 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 // fresh slice per request churns large spans for nothing.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// appendQueryRow appends one /v1/query hit in wire form:
+// maxPooledBody is the largest buffer the pool takes back. A reply is
+// as large as the client's limit lets it be, and a pooled buffer lives
+// as long as the daemon; DefaultMaxRows rows of results come to about
+// 2 MB.
+const maxPooledBody = 4 << 20
+
+// putBody hands a reply buffer back to bodyPool through bp, unless it
+// has grown past maxPooledBody: that one is left to the collector.
+func putBody(bp *[]byte, body []byte) (pooled bool) {
+	if cap(body) > maxPooledBody {
+		return false
+	}
+	*bp = body[:0]
+	bodyPool.Put(bp)
+	return true
+}
+
+// appendQueryRow appends the iterator's current row as one /v1/query
+// hit in wire form:
 //
 //	{"kind":"capture","slice":N,"addr":"…","vantage":"…"}   vantage omitted when empty
 //	{"kind":"result","slice":N,"addr":"…","result":{…}}     result as Result.AppendJSON writes it
 //
-// Store rows always carry a valid, zoneless address, whose JSON form is
-// its String.
-func appendQueryRow(dst []byte, row store.Row) ([]byte, error) {
-	switch row.Kind {
+// The row is never built: the store appends the address and the result
+// envelope from its column vectors.
+func appendQueryRow(dst []byte, it *store.Iter) []byte {
+	switch it.Kind() {
 	case store.KindCaptures:
 		dst = append(dst, `{"kind":"capture","slice":`...)
-		dst = strconv.AppendInt(dst, int64(row.Slice), 10)
+		dst = strconv.AppendInt(dst, int64(it.Slice()), 10)
 		dst = append(dst, `,"addr":`...)
-		dst = zgrab.AppendJSONAddr(dst, row.Capture.Addr)
-		if v := row.Capture.Vantage; v != "" {
+		dst = it.AppendAddr(dst)
+		if v := it.Vantage(); v != "" {
 			dst = append(dst, `,"vantage":`...)
 			dst = zgrab.AppendJSONString(dst, v)
 		}
 	case store.KindResults:
 		dst = append(dst, `{"kind":"result","slice":`...)
-		dst = strconv.AppendInt(dst, int64(row.Slice), 10)
+		dst = strconv.AppendInt(dst, int64(it.Slice()), 10)
 		dst = append(dst, `,"addr":`...)
-		dst = zgrab.AppendJSONAddr(dst, row.Result.IP)
+		dst = it.AppendAddr(dst)
 		dst = append(dst, `,"result":`...)
-		var err error
-		if dst, err = row.Result.AppendJSON(dst); err != nil {
-			return dst, err
-		}
+		dst = it.AppendResult(dst)
 	}
-	return append(dst, '}'), nil
+	return append(dst, '}')
 }
 
 // parsePred maps query parameters onto the store predicate:

@@ -105,6 +105,31 @@ func TestPrefixesBadN(t *testing.T) {
 	}
 }
 
+// bodyPool takes back only buffers a steady mix could have grown: one
+// reply as large as a client's limit lets it be must not stay resident.
+func TestPutBodyDropsOversizedBuffers(t *testing.T) {
+	for _, tc := range []struct {
+		cap    int
+		pooled bool
+	}{
+		{0, true},
+		{2 << 20, true},
+		{maxPooledBody, true},
+		{maxPooledBody + 1, false},
+		{64 << 20, false},
+	} {
+		bp := new([]byte)
+		body := make([]byte, min(9, tc.cap), tc.cap)
+		if got := putBody(bp, body); got != tc.pooled {
+			t.Errorf("putBody(cap %d) pooled = %v, want %v", cap(body), got, tc.pooled)
+		} else if got && (len(*bp) != 0 || cap(*bp) != cap(body)) {
+			t.Errorf("putBody(cap %d) pooled a buffer of len %d cap %d", cap(body), len(*bp), cap(*bp))
+		} else if !got && *bp != nil {
+			t.Errorf("putBody(cap %d) kept the buffer it refused", cap(body))
+		}
+	}
+}
+
 func TestRowCount(t *testing.T) {
 	if n := rowCount([]ModuleRow{{}, {}}); n != 2 {
 		t.Errorf("ModuleRow: %d", n)

@@ -23,17 +23,17 @@ func TestBlockCacheEdgeCases(t *testing.T) {
 	k1 := blockKey{seg: segKey{crc: 1, size: 10}, off: 0}
 
 	// An entry costlier than the whole budget is not cached.
-	c.put(k1, []Row{{Slice: 1}}, 101)
+	c.put(k1, &colBlock{n: 1}, 101)
 	if _, found := c.get(k1); found || c.bytes() != 0 {
 		t.Errorf("oversized entry cached (bytes=%d)", c.bytes())
 	}
 
 	// A duplicate insert keeps the existing rows and charges nothing.
-	c.put(k1, []Row{{Slice: 1}}, 40)
-	c.put(k1, []Row{{Slice: 2}}, 40)
-	rows, found := c.get(k1)
-	if !found || len(rows) != 1 || rows[0].Slice != 1 {
-		t.Errorf("duplicate insert replaced entry: %v", rows)
+	c.put(k1, &colBlock{n: 1}, 40)
+	c.put(k1, &colBlock{n: 2}, 40)
+	blk, found := c.get(k1)
+	if !found || blk.n != 1 {
+		t.Errorf("duplicate insert replaced entry: %v", blk)
 	}
 	if c.bytes() != 40 {
 		t.Errorf("bytes = %d, want 40", c.bytes())

@@ -49,6 +49,37 @@ func (r *colReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
+// deltas reads a column of n delta-encoded varints as running sums.
+func (r *colReader) deltas(n int) ([]int64, error) {
+	out := make([]int64, n)
+	prev := int64(0)
+	for i := range out {
+		d, err := r.svarint()
+		if err != nil {
+			return nil, err
+		}
+		prev += d
+		out[i] = prev
+	}
+	return out, nil
+}
+
+// codes reads a column of n dictionary ids, each below dictLen.
+func (r *colReader) codes(n, dictLen int) ([]uint32, error) {
+	out := make([]uint32, n)
+	for i := range out {
+		id, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if id >= uint64(dictLen) {
+			return nil, errCorrupt
+		}
+		out[i] = uint32(id)
+	}
+	return out, nil
+}
+
 // dict assigns dense ids to strings in first-appearance order — the
 // only order that is identical at every worker count, since rows reach
 // the store in deterministic (shard/sequence) order.

@@ -63,10 +63,10 @@ func (s *Store) compact(inputs []SegmentInfo) error {
 			if err != nil {
 				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
 			}
-			err = decodeCaptureBlock(raw, func(c CaptureRow, slice int) error {
+			err = eachRow(raw, KindCaptures, func(c CaptureRow, slice int) error {
 				sb.addCapture(c, slice)
 				return nil
-			})
+			}, nil)
 			if err != nil {
 				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
 			}
@@ -82,7 +82,7 @@ func (s *Store) compact(inputs []SegmentInfo) error {
 			if err != nil {
 				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
 			}
-			err = decodeResultBlock(raw, func(r *zgrab.Result, slice int) error {
+			err = eachRow(raw, KindResults, nil, func(r *zgrab.Result, slice int) error {
 				return sb.addResult(r, slice)
 			})
 			if err != nil {

@@ -40,8 +40,11 @@ func seedSegment(tb testing.TB, nCaps, nRes int) []byte {
 // arbitrary bytes must either fail with an error or decode cleanly —
 // never panic, never over-allocate — and anything that decodes must
 // survive a re-encode/re-decode round trip with its row streams
-// intact. This is the boundary crash recovery crosses when it reopens
-// a store after a torn write.
+// intact, and must read the same through both views of a block: the
+// line the column writer emits is valid JSON and is AppendJSON of the
+// row the row view builds (checkColumnWriter). This is the boundary
+// crash recovery crosses when it reopens a store after a torn write,
+// and the one a query reply's bytes come across.
 func FuzzSegmentDecode(f *testing.F) {
 	full := seedSegment(f, 24, 24)
 	f.Add(full)
@@ -85,10 +88,13 @@ func FuzzSegmentDecode(f *testing.F) {
 				results = append(results, resRow{string(b), slice})
 				return nil
 			})
-		if err != nil || !sane {
-			// Rejected (or decoded rows outside the writer's domain —
-			// adversarial but well-formed inputs the builder can't
-			// round-trip). Either way: no panic is the contract.
+		if err != nil {
+			return // rejected: no panic is the contract
+		}
+		checkColumnWriter(t, data)
+		if !sane {
+			// Decoded rows outside the writer's domain — adversarial but
+			// well-formed inputs the builder can't round-trip.
 			return
 		}
 		// Accepted inputs must round-trip through the builder.
@@ -310,6 +316,27 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 				t.Fatal(err)
 			}
+		}
+	}
+	// FuzzSpliceMatchesAppendJSON takes FuzzResultAppendJSON's arguments:
+	// its corpus is that target's, one input per encoding rule, sent
+	// through a store.
+	src := filepath.Join("..", "zgrab", "testdata", "fuzz", "FuzzResultAppendJSON")
+	dst := filepath.Join("testdata", "fuzz", "FuzzSpliceMatchesAppendJSON")
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		body, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), body, 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

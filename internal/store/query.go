@@ -1,8 +1,10 @@
 package store
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"os"
+	"slices"
 
 	"ntpscan/internal/zgrab"
 )
@@ -34,9 +36,10 @@ type Pred struct {
 }
 
 // Row is one scan hit: a capture event or a zgrab result, with the
-// collection slice it was appended under. Rows may be served from the
-// shared decoded-block cache, so Result pointers can be handed to
-// several concurrent scans — treat rows as immutable.
+// collection slice it was appended under. Iter.Row builds it from the
+// block's column vectors when asked, so every call returns a Result of
+// its own: nothing but interned strings is shared with the cache or
+// with another scan, and the caller may keep or change it.
 type Row struct {
 	Kind    Kind
 	Slice   int
@@ -65,7 +68,10 @@ type ScanStats struct {
 // in manifest (slice) order, blocks in file order — so all of a
 // segment's capture rows precede its result rows. The iterator is
 // single-pass; Close is idempotent and also runs when Next exhausts
-// the store.
+// the store. A row is a position in a block's column vectors: Next
+// moves it, and Row, Kind, Slice, Vantage, AppendAddr and AppendResult
+// read it — each the zero value (appending nothing) before the first
+// Next, after Next has returned false and after Close.
 type Iter struct {
 	s    *Store
 	pred Pred
@@ -84,19 +90,73 @@ type Iter struct {
 	hasPrefix    bool
 	keyLo, keyHi uint64
 	exactKey     bool
-
-	modSet map[string]bool
-	vanSet map[string]bool
+	match        prefixMatch
 
 	blkIdx int
-	buf    []Row
-	bufPos int
+	// blk is the block the current row is in (nil: there is none), sel
+	// the rows of it that match, ascending, and row the current one,
+	// sel[selPos-1].
+	blk    *colBlock
+	sel    []int32
+	selPos int
+	row    int
 
-	row    Row
+	// Scratch that lives as long as the iterator, so a scan allocates
+	// per block at most: selBuf backs sel, want holds which codes of the
+	// current block's dictionary the predicate asks for, text the last
+	// address and time formatted.
+	selBuf []int32
+	want   []bool
+	text   rowText
+
 	err    error
 	stats  ScanStats
 	closed bool
 }
+
+// prefixMatch is Pred.Prefix compiled for 16-byte stored addresses:
+// row bytes (hi, lo) are inside when hi&maskHi == wantHi and lo&maskLo
+// == wantLo — netip.Prefix.Contains on AddrFrom16 of the same bytes.
+type prefixMatch struct {
+	// rows is whether rows need the test at all: not for the zero
+	// prefix, nor for /0, which contain every address.
+	rows bool
+	// none marks an IPv4 prefix. Stored addresses are 16 bytes, and an
+	// IPv4 prefix contains no IPv6 address, IPv4-mapped ones included.
+	none                           bool
+	maskHi, maskLo, wantHi, wantLo uint64
+}
+
+func compilePrefix(p netip.Prefix) prefixMatch {
+	if !p.IsValid() {
+		return prefixMatch{}
+	}
+	if p.Addr().Is4() {
+		return prefixMatch{rows: true, none: true}
+	}
+	var m prefixMatch
+	switch bits := p.Bits(); {
+	case bits == 0:
+		return m
+	case bits <= 64:
+		m.maskHi = ^uint64(0) << (64 - bits)
+	default:
+		m.maskHi, m.maskLo = ^uint64(0), ^uint64(0)<<(128-bits)
+	}
+	a := p.Addr().As16()
+	m.rows = true
+	m.wantHi = binary.BigEndian.Uint64(a[:8]) & m.maskHi
+	m.wantLo = binary.BigEndian.Uint64(a[8:]) & m.maskLo
+	return m
+}
+
+// identity is the selection of a block every row of which matches.
+var identity = func() (sel [maxBlockRows]int32) {
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}()
 
 // Scan opens a streaming iterator over all live rows matching pred.
 // The iterator works against a point-in-time snapshot of the manifest,
@@ -118,33 +178,22 @@ func (s *Store) Scan(pred Pred) *Iter {
 		it.hasPrefix = true
 		it.keyLo, it.keyHi = prefixKeyRange(pred.Prefix)
 		it.exactKey = pred.Prefix.Bits() >= 48
-	}
-	if len(pred.Modules) > 0 {
-		it.modSet = make(map[string]bool, len(pred.Modules))
-		for _, m := range pred.Modules {
-			it.modSet[m] = true
-		}
-	}
-	if len(pred.Vantages) > 0 {
-		it.vanSet = make(map[string]bool, len(pred.Vantages))
-		for _, v := range pred.Vantages {
-			it.vanSet[v] = true
-		}
+		it.match = compilePrefix(pred.Prefix)
 	}
 	return it
 }
 
-// wantMask projects a wanted-string set onto a segment dictionary's
-// 64-bit id space. A wanted string sitting past id 63 poisons the mask
-// to all-ones (cannot prune); a set with no dictionary hits yields 0
-// (every block of that kind skips).
-func wantMask(set map[string]bool, dict []string) uint64 {
-	if set == nil {
+// wantMask projects a wanted-string list (empty: everything is wanted)
+// onto a segment dictionary's 64-bit id space. A wanted string sitting
+// past id 63 poisons the mask to all-ones (cannot prune); a list with
+// no dictionary hits yields 0 (every block of that kind skips).
+func wantMask(wanted, dict []string) uint64 {
+	if len(wanted) == 0 {
 		return ^uint64(0)
 	}
 	var mask uint64
 	for id, s := range dict {
-		if !set[s] {
+		if !slices.Contains(wanted, s) {
 			continue
 		}
 		if id >= 64 {
@@ -170,8 +219,8 @@ func (it *Iter) nextSegment() bool {
 		it.cur = seg
 		it.blkIdx = 0
 		it.stats.Segments++
-		it.wantMod = wantMask(it.modSet, seg.mods)
-		it.wantVan = wantMask(it.vanSet, seg.vans)
+		it.wantMod = wantMask(it.pred.Modules, seg.mods)
+		it.wantVan = wantMask(it.pred.Vantages, seg.vans)
 		it.bloomMiss = it.exactKey && seg.bloom != nil && !seg.bloom.mayContain(it.keyLo)
 		return true
 	}
@@ -208,41 +257,16 @@ func (it *Iter) skipBlock(bi blockIndex) bool {
 	return false
 }
 
-// matchRow applies the row-level residue of the predicate (block
-// pruning is necessary, not sufficient).
-func (it *Iter) matchRow(r Row) bool {
-	if sr := it.pred.Slices; sr != nil && (r.Slice < sr.Lo || r.Slice > sr.Hi) {
-		return false
-	}
-	switch r.Kind {
-	case KindCaptures:
-		if it.vanSet != nil && !it.vanSet[r.Capture.Vantage] {
-			return false
-		}
-		if it.hasPrefix && !it.pred.Prefix.Contains(r.Capture.Addr) {
-			return false
-		}
-	case KindResults:
-		if it.modSet != nil && !it.modSet[r.Result.Module] {
-			return false
-		}
-		if it.hasPrefix && !it.pred.Prefix.Contains(r.Result.IP) {
-			return false
-		}
-	}
-	return true
-}
-
-// loadBlock produces the current segment's block blkIdx into the row
-// buffer, keeping only matching rows. The block's decoded rows come
-// from the store's block cache when present; a miss reads the body
-// from the segment file, inflates it, decodes every row once, and
-// populates the cache. Cached rows are shared read-only across
-// concurrent iterators — only the filtered view in it.buf is private.
+// loadBlock makes the current segment's block blkIdx the current block
+// and selects its matching rows. The block's column vectors come from
+// the store's block cache when present; a miss reads the body from the
+// segment file, inflates it, decodes the columns once, and populates
+// the cache. The vectors are shared read-only across concurrent
+// iterators — only the selection is private.
 func (it *Iter) loadBlock(bi blockIndex) error {
 	si := it.segs[it.segIdx-1]
 	key := blockKey{seg: segKey{si.CRC32, si.Size}, off: bi.Off}
-	rows, cached := it.s.blocks.get(key)
+	blk, cached := it.s.blocks.get(key)
 	if cached {
 		it.stats.CacheHits++
 	} else {
@@ -260,40 +284,72 @@ func (it *Iter) loadBlock(bi blockIndex) error {
 		if err != nil {
 			return err
 		}
-		rows, err = decodeRows(raw, bi.Kind)
-		if err != nil {
+		if blk, err = decodeColumns(raw, bi.Kind); err != nil {
 			return err
 		}
-		it.s.blocks.put(key, rows, int64(len(raw)))
+		it.s.blocks.put(key, blk, int64(len(raw)))
 	}
-	it.buf = it.buf[:0]
-	it.bufPos = 0
-	for _, r := range rows {
-		if it.matchRow(r) {
-			it.buf = append(it.buf, r)
-		}
-	}
+	it.blk, it.selPos = blk, 0
+	it.selectRows(blk)
 	return nil
 }
 
-// decodeRows materialises every row of a decompressed block body.
-func decodeRows(raw []byte, kind Kind) ([]Row, error) {
-	var rows []Row
-	switch kind {
-	case KindCaptures:
-		err := decodeCaptureBlock(raw, func(c CaptureRow, slice int) error {
-			rows = append(rows, Row{Kind: KindCaptures, Slice: slice, Capture: c})
-			return nil
-		})
-		return rows, err
-	case KindResults:
-		err := decodeResultBlock(raw, func(res *zgrab.Result, slice int) error {
-			rows = append(rows, Row{Kind: KindResults, Slice: slice, Result: res})
-			return nil
-		})
-		return rows, err
+// selectRows applies the row-level residue of the predicate (block
+// pruning is necessary, not sufficient) to a block's vectors: slice ids
+// against the range, dictionary codes against the wanted modules or
+// vantages — the strings are compared once per dictionary entry, not
+// once per row — and address bytes against the prefix. A test the
+// whole block passes is not run per row, and a block that passes them
+// all is selected without being walked.
+func (it *Iter) selectRows(b *colBlock) {
+	sr := it.pred.Slices
+	if sr != nil && sr.Lo <= b.sliceLo && b.sliceHi <= sr.Hi {
+		sr = nil
 	}
-	return nil, errCorrupt
+	codes, dict, wanted := b.mod, b.mods, it.pred.Modules
+	if b.kind == KindCaptures {
+		codes, dict, wanted = b.van, b.vans, it.pred.Vantages
+	}
+	var want []bool
+	if len(wanted) > 0 {
+		want = it.want[:0]
+		all := true
+		for _, s := range dict {
+			w := slices.Contains(wanted, s)
+			want = append(want, w)
+			all = all && w
+		}
+		if it.want = want; all {
+			want = nil
+		}
+	}
+	m := it.match
+	if sr == nil && want == nil && !m.rows {
+		it.sel = identity[:b.n]
+		return
+	}
+	if cap(it.selBuf) < b.n {
+		it.selBuf = make([]int32, 0, b.n)
+	}
+	sel := it.selBuf[:0]
+	if !m.none {
+		for i := 0; i < b.n; i++ {
+			if sr != nil && (b.slices[i] < sr.Lo || b.slices[i] > sr.Hi) {
+				continue
+			}
+			if want != nil && !want[codes[i]] {
+				continue
+			}
+			if m.rows {
+				a := b.addrs[16*i : 16*i+16]
+				if binary.BigEndian.Uint64(a[:8])&m.maskHi != m.wantHi || binary.BigEndian.Uint64(a[8:])&m.maskLo != m.wantLo {
+					continue
+				}
+			}
+			sel = append(sel, int32(i))
+		}
+	}
+	it.sel = sel
 }
 
 // Next advances to the next matching row.
@@ -302,9 +358,9 @@ func (it *Iter) Next() bool {
 		return false
 	}
 	for {
-		if it.bufPos < len(it.buf) {
-			it.row = it.buf[it.bufPos]
-			it.bufPos++
+		if it.selPos < len(it.sel) {
+			it.row = int(it.sel[it.selPos])
+			it.selPos++
 			return true
 		}
 		if it.cur == nil || it.blkIdx >= len(it.cur.blocks) {
@@ -331,8 +387,59 @@ func (it *Iter) Next() bool {
 	}
 }
 
-// Row returns the current row after a true Next.
-func (it *Iter) Row() Row { return it.row }
+// Row returns the current row after a true Next, built for this call:
+// a result row costs a Result, and a parse of its grab if it has one.
+// Callers that want the row as structs use it (analysis, the aggregate
+// fold); the ones that want JSON do not (AppendResult).
+func (it *Iter) Row() Row {
+	if it.blk == nil {
+		return Row{}
+	}
+	return it.blk.row(it.row)
+}
+
+// Kind is the current row's kind.
+func (it *Iter) Kind() Kind {
+	if it.blk == nil {
+		return 0
+	}
+	return it.blk.kind
+}
+
+// Slice is the slice the current row was appended under.
+func (it *Iter) Slice() int {
+	if it.blk == nil {
+		return 0
+	}
+	return it.blk.slices[it.row]
+}
+
+// Vantage is the current capture row's vantage; "" on a result row.
+func (it *Iter) Vantage() string {
+	if it.blk == nil || it.blk.kind != KindCaptures {
+		return ""
+	}
+	return it.blk.vans[it.blk.van[it.row]]
+}
+
+// AppendAddr appends the current row's address — the capture's, or the
+// result's IP — as a JSON string.
+func (it *Iter) AppendAddr(dst []byte) []byte {
+	if it.blk == nil {
+		return dst
+	}
+	return it.text.appendAddr(dst, it.blk.addr(it.row))
+}
+
+// AppendResult appends the current result row as one JSON object, the
+// bytes Row().Result.AppendJSON would write, straight from the column
+// vectors. It appends nothing on a capture row.
+func (it *Iter) AppendResult(dst []byte) []byte {
+	if it.blk == nil || it.blk.kind != KindResults {
+		return dst
+	}
+	return it.blk.appendResult(dst, it.row, &it.text)
+}
 
 // Err reports the first error the scan hit, if any.
 func (it *Iter) Err() error { return it.err }
@@ -358,8 +465,7 @@ func (it *Iter) Close() error {
 	it.closeFile()
 	it.cur = nil
 	it.segIdx = len(it.segs)
-	it.buf = nil
-	it.bufPos = 0
+	it.blk, it.sel, it.selPos = nil, nil, 0
 	it.s.pins.RUnlock()
 	if st, m := it.stats, it.s.met; m != nil {
 		m.BlocksRead.Add(st.BlocksRead)

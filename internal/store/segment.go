@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"net/netip"
-	"time"
 
 	"ntpscan/internal/zgrab"
 )
@@ -527,190 +526,6 @@ func decodeBlock(blockBytes []byte, bi blockIndex) ([]byte, error) {
 	return raw, nil
 }
 
-// decodeCaptureBlock streams a capture block's rows (with their slice
-// ids) through fn.
-func decodeCaptureBlock(raw []byte, fn func(CaptureRow, int) error) error {
-	r := &colReader{b: raw}
-	n, err := r.uvarint()
-	if err != nil || n > maxBlockRows {
-		return errCorrupt
-	}
-	rows := int(n)
-	slices := make([]int, rows)
-	prev := int64(0)
-	for i := range slices {
-		d, err := r.svarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		slices[i] = int(prev)
-	}
-	addrs, err := r.take(16 * rows)
-	if err != nil {
-		return err
-	}
-	vd, err := readDict(r)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < rows; i++ {
-		id, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if id >= uint64(len(vd)) {
-			return errCorrupt
-		}
-		var a16 [16]byte
-		copy(a16[:], addrs[i*16:])
-		row := CaptureRow{Addr: netip.AddrFrom16(a16), Vantage: vd[id]}
-		if err := fn(row, slices[i]); err != nil {
-			return err
-		}
-	}
-	if r.rem() != 0 {
-		return errCorrupt
-	}
-	return nil
-}
-
-// decodeResultBlock streams a result block's rows (with their slice
-// ids) through fn. Vocabulary strings are canonicalised through the
-// shared intern table, like DecodeJSONL does.
-func decodeResultBlock(raw []byte, fn func(*zgrab.Result, int) error) error {
-	r := &colReader{b: raw}
-	n, err := r.uvarint()
-	if err != nil || n > maxBlockRows {
-		return errCorrupt
-	}
-	rows := int(n)
-	slices := make([]int, rows)
-	prev := int64(0)
-	for i := range slices {
-		d, err := r.svarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		slices[i] = int(prev)
-	}
-	ips, err := r.take(16 * rows)
-	if err != nil {
-		return err
-	}
-	md, err := readDict(r)
-	if err != nil {
-		return err
-	}
-	sd, err := readDict(r)
-	if err != nil {
-		return err
-	}
-	ed, err := readDict(r)
-	if err != nil {
-		return err
-	}
-	readIdx := func(vals []string) ([]string, error) {
-		out := make([]string, rows)
-		for i := range out {
-			id, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if id >= uint64(len(vals)) {
-				return nil, errCorrupt
-			}
-			out[i] = vals[id]
-		}
-		return out, nil
-	}
-	mods, err := readIdx(md)
-	if err != nil {
-		return err
-	}
-	ports := make([]uint16, rows)
-	for i := range ports {
-		p, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		if p > 0xffff {
-			return errCorrupt
-		}
-		ports[i] = uint16(p)
-	}
-	times := make([]int64, rows)
-	prev = 0
-	for i := range times {
-		d, err := r.svarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		times[i] = prev
-	}
-	stats, err := readIdx(sd)
-	if err != nil {
-		return err
-	}
-	errs, err := readIdx(ed)
-	if err != nil {
-		return err
-	}
-	attempts := make([]int, rows)
-	for i := range attempts {
-		a, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		attempts[i] = int(a)
-	}
-	seqs := make([]int64, rows)
-	prev = 0
-	for i := range seqs {
-		d, err := r.svarint()
-		if err != nil {
-			return err
-		}
-		prev += d
-		seqs[i] = prev
-	}
-	for i := 0; i < rows; i++ {
-		gl, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		gb, err := r.take(int(gl))
-		if err != nil {
-			return err
-		}
-		var a16 [16]byte
-		copy(a16[:], ips[i*16:])
-		res := &zgrab.Result{
-			IP:       netip.AddrFrom16(a16),
-			Module:   mods[i],
-			Port:     ports[i],
-			Time:     time.Unix(0, times[i]).UTC(),
-			Status:   zgrab.Status(stats[i]),
-			Error:    errs[i],
-			Attempts: attempts[i],
-			Seq:      seqs[i],
-		}
-		if err := res.SetGrabs(gb); err != nil {
-			return errCorrupt
-		}
-		res.Intern()
-		if err := fn(res, slices[i]); err != nil {
-			return err
-		}
-	}
-	if r.rem() != 0 {
-		return errCorrupt
-	}
-	return nil
-}
-
 // DecodeSegment fully parses and decodes an in-memory segment image —
 // footer, every block, every row, in file order. It is the walker
 // ReplaySlices runs over every live segment on a resume and the
@@ -727,13 +542,7 @@ func DecodeSegment(data []byte, capFn func(CaptureRow, int) error, resFn func(*z
 		if err != nil {
 			return err
 		}
-		switch bi.Kind {
-		case KindCaptures:
-			err = decodeCaptureBlock(raw, capFn)
-		case KindResults:
-			err = decodeResultBlock(raw, resFn)
-		}
-		if err != nil {
+		if err := eachRow(raw, bi.Kind, capFn, resFn); err != nil {
 			return err
 		}
 	}

@@ -12,8 +12,11 @@
 package zgrab
 
 import (
+	"encoding/binary"
 	"errors"
+	"math/bits"
 	"net/netip"
+	"slices"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -169,14 +172,90 @@ func appendOptString(dst []byte, key, s string) []byte {
 
 // AppendJSONAddr appends ip as encoding/json writes a netip.Addr: its
 // MarshalText form as a string, "" for the zero Addr. Only a zone can
-// carry bytes that need escaping.
+// carry bytes that need escaping. It is the one address encoder: plain
+// IPv6 — every address a campaign scans — is written here, from
+// tables; the zero Addr, IPv4, IPv4-mapped and zoned addresses go
+// through netip.
 func AppendJSONAddr(dst []byte, ip netip.Addr) []byte {
 	if ip.Zone() != "" {
 		return AppendJSONString(dst, ip.String())
 	}
+	if ip.Is6() && !ip.Is4In6() {
+		return appendIPv6(dst, ip.As16())
+	}
 	dst = append(dst, '"')
 	dst = ip.AppendTo(dst)
 	return append(dst, '"')
+}
+
+var (
+	// hexPairs holds byte b as two lowercase hex digits, the high one in
+	// the low byte: the order a little-endian store writes them in.
+	hexPairs [256]uint16
+	// zeroRuns maps the set of an address's all-zero 16-bit fields (bit
+	// i set: field i is zero) to the fields [start, end) RFC 5952
+	// replaces with "::": the first longest run of at least two. start
+	// is 8 when there is none.
+	zeroRuns [256]struct{ start, end uint8 }
+)
+
+func init() {
+	for b := range hexPairs {
+		hexPairs[b] = uint16(hexDigits[b>>4]) | uint16(hexDigits[b&0xF])<<8
+	}
+	for m := range zeroRuns {
+		start, end := 8, 8
+		for i := 0; i < 8; i++ {
+			j := i
+			for j < 8 && m>>j&1 != 0 {
+				j++
+			}
+			if j-i >= 2 && j-i > end-start {
+				start, end = i, j
+			}
+		}
+		zeroRuns[m].start, zeroRuns[m].end = uint8(start), uint8(end)
+	}
+}
+
+// appendIPv6 appends a as netip.Addr.AppendTo writes a plain IPv6
+// address, in quotes: RFC 5952 text, which needs no escaping. Scanned
+// interface identifiers are random, so a branch on a field's digit
+// count is a coin toss; each field is instead stored as all four
+// digits shifted down by its leading zeros, the next store covering
+// what spills over.
+func appendIPv6(dst []byte, a [16]byte) []byte {
+	var f [8]uint32
+	zero := 0
+	for i := range f {
+		f[i] = uint32(a[2*i])<<8 | uint32(a[2*i+1])
+		zero |= int((f[i]-1)>>31) << i // the subtraction wraps for 0 alone
+	}
+	run := zeroRuns[zero]
+	const maxLen = len(`"ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff"`)
+	dst = slices.Grow(dst, maxLen)
+	buf := dst[len(dst) : len(dst)+maxLen]
+	buf[0] = '"'
+	n := 1
+	for i := 0; i < 8; i++ {
+		if i == int(run.start) {
+			buf[n], buf[n+1] = ':', ':'
+			n += 2
+			if i = int(run.end); i == 8 {
+				break
+			}
+		} else if i > 0 {
+			buf[n] = ':'
+			n++
+		}
+		v := f[i]
+		digits := uint32(hexPairs[v>>8]) | uint32(hexPairs[v&0xff])<<16
+		skip := bits.LeadingZeros16(uint16(v)|1) / 4 // a zero field keeps one digit
+		binary.LittleEndian.PutUint32(buf[n:], digits>>(8*skip))
+		n += 4 - skip
+	}
+	buf[n] = '"'
+	return dst[:len(dst)+n+1]
 }
 
 // What time.Time.MarshalJSON refuses to write.

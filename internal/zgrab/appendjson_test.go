@@ -220,3 +220,32 @@ func TestJSONLWriterCountsWrittenLines(t *testing.T) {
 		t.Fatalf("lines differ from json.Encoder's:\n got %s\nwant %s", sink.got.Bytes(), want.Bytes())
 	}
 }
+
+// The IPv6 writer is held to netip's text on every placement of "::"
+// (each of the 256 sets of zero fields) crossed with field values of
+// every digit count; FuzzResultAppendJSON referees the rest.
+func TestAppendJSONAddrMatchesNetip(t *testing.T) {
+	fields := []uint16{0x1, 0xf, 0x10, 0xab, 0x100, 0xa0b, 0x1000, 0xffff}
+	for zero := 0; zero < 256; zero++ {
+		for shift := range fields {
+			var a [16]byte
+			for i := 0; i < 8; i++ {
+				if zero>>i&1 == 0 {
+					v := fields[(i+shift)%len(fields)]
+					a[2*i], a[2*i+1] = byte(v>>8), byte(v)
+				}
+			}
+			ip := netip.AddrFrom16(a)
+			if ip.Is4In6() {
+				continue // netip's own path; FuzzResultAppendJSON's corpus holds one
+			}
+			want, err := json.Marshal(ip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := AppendJSONAddr(nil, ip); !bytes.Equal(got, want) {
+				t.Fatalf("%x: wrote %s, encoding/json writes %s", a, got, want)
+			}
+		}
+	}
+}
