@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: all check vet build test race bench bench-query bench-compare \
-	bench-scale profiles chaos fuzz-smoke cover cover-gate reach loc
+	bench-scale profiles chaos fuzz-smoke cover cover-gate reach reach-dynamic loc
 
 all: check
 
@@ -108,11 +108,19 @@ cover-gate: cover
 reach:
 	NTPSCAN_REACH=1 $(GO) test -count=1 -v -run '^TestReach$$' ./internal/reach/
 
+# reach-dynamic is reach's measured counterpart: every binary, example
+# and benchmark workload built with coverage counters and run in every
+# documented mode, then the functions under internal/ that none of them
+# entered (internal/reach/dynamic.sh; a few minutes, writes only
+# .reach_dynamic/). Not a gate: it is the next prune's worklist.
+reach-dynamic:
+	bash internal/reach/dynamic.sh
+
 # loc prints non-test code lines per package — lines that are neither
 # blank nor only a // comment, over the non-_test.go files — the count
 # every CHANGES.md entry reports before and after.
 loc:
-	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' -exec dirname {} \; | sort -u); do \
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' ! -path './.reach_dynamic/*' -exec dirname {} \; | sort -u); do \
 		n=$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs cat | grep -cvE '^\s*(//.*)?$$'); \
 		printf '%6d %s\n' "$$n" "$${d#./}"; \
 	done

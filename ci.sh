@@ -3,6 +3,13 @@
 # Equivalent to `make check`.
 set -eux
 go vet ./...
+# Tests wait on a condition (a ManualClock, a channel, a retry hook),
+# never on the wall clock: a sleep is either too short on a loaded host
+# or too long everywhere else.
+if grep -rnE 'time\.(Sleep|After)\(' --include='*_test.go' .; then
+  echo "ci: wall-clock wait in a _test.go file (see above)" >&2
+  exit 1
+fi
 go build ./...
 go test -race ./...
 # Fault-injection suite over the fixed seed matrix (see `make chaos`),

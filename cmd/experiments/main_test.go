@@ -9,6 +9,8 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+
+	"ntpscan/internal/chaos"
 )
 
 var update = flag.Bool("update", false, "rewrite docs/measured_output.txt from this build's -ablations output")
@@ -16,14 +18,18 @@ var update = flag.Bool("update", false, "rewrite docs/measured_output.txt from t
 var tinyWorld = []string{"-seed", "9", "-device-scale", "1e-3", "-addr-scale", "1e-6", "-as-scale", "0.02", "-workers", "4"}
 
 // TestExperimentsCollectOnlySmoke drives the binary's one cheap mode
-// end to end: the collection sections on stdout, none of the scan-side
-// ones, and the same text in the -out file.
+// end to end: the collection sections on stdout — the same bytes on
+// every run (the repeat gate) — none of the scan-side ones, and the
+// same text in the -out file.
 func TestExperimentsCollectOnlySmoke(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run(append([]string{"-collect-only"}, tinyWorld...), &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d (stderr: %s)", code, stderr.String())
-	}
-	text := stdout.String()
+	text := chaos.SameEveryRun(t, func() string {
+		stdout.Reset()
+		if code := run(append([]string{"-collect-only"}, tinyWorld...), &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d (stderr: %s)", code, stderr.String())
+		}
+		return stdout.String()
+	})
 	for _, want := range []string{"seed=9", "== Table 1 ==", "== Figure 1 ==", "== Table 4 (Appendix B) ==", "== Table 7 (Appendix D) =="} {
 		if !strings.Contains(text, want) {
 			t.Errorf("output has no %q", want)

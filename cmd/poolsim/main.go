@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 
@@ -25,14 +26,22 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("poolsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed        = flag.Uint64("seed", 20240720, "experiment seed")
-		addrScale   = flag.Float64("addr-scale", 6e-6, "address-only population scale")
-		deviceScale = flag.Float64("device-scale", 3e-3, "responsive population scale")
-		asScale     = flag.Float64("as-scale", 0.03, "AS count scale")
-		summaryOnly = flag.Bool("summary-only", false, "suppress the address stream")
+		seed        = fs.Uint64("seed", 20240720, "experiment seed")
+		addrScale   = fs.Float64("addr-scale", 6e-6, "address-only population scale")
+		deviceScale = fs.Float64("device-scale", 3e-3, "responsive population scale")
+		asScale     = fs.Float64("as-scale", 0.03, "AS count scale")
+		summaryOnly = fs.Bool("summary-only", false, "suppress the address stream")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	p := core.NewPipeline(core.Config{
 		Seed: *seed,
@@ -42,10 +51,11 @@ func main() {
 			ASScale:     *asScale,
 		},
 	})
-	fmt.Fprintf(os.Stderr, "poolsim: %d vantage servers deployed, collecting...\n", len(p.Servers))
+	fmt.Fprintf(stderr, "poolsim: %d vantage servers deployed, collecting...\n", len(p.Servers))
 
-	out := bufio.NewWriter(os.Stdout)
-	defer out.Flush()
+	// A bufio.Writer keeps its first error and refuses every later
+	// write, so the one Flush after the collection reports it.
+	out := bufio.NewWriter(stdout)
 	seen := make(map[netip.Addr]struct{})
 	p.Collect(func(a netip.Addr) {
 		if *summaryOnly {
@@ -57,6 +67,10 @@ func main() {
 		seen[a] = struct{}{}
 		fmt.Fprintln(out, a)
 	})
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(stderr, "poolsim: write addresses:", err)
+		return 1
+	}
 
 	st := p.Summary.Stats()
 	t := tabulate.New("collection summary", "metric", "value").
@@ -65,12 +79,13 @@ func main() {
 	t.Cells("distinct addresses", tabulate.Count(st.Addrs))
 	t.Cells("/48 networks", tabulate.Count(st.Nets48))
 	t.Cells("ASes", tabulate.Count(st.ASes))
-	fmt.Fprint(os.Stderr, t.String())
+	fmt.Fprint(stderr, t.String())
 
 	per := tabulate.New("addresses per vantage server", "location", "#addresses").
 		SetAligns(tabulate.Left, tabulate.Right)
 	for _, row := range p.PerCountrySorted() {
 		per.Cells(row.Country, tabulate.Count(row.Addrs))
 	}
-	fmt.Fprint(os.Stderr, per.String())
+	fmt.Fprint(stderr, per.String())
+	return 0
 }

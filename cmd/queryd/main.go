@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	queryd -store DIR [-listen :8080] [-cache-bytes N] [-max-rows N]
-//	queryd -demo-seed 42 [-store DIR] [...]
+//	queryd -store DIR [-listen :8080] [-cache-bytes N] [-footer-entries N] [-max-rows N]
+//	queryd -demo-seed 42 [-store DIR] [-workers N] [...]
 //
 // Offline mode (-store) opens an existing store directory — typically
 // one a campaign sealed — recomputes the aggregates with one full

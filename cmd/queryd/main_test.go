@@ -68,13 +68,10 @@ func startQueryd(t *testing.T, args []string) (status, func()) {
 	}
 	return st, func() {
 		cancel()
-		select {
-		case code := <-done:
-			if code != 0 {
-				t.Errorf("queryd exit %d (stderr: %s)", code, stderr.String())
-			}
-		case <-time.After(10 * time.Second):
-			t.Error("queryd did not shut down")
+		// A daemon that does not shut down hangs here; the test
+		// binary's timeout reports it.
+		if code := <-done; code != 0 {
+			t.Errorf("queryd exit %d (stderr: %s)", code, stderr.String())
 		}
 	}
 }
@@ -131,8 +128,9 @@ func TestQuerydDemoServesDuringCampaign(t *testing.T) {
 		t.Fatalf("status = %+v", st)
 	}
 	base := "http://" + st.Listening
-	// Poll the modules table while the campaign runs: it must always
-	// answer, and eventually carry rows as slices drain.
+	// Poll the modules table while the campaign runs, back to back (a
+	// request is the only wait): it must always answer, and eventually
+	// carry rows as slices drain.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		resp, err := http.Get(base + "/v1/tables/modules")
@@ -162,7 +160,6 @@ func TestQuerydDemoServesDuringCampaign(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("modules table never filled during demo campaign")
 		}
-		time.Sleep(50 * time.Millisecond)
 	}
 }
 

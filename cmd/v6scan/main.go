@@ -3,6 +3,12 @@
 // MQTT, MQTTS, AMQP, AMQPS, CoAP) and writes one JSON result per probe
 // to stdout.
 //
+// It is a flag parser in front of core.ScanBatch, the batch scan the
+// pipeline's hitlist scan uses: the flags build one zgrab.Config, and
+// the results come back in submission order — targets are sorted, so
+// stdout is a function of the input at any -workers — written once the
+// scan has drained.
+//
 // By default targets live in the simulated world, regenerated from the
 // seed so a target list produced by poolsim with the same seed hits the
 // same hosts:
@@ -33,12 +39,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"ntpscan/internal/core"
 	"ntpscan/internal/hitlist"
-	"ntpscan/internal/netsim"
 	"ntpscan/internal/obs"
 	"ntpscan/internal/prof"
 	"ntpscan/internal/store"
@@ -97,21 +101,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return fail(1, err)
 	}
 
-	var fabric *netsim.Network
-	var transport zgrab.Net
-	var timeout = 500 * time.Millisecond
-	if *real {
-		transport = zgrab.NewRealNet()
-		timeout = 3 * time.Second
-	}
-
-	// One registry for the whole process: in simulation it is the
-	// pipeline's (so collection metrics land in the same exposition),
-	// for -real scans a standalone one.
-	reg := obs.NewRegistry()
-
+	// The scanner assembly: under -real a bare kernel-socket one with
+	// its own registry, in simulation the pipeline's (so collection
+	// metrics land in the same exposition).
+	var cfg zgrab.Config
 	var p *core.Pipeline
-	if !*real {
+	if *real {
+		cfg = zgrab.Config{
+			Net:     zgrab.NewRealNet(),
+			Source:  core.ScanSource,
+			Obs:     obs.NewRegistry(),
+			Workers: *workers,
+			Timeout: 3 * time.Second,
+		}
+	} else {
 		p = core.NewPipeline(core.Config{
 			Seed: *seed,
 			World: world.Config{
@@ -127,9 +130,12 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		// stay dark — exactly the staleness §6 warns saved lists suffer
 		// from.
 		p.W.RegisterAllAt(p.W.Cfg.Start.Add(world.CollectionWindow))
-		fabric = p.W.Fabric()
-		timeout = p.Cfg.Timeout
-		reg = p.Obs
+		cfg = p.ScanConfig()
+	}
+	cfg.Modules = mods
+	cfg.PortOverrides = overrides
+	if *rate > 0 {
+		cfg.Limiter = zgrab.NewTokenBucket(*rate, *rate/10+1)
 	}
 
 	var list []netip.Addr
@@ -147,62 +153,18 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	var st *store.Store
 	if *storeDir != "" {
-		st, err = store.Open(*storeDir, store.Options{Obs: reg})
+		st, err = store.Open(*storeDir, store.Options{Obs: cfg.Obs})
 		if err != nil {
 			return fail(1, err)
 		}
 	}
 
-	bw := bufio.NewWriter(stdout)
-	jw := zgrab.NewJSONLWriter(bw)
-	var limiter zgrab.Limiter
-	if *rate > 0 {
-		limiter = zgrab.NewTokenBucket(*rate, *rate/10+1)
-	}
-	// OnResult runs on every scan worker. The JSONL writer locks
-	// itself; the store's rows and the first write error are kept under
-	// rowsMu.
-	var rowsMu sync.Mutex
-	var stRows []*zgrab.Result
-	var writeErr error
-	scanner := zgrab.NewScanner(zgrab.Config{
-		Fabric:        fabric,
-		Net:           transport,
-		Source:        core.ScanSource,
-		Obs:           reg,
-		Workers:       *workers,
-		Timeout:       timeout,
-		Modules:       mods,
-		Limiter:       limiter,
-		PortOverrides: overrides,
-		OnResult: func(r *zgrab.Result) {
-			err := jw.Write(r)
-			rowsMu.Lock()
-			if err != nil && writeErr == nil {
-				writeErr = err
-			}
-			if st != nil {
-				stRows = append(stRows, r)
-			}
-			rowsMu.Unlock()
-		},
-	})
-	scanner.Start(context.Background())
-	for _, a := range list {
-		scanner.Submit(a)
-	}
-	scanner.Close()
-	if writeErr == nil {
-		writeErr = bw.Flush()
-	}
-	if writeErr != nil {
-		return fail(1, fmt.Errorf("write results: %w", writeErr))
+	rows, err := core.ScanBatch(context.Background(), cfg, list, stdout)
+	if err != nil {
+		return fail(1, fmt.Errorf("write results: %w", err))
 	}
 	if st != nil {
-		// Workers finish in any order; submission order makes the store
-		// directory a function of the input alone.
-		sort.Slice(stRows, func(i, j int) bool { return stRows[i].Seq < stRows[j].Seq })
-		err := st.AppendResults(stRows)
+		err := st.AppendResults(rows)
 		if err == nil {
 			err = st.Seal()
 		}
@@ -212,14 +174,14 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "v6scan: wrote store to", *storeDir)
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
+		if err := writeMetrics(cfg.Obs, *metricsOut); err != nil {
 			return fail(1, err)
 		}
 	}
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(stderr, "v6scan:", err)
 	}
-	fmt.Fprintf(stderr, "v6scan: wrote %d results\n", jw.Count())
+	fmt.Fprintf(stderr, "v6scan: wrote %d results\n", len(rows))
 	return 0
 }
 

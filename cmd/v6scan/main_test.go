@@ -5,12 +5,11 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"net/netip"
-	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 
+	"ntpscan/internal/chaos"
 	"ntpscan/internal/store"
 	"ntpscan/internal/world"
 )
@@ -43,81 +42,73 @@ func tinyTargets(t *testing.T) string {
 	return b.String()
 }
 
-func dirDigest(t *testing.T, dir string) string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s %d\n", n, len(data))
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
-// TestV6scanStoreIsAFunctionOfTheInput runs the scanner twice over the
-// same fifty targets with eight workers and a store attached. OnResult
-// fires on every worker, so under -race this is also the check that the
-// store's rows are collected without a data race; every JSONL line must
-// have a store row, and the two store directories must be identical
-// byte for byte whatever order the workers finished in.
+// TestV6scanStoreIsAFunctionOfTheInput is v6scan's repeat gate: a
+// target list and the hitlist, each scanned with eight workers and a
+// store attached, three times at GOMAXPROCS 1 and three at the host's
+// CPU count. Results reach core.ScanBatch's sink on every worker (so
+// under -race this is also its data-race check) and leave it in
+// submission order: stdout and the store directory must be identical
+// byte for byte whatever order the workers finished in, and equal to a
+// one-worker run's; every JSONL line must have a store row.
 func TestV6scanStoreIsAFunctionOfTheInput(t *testing.T) {
-	targets := tinyTargets(t)
-	scan := func() (dir string, lines int) {
-		dir = filepath.Join(t.TempDir(), "scan.store")
-		args := append([]string{"-targets", "-", "-workers", "8", "-store", dir}, tinyWorld...)
-		var stdout, stderr bytes.Buffer
-		if code := run(args, strings.NewReader(targets), &stdout, &stderr); code != 0 {
-			t.Fatalf("v6scan exit %d (stderr: %s)", code, stderr.String())
-		}
-		return dir, bytes.Count(stdout.Bytes(), []byte("\n"))
-	}
-	dirA, lines := scan()
-	if lines == 0 {
-		t.Fatal("no JSONL output")
-	}
+	for _, tc := range []struct {
+		name  string
+		args  []string
+		stdin string
+	}{
+		{"targets", []string{"-targets", "-"}, tinyTargets(t)},
+		// A third of the tiny world's devices: the hitlist is 5 000
+		// targets instead of 17 000, and seven scans of it take a second.
+		{"hitlist", []string{"-hitlist", "-device-scale", "3e-4"}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var dir string
+			var lines int
+			scan := func(workers string) string {
+				dir = filepath.Join(t.TempDir(), "scan.store")
+				args := append(append([]string{"-workers", workers, "-store", dir}, tinyWorld...), tc.args...)
+				var stdout, stderr bytes.Buffer
+				if code := run(args, strings.NewReader(tc.stdin), &stdout, &stderr); code != 0 {
+					t.Fatalf("v6scan exit %d (stderr: %s)", code, stderr.String())
+				}
+				lines = bytes.Count(stdout.Bytes(), []byte("\n"))
+				return fmt.Sprintf("%x %s", sha256.Sum256(stdout.Bytes()), store.DirDigest(t, dir))
+			}
+			want := chaos.SameEveryRun(t, func() string { return scan("8") })
+			if scan("1") != want {
+				t.Error("one worker wrote different bytes than eight")
+			}
+			if lines == 0 {
+				t.Fatal("no JSONL output")
+			}
 
-	st, err := store.Open(dirA, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := st.Scan(store.Pred{Kind: store.KindResults})
-	rows, lastSeq, responsive := 0, int64(-1), 0
-	for it.Next() {
-		r := it.Row().Result
-		if r.Seq <= lastSeq {
-			t.Fatalf("store row %d has Seq %d after %d: not in submission order", rows, r.Seq, lastSeq)
-		}
-		lastSeq = r.Seq
-		if r.Success() {
-			responsive++
-		}
-		rows++
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if rows != lines {
-		t.Fatalf("store holds %d result rows, stdout carried %d JSONL lines", rows, lines)
-	}
-	if responsive == 0 {
-		t.Fatal("no target answered: the list missed the world")
-	}
-
-	dirB, _ := scan()
-	if a, b := dirDigest(t, dirA), dirDigest(t, dirB); a != b {
-		t.Fatalf("two runs over the same input wrote different stores: %s vs %s", a, b)
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			it := st.Scan(store.Pred{Kind: store.KindResults})
+			rows, lastSeq, responsive := 0, int64(-1), 0
+			for it.Next() {
+				r := it.Row().Result
+				if r.Seq <= lastSeq {
+					t.Fatalf("store row %d has Seq %d after %d: not in submission order", rows, r.Seq, lastSeq)
+				}
+				lastSeq = r.Seq
+				if r.Success() {
+					responsive++
+				}
+				rows++
+			}
+			if err := it.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if rows != lines {
+				t.Fatalf("store holds %d result rows, stdout carried %d JSONL lines", rows, lines)
+			}
+			if responsive == 0 {
+				t.Fatal("no target answered: the list missed the world")
+			}
+		})
 	}
 }
 

@@ -11,11 +11,10 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sync"
+	"slices"
 
 	"ntpscan"
 	"ntpscan/internal/analysis"
-	"ntpscan/internal/core"
 	"ntpscan/internal/tabulate"
 	"ntpscan/internal/zgrab"
 )
@@ -31,33 +30,27 @@ func main() {
 		Workers: 32,
 	})
 
-	// A scanner restricted to the IoT module set.
-	var mu sync.Mutex
-	var results []*zgrab.Result
-	scanner := zgrab.NewScanner(zgrab.Config{
-		Fabric:  p.W.Fabric(),
-		Source:  core.ScanSource,
-		Workers: 32,
-		Modules: []zgrab.Module{
-			&zgrab.MQTTModule{}, &zgrab.MQTTModule{TLS: true},
-			&zgrab.AMQPModule{}, &zgrab.AMQPModule{TLS: true},
-			&zgrab.CoAPModule{},
-		},
-		Timeout:    p.Cfg.Timeout,
-		UDPTimeout: p.Cfg.UDPTimeout,
-		OnResult: func(r *zgrab.Result) {
-			mu.Lock()
-			results = append(results, r)
-			mu.Unlock()
-		},
-	})
+	// The pipeline's scanner assembly, restricted to the IoT module set.
+	// Each scan worker appends to its own bucket, so collecting needs no
+	// lock.
+	cfg := p.ScanConfig()
+	cfg.Modules = []zgrab.Module{
+		&zgrab.MQTTModule{}, &zgrab.MQTTModule{TLS: true},
+		&zgrab.AMQPModule{}, &zgrab.AMQPModule{TLS: true},
+		&zgrab.CoAPModule{},
+	}
+	buckets := make([][]*zgrab.Result, cfg.Workers)
+	cfg.OnResultWorker = func(worker int, r *zgrab.Result) {
+		buckets[worker] = append(buckets[worker], r)
+	}
+	scanner := zgrab.NewScanner(cfg)
 
 	fmt.Println("collecting NTP client addresses and probing IoT services live...")
 	scanner.Start(context.Background())
 	p.Collect(func(a netip.Addr) { scanner.Submit(a) })
 	scanner.Close()
 
-	data := analysis.NewDataset("iot", results)
+	data := analysis.NewDataset("iot", slices.Concat(buckets...))
 
 	t := tabulate.New("broker access control (NTP-sourced)",
 		"protocol", "open", "auth required", "open share").

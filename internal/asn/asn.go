@@ -87,15 +87,6 @@ func (r *Registry) Register(as AS) *AS {
 	return &stored
 }
 
-// Get returns the record for an AS number.
-func (r *Registry) Get(asn uint32) (*AS, bool) {
-	as, ok := r.ases[asn]
-	return as, ok
-}
-
-// Len returns the number of registered ASes.
-func (r *Registry) Len() int { return len(r.ases) }
-
 // Announce records that asn originates p. Re-announcing a prefix
 // overwrites the previous origin (no MOAS modelling).
 func (r *Registry) Announce(p netip.Prefix, asn uint32) {
@@ -136,56 +127,4 @@ func (r *Registry) LookupASN(addr netip.Addr) (uint32, bool) {
 		}
 	}
 	return 0, false
-}
-
-// LookupPrefix returns the matched announced prefix for addr, if any.
-func (r *Registry) LookupPrefix(addr netip.Addr) (netip.Prefix, bool) {
-	for _, bits := range r.lengths {
-		p, err := addr.Prefix(bits)
-		if err != nil {
-			continue
-		}
-		if _, ok := r.tables[bits][p]; ok {
-			return p, true
-		}
-	}
-	return netip.Prefix{}, false
-}
-
-// Announced returns the total number of announced prefixes.
-func (r *Registry) Announced() int {
-	n := 0
-	for _, tbl := range r.tables {
-		n += len(tbl)
-	}
-	return n
-}
-
-// ASNumbers returns all registered AS numbers in ascending order.
-func (r *Registry) ASNumbers() []uint32 {
-	out := make([]uint32, 0, len(r.ases))
-	for n := range r.ases {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ForEachAnnouncement iterates every (prefix, origin ASN) pair, longest
-// lengths first, prefixes in ascending order within a length. Iteration
-// order is deterministic.
-func (r *Registry) ForEachAnnouncement(fn func(netip.Prefix, uint32) bool) {
-	for _, bits := range r.lengths {
-		tbl := r.tables[bits]
-		ps := make([]netip.Prefix, 0, len(tbl))
-		for p := range tbl {
-			ps = append(ps, p)
-		}
-		sort.Slice(ps, func(i, j int) bool { return ps[i].Addr().Less(ps[j].Addr()) })
-		for _, p := range ps {
-			if !fn(p, tbl[p]) {
-				return
-			}
-		}
-	}
 }

@@ -8,18 +8,22 @@ import (
 func mustAddr(s string) netip.Addr  { return netip.MustParseAddr(s) }
 func mustPfx(s string) netip.Prefix { return netip.MustParsePrefix(s) }
 
+// Register adds or replaces: a lookup resolves to the latest record for
+// the origin, and to none for an origin never registered.
 func TestRegisterGet(t *testing.T) {
 	r := NewRegistry()
-	r.Register(AS{Number: 64500, Name: "Example ISP", Country: "DE", Type: TypeCableDSLISP})
-	as, ok := r.Get(64500)
-	if !ok || as.Name != "Example ISP" || as.Type != TypeCableDSLISP {
-		t.Fatalf("Get = %+v, %v", as, ok)
-	}
-	if _, ok := r.Get(1); ok {
+	r.Announce(mustPfx("2001:db8::/32"), 64500)
+	if _, ok := r.Lookup(mustAddr("2001:db8::1")); ok {
 		t.Fatal("unknown AS resolved")
 	}
-	if r.Len() != 1 {
-		t.Fatalf("Len = %d", r.Len())
+	r.Register(AS{Number: 64500, Name: "Example ISP", Country: "DE", Type: TypeCableDSLISP})
+	as, ok := r.Lookup(mustAddr("2001:db8::1"))
+	if !ok || as.Name != "Example ISP" || as.Type != TypeCableDSLISP {
+		t.Fatalf("Lookup = %+v, %v", as, ok)
+	}
+	r.Register(AS{Number: 64500, Name: "Renamed ISP"})
+	if as, _ := r.Lookup(mustAddr("2001:db8::1")); as.Name != "Renamed ISP" {
+		t.Fatalf("Lookup after re-Register = %+v", as)
 	}
 }
 
@@ -59,16 +63,6 @@ func TestLookupReturnsRecord(t *testing.T) {
 	}
 }
 
-func TestLookupPrefix(t *testing.T) {
-	r := NewRegistry()
-	r.Announce(mustPfx("2001:db8::/32"), 1)
-	r.Announce(mustPfx("2001:db8:1::/48"), 2)
-	p, ok := r.LookupPrefix(mustAddr("2001:db8:1::1"))
-	if !ok || p != mustPfx("2001:db8:1::/48") {
-		t.Fatalf("LookupPrefix = %v %v", p, ok)
-	}
-}
-
 func TestAnnounceMasksPrefix(t *testing.T) {
 	r := NewRegistry()
 	// Host bits set in the announcement should be masked away.
@@ -86,9 +80,6 @@ func TestReAnnounceOverwrites(t *testing.T) {
 	if asn, _ := r.LookupASN(mustAddr("2001:db8::1")); asn != 2 {
 		t.Fatalf("origin = %d, want 2", asn)
 	}
-	if r.Announced() != 1 {
-		t.Fatalf("Announced = %d", r.Announced())
-	}
 }
 
 func TestTypeStrings(t *testing.T) {
@@ -102,43 +93,6 @@ func TestTypeStrings(t *testing.T) {
 	}
 	if Type(42).String() != "Type(42)" {
 		t.Fatal("unknown type label wrong")
-	}
-}
-
-func TestASNumbersSorted(t *testing.T) {
-	r := NewRegistry()
-	for _, n := range []uint32{5, 1, 9, 3} {
-		r.Register(AS{Number: n})
-	}
-	got := r.ASNumbers()
-	want := []uint32{1, 3, 5, 9}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ASNumbers = %v", got)
-		}
-	}
-}
-
-func TestForEachAnnouncementDeterministic(t *testing.T) {
-	r := NewRegistry()
-	r.Announce(mustPfx("2001:db8:2::/48"), 2)
-	r.Announce(mustPfx("2001:db8:1::/48"), 1)
-	r.Announce(mustPfx("2001:db8::/32"), 3)
-	var first []netip.Prefix
-	r.ForEachAnnouncement(func(p netip.Prefix, asn uint32) bool {
-		first = append(first, p)
-		return true
-	})
-	// /48s come before /32 (longest first), ascending within length.
-	if len(first) != 3 || first[0] != mustPfx("2001:db8:1::/48") ||
-		first[1] != mustPfx("2001:db8:2::/48") || first[2] != mustPfx("2001:db8::/32") {
-		t.Fatalf("order = %v", first)
-	}
-	// Early stop.
-	n := 0
-	r.ForEachAnnouncement(func(netip.Prefix, uint32) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("early stop visited %d", n)
 	}
 }
 

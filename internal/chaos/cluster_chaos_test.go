@@ -122,9 +122,9 @@ func TestClusterStoreDirIdenticalAcrossNodes(t *testing.T) {
 		return dir
 	}
 
-	want := storeDigest(t, runDir(1))
+	want := store.DirDigest(t, runDir(1))
 	for _, nodes := range []int{3, 8} {
-		if got := storeDigest(t, runDir(nodes)); got != want {
+		if got := store.DirDigest(t, runDir(nodes)); got != want {
 			t.Errorf("nodes=%d: store directory diverges from single-process run", nodes)
 		}
 	}

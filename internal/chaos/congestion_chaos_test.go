@@ -77,7 +77,7 @@ func TestCongestedCampaignDeterministicAcrossWorkers(t *testing.T) {
 				if _, err := p.RunCampaign(context.Background(), core.CampaignOpts{Out: &out, Store: st}); err != nil {
 					t.Fatal(err)
 				}
-				return p, &out, storeDigest(t, dir)
+				return p, &out, store.DirDigest(t, dir)
 			}
 			p1, out1, store1 := run(1)
 			if out1.Len() == 0 {

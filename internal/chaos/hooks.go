@@ -92,6 +92,33 @@ func NoGoroutineLeaks(t testing.TB) {
 	})
 }
 
+// SameEveryRun is the repeat gate for a program that prints results:
+// run — one whole invocation, returning everything it wrote — is called
+// three times at GOMAXPROCS 1 and three times at the host's CPU count,
+// and every call must return the same bytes. Go randomises map order
+// per range statement and the scheduler interleaves workers differently
+// each time, so a handful of repeats is a cheap, sharp detector for
+// output that depends on either. It returns those bytes.
+func SameEveryRun(t testing.TB, run func() string) string {
+	t.Helper()
+	var want string
+	runs := 0
+	for _, procs := range []int{1, runtime.NumCPU()} {
+		prev := runtime.GOMAXPROCS(procs)
+		for i := 0; i < 3; i++ {
+			got := run()
+			if runs++; runs == 1 {
+				want = got
+			} else if got != want {
+				t.Errorf("GOMAXPROCS=%d, run %d: output differs from the first run's (%d bytes vs %d)",
+					procs, i+1, len(got), len(want))
+			}
+		}
+		runtime.GOMAXPROCS(prev)
+	}
+	return want
+}
+
 // CongestedSpec is DefaultSpec plus a congested link layer: two
 // vantage access links and four device /48s behind short queues at 0.9
 // utilization, with two mid-campaign route flaps. Heavy — most

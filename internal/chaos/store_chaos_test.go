@@ -3,7 +3,6 @@ package chaos
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -15,29 +14,6 @@ import (
 	"ntpscan/internal/core"
 	"ntpscan/internal/store"
 )
-
-func storeDigest(t *testing.T, dir string) string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s %d\n", n, len(data))
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
 
 // The regression pin for the torn-tail flake (ROADMAP item 4): the
 // scheduling-dependent value was the *order of capture rows* — when two
@@ -154,7 +130,7 @@ func TestStoreTornTailRecoveryUnderFaults(t *testing.T) {
 			if len(cps) < 3 {
 				t.Fatalf("expected 3 checkpoints, got %d", len(cps))
 			}
-			wantDigest := storeDigest(t, fullDir)
+			wantDigest := store.DirDigest(t, fullDir)
 			cp := cps[1]
 			blob, err := json.Marshal(cp)
 			if err != nil {
@@ -205,7 +181,7 @@ func TestStoreTornTailRecoveryUnderFaults(t *testing.T) {
 			if _, err := p2.ResumeCampaign(context.Background(), &back, core.CampaignOpts{Store: st2, Out: &rest}); err != nil {
 				t.Fatal(err)
 			}
-			if got := storeDigest(t, crashDir); got != wantDigest {
+			if got := store.DirDigest(t, crashDir); got != wantDigest {
 				t.Error("recovered store directory diverges from uninterrupted run")
 			}
 			if want := full.Bytes()[back.OutOffset:]; !bytes.Equal(rest.Bytes(), want) {

@@ -3,11 +3,7 @@ package transport_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
 	"testing"
 
 	"ntpscan/internal/chaos"
@@ -110,31 +106,6 @@ func TestClusterOverSocketByteIdentical(t *testing.T) {
 	}
 }
 
-// storeDigest hashes a store directory's (sorted) entries — the chaos
-// suite's byte-identity fingerprint.
-func storeDigest(t *testing.T, dir string) string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s %d\n", n, len(data))
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // Store directories are part of the contract too: a store-backed
 // campaign over the socket, with a kill and a partition in flight,
 // leaves the exact directory bytes of the single-process run.
@@ -171,9 +142,9 @@ func TestClusterStoreDirIdenticalOverSocket(t *testing.T) {
 		return dir
 	}
 
-	want := storeDigest(t, runDir(t, 1))
+	want := store.DirDigest(t, runDir(t, 1))
 	for _, nodes := range []int{3, 8} {
-		if got := storeDigest(t, runDir(t, nodes)); got != want {
+		if got := store.DirDigest(t, runDir(t, nodes)); got != want {
 			t.Errorf("nodes=%d: socket-cluster store directory diverges from single-process run", nodes)
 		}
 	}

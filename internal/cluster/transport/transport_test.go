@@ -223,8 +223,6 @@ func TestClientReconnectsAfterRestart(t *testing.T) {
 	c := NewClient(ep.URL, 0, nil)
 	c.Retries = 40
 	c.Backoff = time.Millisecond
-	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d); time.Sleep(d) }
 	defer c.CloseIdle()
 
 	if _, err := c.Claim(0, 1); err != nil {
@@ -234,23 +232,18 @@ func TestClientReconnectsAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Bring a replacement server up on the same address while the
-	// client is mid-retry.
+	// The backoff hook stands in for the wait: it records each delay
+	// and, from the third retry on, brings a replacement server up on
+	// the same address — the client is mid-retry by construction.
+	var slept []time.Duration
 	var ep2 *Endpoint
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		time.Sleep(20 * time.Millisecond)
-		for i := 0; i < 100; i++ {
-			ep2, err = ListenAddr(NewServer(api, nil), addr)
-			if err == nil {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
+	c.sleep = func(d time.Duration) {
+		slept = append(slept, d)
+		if len(slept) >= 3 && ep2 == nil {
+			ep2, _ = ListenAddr(NewServer(api, nil), addr)
 		}
-	}()
+	}
 	defer func() {
-		<-done
 		if ep2 != nil {
 			ep2.Close()
 		}

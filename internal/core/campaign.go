@@ -223,7 +223,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // numbers the scanner stamped at submission, at each slice's drain
 // barrier. Per-slice sorting yields the global order: the barrier
 // guarantees every slice-s sequence number precedes every slice-s+1
-// one. The hitlist batch scan is the one-flush case with no writer.
+// one. A batch scan (ScanBatch) is the one-flush case.
 type orderedSink struct {
 	buckets [][]*zgrab.Result
 	all     []*zgrab.Result

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"io"
 	"net/netip"
 
 	"ntpscan/internal/analysis"
@@ -14,21 +15,51 @@ import (
 // it identifies us to the telescope.
 var ScanSource = netip.MustParseAddr("2a10:ffff:5ca::1")
 
-// newScanner assembles a scanner wired to the pipeline's fabric,
-// carrying the pipeline's retry policy and breaker configuration.
+// ScanConfig is the one scanner assembly: the pipeline's fabric, clock,
+// registry, timeouts, retry policy and breaker. The campaign, the
+// hitlist scan and cmd/v6scan's simulated scan all start from it.
+func (p *Pipeline) ScanConfig() zgrab.Config {
+	return zgrab.Config{
+		Fabric:     p.W.Fabric(),
+		Clock:      p.W.Clock(),
+		Source:     ScanSource,
+		Obs:        p.Obs,
+		Timeout:    p.Cfg.Timeout,
+		UDPTimeout: p.Cfg.UDPTimeout,
+		Workers:    p.Cfg.Workers,
+		Retry:      p.Cfg.Retry,
+		Breaker:    p.Cfg.Breaker,
+	}
+}
+
+// newScanner builds the campaign's scanner over ScanConfig, delivering
+// results to add.
 func (p *Pipeline) newScanner(add func(worker int, r *zgrab.Result)) *zgrab.Scanner {
-	return zgrab.NewScanner(zgrab.Config{
-		Fabric:         p.W.Fabric(),
-		Clock:          p.W.Clock(),
-		Source:         ScanSource,
-		Obs:            p.Obs,
-		Timeout:        p.Cfg.Timeout,
-		UDPTimeout:     p.Cfg.UDPTimeout,
-		Workers:        p.Cfg.Workers,
-		Retry:          p.Cfg.Retry,
-		Breaker:        p.Cfg.Breaker,
-		OnResultWorker: add,
-	})
+	cfg := p.ScanConfig()
+	cfg.OnResultWorker = add
+	return zgrab.NewScanner(cfg)
+}
+
+// ScanBatch is the one way to scan a list: a fresh scanner over cfg
+// scans addrs, and the results come back in submission (Seq) order —
+// written to out, when it is not nil, as one JSON line each. Results
+// are ordered and written once, after the scan has drained, so both are
+// a function of the input alone at any worker count. There is no
+// mid-scan Drain: it would tick the breaker and the revisit sweep and
+// move the results of a faulted scan. The returned rows are complete
+// even when the write fails.
+func ScanBatch(ctx context.Context, cfg zgrab.Config, addrs []netip.Addr, out io.Writer) ([]*zgrab.Result, error) {
+	if cfg.Workers < 1 {
+		cfg.Workers = 1 // the sink has one bucket per scanner worker
+	}
+	sink := newOrderedSink(cfg.Workers, out)
+	cfg.OnResultWorker = sink.add
+	scanner := zgrab.NewScanner(cfg)
+	scanner.Start(ctx)
+	scanner.SubmitBatch(addrs)
+	scanner.Close()
+	err := sink.flush()
+	return sink.all, err
 }
 
 // RunNTPCampaign performs the §4.1 core experiment: collect addresses
@@ -60,17 +91,13 @@ func (p *Pipeline) BuildHitlist(cfg hitlist.Config) *hitlist.Hitlist {
 	return hitlist.Build(p.W, cfg)
 }
 
-// ScanList batch-scans addrs with a fresh scanner and returns the
-// results, in submission (Seq) order, as the dataset called name.
+// ScanList batch-scans addrs over the pipeline's scanner assembly and
+// returns the results, in submission (Seq) order, as the dataset called
+// name.
 func (p *Pipeline) ScanList(ctx context.Context, name string, addrs []netip.Addr) *analysis.Dataset {
-	sink := newOrderedSink(p.Cfg.Workers, nil)
-	scanner := p.newScanner(sink.add)
-	scanner.Start(ctx)
-	scanner.SubmitBatch(addrs)
-	scanner.Close()
-	// With no writer, flush only sorts the buckets into sink.all.
-	_ = sink.flush()
-	return analysis.NewDataset(name, sink.all)
+	// With no writer the flush only sorts, and cannot fail.
+	rows, _ := ScanBatch(ctx, p.ScanConfig(), addrs, nil)
+	return analysis.NewDataset(name, rows)
 }
 
 // ScanHitlist batch-scans the full hitlist (the paper scans the

@@ -1,8 +1,7 @@
 // Package geo provides the geolocation substrate: a GeoLite2-equivalent
-// prefix→country database and a country registry carrying the statistics
-// the paper's vantage-point selection uses (§3.1: deploy NTP servers in
-// countries with few existing pool servers relative to their routed IPv6
-// address space).
+// prefix→country database. (The paper's §3.1 vantage selection — deploy
+// where pool servers are few relative to routed IPv6 space — is not
+// computed here: world's country specs carry its outcome.)
 package geo
 
 import (
@@ -10,69 +9,15 @@ import (
 	"sort"
 )
 
-// Country is one country record with the metrics relevant to vantage
-// selection.
-type Country struct {
-	Code string // ISO 3166-1 alpha-2
-	Name string
-	// RoutedV6 is the relative amount of routed IPv6 address space
-	// (arbitrary units; only ratios matter).
-	RoutedV6 float64
-	// PoolServers is the number of NTP Pool servers already serving the
-	// country's zone before our deployment.
-	PoolServers int
-	// Population is the relative number of IPv6-active client devices.
-	Population float64
-}
-
-// UnderservedScore is routed space per existing pool server; the paper's
-// deployment targets countries where this is high. A country with zero
-// servers scores as if it had one (the pool never maps an empty zone to
-// nothing — clients fall back to the continent zone).
-func (c Country) UnderservedScore() float64 {
-	servers := c.PoolServers
-	if servers < 1 {
-		servers = 1
-	}
-	return c.RoutedV6 / float64(servers)
-}
-
-// DB is the combined country registry and prefix→country mapping.
+// DB is the prefix→country mapping.
 type DB struct {
-	countries map[string]*Country
-	tables    map[int]map[netip.Prefix]string
-	lengths   []int
+	tables  map[int]map[netip.Prefix]string
+	lengths []int
 }
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{
-		countries: make(map[string]*Country),
-		tables:    make(map[int]map[netip.Prefix]string),
-	}
-}
-
-// AddCountry registers a country record.
-func (d *DB) AddCountry(c Country) *Country {
-	stored := c
-	d.countries[c.Code] = &stored
-	return &stored
-}
-
-// Country returns a registered country.
-func (d *DB) Country(code string) (*Country, bool) {
-	c, ok := d.countries[code]
-	return c, ok
-}
-
-// Countries returns all registered countries sorted by code.
-func (d *DB) Countries() []*Country {
-	out := make([]*Country, 0, len(d.countries))
-	for _, c := range d.countries {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
+	return &DB{tables: make(map[int]map[netip.Prefix]string)}
 }
 
 // MapPrefix assigns all addresses under p to a country, GeoLite2-style.
@@ -101,22 +46,4 @@ func (d *DB) Locate(addr netip.Addr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// MostUnderserved returns the n countries with the highest
-// UnderservedScore, the selection rule for vantage deployment. Ties break
-// by country code for determinism.
-func (d *DB) MostUnderserved(n int) []*Country {
-	cs := d.Countries()
-	sort.SliceStable(cs, func(i, j int) bool {
-		si, sj := cs[i].UnderservedScore(), cs[j].UnderservedScore()
-		if si != sj {
-			return si > sj
-		}
-		return cs[i].Code < cs[j].Code
-	})
-	if len(cs) > n {
-		cs = cs[:n]
-	}
-	return cs
 }

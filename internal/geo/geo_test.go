@@ -5,18 +5,6 @@ import (
 	"testing"
 )
 
-func TestAddCountryAndLookup(t *testing.T) {
-	d := NewDB()
-	d.AddCountry(Country{Code: "DE", Name: "Germany", RoutedV6: 10, PoolServers: 50})
-	c, ok := d.Country("DE")
-	if !ok || c.Name != "Germany" {
-		t.Fatalf("Country = %+v %v", c, ok)
-	}
-	if _, ok := d.Country("XX"); ok {
-		t.Fatal("unknown country resolved")
-	}
-}
-
 func TestLocateLongestMatch(t *testing.T) {
 	d := NewDB()
 	d.MapPrefix(netip.MustParsePrefix("2001:db8::/32"), "DE")
@@ -29,54 +17,6 @@ func TestLocateLongestMatch(t *testing.T) {
 	}
 	if _, ok := d.Locate(netip.MustParseAddr("2001:dead::1")); ok {
 		t.Fatal("unmapped space located")
-	}
-}
-
-func TestUnderservedScore(t *testing.T) {
-	many := Country{RoutedV6: 100, PoolServers: 100}
-	few := Country{RoutedV6: 100, PoolServers: 2}
-	none := Country{RoutedV6: 100, PoolServers: 0}
-	if few.UnderservedScore() <= many.UnderservedScore() {
-		t.Fatal("fewer servers should score higher")
-	}
-	if none.UnderservedScore() != 100 {
-		t.Fatalf("zero-server score = %v", none.UnderservedScore())
-	}
-}
-
-func TestMostUnderserved(t *testing.T) {
-	d := NewDB()
-	d.AddCountry(Country{Code: "IN", RoutedV6: 1000, PoolServers: 5})
-	d.AddCountry(Country{Code: "DE", RoutedV6: 500, PoolServers: 500})
-	d.AddCountry(Country{Code: "BR", RoutedV6: 400, PoolServers: 4})
-	top := d.MostUnderserved(2)
-	if len(top) != 2 || top[0].Code != "IN" || top[1].Code != "BR" {
-		t.Fatalf("MostUnderserved = %v %v", top[0].Code, top[1].Code)
-	}
-	all := d.MostUnderserved(10)
-	if len(all) != 3 {
-		t.Fatalf("over-request returned %d", len(all))
-	}
-}
-
-func TestMostUnderservedTieBreak(t *testing.T) {
-	d := NewDB()
-	d.AddCountry(Country{Code: "BB", RoutedV6: 10, PoolServers: 1})
-	d.AddCountry(Country{Code: "AA", RoutedV6: 10, PoolServers: 1})
-	top := d.MostUnderserved(2)
-	if top[0].Code != "AA" {
-		t.Fatalf("tie break wrong: %v", top[0].Code)
-	}
-}
-
-func TestCountriesSorted(t *testing.T) {
-	d := NewDB()
-	for _, c := range []string{"ZA", "AU", "JP"} {
-		d.AddCountry(Country{Code: c})
-	}
-	cs := d.Countries()
-	if cs[0].Code != "AU" || cs[1].Code != "JP" || cs[2].Code != "ZA" {
-		t.Fatalf("order: %v %v %v", cs[0].Code, cs[1].Code, cs[2].Code)
 	}
 }
 

@@ -209,11 +209,7 @@ func TestAddrSet(t *testing.T) {
 		t.Fatal("duplicate Add returned true")
 	}
 	s.Add(b)
-	if !s.Contains(a) || !s.Contains(b) || s.Contains(mustAddr("2001:db8::3")) {
-		t.Fatal("Contains wrong")
-	}
-	sorted := s.Sorted()
-	if len(sorted) != 2 || !sorted[0].Less(sorted[1]) {
+	if sorted := s.Sorted(); len(sorted) != 2 || sorted[0] != a || sorted[1] != b {
 		t.Fatalf("Sorted = %v", sorted)
 	}
 }
@@ -234,34 +230,13 @@ func TestAddrSetOverlap(t *testing.T) {
 	}
 }
 
-func TestAddrSetForEachEarlyStop(t *testing.T) {
-	s := NewAddrSet()
-	for i := 0; i < 10; i++ {
-		s.Add(FromParts(0, uint64(i)))
-	}
-	n := 0
-	s.ForEach(func(netip.Addr) bool {
-		n++
-		return n < 3
-	})
-	if n != 3 {
-		t.Fatalf("early stop failed, visited %d", n)
-	}
-}
-
 func TestPrefixCounter(t *testing.T) {
 	c := NewPrefixCounter(48)
-	if c.Bits() != 48 {
-		t.Fatal("Bits wrong")
-	}
 	c.Add(mustAddr("2001:db8:1::1"))
 	c.Add(mustAddr("2001:db8:1::2"))
 	c.Add(mustAddr("2001:db8:2::1"))
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d", c.Len())
-	}
-	if got := c.Count(netip.MustParsePrefix("2001:db8:1::/48")); got != 2 {
-		t.Fatalf("Count = %d", got)
 	}
 	counts := c.Counts()
 	if len(counts) != 2 || counts[0] != 1 || counts[1] != 2 {
@@ -277,16 +252,6 @@ func TestPrefixCounterOverlap(t *testing.T) {
 	b.Add(mustAddr("2001:db8:3::9"))
 	if got := a.OverlapWith(b); got != 1 {
 		t.Fatalf("overlap = %d", got)
-	}
-}
-
-func TestPrefixCounterPrefixesSorted(t *testing.T) {
-	c := NewPrefixCounter(48)
-	c.Add(mustAddr("2001:db8:9::1"))
-	c.Add(mustAddr("2001:db8:1::1"))
-	ps := c.Prefixes()
-	if len(ps) != 2 || !ps[0].Addr().Less(ps[1].Addr()) {
-		t.Fatalf("Prefixes = %v", ps)
 	}
 }
 

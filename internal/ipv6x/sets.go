@@ -25,24 +25,8 @@ func (s *AddrSet) Add(addr netip.Addr) bool {
 	return true
 }
 
-// Contains reports membership.
-func (s *AddrSet) Contains(addr netip.Addr) bool {
-	_, ok := s.m[addr]
-	return ok
-}
-
 // Len returns the number of distinct addresses.
 func (s *AddrSet) Len() int { return len(s.m) }
-
-// ForEach calls fn for every address in unspecified order. Iteration
-// stops early if fn returns false.
-func (s *AddrSet) ForEach(fn func(netip.Addr) bool) {
-	for a := range s.m {
-		if !fn(a) {
-			return
-		}
-	}
-}
 
 // Sorted returns all addresses in ascending order. Intended for tests and
 // small sets; it allocates O(n).
@@ -84,9 +68,6 @@ func NewPrefixCounter(bits int) *PrefixCounter {
 	return &PrefixCounter{bits: bits, m: make(map[netip.Prefix]int)}
 }
 
-// Bits returns the aggregation prefix length.
-func (c *PrefixCounter) Bits() int { return c.bits }
-
 // Add counts addr against its enclosing prefix.
 func (c *PrefixCounter) Add(addr netip.Addr) {
 	c.m[Prefix(addr, c.bits)]++
@@ -94,9 +75,6 @@ func (c *PrefixCounter) Add(addr netip.Addr) {
 
 // Len returns the number of distinct prefixes observed.
 func (c *PrefixCounter) Len() int { return len(c.m) }
-
-// Count returns the number of additions within p.
-func (c *PrefixCounter) Count(p netip.Prefix) int { return c.m[p] }
 
 // Counts returns the multiset of per-prefix counts in ascending order
 // (for density medians: "median IPs in /48s").
@@ -124,16 +102,4 @@ func (c *PrefixCounter) OverlapWith(other *PrefixCounter) int {
 		}
 	}
 	return n
-}
-
-// Prefixes returns all distinct prefixes in ascending order.
-func (c *PrefixCounter) Prefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(c.m))
-	for p := range c.m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Addr().Less(out[j].Addr())
-	})
-	return out
 }

@@ -81,20 +81,20 @@ func TestConnReadAfterOwnClose(t *testing.T) {
 
 func TestConnCloseUnblocksPeerRead(t *testing.T) {
 	a, b := NewConnPair(ap("[::1]:1"), ap("[::2]:2"))
+	reading := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
+		close(reading)
 		_, err := b.Read(make([]byte, 1))
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	// Close once the reader is on its way into Read; whether it has
+	// parked yet or not, it must come back with EOF (a read left blocked
+	// hangs the test).
+	<-reading
 	a.Close()
-	select {
-	case err := <-done:
-		if err != io.EOF {
-			t.Fatalf("got %v, want EOF", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("peer read not unblocked")
+	if err := <-done; err != io.EOF {
+		t.Fatalf("got %v, want EOF", err)
 	}
 }
 
@@ -312,11 +312,11 @@ func TestUDPConnToConn(t *testing.T) {
 	b, _ := n.ListenUDP(ap("[2001:db8::2]:2000"))
 	defer a.Close()
 	defer b.Close()
-	a.WriteTo([]byte("direct"), b.LocalAddr())
+	a.WriteTo([]byte("direct"), ap("[2001:db8::2]:2000"))
 	buf := make([]byte, 16)
 	b.SetReadDeadline(time.Now().Add(time.Second))
 	nr, from, err := b.ReadFrom(buf)
-	if err != nil || string(buf[:nr]) != "direct" || from != a.LocalAddr() {
+	if err != nil || string(buf[:nr]) != "direct" || from != ap("[2001:db8::1]:1000") {
 		t.Fatalf("got %q from %v, %v", buf[:nr], from, err)
 	}
 }
@@ -353,8 +353,17 @@ func TestUDPPortInUseAndEphemeral(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e2.Close()
-	if e1.LocalAddr() == e2.LocalAddr() {
-		t.Fatal("ephemeral ports collided")
+	// The bound port is what a peer sees as the datagram's source.
+	var from [2]netip.AddrPort
+	for i, e := range []*UDPConn{e1, e2} {
+		e.WriteTo([]byte("x"), ap("[2001:db8::1]:1000"))
+		a.SetReadDeadline(time.Now().Add(time.Second))
+		if _, from[i], err = a.ReadFrom(make([]byte, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if from[0].Port() == 0 || from[0] == from[1] {
+		t.Fatalf("ephemeral ports %v and %v", from[0], from[1])
 	}
 }
 
@@ -373,7 +382,7 @@ func TestUDPTruncation(t *testing.T) {
 	b, _ := n.ListenUDP(ap("[2001:db8::2]:2"))
 	defer a.Close()
 	defer b.Close()
-	a.WriteTo([]byte("0123456789"), b.LocalAddr())
+	a.WriteTo([]byte("0123456789"), ap("[2001:db8::2]:2"))
 	buf := make([]byte, 4)
 	b.SetReadDeadline(time.Now().Add(time.Second))
 	nr, _, err := b.ReadFrom(buf)
@@ -575,7 +584,7 @@ func TestUDPOrderingFIFO(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	for i := 0; i < 50; i++ {
-		a.WriteTo([]byte{byte(i)}, b.LocalAddr())
+		a.WriteTo([]byte{byte(i)}, ap("[2001:db8::2]:2"))
 	}
 	buf := make([]byte, 4)
 	b.SetReadDeadline(time.Now().Add(time.Second))

@@ -57,9 +57,6 @@ func (c *UDPConn) enqueue(from netip.AddrPort, payload []byte) {
 	}
 }
 
-// LocalAddr returns the bound address.
-func (c *UDPConn) LocalAddr() netip.AddrPort { return c.local }
-
 // WriteTo sends one datagram to dst.
 func (c *UDPConn) WriteTo(payload []byte, dst netip.AddrPort) (int, error) {
 	c.mu.Lock()

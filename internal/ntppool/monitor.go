@@ -106,17 +106,3 @@ func (m *Monitor) Check(id string, ok bool) float64 {
 	m.pool.SetScore(id, score)
 	return score
 }
-
-// CheckAll probes every registered server with the given function and
-// returns how many are currently healthy (score >= MinScore).
-func (m *Monitor) CheckAll(probe func(*Server) bool) (healthy int) {
-	for _, s := range m.pool.Servers() {
-		m.Check(s.ID, probe(s))
-	}
-	for _, s := range m.pool.Servers() {
-		if s.Score >= MinScore {
-			healthy++
-		}
-	}
-	return healthy
-}

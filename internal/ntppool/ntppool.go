@@ -87,44 +87,12 @@ func (p *Pool) AddServer(s *Server) error {
 	return nil
 }
 
-// RemoveServer withdraws a server (the paper stops advertising four
-// weeks before shutdown; withdrawal is immediate here and the advance
-// notice is the caller's schedule).
-func (p *Pool) RemoveServer(id string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.servers[id]
-	if !ok {
-		return
-	}
-	delete(p.servers, id)
-	zone := p.byZone[s.Country]
-	for i, z := range zone {
-		if z.ID == id {
-			p.byZone[s.Country] = append(zone[:i], zone[i+1:]...)
-			break
-		}
-	}
-}
-
 // Server returns a registered server by ID.
 func (p *Pool) Server(id string) (*Server, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	s, ok := p.servers[id]
 	return s, ok
-}
-
-// Servers returns our servers sorted by ID.
-func (p *Pool) Servers() []*Server {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]*Server, 0, len(p.servers))
-	for _, s := range p.servers {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // SetNetSpeed adjusts a server's weight — the knob the paper turns until

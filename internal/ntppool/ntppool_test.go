@@ -19,6 +19,8 @@ func newServer(id, country string, speed float64) *Server {
 	}
 }
 
+// The name is the tier-1 floor list's; RemoveServer went with its last
+// caller, registration and the duplicate-ID refusal are what is left.
 func TestAddRemoveServer(t *testing.T) {
 	p := New()
 	if err := p.AddServer(newServer("1", "DE", 10)); err != nil {
@@ -30,11 +32,9 @@ func TestAddRemoveServer(t *testing.T) {
 	if _, ok := p.Server("1"); !ok {
 		t.Fatal("server lost")
 	}
-	p.RemoveServer("1")
-	if _, ok := p.Server("1"); ok {
-		t.Fatal("server not removed")
+	if _, ok := p.Server("missing"); ok {
+		t.Fatal("phantom server")
 	}
-	p.RemoveServer("missing") // no-op
 }
 
 func TestMapClientZoneShare(t *testing.T) {
@@ -134,17 +134,6 @@ func TestUnhealthyServerSkipped(t *testing.T) {
 	}
 	if !got {
 		t.Fatal("recovered server never mapped")
-	}
-}
-
-func TestServersSorted(t *testing.T) {
-	p := New()
-	for _, id := range []string{"c", "a", "b"} {
-		p.AddServer(newServer(id, "US", 1))
-	}
-	ss := p.Servers()
-	if len(ss) != 3 || ss[0].ID != "a" || ss[2].ID != "c" {
-		t.Fatalf("order: %v %v %v", ss[0].ID, ss[1].ID, ss[2].ID)
 	}
 }
 

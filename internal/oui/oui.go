@@ -7,7 +7,6 @@ package oui
 
 import (
 	"hash/fnv"
-	"sort"
 
 	"ntpscan/internal/ipv6x"
 )
@@ -82,32 +81,10 @@ func (r *Registry) Lookup(mac ipv6x.MAC) (vendor string, ok bool) {
 	return vendor, ok
 }
 
-// LookupOUI returns the vendor for a raw OUI value.
-func (r *Registry) LookupOUI(oui [3]byte) (vendor string, ok bool) {
-	oui[0] &^= 0x03
-	vendor, ok = r.byOUI[oui]
-	return vendor, ok
-}
-
 // OUIs returns the blocks registered to a vendor, in registration order.
 func (r *Registry) OUIs(vendor string) [][3]byte {
 	return r.byVendor[vendor]
 }
-
-// Vendors returns all registered vendor names, sorted.
-func (r *Registry) Vendors() []string {
-	out := make([]string, 0, len(r.byVendor))
-	for v := range r.byVendor {
-		if len(r.byVendor[v]) > 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len returns the number of registered OUI blocks.
-func (r *Registry) Len() int { return len(r.byOUI) }
 
 // Vendor names from the paper's Table 4 (top manufacturers by embedded
 // MAC count). The two AVM entries are distinct registry rows in the IEEE

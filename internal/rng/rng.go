@@ -161,19 +161,6 @@ func (r *Stream) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate via the polar
-// (Marsaglia) method.
-func (r *Stream) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *Stream) ExpFloat64() float64 {
 	for {
@@ -182,12 +169,6 @@ func (r *Stream) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// LogNormal returns exp(mu + sigma*N(0,1)); handy for heavy-tailed counts
-// such as per-network device populations.
-func (r *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
 }
 
 // Zipf returns a value in [0, n) with a Zipf-like distribution of

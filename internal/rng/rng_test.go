@@ -118,25 +118,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(17)
-	const draws = 200000
-	var sum, sumsq float64
-	for i := 0; i < draws; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / draws
-	variance := sumsq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Fatalf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Fatalf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestExpFloat64Mean(t *testing.T) {
 	r := New(19)
 	const draws = 200000
@@ -267,15 +248,6 @@ func TestPickCoversAll(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("Pick missed elements: %v", seen)
-	}
-}
-
-func TestLogNormalPositive(t *testing.T) {
-	r := New(53)
-	for i := 0; i < 1000; i++ {
-		if v := r.LogNormal(0, 1); v <= 0 {
-			t.Fatalf("LogNormal returned %v", v)
-		}
 	}
 }
 

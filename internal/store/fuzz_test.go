@@ -273,12 +273,12 @@ func FuzzManifestRecover(f *testing.F) {
 			}
 			hi = si.SliceHi
 		}
-		first := hashDir(t, dir)
+		first := DirDigest(t, dir)
 		s2, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}
-		if !reflect.DeepEqual(s2.Manifest(), man) || hashDir(t, dir) != first {
+		if !reflect.DeepEqual(s2.Manifest(), man) || DirDigest(t, dir) != first {
 			t.Fatalf("second Open is not a fixed point:\n first  %+v\n second %+v", man, s2.Manifest())
 		}
 	})

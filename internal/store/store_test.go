@@ -2,12 +2,10 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -91,29 +89,6 @@ func scanAll(t *testing.T, s *Store) (caps []CaptureRow, results []*zgrab.Result
 		t.Fatalf("scan: %v", it.Err())
 	}
 	return caps, results, it.Stats()
-}
-
-func hashDir(t *testing.T, dir string) string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s %d\n", n, len(data))
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
 func TestRoundTripAndCanonicalOrder(t *testing.T) {
@@ -200,7 +175,7 @@ func TestDeterministicDirectoryBytes(t *testing.T) {
 		if err := s.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		hashes[i] = hashDir(t, dir)
+		hashes[i] = DirDigest(t, dir)
 	}
 	if hashes[0] != hashes[1] {
 		t.Fatal("identical appends produced different directory bytes")
@@ -350,7 +325,7 @@ func TestRecoverDropsUnsealedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStore(t, ref, 4, 20)
-	if hashDir(t, dir) != hashDir(t, ref.Dir()) {
+	if DirDigest(t, dir) != DirDigest(t, ref.Dir()) {
 		t.Fatal("recovered+reappended store differs from uninterrupted store")
 	}
 }
@@ -409,7 +384,7 @@ func TestResetToResurrectsRetiredInputs(t *testing.T) {
 	if err := ref.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if hashDir(t, dir) != hashDir(t, ref.Dir()) {
+	if DirDigest(t, dir) != DirDigest(t, ref.Dir()) {
 		t.Fatal("reset+replayed store differs from uninterrupted store")
 	}
 }

@@ -123,13 +123,6 @@ func NewActor(fabric *netsim.Network, profile ActorProfile, seed uint64) *Actor 
 // PoolEntries returns the actor's advertised servers.
 func (a *Actor) PoolEntries() []PoolServerEntry { return a.entries }
 
-// CapturedCount returns how many addresses the actor has harvested.
-func (a *Actor) CapturedCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.captured)
-}
-
 // RunScans probes every captured address per the profile. In the
 // simulation the logical clock is advanced by the driver; probe
 // timestamps are synthesised by temporarily advancing a manual clock

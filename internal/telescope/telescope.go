@@ -71,9 +71,6 @@ func NewObserver(fabric *netsim.Network, prefix netip.Prefix) *Observer {
 // Close stops capturing.
 func (o *Observer) Close() { o.cancel() }
 
-// Prefix returns the monitored prefix.
-func (o *Observer) Prefix() netip.Prefix { return o.prefix }
-
 // nextSource allocates a fresh, never-used source address inside the
 // monitored prefix. The low half of the space is used for queries; the
 // upper half stays dark as the scatter control.

@@ -51,7 +51,8 @@ func TestObserverQueriesAnswered(t *testing.T) {
 func TestObserverDistinctSources(t *testing.T) {
 	f, _ := testFabric()
 	servers := deployBenign(f, 5)
-	o := NewObserver(f, pfx("2001:db8:7e1e:5c00::/56"))
+	monitored := pfx("2001:db8:7e1e:5c00::/56")
+	o := NewObserver(f, monitored)
 	defer o.Close()
 	seen := map[netip.Addr]bool{}
 	for _, s := range servers {
@@ -62,7 +63,7 @@ func TestObserverDistinctSources(t *testing.T) {
 		if seen[src] {
 			t.Fatalf("source %v reused", src)
 		}
-		if !o.Prefix().Contains(src) {
+		if !monitored.Contains(src) {
 			t.Fatalf("source %v outside monitored prefix", src)
 		}
 		seen[src] = true
@@ -86,9 +87,6 @@ func TestActorDetection(t *testing.T) {
 	answered := o.QueryAll(servers, 100*time.Millisecond)
 	if answered != len(servers) {
 		t.Fatalf("answered %d of %d", answered, len(servers))
-	}
-	if research.CapturedCount() != 15 || covert.CapturedCount() != 4 {
-		t.Fatalf("captures = %d %d", research.CapturedCount(), covert.CapturedCount())
 	}
 
 	research.RunScans(clock)
@@ -117,6 +115,11 @@ func TestActorDetection(t *testing.T) {
 	}
 	if researchCam == nil || covertCam == nil {
 		t.Fatalf("campaign nets wrong: %+v", rep.Campaigns)
+	}
+	// Every address a server harvested is scanned: 15 research servers
+	// and 4 covert ones were queried once each.
+	if researchCam.Targets != 15 || covertCam.Targets != 4 {
+		t.Fatalf("targets = %d %d", researchCam.Targets, covertCam.Targets)
 	}
 	// The research actor probes over a thousand ports from 15 servers'
 	// captures, fast.
@@ -191,11 +194,13 @@ func TestRunScansDrainsQueue(t *testing.T) {
 	o := NewObserver(f, pfx("2001:db8:7e1e:5c00::/56"))
 	defer o.Close()
 	o.QueryAll(a.PoolEntries(), 100*time.Millisecond)
-	if a.CapturedCount() == 0 {
-		t.Fatal("no captures")
+	a.RunScans(clock)
+	first := o.Analyze().ScanPackets
+	if first == 0 {
+		t.Fatal("no captures scanned")
 	}
 	a.RunScans(clock)
-	if a.CapturedCount() != 0 {
-		t.Fatal("queue not drained")
+	if again := o.Analyze().ScanPackets; again != first {
+		t.Fatalf("queue not drained: a second run sent %d more packets", again-first)
 	}
 }

@@ -277,12 +277,6 @@ func (w *World) buildTopology(r *rng.Stream) {
 	nextASN := uint32(201000)
 	for ci, spec := range specs {
 		c := &Country{Spec: spec, Index: ci}
-		w.Geo.AddCountry(geo.Country{
-			Code: spec.Code, Name: spec.Name,
-			RoutedV6:    spec.ClientPop,
-			PoolServers: int(spec.PoolBG),
-			Population:  spec.ClientPop,
-		})
 		mk := func(n int, typ asn.Type, dst *[]*AS) {
 			count := scaleCount(n, w.Cfg.ASScale, 1)
 			for i := 0; i < count; i++ {

@@ -468,19 +468,6 @@ func TestOutdatedBiasOrdering(t *testing.T) {
 	}
 }
 
-func TestAddrsDuring(t *testing.T) {
-	w := New(testCfg(1))
-	d := findDevice(w, "fritzbox", RoleResponsive)
-	addrs := w.AddrsDuring(d, w.Cfg.Start, CollectionWindow)
-	if len(addrs) < 2 {
-		t.Fatalf("dynamic device saw %d addrs over the window", len(addrs))
-	}
-	s := findDevice(w, "generic-web", RoleResponsive)
-	if got := w.AddrsDuring(s, w.Cfg.Start, CollectionWindow); len(got) != 1 {
-		t.Fatalf("static device saw %d addrs", len(got))
-	}
-}
-
 // The per-country NTP-client index holds exactly that country's
 // address-only devices.
 func TestNTPClientsAccessor(t *testing.T) {

@@ -1,7 +1,7 @@
 // Result encoding. AppendJSON is the one writer of the zgrab2-style
-// envelope: the campaign's JSONL sink, the store's JSONL export and
-// grab column, JSONLWriter and queryd's /v1/query rows all go through
-// it. Its contract is byte identity with encoding/json on the same
+// envelope: core's ordered sink (the campaign's JSONL and every batch
+// scan's), the store's JSONL export and grab column, and queryd's
+// /v1/query rows all go through it. Its contract is byte identity with encoding/json on the same
 // struct — key order, omitempty, HTML escaping, invalid UTF-8, RFC 3339
 // times and time.Time.MarshalJSON's refusals — which is why Result
 // keeps its json tags and gets no MarshalJSON method: encoding/json

@@ -3,7 +3,6 @@ package zgrab
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"net/netip"
 	"testing"
 	"time"
@@ -173,51 +172,6 @@ func TestAppendJSONRefusalRestoresDst(t *testing.T) {
 				t.Errorf("AppendGrabs: out %q err %v", out, err)
 			}
 		}
-	}
-}
-
-type failAfter struct {
-	ok  int
-	got bytes.Buffer
-}
-
-var errSinkFull = errors.New("sink full")
-
-func (w *failAfter) Write(p []byte) (int, error) {
-	if w.ok == 0 {
-		return 0, errSinkFull
-	}
-	w.ok--
-	return w.got.Write(p)
-}
-
-// JSONLWriter writes Encoder.Encode's lines, one Write each, and counts
-// lines that reached the writer — not rows it was handed.
-func TestJSONLWriterCountsWrittenLines(t *testing.T) {
-	sink := &failAfter{ok: 2}
-	w := NewJSONLWriter(sink)
-	rows := []*Result{grabResult(), {Module: "ssh", Status: StatusTimeout, Error: "i/o <timeout>"}}
-	var want bytes.Buffer
-	enc := json.NewEncoder(&want)
-	for _, r := range rows {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Write(&Result{Time: time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC)}); err == nil {
-		t.Fatal("a year RFC 3339 cannot express was written")
-	}
-	if err := w.Write(rows[0]); !errors.Is(err, errSinkFull) {
-		t.Fatalf("write error not returned: %v", err)
-	}
-	if w.Count() != 2 {
-		t.Fatalf("Count = %d after 2 written lines, 1 refused row and 1 failed write", w.Count())
-	}
-	if !bytes.Equal(sink.got.Bytes(), want.Bytes()) {
-		t.Fatalf("lines differ from json.Encoder's:\n got %s\nwant %s", sink.got.Bytes(), want.Bytes())
 	}
 }
 

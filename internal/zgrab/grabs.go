@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/netip"
-	"sync"
 	"time"
 
 	"ntpscan/internal/intern"
@@ -115,44 +114,6 @@ type AMQPGrab struct {
 type CoAPGrab struct {
 	Code      string   `json:"code"`
 	Resources []string `json:"resources,omitempty"`
-}
-
-// JSONLWriter serialises results as one JSON object per line, the
-// zgrab2 output format. It is safe for concurrent use.
-type JSONLWriter struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte // one line, reused
-	n   int
-}
-
-// NewJSONLWriter wraps w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: w}
-}
-
-// Write emits one result line, in one Write to the underlying writer.
-func (jw *JSONLWriter) Write(r *Result) error {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	line, err := r.AppendJSON(jw.buf[:0])
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	jw.buf = line
-	if _, err := jw.w.Write(line); err != nil {
-		return err
-	}
-	jw.n++
-	return nil
-}
-
-// Count returns how many lines were written.
-func (jw *JSONLWriter) Count() int {
-	jw.mu.Lock()
-	defer jw.mu.Unlock()
-	return jw.n
 }
 
 // DecodeJSONL streams results from a JSONL reader through fn, one at

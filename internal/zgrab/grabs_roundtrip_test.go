@@ -84,12 +84,8 @@ func TestResultIntern(t *testing.T) {
 }
 
 func TestDecodeJSONLStopsOnCallbackError(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
-	w.Write(grabResult())
-	w.Write(grabResult())
 	n := 0
-	err := DecodeJSONL(&buf, func(*Result) error {
+	err := DecodeJSONL(jsonl(t, grabResult(), grabResult()), func(*Result) error {
 		n++
 		return errStop
 	})

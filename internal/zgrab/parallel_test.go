@@ -10,61 +10,81 @@ import (
 	"ntpscan/internal/netsim"
 )
 
+// parkClock is a manual clock that reports each grab of its wake
+// channel. A token-bucket waiter grabs the channel before it reads the
+// time, so once a grab is reported an Advance can no longer be missed —
+// the condition the tests below wait on instead of sleeping.
+type parkClock struct {
+	*netsim.ManualClock
+	grabbed chan struct{}
+}
+
+func newParkClock() parkClock {
+	start := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
+	return parkClock{netsim.NewManualClock(start), make(chan struct{}, 1)}
+}
+
+func (c parkClock) Changed() <-chan struct{} {
+	ch := c.ManualClock.Changed()
+	select {
+	case c.grabbed <- struct{}{}:
+	default:
+	}
+	return ch
+}
+
+// waitParked starts tb.Wait on its own goroutine and returns once that
+// waiter holds the clock's wake channel.
+func waitParked(ctx context.Context, tb *TokenBucket, c parkClock) <-chan error {
+	select {
+	case <-c.grabbed: // a grab left over from an earlier Wait
+	default:
+	}
+	done := make(chan error, 1)
+	go func() { done <- tb.Wait(ctx) }()
+	<-c.grabbed
+	return done
+}
+
 // The token bucket must meter against the injected clock. A mass run on
 // a manual clock advances weeks in milliseconds of wall time; before
 // the clock was threaded through, such runs silently rate-limited
 // against time.Now() instead.
 func TestTokenBucketLogicalClock(t *testing.T) {
-	start := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
-	clock := netsim.NewManualClock(start)
+	clock := newParkClock()
 	// 0.001 tokens/s: replenishing one token takes ~17 wall minutes if
 	// the bucket reads real time, but a single logical advance here.
 	tb := NewTokenBucketAt(0.001, 1, clock)
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	if err := tb.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(2000 * time.Second)
-	done := make(chan error, 1)
-	go func() { done <- tb.Wait(ctx) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("token not replenished from logical time")
+	if err := tb.Wait(ctx); err != nil {
+		t.Fatalf("token not replenished from logical time: %v", err)
 	}
 }
 
 // A waiter that parked before the advance must wake when the logical
 // clock moves, without any wall-clock timer involvement.
 func TestTokenBucketLogicalWake(t *testing.T) {
-	start := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
-	clock := netsim.NewManualClock(start)
+	clock := newParkClock()
 	tb := NewTokenBucketAt(1, 1, clock)
-	ctx := context.Background()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	if err := tb.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() { done <- tb.Wait(ctx) }()
-	// Give the waiter a moment to park, then move logical time.
-	time.Sleep(10 * time.Millisecond)
+	done := waitParked(ctx, tb, clock)
 	clock.Advance(5 * time.Second)
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter did not wake on clock advance")
+	if err := <-done; err != nil {
+		t.Fatalf("waiter did not wake on clock advance: %v", err)
 	}
 	// And a parked waiter with no advance obeys cancellation.
-	cctx, cancel := context.WithCancel(ctx)
-	go func() { done <- tb.Wait(cctx) }()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
+	cctx, ccancel := context.WithCancel(ctx)
+	done = waitParked(cctx, tb, clock)
+	ccancel()
 	if err := <-done; err == nil {
 		t.Fatal("cancelled logical wait returned nil")
 	}
@@ -123,7 +143,7 @@ func TestSubmitBatchAndDrain(t *testing.T) {
 	s := NewScanner(Config{
 		Fabric: f, Source: scanSrc, Workers: 8, Timeout: time.Second,
 		Modules: []Module{&HTTPModule{}},
-		OnResult: func(r *Result) {
+		OnResultWorker: func(_ int, r *Result) {
 			mu.Lock()
 			seqs = append(seqs, r.Seq)
 			mu.Unlock()

@@ -90,7 +90,7 @@ func TestRealNetScan(t *testing.T) {
 		PortOverrides: map[string]uint16{
 			"http": httpPort, "ssh": sshPort, "mqtt": mqttPort, "coap": coapPort,
 		},
-		OnResult: func(r *Result) {
+		OnResultWorker: func(_ int, r *Result) {
 			mu.Lock()
 			results[r.Module] = r
 			mu.Unlock()

@@ -67,13 +67,16 @@ func TestScannerContextCancelMidDrain(t *testing.T) {
 	// No hosts registered: every dial blackholes until DialTimeout, so
 	// the queue stays busy long enough for a mid-flight cancel.
 	ctx, cancel := context.WithCancel(context.Background())
+	var first sync.Once
 	s := NewScanner(Config{
-		Fabric:   f,
-		Clock:    netsim.RealClock{},
-		Source:   scanSrc,
-		Timeout:  50 * time.Millisecond,
-		Workers:  4,
-		OnResult: func(*Result) {},
+		Fabric:  f,
+		Clock:   netsim.RealClock{},
+		Source:  scanSrc,
+		Timeout: 50 * time.Millisecond,
+		Workers: 4,
+		// The first result cancels: one target is done, the other 63
+		// are queued or in flight.
+		OnResultWorker: func(int, *Result) { first.Do(cancel) },
 	})
 	s.Start(ctx)
 	addrs := make([]netip.Addr, 64)
@@ -82,22 +85,9 @@ func TestScannerContextCancelMidDrain(t *testing.T) {
 	}
 	s.SubmitBatch(addrs)
 
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-
-	done := make(chan struct{})
-	go func() {
-		s.Drain()
-		s.Close()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Drain/Close wedged after context cancellation")
-	}
+	// A wedge here is the failure; the test binary's timeout reports it.
+	s.Drain()
+	s.Close()
 }
 
 // Breaker-shed targets must keep the sequence space dense: every
@@ -114,7 +104,7 @@ func TestBreakerOpenKeepsSeqDense(t *testing.T) {
 		Timeout: time.Millisecond,
 		Workers: 2,
 		Breaker: &BreakerConfig{Threshold: 4, Cooldown: time.Hour},
-		OnResult: func(r *Result) {
+		OnResultWorker: func(_ int, r *Result) {
 			mu.Lock()
 			results = append(results, r)
 			mu.Unlock()
@@ -178,7 +168,7 @@ func TestInterProtocolDelayStampsSchedule(t *testing.T) {
 		s := NewScanner(Config{
 			Fabric: f, Source: scanSrc, Timeout: time.Second, Workers: 1,
 			InterProtocolDelay: delay,
-			OnResult:           func(r *Result) { results[r.Module] = r },
+			OnResultWorker:     func(_ int, r *Result) { results[r.Module] = r },
 		})
 		s.Start(context.Background())
 		s.Submit(target)
@@ -219,7 +209,7 @@ func TestRetryStampsBackoffOnLogicalClock(t *testing.T) {
 		Timeout: time.Millisecond,
 		Workers: 1,
 		Retry:   &RetryPolicy{MaxAttempts: 3, Base: time.Second, Max: 8 * time.Second, Multiplier: 2, Jitter: 0},
-		OnResult: func(r *Result) {
+		OnResultWorker: func(_ int, r *Result) {
 			mu.Lock()
 			results = append(results, r)
 			mu.Unlock()
@@ -268,7 +258,7 @@ func TestRetryEmitsOnlyFinalAttempt(t *testing.T) {
 		Timeout: time.Second,
 		Workers: 2,
 		Retry:   &RetryPolicy{MaxAttempts: 3, Base: time.Microsecond, Multiplier: 2},
-		OnResult: func(r *Result) {
+		OnResultWorker: func(_ int, r *Result) {
 			mu.Lock()
 			count[r.Module]++
 			mu.Unlock()

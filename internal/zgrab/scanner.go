@@ -232,13 +232,11 @@ type Config struct {
 	// skipped (emitting StatusBreakerOpen results) until the cooldown's
 	// probation re-admits them. State advances at the Drain barrier.
 	Breaker *BreakerConfig
-	// OnResult receives every grab; it is called from worker
-	// goroutines and must be safe for concurrent use.
-	OnResult func(*Result)
-	// OnResultWorker, when set, is used instead of OnResult and
-	// additionally receives the worker index in [0, Workers). Sinks can
-	// keep one unsynchronised buffer per worker and merge at the end —
-	// the lock-free fast path of the campaign pipeline.
+	// OnResultWorker receives every grab with the index, in
+	// [0, Workers), of the worker goroutine that calls it. A sink can
+	// keep one unsynchronised buffer per worker and merge at a drain
+	// barrier (core's ordered sink); anything shared across workers
+	// must be safe for concurrent use.
 	OnResultWorker func(worker int, r *Result)
 }
 
@@ -308,7 +306,7 @@ func (t *sessionTable) release(s *session) {
 }
 
 // Scanner is the zgrab2-style runtime: submit addresses, modules fan
-// out, results stream to OnResult.
+// out, results stream to OnResultWorker.
 type Scanner struct {
 	cfg     Config
 	env     *Env
@@ -544,10 +542,6 @@ func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
 func (s *Scanner) emit(worker int, r *Result) {
 	if s.cfg.OnResultWorker != nil {
 		s.cfg.OnResultWorker(worker, r)
-		return
-	}
-	if s.cfg.OnResult != nil {
-		s.cfg.OnResult(r)
 	}
 }
 

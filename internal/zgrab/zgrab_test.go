@@ -216,7 +216,7 @@ func TestScannerEndToEnd(t *testing.T) {
 		Source:  scanSrc,
 		Timeout: time.Second,
 		Workers: 4,
-		OnResult: func(r *Result) {
+		OnResultWorker: func(_ int, r *Result) {
 			mu.Lock()
 			results[r.Module] = r
 			mu.Unlock()
@@ -257,9 +257,21 @@ func TestScanNow(t *testing.T) {
 	}
 }
 
+// jsonl renders rs as the scan sinks do: one AppendJSON line each.
+func jsonl(t *testing.T, rs ...*Result) *bytes.Buffer {
+	t.Helper()
+	var line []byte
+	for _, r := range rs {
+		var err error
+		if line, err = r.AppendJSON(line); err != nil {
+			t.Fatal(err)
+		}
+		line = append(line, '\n')
+	}
+	return bytes.NewBuffer(line)
+}
+
 func TestJSONLRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewJSONLWriter(&buf)
 	r1 := &Result{
 		IP: netip.MustParseAddr("2001:db8::1"), Module: "http", Port: 80,
 		Status: StatusSuccess, HTTP: &HTTPGrab{StatusCode: 200, Title: "FRITZ!Box"},
@@ -268,17 +280,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 		IP: netip.MustParseAddr("2001:db8::2"), Module: "ssh", Port: 22,
 		Status: StatusTimeout, Error: "i/o timeout",
 	}
-	if err := w.Write(r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(r2); err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 2 {
-		t.Fatalf("Count = %d", w.Count())
-	}
 	var got []*Result
-	err := DecodeJSONL(&buf, func(r *Result) error {
+	err := DecodeJSONL(jsonl(t, r1, r2), func(r *Result) error {
 		got = append(got, r)
 		return nil
 	})
