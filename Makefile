@@ -1,8 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all check vet build test race bench bench-query bench-compare \
-	bench-scale profiles chaos fuzz-smoke cover cover-gate reach reach-dynamic loc
+.PHONY: all check vet build test race profiles chaos fuzz-smoke cover \
+	cover-gate reach reach-dynamic loc
 
 all: check
 
@@ -125,78 +125,13 @@ loc:
 		printf '%6d %s\n' "$$n" "$${d#./}"; \
 	done
 
-# bench runs the pipeline benchmarks and records them, with host
-# metadata, in BENCH_pipeline.json, then the columnar-store ingest /
-# query / compaction benchmarks (side by side with their flat-JSONL
-# equivalents) in BENCH_store.json. NTPSCAN_SCALE multiplies the bench
-# world scale (see bench_test.go). -benchmem and the fixed -benchtime
-# mean the JSON always carries B/op and allocs/op columns and runs are
-# comparable across commits.
-STORE_BENCH := BenchmarkStoreIngest$$|BenchmarkStoreIngestCompact$$|BenchmarkJSONLIngest$$|BenchmarkStoreScanAll$$|BenchmarkStoreScanModule$$|BenchmarkJSONLScan$$
-STORE_BENCH_NOTE := Columnar store vs flat JSONL on an identical 8-slice x 2000-row result workload: \
-ingest (segment writes, with and without compaction), full result scan, and a selective \
-one-module-of-four scan where dictionary-mask pushdown skips blocks. No before/after split — \
-the JSONL benchmarks in the same results block are the comparison.
-
-bench:
-	$(GO) run ./cmd/benchjson -benchtime 1x -out BENCH_pipeline.json
-	$(GO) run ./cmd/benchjson -pkg ./internal/store/ -bench '$(STORE_BENCH)' \
-		-baseline none -note "$(STORE_BENCH_NOTE)" -benchtime 1x -out BENCH_store.json
-
-# bench-query benchmarks the serving layer like a service and records
-# BENCH_query.json: cold vs warm selective queries (the decoded-block
-# cache win), the footer/dictionary cache in isolation, and the
-# concurrent-client harness — fixed request batches across 8 clients,
-# reporting per-request p50-ns/p99-ns and rps, plus the same workload
-# against a store a live campaign is writing into.
-QUERY_BENCH := BenchmarkQueryCold$$|BenchmarkQueryWarm$$|BenchmarkScanDictCacheOn$$|BenchmarkScanDictCacheOff$$|BenchmarkQueryConcurrent$$|BenchmarkQueryDuringCampaign$$
-QUERY_BENCH_NOTE := Query daemon serving benchmarks over an 8-slice x 1500-row store. \
-Cold opens the store fresh per query (empty caches); Warm repeats the same selective query against \
-one long-lived store, so the decoded-block cache absorbs disk, inflate and row decode — the \
-cold-vs-warm delta is the cache win. ScanDictCacheOn/Off isolate the parsed-footer (segment \
-dictionary) cache: block cache disabled, fully-pruned predicate (50 scans per op), so the delta \
-is pure footer read+parse work. QueryConcurrent drives a fixed 400-request mixed \
-workload (tables + pushdown scans) across 8 HTTP clients per iteration and reports per-request \
-p50-ns/p99-ns plus rps; QueryDuringCampaign runs the same workload while a campaign appends \
-slices and feeds the aggregates — the live-serving configuration.
-
-bench-query:
-	$(GO) run ./cmd/benchjson -pkg ./internal/query/ -bench '$(QUERY_BENCH)' \
-		-baseline none -note "$(QUERY_BENCH_NOTE)" -benchtime 1x -out BENCH_query.json
-
-# bench-compare is the regression gate: a fresh (non -race) benchmark
-# run diffed against the committed BENCH_pipeline.json "after" block.
-# Fails if bytes/op or allocs/op regress beyond 10% or ns/op beyond
-# 100% (single-iteration wall time on shared hosts varies close to 2x;
-# allocation counts are deterministic). NTPSCAN_BENCH_COMPARE=1 also
-# arms BenchmarkCampaignCongested's in-benchmark gate: the campaign
-# behind a utilization-0.9 emulated link must stay under 2x the clean
-# run's ns/op. Wired into ci.sh behind NTPSCAN_BENCH_COMPARE=1.
-bench-compare:
-	NTPSCAN_BENCH_COMPARE=1 $(GO) run ./cmd/benchjson -compare -benchtime 1x -out BENCH_pipeline.json
-	$(GO) run ./cmd/benchjson -pkg ./internal/store/ -bench '$(STORE_BENCH)' \
-		-compare -benchtime 1x -out BENCH_store.json
-	$(GO) run ./cmd/benchjson -pkg ./internal/query/ -bench '$(QUERY_BENCH)' \
-		-compare -benchtime 1x -out BENCH_query.json
-
-# bench-scale runs only the memory scale ladder
-# (BenchmarkCampaignScale, SCALE=1/10/100 at fixed measurement effort)
-# and diffs it against the committed BENCH_pipeline.json. Two gates
-# fire here: the benchmark itself fails if SCALE=100 retains >= 20x the
-# SCALE=1 live heap (the sub-linear-memory contract), and -compare
-# fails if any rung's live_heap_bytes regresses beyond the heap
-# threshold. Wired into ci.sh behind NTPSCAN_BENCH_COMPARE=1.
-bench-scale:
-	$(GO) run ./cmd/benchjson -bench 'BenchmarkCampaignScale$$' \
-		-compare -benchtime 1x -out BENCH_pipeline.json
-
-# profiles emits pprof CPU+heap profiles and an execution trace for
-# BenchmarkFullCampaign into ./profiles/ — the measurement feeding the
-# top-10 allocation-site table in EXPERIMENTS.md. Inspect with e.g.
+# profiles emits pprof CPU+heap profiles and an execution trace of the
+# full campaign at the default scale (cmd/experiments through
+# internal/prof) into ./profiles/. Inspect with e.g.
 #   go tool pprof -top -sample_index=alloc_objects profiles/campaign.mem.out
 profiles:
 	mkdir -p profiles
-	$(GO) test -run NONE -bench 'BenchmarkFullCampaign$$' -benchmem -benchtime 1x \
+	$(GO) run ./cmd/experiments -out profiles/campaign.txt \
 		-cpuprofile profiles/campaign.cpu.out \
 		-memprofile profiles/campaign.mem.out \
-		-trace profiles/campaign.trace.out .
+		-trace profiles/campaign.trace.out

@@ -29,19 +29,3 @@ make cover-gate
 # Pruning gate: no declaration under internal/ or cmd/ that only its own
 # package's tests reach, unless internal/reach/allowlist.txt says why.
 make reach
-# Optional bench regression gate against the committed BENCH baseline.
-# The timed run is plain `go test -bench` — deliberately NOT -race,
-# whose overhead would swamp every threshold. Opt in with
-# NTPSCAN_BENCH_COMPARE=1 (off by default: shared CI hosts make wall
-# time unreliable; allocation counts are what the gate really pins).
-if [ "${NTPSCAN_BENCH_COMPARE:-0}" = "1" ]; then
-  # bench-compare covers the pipeline, store, and query-serving
-  # baselines (BENCH_pipeline.json, BENCH_store.json, BENCH_query.json);
-  # the query leg also gates tail latency (p50-ns/p99-ns at the ns
-  # threshold).
-  make bench-compare
-  # Scale-ladder gate: SCALE=100 must hold under 20x the SCALE=1 live
-  # heap, and no rung's live_heap_bytes may regress against the
-  # committed baseline.
-  make bench-scale
-fi

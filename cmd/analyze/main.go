@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"ntpscan/internal/analysis"
+	"ntpscan/internal/core"
 	"ntpscan/internal/experiments"
 	"ntpscan/internal/store"
 	"ntpscan/internal/world"
@@ -45,6 +46,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		hitPath     = fs.String("hitlist", "", "results of the hitlist scan: JSONL file or store directory")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if err := core.CheckWorldFlags(fs); err != nil {
+		fmt.Fprintln(stderr, "analyze:", err)
 		return 2
 	}
 	if *ntpPath == "" {

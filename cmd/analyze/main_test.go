@@ -149,6 +149,7 @@ func TestAnalyzeRejectsBadArguments(t *testing.T) {
 		{"-hitlist", "hitlist.jsonl"},
 		{"-no-such-flag"},
 		{"-ntp", "x.jsonl", "-seed", "minus one"},
+		{"-ntp", "x.jsonl", "-device-scale", "-0.5"},
 	} {
 		if code, stdout, _ := analyze(args...); code != 2 || stdout != "" {
 			t.Errorf("analyze %v: exit %d, stdout %q; want exit 2 and nothing printed", args, code, stdout)

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"ntpscan"
+	"ntpscan/internal/core"
 	"ntpscan/internal/experiments"
 	"ntpscan/internal/netsim/link"
 	"ntpscan/internal/prof"
@@ -56,6 +57,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fail := func(code int, err any) int {
 		fmt.Fprintln(stderr, "experiments:", err)
 		return code
+	}
+	if err := core.CheckWorldFlags(fs); err != nil {
+		return fail(2, err)
 	}
 
 	opts := ntpscan.Options{

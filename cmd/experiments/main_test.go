@@ -70,6 +70,9 @@ func TestExperimentsRejectsBadArguments(t *testing.T) {
 		{"-collect-only", "-store", filepath.Join(dir, "s.store")},
 		{"-linkplan", filepath.Join(dir, "missing.json")},
 		{"-linkplan", garbled},
+		{"-collect-only", "-device-scale", "-1"},
+		{"-workers", "-3"},
+		{"-nodes", "0"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(append([]string{"-cpuprofile", prof}, args...), &stdout, &stderr)
@@ -131,4 +134,31 @@ func commonPrefix(a, b []byte) int {
 		n++
 	}
 	return n
+}
+
+// TestCongestionLadderPrintsThisDocument holds EXPERIMENTS.md
+// "Congestion ladder" to the program: the fenced block under its
+// "Measured" line is what `experiments -congestion-ladder -seed 7`
+// prints, byte for byte, on every run at GOMAXPROCS 1 and nproc.
+func TestCongestionLadderPrintsThisDocument(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, found := strings.Cut(string(doc), "Measured (`cmd/experiments -congestion-ladder -seed 7`")
+	_, rest, fenced := strings.Cut(rest, "```\n")
+	want, _, closed := strings.Cut(rest, "```")
+	if !found || !fenced || !closed {
+		t.Fatal("EXPERIMENTS.md has no fenced block under \"Measured (`cmd/experiments -congestion-ladder -seed 7`\"")
+	}
+	got := chaos.SameEveryRun(t, func() string {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-congestion-ladder", "-seed", "7"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d (stderr: %s)", code, stderr.String())
+		}
+		return stdout.String()
+	})
+	if got = strings.TrimRight(got, "\n") + "\n"; got != want {
+		t.Errorf("-congestion-ladder -seed 7 printed\n%s\nEXPERIMENTS.md shows\n%s", got, want)
+	}
 }

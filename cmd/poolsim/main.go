@@ -42,6 +42,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if err := core.CheckWorldFlags(fs); err != nil {
+		fmt.Fprintln(stderr, "poolsim:", err)
+		return 2
+	}
 
 	p := core.NewPipeline(core.Config{
 		Seed: *seed,

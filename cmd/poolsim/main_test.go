@@ -42,8 +42,10 @@ func TestPoolsimStreamsDistinctAddresses(t *testing.T) {
 	if code := run(append([]string{"-summary-only"}, tinyWorld...), &stdout, &stderr); code != 0 || stdout.Len() != 0 {
 		t.Errorf("-summary-only: exit %d, %d bytes on stdout", code, stdout.Len())
 	}
-	if code := run([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
-		t.Errorf("bad flag: exit %d, want 2", code)
+	for _, args := range [][]string{{"-no-such-flag"}, {"-summary-only", "-as-scale", "-1"}} {
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("poolsim %v: exit %d, want 2", args, code)
+		}
 	}
 }
 

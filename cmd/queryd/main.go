@@ -94,6 +94,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if err := core.CheckWorldFlags(fs); err != nil {
+		fmt.Fprintln(stderr, "queryd:", err)
+		return 2
+	}
 	if *dir == "" && *demoSeed == 0 {
 		fmt.Fprintln(stderr, "queryd: -store is required (or -demo-seed for a simulated campaign)")
 		return 2

@@ -171,8 +171,10 @@ func TestQuerydArgErrors(t *testing.T) {
 	if !strings.Contains(errb.String(), "-store is required") {
 		t.Fatalf("stderr: %s", errb.String())
 	}
-	if code := run(context.Background(), []string{"-bogus"}, &out, &errb); code != 2 {
-		t.Fatalf("bad flag: exit %d", code)
+	for _, args := range [][]string{{"-bogus"}, {"-demo-seed", "7", "-workers", "0"}} {
+		if code := run(context.Background(), args, &out, &errb); code != 2 {
+			t.Fatalf("queryd %v: exit %d, want 2", args, code)
+		}
 	}
 	if code := run(context.Background(), []string{"-store", t.TempDir(), "-listen", "256.256.256.256:0"}, &out, &errb); code != 1 {
 		t.Fatalf("bad listen addr: exit %d", code)

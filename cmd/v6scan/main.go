@@ -80,6 +80,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "v6scan:", err)
 		return code
 	}
+	if err := core.CheckWorldFlags(fs); err != nil {
+		return fail(2, err)
+	}
 	if !*useHitlist && *targets == "" {
 		return fail(2, "need -targets FILE or -hitlist")
 	}

@@ -119,6 +119,7 @@ func TestV6scanRejectsBadArguments(t *testing.T) {
 		{"-targets", "-", "-ports", "ssh"},
 		{"-targets", "-", "-modules", "gopher"},
 		{"-no-such-flag"},
+		{"-targets", "-", "-addr-scale", "-1"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, strings.NewReader(""), &stdout, &stderr); code != 2 {

@@ -65,7 +65,7 @@ func TestResumeRejectsCorruptArenaSnapshot(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			bad := *cp
-			bad.Shards = append([]ShardState(nil), cp.Shards...)
+			bad.Shards = append([]ShardSnap(nil), cp.Shards...)
 			arena := *cp.Shards[3].Arena
 			arena.Slots = append([]int32(nil), arena.Slots...)
 			corrupt(arena.Slots)

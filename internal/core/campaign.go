@@ -40,17 +40,6 @@ type CapRecord struct {
 	Country string     `json:"country"`
 }
 
-// ShardState is one collection shard's rng stream positions plus its
-// device arena's resident set. The arena snapshot is IDs only — slot
-// contents re-derive from the world seed on restore — so checkpoints
-// stay small however much device state is resident.
-type ShardState struct {
-	Vol   [4]uint64         `json:"vol"`
-	Resp  [4]uint64         `json:"resp"`
-	Ports [4]uint64         `json:"ports"`
-	Arena *world.ArenaState `json:"arena,omitempty"`
-}
-
 // Checkpoint is a resumable snapshot of a campaign, taken at a slice
 // boundary (the drain barrier: no captures or scans in flight). It is
 // plain data — json.Marshal/Unmarshal round-trips it exactly.
@@ -65,7 +54,7 @@ type Checkpoint struct {
 	Time      time.Time `json:"time"` // logical clock at the boundary
 
 	Captures     int64           `json:"captures"`
-	Shards       []ShardState    `json:"shards"`
+	Shards       []ShardSnap     `json:"shards"`
 	CapturedResp []int           `json:"captured_resp,omitempty"`
 	CapLog       []CapRecord     `json:"cap_log,omitempty"`
 	Scan         zgrab.ScanState `json:"scan"`
@@ -451,20 +440,15 @@ func (p *Pipeline) checkpoint(next int, shards []*collectShard, scanner *zgrab.S
 		NextSlice:     next,
 		Time:          p.W.Clock().Now(),
 		Captures:      p.captures.Load(),
-		Shards:        make([]ShardState, len(shards)),
+		Shards:        make([]ShardSnap, len(shards)),
 		CapLog:        append([]CapRecord(nil), p.capLog...),
 		Scan:          scanner.Snapshot(),
 		PoolScores:    make(PoolScoreMap, len(p.Servers)),
 		Obs:           p.Obs.Snapshot(),
 		OutOffset:     outOffset,
 	}
-	for i, sh := range shards {
-		cp.Shards[i] = ShardState{
-			Vol:   sh.vol.State(),
-			Resp:  sh.resp.State(),
-			Ports: sh.ports.State(),
-			Arena: sh.arena.Snapshot(),
-		}
+	for i, r := range p.shardRefs(shards) {
+		cp.Shards[i] = r.Snapshot()
 	}
 	for i, done := range p.respCaptured {
 		if done {

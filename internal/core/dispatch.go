@@ -45,12 +45,14 @@ type ShardRef struct {
 // positions and the device arena's resident set. Taken at a slice
 // boundary (or before a speculative execution), it is everything a
 // re-run needs — effect buffers are empty at those points, and arena
-// slot contents re-derive from the world seed.
+// slot contents re-derive from the world seed, so the arena snapshot is
+// IDs only and a checkpoint, which stores one ShardSnap per shard,
+// stays small however much device state is resident.
 type ShardSnap struct {
-	Vol   [4]uint64
-	Resp  [4]uint64
-	Ports [4]uint64
-	Arena *world.ArenaState
+	Vol   [4]uint64         `json:"vol"`
+	Resp  [4]uint64         `json:"resp"`
+	Ports [4]uint64         `json:"ports"`
+	Arena *world.ArenaState `json:"arena,omitempty"`
 }
 
 // Snapshot captures the shard's restorable state. Call only while the

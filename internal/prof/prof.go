@@ -2,7 +2,7 @@
 // any combination of CPU profile, execution trace, and final heap
 // profile, and the returned stop function flushes them. Commands wire
 // it to -cpuprofile/-memprofile/-trace flags (see Flags); `make
-// profiles` drives the same collection for BenchmarkFullCampaign.
+// profiles` runs cmd/experiments with all three.
 //
 // The heap profile is written after a forced GC so it reflects live
 // retained memory, not transient garbage; allocation-site analysis
