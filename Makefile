@@ -70,6 +70,7 @@ FUZZ_TARGETS := \
 	./internal/store:FuzzSegmentDecode \
 	./internal/store:FuzzSpliceMatchesAppendJSON \
 	./internal/store:FuzzManifestRecover \
+	./internal/store:FuzzCompactIsConcatenation \
 	./internal/query:FuzzQueryParams \
 	./internal/cluster:FuzzCheckpointDecode \
 	./internal/cluster/transport:FuzzTransportFrameDecode \

@@ -22,8 +22,11 @@ func contractOptions() ntpscan.Options {
 	}
 }
 
-// liveHeap is the heap still reachable after a full collection.
+// liveHeap is the heap still reachable after full collections: two, so
+// that nothing a sync.Pool holds — kept through one collection as its
+// victim cache — is in any reading.
 func liveHeap() float64 {
+	runtime.GC()
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)

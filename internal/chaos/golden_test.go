@@ -1,0 +1,67 @@
+package chaos
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"ntpscan/internal/core"
+	"ntpscan/internal/store"
+)
+
+// The faulted, store-backed campaign's three outputs, byte for byte, at
+// three seeds: the JSONL stream, the telemetry stream and the store
+// directory (store.DirDigest) as SHA-256. Every other oracle compares a
+// run with another run of the same commit; this one compares with the
+// bytes the campaign has always written, so a change to the segment
+// writer or the compactor that moves one byte of any segment fails
+// here even when it moves every run alike. The recipe is Config(seed)
+// at the 1x world (NTPSCAN_CHAOS_SCALE does not apply) with
+// FaultedPipeline(seed+1, DefaultSpec()), and Out, Telemetry and Store
+// on the pipeline's registry.
+func TestFaultedCampaignGoldenDigests(t *testing.T) {
+	golden := []struct {
+		seed                    uint64
+		jsonl, telemetry, store string
+	}{
+		{11,
+			"0386f7a756cf12c2da58e535602fd4e4d5de4c317412fcb9243b1a83263ae54a",
+			"20af0c646a8ca3f56b2ae36630de9e6b5d01c24b33ee83824cc8c2e73a06e860",
+			"9b7ba7fc48f44e0ee937132a4a541e4e5a0b05a4c42a3f96d10c3170ac33be0a"},
+		{23,
+			"281b1654e2d83386ca4d81b08a91a380445b1c7713fec4be933f23411e5d01aa",
+			"5666b37f98f615d4fdbf4c57d5ba5ca5e931c86e7cc872b0e7e8fb8c98ce26dd",
+			"b2be300a40f7b041685c8ffe737ef31c2da9fca96ae0712f33e7fb52782254ca"},
+		{42,
+			"27e1b9968fac154c0c444db52dcc070626d1de2db78c714eba070e55eac7d8b1",
+			"efacc1ef3baf1d8c97c3b645599649551d70228ea8503ae3533e4578411cf001",
+			"7c7a8d3545f7de33c8df74ea74f507aa66a81b1b12eb4511542645bfb18ee98b"},
+	}
+	for _, g := range golden {
+		t.Run(fmt.Sprintf("seed=%d", g.seed), func(t *testing.T) {
+			cfg := Config(g.seed)
+			cfg.World.AddrScale = 1e-6
+			p := FaultedPipeline(cfg, g.seed+1, DefaultSpec())
+			dir := t.TempDir()
+			st, err := store.Open(dir, store.Options{Obs: p.Obs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out, tel bytes.Buffer
+			if _, err := p.RunCampaign(context.Background(), core.CampaignOpts{Store: st, Out: &out, Telemetry: &tel}); err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct{ name, got, want string }{
+				{"JSONL", fmt.Sprintf("%x", sha256.Sum256(out.Bytes())), g.jsonl},
+				{"telemetry", fmt.Sprintf("%x", sha256.Sum256(tel.Bytes())), g.telemetry},
+				{"store directory", store.DirDigest(t, dir), g.store},
+			} {
+				if c.got != c.want {
+					t.Errorf("%s moved: sha256 %s, golden %s", c.name, c.got, c.want)
+				}
+			}
+		})
+	}
+}

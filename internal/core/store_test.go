@@ -3,41 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"ntpscan/internal/store"
 )
-
-// storeDirDigest hashes a store directory's full contents: file names,
-// sizes, and bytes, in sorted name order.
-func storeDirDigest(t *testing.T, dir string) string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	sort.Strings(names)
-	h := sha256.New()
-	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(dir, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(h, "%s %d\n", n, len(data))
-		h.Write(data)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
 
 // copyDir copies every regular file in src to dst.
 func copyDir(t *testing.T, src, dst string) {
@@ -75,7 +47,7 @@ func TestStoreCampaignBitIdenticalAcrossWorkers(t *testing.T) {
 		if _, err := p.RunCampaign(context.Background(), CampaignOpts{Store: st, Telemetry: &tel}); err != nil {
 			t.Fatal(err)
 		}
-		digest := storeDirDigest(t, dir)
+		digest := store.DirDigest(t, dir)
 		if wantDigest == "" {
 			wantDigest, wantTel = digest, tel.String()
 			continue
@@ -152,7 +124,7 @@ func TestStoreResumeReproducesDirectory(t *testing.T) {
 	if len(cps) < 3 {
 		t.Fatalf("expected 3 checkpoints, got %d", len(cps))
 	}
-	wantDigest := storeDirDigest(t, fullDir)
+	wantDigest := store.DirDigest(t, fullDir)
 
 	cp := cps[0]
 	if cp.Store == nil {
@@ -176,7 +148,7 @@ func TestStoreResumeReproducesDirectory(t *testing.T) {
 	if _, err := p2.ResumeCampaign(context.Background(), &back, CampaignOpts{Store: st2, Out: &rest}); err != nil {
 		t.Fatal(err)
 	}
-	if got := storeDirDigest(t, crashDir); got != wantDigest {
+	if got := store.DirDigest(t, crashDir); got != wantDigest {
 		t.Error("resumed store directory diverges from uninterrupted run")
 	}
 	if want := full.Bytes()[cp.OutOffset:]; !bytes.Equal(rest.Bytes(), want) {

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"net/netip"
 	"strconv"
 	"time"
@@ -9,13 +10,17 @@ import (
 	"ntpscan/internal/zgrab"
 )
 
-// colBlock is one decoded block: the body's columns as vectors, row i
-// of the block at index i of each. It is what decodeColumns produces,
-// what the block cache holds and what every reader works from — a scan
-// filters on the slice, code and address vectors and never builds a
-// row it was not asked for; row, capture and result are the row view
-// for callers that want structs. A colBlock is immutable once decoded
-// and aliases nothing: concurrent scans share it without coordination.
+// colBlock is one block's columns as vectors, row i of the block at
+// index i of each. It is what decodeColumns produces, what the block
+// cache holds and what every reader works from — a scan filters on the
+// slice, code and address vectors and never builds a row it was not
+// asked for; row, capture and result are the row view for callers that
+// want structs. It is also the shape a segBuilder fills and compaction
+// merges: a block the builder filled (and the store holds until
+// compaction) has the vectors and dictionaries, not the fields only a
+// scan reads (sliceLo, sliceHi, the quoted members). A colBlock is
+// immutable once decoded or flushed and aliases nothing: concurrent
+// scans share it without coordination.
 type colBlock struct {
 	kind Kind
 	n    int
@@ -44,17 +49,19 @@ type colBlock struct {
 	seqs                       []int64
 	// grabs holds every row's grab object back to back, row i's at
 	// grabs[grabOff[i]:grabOff[i+1]], empty for a row without one. The
-	// bytes are never the segment's: each stored grab is parsed and
-	// written again by Result.AppendGrabs, so whatever a segment holds,
-	// what is spliced into a reply is the encoder's own output.
+	// bytes are always Result.AppendGrabs' own output: decodeColumns
+	// parses each stored grab and writes it again (appendGrab), so
+	// whatever a segment holds, what is spliced into a reply or copied
+	// into a compacted segment is the encoder's.
 	grabs   []byte
 	grabOff []uint32
 }
 
 // decodeColumns is the block decoder: the one function that reads a
 // block body's columns, with every bound the format has. The scan path
-// caches its result; compaction, ReplaySlices and DecodeSegment walk
-// the same result row by row (eachRow).
+// caches its result; compaction merges it when it reads a segment the
+// store holds no columns of; ReplaySlices and DecodeSegment walk it row
+// by row.
 func decodeColumns(raw []byte, kind Kind) (*colBlock, error) {
 	r := &colReader{b: raw}
 	n, err := r.uvarint()
@@ -148,11 +155,8 @@ func decodeColumns(raw []byte, kind Kind) (*colBlock, error) {
 				return nil, err
 			}
 			if len(gb) > 0 {
-				if err := parsed.SetGrabs(gb); err != nil {
-					return nil, errCorrupt
-				}
-				if b.grabs, err = parsed.AppendGrabs(b.grabs); err != nil {
-					return nil, errCorrupt
+				if b.grabs, err = appendGrab(b.grabs, gb, &parsed); err != nil {
+					return nil, err
 				}
 			}
 			b.grabOff[i+1] = uint32(len(b.grabs))
@@ -167,6 +171,48 @@ func decodeColumns(raw []byte, kind Kind) (*colBlock, error) {
 		return nil, errCorrupt
 	}
 	return b, nil
+}
+
+// escRuneError is how AppendGrabs writes a byte of invalid UTF-8, and
+// the one thing in its output that a parse does not give back as
+// written: it reads back as U+FFFD, which AppendGrabs writes as itself.
+var escRuneError = []byte(`\ufffd`)
+
+// appendGrab appends what Result.AppendGrabs writes for the grab
+// object g parses to — decodeColumns' reading of a stored grab.
+func appendGrab(dst, g []byte, parsed *zgrab.Result) ([]byte, error) {
+	if parsed.SetGrabs(g) != nil {
+		return dst, errCorrupt
+	}
+	out, err := parsed.AppendGrabs(dst)
+	if err != nil {
+		return dst, errCorrupt
+	}
+	return out, nil
+}
+
+// settleGrabs makes a block a segBuilder filled what decodeColumns
+// reads back from its body: a grab that holds an escaped byte of
+// invalid UTF-8 is replaced by appendGrab's reading of it, and every
+// other grab already is its own reading. (A grab that did not parse
+// would stay as written; AppendGrabs' output always parses.)
+func (b *colBlock) settleGrabs() {
+	if !bytes.Contains(b.grabs, escRuneError) {
+		return
+	}
+	grabs, off := make([]byte, 0, len(b.grabs)), make([]uint32, 1, b.n+1)
+	var parsed zgrab.Result
+	for i := 0; i < b.n; i++ {
+		g := b.grab(i)
+		if bytes.Contains(g, escRuneError) {
+			if settled, err := appendGrab(nil, g, &parsed); err == nil {
+				g = settled
+			}
+		}
+		grabs = append(grabs, g...)
+		off = append(off, uint32(len(grabs)))
+	}
+	b.grabs, b.grabOff = grabs, off
 }
 
 // memberJSON renders each dictionary entry as before + its JSON string
@@ -223,26 +269,6 @@ func (b *colBlock) row(i int) Row {
 		return Row{Kind: KindCaptures, Slice: b.slices[i], Capture: b.capture(i)}
 	}
 	return Row{Kind: KindResults, Slice: b.slices[i], Result: b.result(i)}
-}
-
-// eachRow decodes a block body and streams its rows, with their slice
-// ids, through the callback for its kind.
-func eachRow(raw []byte, kind Kind, capFn func(CaptureRow, int) error, resFn func(*zgrab.Result, int) error) error {
-	b, err := decodeColumns(raw, kind)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < b.n; i++ {
-		if kind == KindCaptures {
-			err = capFn(b.capture(i), b.slices[i])
-		} else {
-			err = resFn(b.result(i), b.slices[i])
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rowText remembers the last address and the last time it formatted.

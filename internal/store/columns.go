@@ -101,11 +101,6 @@ func (d *dict) id(s string) int {
 	return i
 }
 
-func (d *dict) reset() {
-	clear(d.idx)
-	d.vals = d.vals[:0]
-}
-
 // appendDict encodes a string table: uvarint count, then per entry
 // uvarint length + bytes.
 func appendDict(b []byte, vals []string) []byte {
@@ -143,11 +138,10 @@ func readDict(r *colReader) ([]string, error) {
 	return vals, nil
 }
 
-// key48 packs an address's /48 prefix into a comparable integer — the
-// key space of the per-block min/max index and the segment bloom
-// filter.
-func key48(a netip.Addr) uint64 {
-	b := a.As16()
+// key48 packs the /48 prefix of a 16-byte address into a comparable
+// integer — the key space of the per-block min/max index and the
+// segment bloom filter.
+func key48(b []byte) uint64 {
 	return uint64(b[0])<<40 | uint64(b[1])<<32 | uint64(b[2])<<24 |
 		uint64(b[3])<<16 | uint64(b[4])<<8 | uint64(b[5])
 }
@@ -156,7 +150,8 @@ func key48(a netip.Addr) uint64 {
 // range it covers. Longer prefixes collapse to their containing /48
 // (exact key, bloom-eligible).
 func prefixKeyRange(p netip.Prefix) (lo, hi uint64) {
-	lo = key48(p.Masked().Addr())
+	a := p.Masked().Addr().As16()
+	lo = key48(a[:])
 	bits := p.Bits()
 	if bits >= 48 {
 		return lo, lo

@@ -1,13 +1,6 @@
 package store
 
-import (
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-
-	"ntpscan/internal/zgrab"
-)
+import "fmt"
 
 // maybeCompact runs the compaction policy after slice has been
 // appended: at every K-th slice boundary ((slice+1)%K == 0) all
@@ -20,6 +13,9 @@ func (s *Store) maybeCompact(slice int) error {
 	if k <= 0 || (slice+1)%k != 0 {
 		return nil
 	}
+	// Every held segment is merged now or stays an L0 that a later
+	// compaction reads from its file, so at most K-1 are ever held.
+	defer clear(s.held)
 	var inputs []SegmentInfo
 	for _, si := range s.man.Segments {
 		if si.Level == 0 && si.SliceHi <= slice {
@@ -33,105 +29,42 @@ func (s *Store) maybeCompact(slice int) error {
 }
 
 // compact merges the input segments (already in manifest order) into
-// one L1 segment: all capture rows in segment order, then all result
-// rows in segment order, re-chunked into fresh blocks. Inputs are
-// retired (renamed, not deleted) before the manifest commits the
-// merge, so a crash at any point recovers: an unmanifested L1 is a
-// deletable stray, and retired-but-still-manifested inputs are
-// resurrected by recover/ResetTo.
+// one L1 segment, column to column: all capture rows in segment order,
+// then all result rows in segment order, re-chunked into fresh blocks.
+// Every input is first read and checked against its manifest entry
+// (size and whole-file CRC), and nothing is written unless all of them
+// pass. The columns merged are the ones the store held since it wrote
+// the segment; a segment it did not write in this process (one
+// recovered by Open, or rewound to by ResetTo) is decoded from the
+// file it was just checked against, which yields the same columns.
 func (s *Store) compact(inputs []SegmentInfo) error {
-	datas := make([][]byte, len(inputs))
-	segs := make([]*segment, len(inputs))
+	cols := make([][]*colBlock, len(inputs))
 	for i, si := range inputs {
-		data, err := os.ReadFile(filepath.Join(s.dir, si.Name))
+		data, err := s.validSegment(si)
 		if err != nil {
 			return fmt.Errorf("store: compact: %w", err)
 		}
-		seg, err := parseSegmentBytes(data)
+		if cols[i] = s.held[segKey{si.CRC32, si.Size}]; cols[i] != nil {
+			continue
+		}
+		err = eachBlock(data, func(b *colBlock) error {
+			cols[i] = append(cols[i], b)
+			return nil
+		})
 		if err != nil {
 			return fmt.Errorf("store: compact: segment %s: %w", si.Name, err)
 		}
-		datas[i], segs[i] = data, seg
 	}
-	sb := newSegBuilder()
-	for i, seg := range segs {
-		for _, bi := range seg.blocks {
-			if bi.Kind != KindCaptures {
-				continue
-			}
-			raw, err := decodeBlock(datas[i][bi.Off:bi.Off+bi.Len], bi)
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
-			}
-			err = eachRow(raw, KindCaptures, func(c CaptureRow, slice int) error {
-				sb.addCapture(c, slice)
-				return nil
-			}, nil)
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
+	sb := newSegBuilder(&s.w, false)
+	for _, kind := range []Kind{KindCaptures, KindResults} {
+		for _, blocks := range cols {
+			for _, b := range blocks {
+				if b.kind == kind {
+					sb.addBlock(b)
+				}
 			}
 		}
 	}
-	sb.flushCaptures()
-	for i, seg := range segs {
-		for _, bi := range seg.blocks {
-			if bi.Kind != KindResults {
-				continue
-			}
-			raw, err := decodeBlock(datas[i][bi.Off:bi.Off+bi.Len], bi)
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
-			}
-			err = eachRow(raw, KindResults, nil, func(r *zgrab.Result, slice int) error {
-				return sb.addResult(r, slice)
-			})
-			if err != nil {
-				return fmt.Errorf("store: compact: segment %s: %w", inputs[i].Name, err)
-			}
-		}
-	}
-	data, rows, err := sb.finish()
-	if err != nil {
-		return err
-	}
-	name := segmentName(1, sb.sliceLo, sb.sliceHi)
-	if err := s.writeFileAtomic(name, data); err != nil {
-		return err
-	}
-	for _, si := range inputs {
-		path := filepath.Join(s.dir, si.Name)
-		if err := os.Rename(path, path+retiredSuffix); err != nil {
-			return fmt.Errorf("store: compact: %w", err)
-		}
-	}
-	retired := make(map[string]bool, len(inputs))
-	for _, si := range inputs {
-		retired[si.Name] = true
-	}
-	kept := s.man.Segments[:0]
-	for _, si := range s.man.Segments {
-		if !retired[si.Name] {
-			kept = append(kept, si)
-		}
-	}
-	s.man.Segments = append(kept, SegmentInfo{
-		Name:    name,
-		Level:   1,
-		SliceLo: sb.sliceLo,
-		SliceHi: sb.sliceHi,
-		Rows:    rows,
-		Size:    int64(len(data)),
-		CRC32:   crcOf(data),
-	})
-	sort.SliceStable(s.man.Segments, func(i, j int) bool {
-		return s.man.Segments[i].SliceLo < s.man.Segments[j].SliceLo
-	})
-	if s.met != nil {
-		s.met.Compactions.Inc()
-		s.met.SegmentsCompacted.Add(int64(len(inputs)))
-		s.met.SegmentsWritten.Inc()
-		s.met.BlocksWritten.Add(int64(len(sb.blocks)))
-		s.met.BytesWritten.Add(int64(len(data)))
-	}
-	return s.persistManifest()
+	_, err := s.writeSegment(1, sb, inputs)
+	return err
 }

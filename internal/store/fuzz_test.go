@@ -16,23 +16,16 @@ import (
 // kinds, multi-slice rows, and every column type — the canonical
 // corpus entry the fuzzer mutates from.
 func seedSegment(tb testing.TB, nCaps, nRes int) []byte {
-	sb := newSegBuilder()
+	sb := newSegBuilder(new(blockWriter), false)
 	for i := 0; i < nCaps; i++ {
 		sb.addCapture(testCapture(i), i%3)
 	}
-	sb.flushCaptures()
 	for i := 0; i < nRes; i++ {
 		if err := sb.addResult(testResult(i, i%3), i%3); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	if err := sb.flushResults(); err != nil {
-		tb.Fatal(err)
-	}
-	data, _, err := sb.finish()
-	if err != nil {
-		tb.Fatal(err)
-	}
+	data, _ := sb.finish()
 	return data
 }
 
@@ -98,11 +91,10 @@ func FuzzSegmentDecode(f *testing.F) {
 			return
 		}
 		// Accepted inputs must round-trip through the builder.
-		sb := newSegBuilder()
+		sb := newSegBuilder(new(blockWriter), false)
 		for _, cr := range caps {
 			sb.addCapture(cr.c, cr.slice)
 		}
-		sb.flushCaptures()
 		for _, rr := range results {
 			r := &zgrab.Result{}
 			if err := json.Unmarshal([]byte(rr.j), r); err != nil {
@@ -112,13 +104,7 @@ func FuzzSegmentDecode(f *testing.F) {
 				t.Fatalf("re-add row: %v", err)
 			}
 		}
-		if err := sb.flushResults(); err != nil {
-			t.Fatalf("re-flush: %v", err)
-		}
-		rebuilt, _, err := sb.finish()
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
+		rebuilt, _ := sb.finish()
 		var caps2 []capRow
 		var results2 []resRow
 		err = DecodeSegment(rebuilt,
@@ -304,7 +290,8 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			"seed-magic-only":  []byte(segMagic),
 			"seed-flipped-bit": flipped,
 		},
-		"FuzzManifestRecover": newManifestFixture(t).seeds(t),
+		"FuzzManifestRecover":        newManifestFixture(t).seeds(t),
+		"FuzzCompactIsConcatenation": compactSeeds(),
 	}
 	for target, entries := range corpora {
 		dir := filepath.Join("testdata", "fuzz", target)

@@ -42,7 +42,8 @@ func TestGrabColumnGoldenDigest(t *testing.T) {
 		{Module: "coap", CoAP: &zgrab.CoAPGrab{Code: "2.05", Resources: []string{"/.well-known/core", "</sensors/temp>;rt=\"t\""}}},
 		{Module: "coap", CoAP: &zgrab.CoAPGrab{Code: "4.04", Resources: []string{}}},
 	}
-	sb := newSegBuilder()
+	w := new(blockWriter)
+	sb := newSegBuilder(w, false)
 	for i := range grabs {
 		r := &grabs[i]
 		r.IP = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 4: byte(i), 15: byte(i + 1)})
@@ -55,14 +56,8 @@ func TestGrabColumnGoldenDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := sb.flushResults(); err != nil {
-		t.Fatal(err)
-	}
-	raw := fmt.Sprintf("%x", sha256.Sum256(sb.body))
-	img, _, err := sb.finish()
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, _ := sb.finish()
+	raw := fmt.Sprintf("%x", sha256.Sum256(w.body)) // the last block's body
 	seg := fmt.Sprintf("%x", sha256.Sum256(img))
 	if raw != rawDigest {
 		t.Errorf("results block moved: sha256 %s, golden %s", raw, rawDigest)

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"net/netip"
+	"slices"
 
 	"ntpscan/internal/zgrab"
 )
@@ -98,11 +99,38 @@ type blockIndex struct {
 	Max48 uint64
 }
 
-// segBuilder accumulates rows and emits a complete segment image.
-// Callers add captures (then flushCaptures) before results (then
-// flushResults): capture blocks precede result blocks in every
-// segment, which is the canonical row order the query engine returns.
+// blockWriter is what encoding a block reuses: the flate writer (about
+// 0.6 MB to build), its output buffer and the body scratch. A Store
+// owns one, and every segment it builds borrows it under Store.mu.
+type blockWriter struct {
+	fl   *flate.Writer
+	out  bytes.Buffer
+	body []byte
+}
+
+// compress returns body's flate payload, valid until the next call.
+func (w *blockWriter) compress(body []byte) []byte {
+	w.out.Reset()
+	if w.fl == nil {
+		w.fl, _ = flate.NewWriter(&w.out, flate.BestSpeed)
+	} else {
+		w.fl.Reset(&w.out)
+	}
+	w.fl.Write(body)
+	w.fl.Close()
+	return w.out.Bytes()
+}
+
+// segBuilder accumulates rows as column vectors and emits a complete
+// segment image. Each kind fills a pending block in colBlock's shape:
+// addCapture and addResult turn one row into columns (an append
+// converts each Result once), addBlock appends a decoded block's rows
+// column to column (compaction). Captures come before results —
+// flushing a result block flushes the pending captures first — so
+// capture blocks precede result blocks in every segment, which is the
+// canonical row order the query engine returns.
 type segBuilder struct {
+	w      *blockWriter
 	buf    []byte
 	blocks []blockIndex
 	mods   dict
@@ -112,37 +140,149 @@ type segBuilder struct {
 	sliceLo, sliceHi int
 	rows             int64
 
-	capRows   []CaptureRow
-	capSlices []int
-	resRows   []*zgrab.Result
-	resSlices []int
-
-	body  []byte
-	flBuf bytes.Buffer
-	fl    *flate.Writer
-	// block-local dicts, reset per block
-	bdict1, bdict2, bdict3 dict
+	caps, res pending
+	// With keep, every flushed block also goes to held: the segment's
+	// rows as the columns decodeColumns reads back from its image, for
+	// the compaction that will merge it.
+	keep  bool
+	held  []*colBlock
+	remap []uint32 // recode's scratch
 }
 
-func newSegBuilder() *segBuilder {
-	return &segBuilder{
+// pending is a block being filled: its rows in colBlock's vectors, and
+// the block-local dictionaries its codes index, in first-seen order
+// (captures: vantages; results: modules, statuses, errors).
+type pending struct {
+	colBlock
+	dicts [3]dict
+}
+
+func newSegBuilder(w *blockWriter, keep bool) *segBuilder {
+	sb := &segBuilder{
+		w:       w,
 		buf:     append(make([]byte, 0, 1<<16), segMagic...),
 		keys:    make(map[uint64]struct{}),
 		sliceLo: -1,
 		sliceHi: -1,
+		keep:    keep,
+	}
+	sb.caps.start(KindCaptures)
+	sb.res.start(KindResults)
+	return sb
+}
+
+// start makes p an empty block of kind with vectors of its own: the
+// previous block's, if any, were handed off or dropped.
+func (p *pending) start(kind Kind) {
+	p.colBlock, p.dicts = colBlock{kind: kind, grabOff: []uint32{0}}, [3]dict{}
+}
+
+// grow makes room for n more rows, up to a block's worth, in every
+// vector of p's kind.
+func (p *pending) grow(n int) {
+	n = min(n, maxBlockRows-p.n)
+	p.slices = slices.Grow(p.slices, n)
+	p.addrs = slices.Grow(p.addrs, 16*n)
+	if p.kind == KindCaptures {
+		p.van = slices.Grow(p.van, n)
+		return
+	}
+	p.mod, p.stat, p.errc = slices.Grow(p.mod, n), slices.Grow(p.stat, n), slices.Grow(p.errc, n)
+	p.ports, p.times = slices.Grow(p.ports, n), slices.Grow(p.times, n)
+	p.attempts, p.seqs = slices.Grow(p.attempts, n), slices.Grow(p.seqs, n)
+	p.grabOff = slices.Grow(p.grabOff, n)
+}
+
+// addCapture appends one capture row.
+func (sb *segBuilder) addCapture(c CaptureRow, slice int) {
+	p := &sb.caps
+	a := c.Addr.As16()
+	p.slices = append(p.slices, slice)
+	p.addrs = append(p.addrs, a[:]...)
+	p.van = append(p.van, uint32(p.dicts[0].id(c.Vantage)))
+	sb.added(p, 1)
+}
+
+// addResult appends one result row; its grab column entry is what
+// AppendGrabs writes, and a result AppendGrabs refuses is not added.
+func (sb *segBuilder) addResult(r *zgrab.Result, slice int) error {
+	p := &sb.res
+	g, err := r.AppendGrabs(p.grabs)
+	if err != nil {
+		return err
+	}
+	a := r.IP.As16()
+	p.grabs, p.grabOff = g, append(p.grabOff, uint32(len(g)))
+	p.slices = append(p.slices, slice)
+	p.addrs = append(p.addrs, a[:]...)
+	p.mod = append(p.mod, uint32(p.dicts[0].id(r.Module)))
+	p.stat = append(p.stat, uint32(p.dicts[1].id(string(r.Status))))
+	p.errc = append(p.errc, uint32(p.dicts[2].id(r.Error)))
+	p.ports = append(p.ports, r.Port)
+	p.times = append(p.times, r.Time.UnixNano())
+	p.attempts = append(p.attempts, r.Attempts)
+	p.seqs = append(p.seqs, r.Seq)
+	sb.added(p, 1)
+	return nil
+}
+
+// addBlock appends every row of a decoded block, column to column: the
+// dictionary codes re-coded into the pending block's dictionaries (in
+// first-seen order, as addResult would assign them), the slice,
+// address, port, time, attempt and sequence vectors copied, the grab
+// bytes copied verbatim. Runs split where a pending block fills.
+func (sb *segBuilder) addBlock(src *colBlock) {
+	p := &sb.caps
+	if src.kind == KindResults {
+		p = &sb.res
+	}
+	for lo := 0; lo < src.n; {
+		hi := min(src.n, lo+maxBlockRows-p.n)
+		p.grow(hi - lo)
+		p.slices = append(p.slices, src.slices[lo:hi]...)
+		p.addrs = append(p.addrs, src.addrs[16*lo:16*hi]...)
+		if src.kind == KindCaptures {
+			p.van = sb.recode(p.van, src.van[lo:hi], src.vans, &p.dicts[0])
+		} else {
+			p.mod = sb.recode(p.mod, src.mod[lo:hi], src.mods, &p.dicts[0])
+			p.stat = sb.recode(p.stat, src.stat[lo:hi], src.stats, &p.dicts[1])
+			p.errc = sb.recode(p.errc, src.errc[lo:hi], src.errs, &p.dicts[2])
+			p.ports = append(p.ports, src.ports[lo:hi]...)
+			p.times = append(p.times, src.times[lo:hi]...)
+			p.attempts = append(p.attempts, src.attempts[lo:hi]...)
+			p.seqs = append(p.seqs, src.seqs[lo:hi]...)
+			// Offsets move by where the run lands (uint32 arithmetic wraps
+			// back for a run that lands lower than it was).
+			shift := uint32(len(p.grabs)) - src.grabOff[lo]
+			p.grabs = append(p.grabs, src.grabs[src.grabOff[lo]:src.grabOff[hi]]...)
+			for _, off := range src.grabOff[lo+1 : hi+1] {
+				p.grabOff = append(p.grabOff, off+shift)
+			}
+		}
+		sb.added(p, hi-lo)
+		lo = hi
 	}
 }
 
-// noteRow folds a row's slice and address into the segment-level
-// index state.
-func (sb *segBuilder) noteRow(slice int, addr netip.Addr) {
-	if sb.sliceLo < 0 || slice < sb.sliceLo {
-		sb.sliceLo = slice
+// recode appends codes, which index from, as codes into d.
+func (sb *segBuilder) recode(dst, codes []uint32, from []string, d *dict) []uint32 {
+	m := append(sb.remap[:0], make([]uint32, len(from))...) // code+1; 0: not seen yet
+	sb.remap = m
+	for _, c := range codes {
+		if m[c] == 0 {
+			m[c] = uint32(d.id(from[c])) + 1
+		}
+		dst = append(dst, m[c]-1)
 	}
-	if slice > sb.sliceHi {
-		sb.sliceHi = slice
+	return dst
+}
+
+// added counts n new rows into p, flushing it once it holds a block's
+// worth.
+func (sb *segBuilder) added(p *pending, n int) {
+	if p.n += n; p.n >= maxBlockRows {
+		sb.flush(p)
 	}
-	sb.keys[key48(addr)] = struct{}{}
 }
 
 // maskBit maps a dict id onto the 64-bit pruning mask; overflowing
@@ -154,205 +294,112 @@ func maskBit(id int) uint64 {
 	return 1 << uint(id)
 }
 
-// addCapture buffers one capture row, flushing a block at the chunk
-// boundary.
-func (sb *segBuilder) addCapture(c CaptureRow, slice int) {
-	sb.capRows = append(sb.capRows, c)
-	sb.capSlices = append(sb.capSlices, slice)
-	if len(sb.capRows) >= maxBlockRows {
-		sb.flushCaptures()
+// appendCodes appends a column of dictionary codes.
+func appendCodes(b []byte, codes []uint32) []byte {
+	for _, c := range codes {
+		b = binary.AppendUvarint(b, uint64(c))
 	}
+	return b
 }
 
-// flushCaptures emits the buffered capture rows as one block.
-func (sb *segBuilder) flushCaptures() {
-	rows, slices := sb.capRows, sb.capSlices
-	if len(rows) == 0 {
+// appendDeltas appends a column as each value's difference from the
+// one before it.
+func appendDeltas[T int | int64](b []byte, col []T) []byte {
+	prev := int64(0)
+	for _, v := range col {
+		b = binary.AppendVarint(b, int64(v)-prev)
+		prev = int64(v)
+	}
+	return b
+}
+
+// flush encodes the pending block as a block body — the columns in the
+// order decodeColumns reads them — compresses it, appends the framed
+// block to the image and its entry to the index, and starts the next
+// block.
+func (sb *segBuilder) flush(p *pending) {
+	b := &p.colBlock
+	if b.n == 0 {
 		return
 	}
-	sb.capRows, sb.capSlices = rows[:0], slices[:0]
-
-	var mask uint64
-	min48, max48 := ^uint64(0), uint64(0)
-	vd := &sb.bdict1
-	vd.reset()
-	body := sb.body[:0]
-	body = binary.AppendUvarint(body, uint64(len(rows)))
-
-	// slice column
-	prev := int64(0)
-	for i, s := range slices {
-		body = binary.AppendVarint(body, int64(s)-prev)
-		prev = int64(s)
-		sb.noteRow(s, rows[i].Addr)
+	if b.kind == KindResults {
+		sb.flush(&sb.caps)
 	}
-	// addr column
-	for _, c := range rows {
-		a := c.Addr.As16()
-		body = append(body, a[:]...)
-		k := key48(c.Addr)
-		if k < min48 {
-			min48 = k
-		}
-		if k > max48 {
-			max48 = k
-		}
-	}
-	// vantage dict + index column
-	idxs := make([]int, len(rows))
-	for i, c := range rows {
-		id := vd.id(c.Vantage)
-		idxs[i] = id
-		mask |= maskBit(sb.vans.id(c.Vantage))
-	}
-	body = appendDict(body, vd.vals)
-	for _, id := range idxs {
-		body = binary.AppendUvarint(body, uint64(id))
-	}
-	sb.body = body
-	sb.emitBlock(KindCaptures, body, len(rows), slices[0], slices[len(slices)-1], mask, min48, max48)
-}
-
-// addResult buffers one result row, flushing a block at the chunk
-// boundary.
-func (sb *segBuilder) addResult(r *zgrab.Result, slice int) error {
-	sb.resRows = append(sb.resRows, r)
-	sb.resSlices = append(sb.resSlices, slice)
-	if len(sb.resRows) >= maxBlockRows {
-		return sb.flushResults()
-	}
-	return nil
-}
-
-// flushResults emits the buffered result rows as one block.
-func (sb *segBuilder) flushResults() error {
-	rows, slices := sb.resRows, sb.resSlices
-	if len(rows) == 0 {
-		return nil
-	}
-	sb.resRows, sb.resSlices = rows[:0], slices[:0]
-
-	var mask uint64
-	min48, max48 := ^uint64(0), uint64(0)
-	md, sd, ed := &sb.bdict1, &sb.bdict2, &sb.bdict3
-	md.reset()
-	sd.reset()
-	ed.reset()
-	body := sb.body[:0]
-	body = binary.AppendUvarint(body, uint64(len(rows)))
-
-	// slice column
-	prev := int64(0)
-	for i, s := range slices {
-		body = binary.AppendVarint(body, int64(s)-prev)
-		prev = int64(s)
-		sb.noteRow(s, rows[i].IP)
-	}
-	// ip column
-	for _, r := range rows {
-		a := r.IP.As16()
-		body = append(body, a[:]...)
-		k := key48(r.IP)
-		if k < min48 {
-			min48 = k
-		}
-		if k > max48 {
-			max48 = k
-		}
-	}
-	// dicts (built in row order), then index columns
-	modIdx := make([]int, len(rows))
-	staIdx := make([]int, len(rows))
-	errIdx := make([]int, len(rows))
-	for i, r := range rows {
-		modIdx[i] = md.id(r.Module)
-		staIdx[i] = sd.id(string(r.Status))
-		errIdx[i] = ed.id(r.Error)
-		mask |= maskBit(sb.mods.id(r.Module))
-	}
-	body = appendDict(body, md.vals)
-	body = appendDict(body, sd.vals)
-	body = appendDict(body, ed.vals)
-	for _, id := range modIdx {
-		body = binary.AppendUvarint(body, uint64(id))
-	}
-	// port column
-	for _, r := range rows {
-		body = binary.AppendUvarint(body, uint64(r.Port))
-	}
-	// time column (delta unix-nanos)
-	prev = 0
-	for _, r := range rows {
-		ns := r.Time.UnixNano()
-		body = binary.AppendVarint(body, ns-prev)
-		prev = ns
-	}
-	for _, id := range staIdx {
-		body = binary.AppendUvarint(body, uint64(id))
-	}
-	for _, id := range errIdx {
-		body = binary.AppendUvarint(body, uint64(id))
-	}
-	// attempts column
-	for _, r := range rows {
-		body = binary.AppendUvarint(body, uint64(r.Attempts))
-	}
-	// seq column (delta)
-	prev = 0
-	for _, r := range rows {
-		body = binary.AppendVarint(body, r.Seq-prev)
-		prev = r.Seq
-	}
-	// grabs column
-	var scratch []byte
-	for _, r := range rows {
-		g, err := r.AppendGrabs(scratch[:0])
-		if err != nil {
-			return err
-		}
-		scratch = g
-		body = binary.AppendUvarint(body, uint64(len(g)))
-		body = append(body, g...)
-	}
-	sb.body = body
-	sb.emitBlock(KindResults, body, len(rows), slices[0], slices[len(slices)-1], mask, min48, max48)
-	return nil
-}
-
-// emitBlock compresses a body and appends the framed block to the
-// file image.
-func (sb *segBuilder) emitBlock(kind Kind, body []byte, rows, sliceLo, sliceHi int, mask, min48, max48 uint64) {
-	off := int64(len(sb.buf))
-	sb.flBuf.Reset()
-	if sb.fl == nil {
-		sb.fl, _ = flate.NewWriter(&sb.flBuf, flate.BestSpeed)
+	body := binary.AppendUvarint(sb.w.body[:0], uint64(b.n))
+	body = appendDeltas(body, b.slices)
+	body = append(body, b.addrs...)
+	segDict := &sb.vans
+	if b.kind == KindCaptures {
+		b.vans = p.dicts[0].vals
+		body = appendDict(body, b.vans)
+		body = appendCodes(body, b.van)
 	} else {
-		sb.fl.Reset(&sb.flBuf)
+		segDict = &sb.mods
+		b.mods, b.stats, b.errs = p.dicts[0].vals, p.dicts[1].vals, p.dicts[2].vals
+		body = appendDict(body, b.mods)
+		body = appendDict(body, b.stats)
+		body = appendDict(body, b.errs)
+		body = appendCodes(body, b.mod)
+		for _, port := range b.ports {
+			body = binary.AppendUvarint(body, uint64(port))
+		}
+		body = appendDeltas(body, b.times)
+		body = appendCodes(body, b.stat)
+		body = appendCodes(body, b.errc)
+		for _, a := range b.attempts {
+			body = binary.AppendUvarint(body, uint64(a))
+		}
+		body = appendDeltas(body, b.seqs)
+		for i := 0; i < b.n; i++ {
+			g := b.grab(i)
+			body = binary.AppendUvarint(body, uint64(len(g)))
+			body = append(body, g...)
+		}
 	}
-	sb.fl.Write(body)
-	sb.fl.Close()
-	payload := sb.flBuf.Bytes()
+	sb.w.body = body
+
+	// The index entry: the mask over the segment's module (or vantage)
+	// dictionary, the /48 key range; and the segment's slice range and
+	// key set.
+	bi := blockIndex{Kind: b.kind, Off: int64(len(sb.buf)), RawLen: len(body), Rows: b.n,
+		SliceLo: b.slices[0], SliceHi: b.slices[b.n-1], Min48: ^uint64(0)}
+	for _, s := range p.dicts[0].vals {
+		bi.Mask |= maskBit(segDict.id(s))
+	}
+	for i := 0; i < b.n; i++ {
+		k := key48(b.addrs[16*i:])
+		bi.Min48, bi.Max48 = min(bi.Min48, k), max(bi.Max48, k)
+		sb.keys[k] = struct{}{}
+	}
+	for _, s := range b.slices {
+		if sb.sliceLo < 0 || s < sb.sliceLo {
+			sb.sliceLo = s
+		}
+		sb.sliceHi = max(sb.sliceHi, s)
+	}
+
+	payload := sb.w.compress(body)
 	var hdr [blockHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	sb.buf = append(sb.buf, hdr[:]...)
-	sb.buf = append(sb.buf, payload...)
-	sb.blocks = append(sb.blocks, blockIndex{
-		Kind: kind, Off: off, Len: int64(blockHeaderLen + len(payload)),
-		RawLen: len(body), Rows: rows,
-		SliceLo: sliceLo, SliceHi: sliceHi,
-		Mask: mask, Min48: min48, Max48: max48,
-	})
-	sb.rows += int64(rows)
+	sb.buf = append(append(sb.buf, hdr[:]...), payload...)
+	bi.Len = int64(blockHeaderLen + len(payload))
+	sb.blocks = append(sb.blocks, bi)
+	sb.rows += int64(b.n)
+
+	if sb.keep {
+		kept := *b
+		kept.settleGrabs()
+		sb.held = append(sb.held, &kept)
+	}
+	p.start(b.kind)
 }
 
 // finish flushes pending rows and appends the footer and trailer,
-// returning the complete file image.
-func (sb *segBuilder) finish() ([]byte, int64, error) {
-	sb.flushCaptures()
-	if err := sb.flushResults(); err != nil {
-		return nil, 0, err
-	}
+// returning the complete file image and its row count.
+func (sb *segBuilder) finish() ([]byte, int64) {
+	sb.flush(&sb.caps)
+	sb.flush(&sb.res)
 	ftr := []byte{segVersion}
 	ftr = binary.AppendUvarint(ftr, uint64(len(sb.blocks)))
 	for _, bi := range sb.blocks {
@@ -381,7 +428,7 @@ func (sb *segBuilder) finish() ([]byte, int64, error) {
 	binary.LittleEndian.PutUint32(tr[4:], crc32.Checksum(ftr, castagnoli))
 	copy(tr[8:], ftrMagic)
 	out = append(out, tr[:]...)
-	return out, sb.rows, nil
+	return out, sb.rows
 }
 
 // segment is a parsed footer: the sparse index the query engine prunes
@@ -526,13 +573,10 @@ func decodeBlock(blockBytes []byte, bi blockIndex) ([]byte, error) {
 	return raw, nil
 }
 
-// DecodeSegment fully parses and decodes an in-memory segment image —
-// footer, every block, every row, in file order. It is the walker
-// ReplaySlices runs over every live segment on a resume and the
-// FuzzSegmentDecode entry point: any input must either decode cleanly
-// or fail with an error, never panic. capFn and resFn get every row
-// with its slice id; neither may be nil.
-func DecodeSegment(data []byte, capFn func(CaptureRow, int) error, resFn func(*zgrab.Result, int) error) error {
+// eachBlock parses a whole segment image and hands fn its blocks in
+// file order, each decoded to columns: how compaction reads a segment
+// it holds no columns of, and what DecodeSegment walks.
+func eachBlock(data []byte, fn func(*colBlock) error) error {
 	seg, err := parseSegmentBytes(data)
 	if err != nil {
 		return err
@@ -542,9 +586,32 @@ func DecodeSegment(data []byte, capFn func(CaptureRow, int) error, resFn func(*z
 		if err != nil {
 			return err
 		}
-		if err := eachRow(raw, bi.Kind, capFn, resFn); err != nil {
+		b, err := decodeColumns(raw, bi.Kind)
+		if err != nil {
+			return err
+		}
+		if err := fn(b); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// DecodeSegment fully parses and decodes an in-memory segment image —
+// footer, every block, every row, in file order — through the row
+// view. It is the walker ReplaySlices runs over every live segment on
+// a resume and the FuzzSegmentDecode entry point: any input must
+// either decode cleanly or fail with an error, never panic. capFn and
+// resFn get every row with its slice id; neither may be nil.
+func DecodeSegment(data []byte, capFn func(CaptureRow, int) error, resFn func(*zgrab.Result, int) error) error {
+	return eachBlock(data, func(b *colBlock) (err error) {
+		for i := 0; i < b.n && err == nil; i++ {
+			if b.kind == KindCaptures {
+				err = capFn(b.capture(i), b.slices[i])
+			} else {
+				err = resFn(b.result(i), b.slices[i])
+			}
+		}
+		return err
+	})
 }

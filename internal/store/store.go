@@ -43,6 +43,20 @@
 // inputs (rename to .retired) instead of deleting them, so ResetTo can
 // rewind to a checkpoint taken before a compaction that consumed its
 // segments; Seal garbage-collects retired files once a run completes.
+//
+// # Compaction
+//
+// Every K-th slice the pending L0 segments are merged into one L1
+// segment column to column (compact.go): no row is rebuilt as a struct
+// and no grab is parsed. A segment builder accumulates rows as column
+// vectors, so an append turns each Result into columns once, and the
+// store keeps those columns for every L0 segment it wrote until the
+// compaction that merges it — after checking the segment's file
+// against the manifest's size and whole-file CRC. A segment written
+// before the store was opened, or rewound to by ResetTo, is decoded
+// from that file instead; the columns, and so the L1 bytes, are the
+// same. Every block the store writes goes through its one flate
+// writer.
 package store
 
 import (
@@ -51,6 +65,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -169,6 +184,17 @@ type Store struct {
 	// may be nil (disabled).
 	feet   *footerCache
 	blocks *blockCache
+
+	// w is the block encoder every segment this store builds borrows,
+	// under mu: one flate writer per store, not one per segment.
+	w blockWriter
+	// held, under mu, maps each L0 segment this store wrote and has not
+	// compacted yet to its columns — exactly what decodeColumns reads
+	// back from its blocks — keyed by content identity like the caches,
+	// so compaction merges them without reading the blocks back. At most
+	// K-1 segments are held, none when compaction is off; ResetTo
+	// forgets them all.
+	held map[segKey][]*colBlock
 }
 
 // Open opens (creating if needed) the store directory and recovers it
@@ -299,23 +325,24 @@ func (s *Store) restoreSegment(si SegmentInfo, prevHi int) error {
 			return fmt.Errorf("store: segment %s is gone (%w)", si.Name, err)
 		}
 	}
-	return s.validSegment(si)
+	_, err := s.validSegment(si)
+	return err
 }
 
-// validSegment verifies a manifest entry against its file: size and
+// validSegment reads a manifest entry's file and verifies it: size and
 // whole-file CRC must match.
-func (s *Store) validSegment(si SegmentInfo) error {
+func (s *Store) validSegment(si SegmentInfo) ([]byte, error) {
 	data, err := os.ReadFile(filepath.Join(s.dir, si.Name))
 	if err != nil {
-		return fmt.Errorf("store: segment %s: %w", si.Name, err)
+		return nil, fmt.Errorf("store: segment %s: %w", si.Name, err)
 	}
 	if int64(len(data)) != si.Size {
-		return fmt.Errorf("store: segment %s: size %d, manifest %d", si.Name, len(data), si.Size)
+		return nil, fmt.Errorf("store: segment %s: size %d, manifest %d", si.Name, len(data), si.Size)
 	}
-	if crc := crc32.Checksum(data, castagnoli); crc != si.CRC32 {
-		return fmt.Errorf("store: segment %s: crc %08x, manifest %08x", si.Name, crc, si.CRC32)
+	if crc := crcOf(data); crc != si.CRC32 {
+		return nil, fmt.Errorf("store: segment %s: crc %08x, manifest %08x", si.Name, crc, si.CRC32)
 	}
-	return nil
+	return data, nil
 }
 
 // Manifest returns a deep copy of the live segment list, suitable for
@@ -347,21 +374,26 @@ func (s *Store) appendSlice(slice int, caps []CaptureRow, results []*zgrab.Resul
 	}
 	s.nextSlice = slice + 1
 	if len(caps) > 0 || len(results) > 0 {
-		sb := newSegBuilder()
+		sb := newSegBuilder(&s.w, s.opt.compactEvery() > 0)
+		sb.caps.grow(len(caps))
+		sb.res.grow(len(results))
 		for _, c := range caps {
 			sb.addCapture(c, slice)
 		}
-		sb.flushCaptures()
 		for _, r := range results {
 			if err := sb.addResult(r, slice); err != nil {
 				return err
 			}
 		}
-		if err := sb.flushResults(); err != nil {
+		si, err := s.writeSegment(0, sb, nil)
+		if err != nil {
 			return err
 		}
-		if err := s.writeSegment(segmentName(0, slice, slice), 0, sb); err != nil {
-			return err
+		if sb.keep {
+			if s.held == nil {
+				s.held = make(map[segKey][]*colBlock)
+			}
+			s.held[segKey{si.CRC32, si.Size}] = sb.held
 		}
 	}
 	return s.maybeCompact(slice)
@@ -376,36 +408,51 @@ func (s *Store) AppendResults(results []*zgrab.Result) error {
 	return s.appendSlice(s.nextSlice, nil, results)
 }
 
-// writeSegment finalises the builder, stages the file, renames it into
-// place, and then commits it to the manifest — in that order, so a
-// crash can only ever leave an unsealed tail.
-func (s *Store) writeSegment(name string, level int, sb *segBuilder) error {
-	data, rows, err := sb.finish()
-	if err != nil {
-		return err
-	}
-	if err := s.writeFileAtomic(name, data); err != nil {
-		return err
-	}
+// writeSegment finalises the builder and commits its image as a
+// segment of the given level in place of retire (a compaction's
+// inputs; nil for an append), in the order that lets a crash leave
+// only an unsealed tail: stage the file and rename it into place,
+// retire the inputs (rename to .retired, not delete), then rewrite the
+// manifest. Until the manifest lands the new segment is a stray that
+// recover deletes, and retired inputs a manifest still lists are
+// resurrected by recover and ResetTo.
+func (s *Store) writeSegment(level int, sb *segBuilder, retire []SegmentInfo) (SegmentInfo, error) {
+	data, rows := sb.finish()
 	si := SegmentInfo{
-		Name:    name,
+		Name:    segmentName(level, sb.sliceLo, sb.sliceHi),
 		Level:   level,
 		SliceLo: sb.sliceLo,
 		SliceHi: sb.sliceHi,
 		Rows:    rows,
 		Size:    int64(len(data)),
-		CRC32:   crc32.Checksum(data, castagnoli),
+		CRC32:   crcOf(data),
 	}
+	if err := s.writeFileAtomic(si.Name, data); err != nil {
+		return si, err
+	}
+	for _, in := range retire {
+		path := filepath.Join(s.dir, in.Name)
+		if err := os.Rename(path, path+retiredSuffix); err != nil {
+			return si, fmt.Errorf("store: compact: %w", err)
+		}
+	}
+	s.man.Segments = slices.DeleteFunc(s.man.Segments, func(m SegmentInfo) bool {
+		return slices.ContainsFunc(retire, func(in SegmentInfo) bool { return in.Name == m.Name })
+	})
 	s.man.Segments = append(s.man.Segments, si)
 	sort.SliceStable(s.man.Segments, func(i, j int) bool {
 		return s.man.Segments[i].SliceLo < s.man.Segments[j].SliceLo
 	})
 	if s.met != nil {
+		if len(retire) > 0 {
+			s.met.Compactions.Inc()
+			s.met.SegmentsCompacted.Add(int64(len(retire)))
+		}
 		s.met.SegmentsWritten.Inc()
 		s.met.BlocksWritten.Add(int64(len(sb.blocks)))
 		s.met.BytesWritten.Add(int64(len(data)))
 	}
-	return s.persistManifest()
+	return si, s.persistManifest()
 }
 
 // writeFileAtomic stages data to name.tmp and renames it into place.
@@ -469,6 +516,7 @@ func (s *Store) ResetTo(m Manifest) error {
 		s.man.Version = 1
 	}
 	s.nextSlice = s.man.maxSliceHi() + 1
+	clear(s.held)
 	return s.persistManifest()
 }
 

@@ -154,8 +154,9 @@ type grabPayload struct {
 
 // SetGrabs decodes through encoding/json, which builds a type's field
 // tables on first use. Build them at package load: the first decode
-// otherwise happens in a campaign's first store compaction (see
-// core.Checkpoint's init).
+// otherwise happens inside a campaign — a resumed campaign's store
+// replay, or a compaction of segments the store reads back from disk
+// (see core.Checkpoint's init).
 func init() {
 	json.Unmarshal([]byte("{}"), new(grabPayload))
 }
