@@ -67,6 +67,7 @@ FUZZ_TARGETS := \
 	./internal/proto/mqttx:FuzzReadPacket \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/zgrab:FuzzResultAppendJSON \
+	./internal/core:FuzzCheckpointAppendJSON \
 	./internal/store:FuzzSegmentDecode \
 	./internal/store:FuzzSpliceMatchesAppendJSON \
 	./internal/store:FuzzManifestRecover \

@@ -52,6 +52,30 @@ func TestExperimentsCollectOnlySmoke(t *testing.T) {
 	}
 }
 
+// TestNodesAndStorePrintThePlainRun: routing the campaign through a
+// three-node cluster, or into a columnar store, changes where the work
+// runs and what is kept, never what is printed — stdout is the plain
+// run's, byte for byte.
+func TestNodesAndStorePrintThePlainRun(t *testing.T) {
+	stdoutOf := func(args ...string) string {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, tinyWorld...), &stdout, &stderr); code != 0 {
+			t.Fatalf("experiments %v: exit %d (stderr: %s)", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	plain := stdoutOf()
+	if !strings.Contains(plain, "== Table 2 ==") {
+		t.Fatal("the plain run printed no scan-side section")
+	}
+	for _, args := range [][]string{{"-nodes", "3"}, {"-store", filepath.Join(t.TempDir(), "s.store")}} {
+		if got := stdoutOf(args...); got != plain {
+			line := 1 + strings.Count(got[:commonPrefix([]byte(got), []byte(plain))], "\n")
+			t.Errorf("experiments %v printed %d bytes, the plain run %d; first difference on line %d", args, len(got), len(plain), line)
+		}
+	}
+}
+
 // Argument errors exit 2 before a profile file is created or a world
 // is built.
 func TestExperimentsRejectsBadArguments(t *testing.T) {

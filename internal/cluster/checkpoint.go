@@ -20,13 +20,17 @@ import (
 
 var checkpointMagic = [4]byte{'n', 't', 'p', 'c'}
 
-// EncodeCheckpoint writes cp as one framed record.
+// EncodeCheckpoint writes cp as one framed record, in one Write. The
+// body is core's hand-written encoding — json.Marshal(cp)'s bytes —
+// appended straight into the frame buffer, which AppendJSON sizes from
+// the checkpoint's sections.
 func EncodeCheckpoint(w io.Writer, cp *core.Checkpoint) error {
-	body, err := json.Marshal(cp)
+	frame, err := appendFrameFunc(nil, checkpointMagic, cp.AppendJSON)
 	if err != nil {
 		return fmt.Errorf("cluster: encode checkpoint: %w", err)
 	}
-	return EncodeFrame(w, checkpointMagic, body)
+	_, err = w.Write(frame)
+	return err
 }
 
 // DecodeCheckpoint reads one framed checkpoint. Truncation or

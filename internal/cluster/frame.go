@@ -31,31 +31,29 @@ var (
 	ErrFrameTooLarge = errors.New("cluster: frame body exceeds size bound")
 )
 
-// EncodeFrame writes body as one framed record under the given magic.
-func EncodeFrame(w io.Writer, magic [4]byte, body []byte) error {
-	head := make([]byte, 8)
-	copy(head, magic[:])
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(body)))
-	if _, err := w.Write(head); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc32.ChecksumIEEE(body))
-	_, err := w.Write(tail[:])
-	return err
-}
-
 // AppendFrame appends the framed encoding of body to dst and returns
 // the extended slice — the allocation-free path for callers that
 // already hold a buffer.
 func AppendFrame(dst []byte, magic [4]byte, body []byte) []byte {
+	dst, _ = appendFrameFunc(dst, magic, func(b []byte) ([]byte, error) { return append(b, body...), nil })
+	return dst
+}
+
+// appendFrameFunc appends one framed record whose body appendBody
+// appends in place, after the header it reserves, so a body encoded
+// for the frame is never copied. On error dst comes back at its
+// original length.
+func appendFrameFunc(dst []byte, magic [4]byte, appendBody func([]byte) ([]byte, error)) ([]byte, error) {
+	n0 := len(dst)
 	dst = append(dst, magic[:]...)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = append(dst, body...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
+	dst = append(dst, 0, 0, 0, 0) // the body length, known once it is written
+	dst, err := appendBody(dst)
+	if err != nil {
+		return dst[:n0], err
+	}
+	body := dst[n0+8:]
+	binary.LittleEndian.PutUint32(dst[n0+4:], uint32(len(body)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body)), nil
 }
 
 // DecodeFrame reads one framed record under the given magic. maxBody

@@ -9,23 +9,28 @@ import (
 var testMagic = [4]byte{'t', 'e', 's', 't'}
 
 func TestFrameRoundTrip(t *testing.T) {
+	// The layout, written out: magic, little-endian length, body, CRC-32
+	// (IEEE) of the body.
+	if got, want := AppendFrame([]byte("keep"), testMagic, []byte("x")),
+		[]byte("keeptest\x01\x00\x00\x00x\x83\x16\xdc\x8c"); !bytes.Equal(got, want) {
+		t.Fatalf("AppendFrame wrote %q, want %q", got, want)
+	}
 	for _, body := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("abc"), 1000)} {
-		var buf bytes.Buffer
-		if err := EncodeFrame(&buf, testMagic, body); err != nil {
-			t.Fatal(err)
-		}
-		// The writer and appender must produce identical bytes — the
-		// transport uses AppendFrame, the checkpoint EncodeFrame.
-		if appended := AppendFrame(nil, testMagic, body); !bytes.Equal(appended, buf.Bytes()) {
-			t.Fatalf("AppendFrame and EncodeFrame disagree for %d-byte body", len(body))
-		}
-		got, err := DecodeFrame(&buf, testMagic, 0)
+		frame := AppendFrame(nil, testMagic, body)
+		got, err := DecodeFrame(bytes.NewReader(frame), testMagic, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, body) {
 			t.Fatalf("decoded %d bytes, want %d", len(got), len(body))
 		}
+	}
+	// A body that fails to encode leaves dst as it was: the checkpoint
+	// writer never emits half a frame.
+	fail := errors.New("no body")
+	out, err := appendFrameFunc([]byte("keep"), testMagic, func(b []byte) ([]byte, error) { return append(b, "partial"...), fail })
+	if !errors.Is(err, fail) || string(out) != "keep" {
+		t.Fatalf("failed body: out %q, err %v", out, err)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -26,10 +27,13 @@ func fuzzCheckpoint(tb testing.TB, cs *core.ClusterState) []byte {
 // FuzzCheckpointDecode hardens the boundary a coordinator crosses when
 // it comes back from disk: arbitrary bytes must never panic the
 // decoder; a frame-level failure (truncation, bad magic, CRC) must be
-// the typed ErrTruncatedCheckpoint; and whatever does decode must
-// either restore onto a coordinator cleanly — the lease table then
-// holds exactly the checkpoint's epochs, none of them zero — or be
-// refused whole with ErrLeaseTableMismatch.
+// the typed ErrTruncatedCheckpoint; whatever does decode must
+// re-encode to the frame of json.Marshal's bytes (or be refused by
+// both encoders), so the hand-written checkpoint writer is refereed on
+// every document the reader accepts; and it must either restore onto a
+// coordinator cleanly — the lease table then holds exactly the
+// checkpoint's epochs, none of them zero — or be refused whole with
+// ErrLeaseTableMismatch.
 func FuzzCheckpointDecode(f *testing.F) {
 	// The committed corpus under testdata/fuzz covers the branch
 	// points; these inline seeds duplicate the shapes for -fuzz runs
@@ -65,6 +69,15 @@ func FuzzCheckpointDecode(f *testing.F) {
 				t.Fatalf("frame failure (%v) decoded to untyped error: %v", ferr, err)
 			}
 			return
+		}
+		want, wantErr := json.Marshal(cp)
+		var frame bytes.Buffer
+		err = EncodeCheckpoint(&frame, cp)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("EncodeCheckpoint error %v, json.Marshal error %v", err, wantErr)
+		}
+		if err == nil && !bytes.Equal(frame.Bytes(), AppendFrame(nil, checkpointMagic, want)) {
+			t.Fatalf("re-encoded frame differs from json.Marshal's:\n got %q\nwant %s", frame.Bytes(), want)
 		}
 		before := c.table.epochs()
 		if err := c.restore(cp); err != nil {

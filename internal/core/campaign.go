@@ -42,7 +42,8 @@ type CapRecord struct {
 
 // Checkpoint is a resumable snapshot of a campaign, taken at a slice
 // boundary (the drain barrier: no captures or scans in flight). It is
-// plain data — json.Marshal/Unmarshal round-trips it exactly.
+// plain data — json.Marshal/Unmarshal round-trips it exactly, and
+// AppendJSON writes json.Marshal's bytes by hand (appendjson.go).
 type Checkpoint struct {
 	// Identity guards: a checkpoint only resumes onto a pipeline built
 	// with the same seed and shard decomposition.
@@ -80,19 +81,21 @@ type Checkpoint struct {
 }
 
 // encoding/json builds a type's reflective encoder the first time it
-// sees the type — about five hundred allocations for this document.
-// Build it at package load, so the construction never lands inside a
-// process's first campaign, whose allocation count would then differ
-// from every later one's (DESIGN.md "Result encoding", the
+// sees the type. AppendJSON still hands it the four small sections;
+// build their encoders at package load, so the construction never lands
+// inside a process's first campaign, whose allocation count would then
+// differ from every later one's (DESIGN.md "Result encoding", the
 // first-campaign rule).
 func init() {
-	// One entry in each section with a MarshalJSON of its own: those
-	// marshal their keys and values one by one, each a type of its own.
-	json.Marshal(&Checkpoint{
+	// Each of the four present; one entry in the two with a MarshalJSON
+	// of their own, which marshal keys and values one by one, each a
+	// type of its own.
+	(&Checkpoint{
 		Store:      &store.Manifest{},
+		Cluster:    &ClusterState{},
 		PoolScores: PoolScoreMap{"": 0},
 		Obs:        obs.Snapshot{"": {0}},
-	})
+	}).AppendJSON(nil)
 }
 
 // ClusterState is the plain-data cluster checkpoint section (owned by

@@ -50,40 +50,6 @@ func TestCampaignOutputIsOrderedJSONL(t *testing.T) {
 	}
 }
 
-// Checkpoints survive a JSON round trip unchanged.
-func TestCheckpointJSONRoundTrip(t *testing.T) {
-	cfg := testConfig(13)
-	cfg.CaptureBudget = 1000
-	var cps []*Checkpoint
-	p := NewPipeline(cfg)
-	if _, err := p.RunCampaign(context.Background(), CampaignOpts{
-		CheckpointEvery: 32,
-		OnCheckpoint:    func(cp *Checkpoint) { cps = append(cps, cp) },
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(cps) == 0 {
-		t.Fatal("no checkpoints taken")
-	}
-	for i, cp := range cps {
-		blob, err := json.Marshal(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var back Checkpoint
-		if err := json.Unmarshal(blob, &back); err != nil {
-			t.Fatal(err)
-		}
-		blob2, err := json.Marshal(&back)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(blob, blob2) {
-			t.Errorf("checkpoint %d changed across JSON round trip", i)
-		}
-	}
-}
-
 // Clean kill-and-resume: a fresh pipeline resumed from any checkpoint
 // reproduces the uninterrupted run's remaining output byte-for-byte.
 func TestResumeReproducesCleanCampaign(t *testing.T) {

@@ -7,6 +7,8 @@
 // keeps its json tags and gets no MarshalJSON method: encoding/json
 // stays the reference the tests and FuzzResultAppendJSON compare
 // against, and the decode side (DecodeJSONL, SetGrabs) is untouched.
+// ScanState.AppendJSON, the scanner's section of a campaign
+// checkpoint, keeps the same contract with the same writers.
 // Nothing here allocates once dst has room.
 
 package zgrab
@@ -34,7 +36,7 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, `,"port":`...)
 	dst = strconv.AppendUint(dst, uint64(r.Port), 10)
 	dst = append(dst, `,"time":`...)
-	dst, err := appendTime(dst, r.Time)
+	dst, err := AppendJSONTime(dst, r.Time)
 	if err != nil {
 		return dst[:n0], err
 	}
@@ -96,11 +98,11 @@ func (r *Result) appendGrabMembers(dst []byte) ([]byte, error) {
 		dst = appendOptString(dst, `,"key_id":`, g.KeyID)
 		var err error
 		dst = append(dst, `,"not_before":`...)
-		if dst, err = appendTime(dst, g.NotBefore); err != nil {
+		if dst, err = AppendJSONTime(dst, g.NotBefore); err != nil {
 			return dst, err
 		}
 		dst = append(dst, `,"not_after":`...)
-		if dst, err = appendTime(dst, g.NotAfter); err != nil {
+		if dst, err = AppendJSONTime(dst, g.NotAfter); err != nil {
 			return dst, err
 		}
 		dst = append(dst, '}')
@@ -168,6 +170,75 @@ func appendOptString(dst []byte, key, s string) []byte {
 		return dst
 	}
 	return AppendJSONString(append(dst, key...), s)
+}
+
+// AppendJSON appends st as one JSON object, exactly the bytes
+// json.Marshal(st) produces: the checkpoint's "scan" section. Only a
+// time can fail; on error dst comes back at its original length.
+func (st *ScanState) AppendJSON(dst []byte) ([]byte, error) {
+	n0 := len(dst)
+	dst = append(dst, `{"next_seq":`...)
+	dst = strconv.AppendInt(dst, st.NextSeq, 10)
+	var err error
+	if len(st.Revisit) > 0 {
+		dst = append(dst, `,"revisit":[`...)
+		for i := range st.Revisit {
+			e := &st.Revisit[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, `{"addr":`...)
+			dst = AppendJSONAddr(dst, e.Addr)
+			dst = append(dst, `,"last":`...)
+			if dst, err = AppendJSONTime(dst, e.Last); err != nil {
+				return dst[:n0], err
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	if len(st.Breaker) > 0 {
+		dst = append(dst, `,"breaker":[`...)
+		for i := range st.Breaker {
+			e := &st.Breaker[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			// A prefix's text is digits, hex, '.', ':', '/' or "invalid
+			// Prefix" (a Prefix holds no zone): nothing to escape.
+			dst = append(dst, `{"prefix":"`...)
+			dst = e.Prefix.AppendTo(dst)
+			dst = append(dst, `","state":`...)
+			dst = strconv.AppendInt(dst, int64(e.State), 10)
+			dst = append(dst, `,"opened_at":`...)
+			if dst, err = AppendJSONTime(dst, e.OpenedAt); err != nil {
+				return dst[:n0], err
+			}
+			if e.WinDark != 0 {
+				dst = append(dst, `,"win_dark":`...)
+				dst = strconv.AppendInt(dst, e.WinDark, 10)
+			}
+			if e.WinAlive != 0 {
+				dst = append(dst, `,"win_alive":`...)
+				dst = strconv.AppendInt(dst, e.WinAlive, 10)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return append(dst, '}'), nil
+}
+
+// JSONSizeHint is about len(AppendJSON's output) — at least it for
+// every unzoned revisit address — so a caller sizing one buffer for a
+// whole checkpoint allocates once.
+func (st *ScanState) JSONSizeHint() int {
+	const (
+		revisitLen = len(`{"addr":"ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff","last":"2006-01-02T15:04:05.999999999-07:00"},`)
+		breakerLen = len(`{"prefix":"ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128","state":-2147483648,"opened_at":"2006-01-02T15:04:05.999999999-07:00","win_dark":-9223372036854775808,"win_alive":-9223372036854775808},`)
+	)
+	return len(`{"next_seq":-9223372036854775808,"revisit":[],"breaker":[]}`) +
+		len(st.Revisit)*revisitLen + len(st.Breaker)*breakerLen
 }
 
 // AppendJSONAddr appends ip as encoding/json writes a netip.Addr: its
@@ -260,14 +331,15 @@ func appendIPv6(dst []byte, a [16]byte) []byte {
 
 // What time.Time.MarshalJSON refuses to write.
 var (
-	errTimeYear = errors.New("zgrab: result time: year outside of range [0,9999]")
-	errTimeZone = errors.New("zgrab: result time: timezone hour outside of range [0,23]")
+	errTimeYear = errors.New("zgrab: time: year outside of range [0,9999]")
+	errTimeZone = errors.New("zgrab: time: timezone hour outside of range [0,23]")
 )
 
-// appendTime appends t as time.Time.MarshalJSON does: quoted RFC 3339
-// with nanoseconds, refusing what RFC 3339 cannot express. The checks
-// read the formatted bytes, as the standard library's do.
-func appendTime(dst []byte, t time.Time) ([]byte, error) {
+// AppendJSONTime appends t as time.Time.MarshalJSON does: quoted RFC
+// 3339 with nanoseconds, refusing what RFC 3339 cannot express. The
+// checks read the formatted bytes, as the standard library's do. On
+// error dst holds a partial time; callers cut it back.
+func AppendJSONTime(dst []byte, t time.Time) ([]byte, error) {
 	dst = append(dst, '"')
 	n0 := len(dst)
 	dst = t.AppendFormat(dst, time.RFC3339Nano)

@@ -178,11 +178,12 @@ func (b *Breaker) Advance(now time.Time) {
 	}
 }
 
-// BreakerEntryState is one prefix's checkpointed state.
+// BreakerEntryState is one prefix's checkpointed state. OpenedAt is
+// always written: encoding/json does not omit a struct.
 type BreakerEntryState struct {
 	Prefix   netip.Prefix `json:"prefix"`
 	State    int32        `json:"state"`
-	OpenedAt time.Time    `json:"opened_at,omitempty"`
+	OpenedAt time.Time    `json:"opened_at"`
 	WinDark  int64        `json:"win_dark,omitempty"`
 	WinAlive int64        `json:"win_alive,omitempty"`
 }
