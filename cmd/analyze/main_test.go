@@ -169,12 +169,12 @@ func TestAnalyzeRejectsBadArguments(t *testing.T) {
 	}
 }
 
-// A store segment that rots after it was sealed fails its footer or
-// block checksum when the scan reaches it. analyze must stop with the
-// store's error, not render the rows that came before. (The manifest's
+// A store segment whose footer rots after it was sealed fails at
+// store.Open, which parses every live segment's footer. analyze must
+// stop with the store's error and render no tables. (The manifest's
 // whole-file checksum is recomputed over the rotten bytes: store.Open
 // is the writer's crash recovery and would otherwise drop the segment
-// before any scan saw it.)
+// as a torn write.)
 func TestAnalyzeReportsCorruptStore(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})

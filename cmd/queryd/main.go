@@ -6,12 +6,13 @@
 //
 // Usage:
 //
-//	queryd -store DIR [-listen :8080] [-cache-bytes N] [-footer-entries N] [-max-rows N]
+//	queryd -store DIR [-listen :8080] [-cache-bytes N] [-max-rows N]
 //	queryd -demo-seed 42 [-store DIR] [-workers N] [...]
 //
 // Offline mode (-store) opens an existing store directory — typically
 // one a campaign sealed — recomputes the aggregates with one full
-// scan, and serves. Demo mode (-demo-seed) runs a simulated campaign
+// scan, and serves; a segment whose footer does not parse stops it
+// before it listens (exit 1, naming the segment). Demo mode (-demo-seed) runs a simulated campaign
 // into the store while serving: the aggregate tables advance at every
 // slice drain and queries run against the growing store, which is the
 // daemon's live-serving configuration.
@@ -24,7 +25,8 @@
 //	GET /v1/tables/prefixes?n=20      top /48 networks by distinct addrs
 //	GET /v1/tables/slices             collection timeline
 //	GET /v1/query?...                 ad-hoc scan (kind, module, vantage,
-//	                                  prefix, slice_lo/hi, limit)
+//	                                  prefix, slice_lo/hi, limit; at
+//	                                  most -max-rows rows)
 //	GET /metrics                      Prometheus exposition
 //
 // Every JSON response carries a stats envelope: elapsed_ns, rows, and
@@ -86,8 +88,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		dir        = fs.String("store", "", "store directory (existing unless -demo-seed)")
 		listen     = fs.String("listen", ":8080", "HTTP listen address")
 		cacheBytes = fs.Int64("cache-bytes", 0, "decoded-block cache budget (0 = default, <0 disables)")
-		footerEnts = fs.Int("footer-entries", 0, "parsed-footer cache entries (0 = default, <0 disables)")
-		maxRows    = fs.Int("max-rows", 0, "default /v1/query row cap (0 = built-in default)")
+		maxRows    = fs.Int("max-rows", 0, "/v1/query row cap (0 = built-in default)")
 		demoSeed   = fs.Uint64("demo-seed", 0, "run a simulated campaign into the store while serving")
 		workers    = fs.Int("workers", 8, "demo campaign worker count")
 	)
@@ -113,11 +114,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	reg := obs.NewRegistry()
-	st, err := store.Open(*dir, store.Options{
-		Obs:                reg,
-		BlockCacheBytes:    *cacheBytes,
-		FooterCacheEntries: *footerEnts,
-	})
+	st, err := store.Open(*dir, store.Options{Obs: reg, BlockCacheBytes: *cacheBytes})
 	if err != nil {
 		fmt.Fprintln(stderr, "queryd:", err)
 		return 1

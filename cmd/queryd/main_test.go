@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +181,46 @@ func TestQuerydArgErrors(t *testing.T) {
 	}
 	if code := run(context.Background(), []string{"-store", t.TempDir(), "-listen", "256.256.256.256:0"}, &out, &errb); code != 1 {
 		t.Fatalf("bad listen addr: exit %d", code)
+	}
+}
+
+// A sealed segment whose footer rotted (its manifest checksum
+// recomputed over the rotten bytes, so it is no torn write) stops the
+// daemon at store.Open: exit 1 naming the segment, before it listens.
+func TestQuerydRefusesACorruptFooter(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir)
+	mpath := filepath.Join(dir, "MANIFEST.json")
+	blob, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man store.Manifest
+	if err := json.Unmarshal(blob, &man); err != nil {
+		t.Fatal(err)
+	}
+	seg := &man.Segments[len(man.Segments)-1]
+	path := filepath.Join(dir, seg.Name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-6] ^= 0xff // inside the footer checksum
+	seg.CRC32 = crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
+	if blob, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var out, errb bytes.Buffer
+	code := run(context.Background(), []string{"-store", dir, "-listen", "127.0.0.1:0"}, &out, &errb)
+	if code != 1 || out.Len() != 0 || !strings.Contains(errb.String(), "store: segment "+seg.Name) {
+		t.Fatalf("rotten segment %s: exit %d, stdout %q, stderr %q; want exit 1 naming it", seg.Name, code, out.String(), errb.String())
 	}
 }
 

@@ -28,15 +28,15 @@ func TestFaultedCampaignGoldenDigests(t *testing.T) {
 	}{
 		{11,
 			"0386f7a756cf12c2da58e535602fd4e4d5de4c317412fcb9243b1a83263ae54a",
-			"20af0c646a8ca3f56b2ae36630de9e6b5d01c24b33ee83824cc8c2e73a06e860",
+			"662abf0cf8530a8db7482d846b20e12e5dcbd0d30e920e9f0702825675472d58",
 			"9b7ba7fc48f44e0ee937132a4a541e4e5a0b05a4c42a3f96d10c3170ac33be0a"},
 		{23,
 			"281b1654e2d83386ca4d81b08a91a380445b1c7713fec4be933f23411e5d01aa",
-			"5666b37f98f615d4fdbf4c57d5ba5ca5e931c86e7cc872b0e7e8fb8c98ce26dd",
+			"8f1748ae5e4d3393d2c716097817a81f15f31ee22dbce0d8df7eed23d665fd18",
 			"b2be300a40f7b041685c8ffe737ef31c2da9fca96ae0712f33e7fb52782254ca"},
 		{42,
 			"27e1b9968fac154c0c444db52dcc070626d1de2db78c714eba070e55eac7d8b1",
-			"efacc1ef3baf1d8c97c3b645599649551d70228ea8503ae3533e4578411cf001",
+			"7d24c7234015ff8eb23c4791f6461eccaca5ca5eb30d37c33df80edb3eafa5ad",
 			"7c7a8d3545f7de33c8df74ea74f507aa66a81b1b12eb4511542645bfb18ee98b"},
 	}
 	for _, g := range golden {

@@ -18,12 +18,10 @@ package core
 import (
 	"cmp"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/netip"
 	"slices"
-	"sort"
 	"time"
 
 	"ntpscan/internal/analysis"
@@ -87,9 +85,8 @@ type Checkpoint struct {
 // differ from every later one's (DESIGN.md "Result encoding", the
 // first-campaign rule).
 func init() {
-	// Each of the four present; one entry in the two with a MarshalJSON
-	// of their own, which marshal keys and values one by one, each a
-	// type of its own.
+	// Each of the four present, the two maps with an entry: AppendJSON
+	// leaves an empty one out.
 	(&Checkpoint{
 		Store:      &store.Manifest{},
 		Cluster:    &ClusterState{},
@@ -111,39 +108,11 @@ type ClusterState struct {
 	Obs obs.Snapshot `json:"obs,omitempty"`
 }
 
-// PoolScoreMap is the checkpoint's vantage-score table. Its custom
-// marshaller emits keys in sorted order so checkpoint bytes are a pure
+// PoolScoreMap is the checkpoint's vantage-score table. encoding/json
+// writes a map with its keys sorted, so checkpoint bytes are a pure
 // function of the state — map iteration order never leaks into files
 // that are compared byte-for-byte across runs.
 type PoolScoreMap map[string]float64
-
-// MarshalJSON implements json.Marshaler with deterministic key order.
-func (m PoolScoreMap) MarshalJSON() ([]byte, error) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf := make([]byte, 0, 16+24*len(keys))
-	buf = append(buf, '{')
-	for i, k := range keys {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		vb, err := json.Marshal(m[k])
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, kb...)
-		buf = append(buf, ':')
-		buf = append(buf, vb...)
-	}
-	return append(buf, '}'), nil
-}
 
 // CampaignOpts tunes RunCampaign beyond the plain RunNTPCampaign
 // behaviour.

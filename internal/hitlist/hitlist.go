@@ -28,24 +28,18 @@ type Config struct {
 	// Seed drives the probabilistic parts (DNS visibility draws, stale
 	// synthesis).
 	Seed uint64
-	// StaleFactor is how many synthetic stale addresses are added per
-	// device-backed seed. The real full list is ~100x its responsive
-	// subset; the default of 3 keeps experiments tractable and the
-	// full≫public ordering intact (EXPERIMENTS.md discusses this).
-	StaleFactor float64
-	// CDNAliases is how many aliased addresses each CDN edge
-	// contributes (aliased-prefix expansion).
-	CDNAliases int
 }
 
-func (c *Config) fillDefaults() {
-	if c.StaleFactor == 0 {
-		c.StaleFactor = 3
-	}
-	if c.CDNAliases == 0 {
-		c.CDNAliases = 30
-	}
-}
+const (
+	// staleFactor is how many synthetic stale addresses are added per
+	// device-backed seed. The real full list is ~100x its responsive
+	// subset; 3 keeps experiments tractable and the full≫public ordering
+	// intact (EXPERIMENTS.md discusses this).
+	staleFactor = 3
+	// cdnAliases is how many aliased addresses each CDN edge contributes
+	// (aliased-prefix expansion).
+	cdnAliases = 30
+)
 
 // Hitlist is a built target list.
 type Hitlist struct {
@@ -57,7 +51,6 @@ type Hitlist struct {
 
 // Build assembles the full hitlist from the world's seed surface.
 func Build(w *world.World, cfg Config) *Hitlist {
-	cfg.fillDefaults()
 	r := rng.New(cfg.Seed ^ 0x8172_1157)
 
 	seen := make(map[netip.Addr]struct{})
@@ -77,7 +70,7 @@ func Build(w *world.World, cfg Config) *Hitlist {
 		deviceSeeds++
 		// CDN edges answer on whole blocks: expand aliases.
 		if seed.Device != nil && seed.Device.Profile.Name == "cdn-edge" {
-			for _, alias := range w.AliasAddrs(seed.Device, cfg.CDNAliases) {
+			for _, alias := range w.AliasAddrs(seed.Device, cdnAliases) {
 				add(alias, "alias")
 			}
 		}
@@ -85,7 +78,7 @@ func Build(w *world.World, cfg Config) *Hitlist {
 
 	// Stale mass: DNS entries whose hosts are gone, mapped into
 	// announced space so AS statistics stay realistic.
-	stale := int(float64(deviceSeeds) * cfg.StaleFactor)
+	stale := deviceSeeds * staleFactor
 	sr := r.Derive("stale")
 	for i := 0; i < stale; i++ {
 		add(w.RandomUnroutedAddr(sr), "stale")

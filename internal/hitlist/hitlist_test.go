@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"ntpscan/internal/rng"
 	"ntpscan/internal/world"
 )
 
@@ -120,20 +121,25 @@ func TestPublicSubset(t *testing.T) {
 	}
 }
 
+// Every CDN edge among the seeds expands to cdnAliases addresses of its
+// /64. Edges are hitlist-only devices, seeded whatever the stream draws.
 func TestCDNAliasCount(t *testing.T) {
 	w := testWorld()
-	small := Build(w, Config{Seed: 5, CDNAliases: 2})
-	w2 := world.New(w.Cfg)
-	big := Build(w2, Config{Seed: 5, CDNAliases: 20})
-	if big.BySource["alias"] <= small.BySource["alias"] {
-		t.Fatalf("alias scaling broken: %d vs %d",
-			big.BySource["alias"], small.BySource["alias"])
+	edges := 0
+	for _, seed := range w.HitlistSeeds(rng.New(0)) {
+		if seed.Device != nil && seed.Device.Profile.Name == "cdn-edge" {
+			edges++
+		}
+	}
+	h := Build(world.New(w.Cfg), Config{Seed: 5})
+	if edges == 0 || h.BySource["alias"] != edges*cdnAliases {
+		t.Fatalf("%d alias entries from %d CDN edges, want %d per edge", h.BySource["alias"], edges, cdnAliases)
 	}
 }
 
 func TestAliasedPrefixDetection(t *testing.T) {
 	w := testWorld()
-	h := Build(w, Config{Seed: 5, CDNAliases: 20})
+	h := Build(w, Config{Seed: 5})
 	aliased := h.AliasedPrefixes(8)
 	if len(aliased) == 0 {
 		t.Fatal("no aliased prefixes detected despite CDN expansion")
@@ -154,7 +160,7 @@ func TestAliasedPrefixDetection(t *testing.T) {
 
 func TestDealiasCaps(t *testing.T) {
 	w := testWorld()
-	h := Build(w, Config{Seed: 5, CDNAliases: 20})
+	h := Build(w, Config{Seed: 5})
 	out := h.Dealias(h.Full, 8, 2)
 	if len(out) >= len(h.Full) {
 		t.Fatalf("dealias removed nothing: %d of %d", len(out), len(h.Full))

@@ -1,43 +1,10 @@
 package obs
 
-import (
-	"encoding/json"
-	"sort"
-)
-
 // Snapshot is the registry's state as plain data: metric name → raw
 // value array (scalar/vec values in registration order; histograms:
-// per-bucket counts then the sum). It marshals with sorted keys so
-// checkpoint bytes are a pure function of the state.
+// per-bucket counts then the sum). encoding/json writes it with its
+// keys sorted, so checkpoint bytes are a pure function of the state.
 type Snapshot map[string][]int64
-
-// MarshalJSON implements json.Marshaler with deterministic key order.
-func (s Snapshot) MarshalJSON() ([]byte, error) {
-	keys := make([]string, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	buf := make([]byte, 0, 32*len(keys))
-	buf = append(buf, '{')
-	for i, k := range keys {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		kb, err := json.Marshal(k)
-		if err != nil {
-			return nil, err
-		}
-		vb, err := json.Marshal(s[k])
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, kb...)
-		buf = append(buf, ':')
-		buf = append(buf, vb...)
-	}
-	return append(buf, '}'), nil
-}
 
 // Snapshot exports every registered metric's raw values. Take it from
 // a quiescent point (the campaign's drain barrier) — mid-flight

@@ -66,25 +66,29 @@ func escapeStore(t testing.TB) *store.Store {
 // what json.Encoder writes for Response{Data: []queryRow, Stats}: the
 // form the server produced when it built the rows and reflected over
 // them. Covers captures and results mixed, one kind, a truncated
-// reply, and no rows at all ("data":[], never null).
+// reply, a limit above the server's cap (cut to the cap, truncated),
+// and no rows at all ("data":[], never null).
 func TestQueryBodyMatchesEncodingJSON(t *testing.T) {
 	st := escapeStore(t)
 	srv := query.NewServer(st, nil, nil)
 	h := srv.Handler()
 	for _, tc := range []struct {
-		url  string
-		pred store.Pred
-		max  int // the limit parameter
-		rows int // rows the reply must carry
+		url     string
+		pred    store.Pred
+		max     int // the limit the reply is cut at
+		rows    int // rows the reply must carry
+		maxRows int // the server's cap (0: the default)
 	}{
-		{"/v1/query", store.Pred{}, 1 << 30, 20},
-		{"/v1/query?kind=captures", store.Pred{Kind: store.KindCaptures}, 1 << 30, 6},
-		{"/v1/query?kind=results&module=https&module=coap", store.Pred{Kind: store.KindResults, Modules: []string{"https", "coap"}}, 1 << 30, 4},
-		{"/v1/query?limit=5", store.Pred{}, 5, 5},
-		{"/v1/query?limit=1", store.Pred{}, 1, 1},
-		{"/v1/query?kind=results&module=nosuch", store.Pred{Kind: store.KindResults, Modules: []string{"nosuch"}}, 1 << 30, 0},
-		{"/v1/query?slice_lo=7", store.Pred{Slices: &store.SliceRange{Lo: 7, Hi: 1 << 30}}, 1 << 30, 0},
+		{"/v1/query", store.Pred{}, 1 << 30, 20, 0},
+		{"/v1/query?kind=captures", store.Pred{Kind: store.KindCaptures}, 1 << 30, 6, 0},
+		{"/v1/query?kind=results&module=https&module=coap", store.Pred{Kind: store.KindResults, Modules: []string{"https", "coap"}}, 1 << 30, 4, 0},
+		{"/v1/query?limit=5", store.Pred{}, 5, 5, 0},
+		{"/v1/query?limit=1", store.Pred{}, 1, 1, 0},
+		{"/v1/query?limit=100000000", store.Pred{}, 3, 3, 3},
+		{"/v1/query?kind=results&module=nosuch", store.Pred{Kind: store.KindResults, Modules: []string{"nosuch"}}, 1 << 30, 0, 0},
+		{"/v1/query?slice_lo=7", store.Pred{Slices: &store.SliceRange{Lo: 7, Hi: 1 << 30}}, 1 << 30, 0, 0},
 	} {
+		srv.MaxRows = tc.maxRows
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", tc.url, nil))
 		if rec.Code != http.StatusOK {

@@ -15,8 +15,7 @@ import (
 	"ntpscan/internal/zgrab"
 )
 
-// DefaultMaxRows bounds /v1/query responses when the request gives no
-// limit.
+// DefaultMaxRows caps /v1/query responses when Server.MaxRows is zero.
 const DefaultMaxRows = 10000
 
 // endpoint labels for the request counter vec, in registration order.
@@ -59,8 +58,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 }
 
 // Server serves the materialized tables and ad-hoc store scans over
-// HTTP/JSON. The zero MaxRows means DefaultMaxRows; Clock defaults to
-// the wall clock and exists so tests and simulations can pin latency
+// HTTP/JSON. MaxRows caps a /v1/query reply: a request with no limit,
+// or a larger one, gets MaxRows rows at most, with truncated set when
+// more matched. The zero MaxRows means DefaultMaxRows; Clock defaults
+// to the wall clock and exists so tests and simulations can pin latency
 // accounting to a logical clock.
 type Server struct {
 	Store   *store.Store
@@ -165,11 +166,12 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if limit <= 0 {
-		limit = s.MaxRows
-		if limit <= 0 {
-			limit = DefaultMaxRows
-		}
+	maxRows := s.MaxRows
+	if maxRows <= 0 {
+		maxRows = DefaultMaxRows
+	}
+	if limit <= 0 || limit > maxRows {
+		limit = maxRows
 	}
 	it := s.Store.Scan(pred)
 	defer it.Close()
@@ -231,9 +233,9 @@ func (s *Server) query(w http.ResponseWriter, r *http.Request) {
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody is the largest buffer the pool takes back. A reply is
-// as large as the client's limit lets it be, and a pooled buffer lives
-// as long as the daemon; DefaultMaxRows rows of results come to about
-// 2 MB.
+// as large as the server's MaxRows lets it be, and a pooled buffer
+// lives as long as the daemon; DefaultMaxRows rows of results come to
+// about 2 MB.
 const maxPooledBody = 4 << 20
 
 // putBody hands a reply buffer back to bodyPool through bp, unless it

@@ -106,7 +106,7 @@ func TestPrefixesBadN(t *testing.T) {
 }
 
 // bodyPool takes back only buffers a steady mix could have grown: one
-// reply as large as a client's limit lets it be must not stay resident.
+// reply as large as a raised MaxRows lets it be must not stay resident.
 func TestPutBodyDropsOversizedBuffers(t *testing.T) {
 	for _, tc := range []struct {
 		cap    int

@@ -15,6 +15,8 @@ var (
 	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):(?:[^=]|$)`)
 	docSection = regexp.MustCompile(`(?m)^== .* ==$`)
+	docFlag    = regexp.MustCompile(`^\[?-([a-z][a-z0-9-]*)`)
+	flagDecl   = regexp.MustCompile(`\bfs\.\w+\("([^"]+)"`)
 )
 
 // codeOf returns the text of md's inline code spans and of its fenced
@@ -40,8 +42,10 @@ func codeOf(md string) (inline, fenced string) {
 // trailing * makes it a prefix) is a function in some _test.go file of
 // the module, every `make target` they put in code is a target of the
 // Makefile, and every `== section title ==` they key a paragraph to is
-// a line docs/measured_output.txt prints. A PR that renames or deletes
-// any of the three moves the documents in the same commit.
+// a line docs/measured_output.txt prints, and every -flag they give a
+// cmd/ binary on a code line is one its main.go declares. A PR that
+// renames or deletes any of the four moves the documents in the same
+// commit.
 func TestDocsNameWhatExists(t *testing.T) {
 	root := filepath.Join("..", "..")
 	var funcs []string
@@ -83,9 +87,25 @@ func TestDocsNameWhatExists(t *testing.T) {
 	for _, title := range docSection.FindAll(golden, -1) {
 		sections[string(title)] = true
 	}
-	if len(funcs) == 0 || len(targets) == 0 || len(sections) == 0 {
-		t.Fatalf("found %d test functions, %d make targets and %d section titles; the gate is reading the wrong tree",
-			len(funcs), len(targets), len(sections))
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{} // binary → declared flags
+	for _, path := range mains {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bin := filepath.Base(filepath.Dir(path))
+		flags[bin] = map[string]bool{}
+		for _, m := range flagDecl.FindAllSubmatch(src, -1) {
+			flags[bin][string(m[1])] = true
+		}
+	}
+	if len(funcs) == 0 || len(targets) == 0 || len(sections) == 0 || len(flags) == 0 {
+		t.Fatalf("found %d test functions, %d make targets, %d section titles and %d binaries; the gate is reading the wrong tree",
+			len(funcs), len(targets), len(sections), len(flags))
 	}
 	exists := func(ident string) bool {
 		prefix, isPrefix := strings.CutSuffix(ident, "*")
@@ -118,5 +138,43 @@ func TestDocsNameWhatExists(t *testing.T) {
 				t.Errorf("%s keys a section to `%s`, which docs/measured_output.txt does not print", name, title)
 			}
 		}
+		for _, call := range invocations(inline + fenced) {
+			bin, args := binaryOf(call, flags)
+			for _, arg := range args {
+				if m := docFlag.FindStringSubmatch(arg); m != nil && !flags[bin][m[1]] {
+					t.Errorf("%s runs cmd/%s with -%s, which cmd/%s/main.go does not declare", name, bin, m[1], bin)
+				}
+			}
+		}
 	}
+}
+
+// invocations splits code lines into shell commands: at newlines, at
+// |, ; and &, and before a # comment.
+func invocations(code string) [][]string {
+	var out [][]string
+	for _, line := range strings.Split(code, "\n") {
+		line, _, _ = strings.Cut(line, "#")
+		for _, cmd := range strings.FieldsFunc(line, func(r rune) bool { return r == '|' || r == ';' || r == '&' }) {
+			out = append(out, strings.Fields(cmd))
+		}
+	}
+	return out
+}
+
+// binaryOf finds the cmd/ binary a command runs — named bare (queryd
+// -store DIR) or by its package path (go run ./cmd/queryd) — and
+// returns it with the arguments after it. A go command other than go
+// run passes its flags to the toolchain, not to the binary.
+func binaryOf(call []string, flags map[string]map[string]bool) (string, []string) {
+	if len(call) > 1 && call[0] == "go" && call[1] != "run" {
+		return "", nil
+	}
+	for i, field := range call {
+		bin := strings.TrimPrefix(strings.TrimPrefix(field, "./"), "cmd/")
+		if flags[bin] != nil && (field == bin || strings.HasSuffix(field, "cmd/"+bin)) {
+			return bin, call[i+1:]
+		}
+	}
+	return "", nil
 }

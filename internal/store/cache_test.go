@@ -4,7 +4,7 @@ import "testing"
 
 // White-box unit tests for the cache edge branches the end-to-end
 // concurrent tests don't reach: nil (disabled) receivers, oversized
-// entries, duplicate inserts, and the footer generation clear.
+// entries, duplicate inserts.
 
 func TestBlockCacheEdgeCases(t *testing.T) {
 	var nilCache *blockCache
@@ -54,37 +54,6 @@ func TestBlockCacheEdgeCases(t *testing.T) {
 	}
 	if c.bytes() != 80 {
 		t.Errorf("bytes = %d, want 80", c.bytes())
-	}
-}
-
-func TestFooterCacheEdgeCases(t *testing.T) {
-	var nilCache *footerCache
-	if nilCache.get(SegmentInfo{}) != nil {
-		t.Error("nil cache reported a hit")
-	}
-	nilCache.put(SegmentInfo{}, nil) // must not panic
-	if newFooterCache(-1) != nil {
-		t.Error("negative bound did not disable the cache")
-	}
-
-	c := newFooterCache(2)
-	s1 := SegmentInfo{CRC32: 1, Size: 10}
-	s2 := SegmentInfo{CRC32: 2, Size: 20}
-	s3 := SegmentInfo{CRC32: 3, Size: 30}
-	seg := &segment{}
-	c.put(s1, seg)
-	c.put(s2, seg)
-	if c.get(s1) != seg || c.get(s2) != seg {
-		t.Error("cached footers not returned")
-	}
-	// Hitting the bound drops the whole generation; the new entry
-	// lands in a fresh map.
-	c.put(s3, seg)
-	if c.get(s1) != nil || c.get(s2) != nil {
-		t.Error("generation clear kept old entries")
-	}
-	if c.get(s3) != seg {
-		t.Error("post-clear insert missing")
 	}
 }
 

@@ -235,9 +235,8 @@ func TestSealWaitsForOpenIterators(t *testing.T) {
 }
 
 // TestBlockCacheAccounting checks the hit/miss bookkeeping: a cold
-// scan misses every block it visits, a repeat of the same scan is
-// served entirely from cache, and the footer cache absorbs the
-// re-open of segment indexes/dictionaries across Scan calls.
+// scan misses every block it visits, and a repeat of the same scan is
+// served entirely from cache.
 func TestBlockCacheAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	s, err := Open(t.TempDir(), Options{Obs: reg})
@@ -287,17 +286,12 @@ func TestBlockCacheAccounting(t *testing.T) {
 	if m.BlockCacheBytes.Value() <= 0 {
 		t.Fatal("BlockCacheBytes gauge not advanced")
 	}
-	// The second scan re-visited the same segments: every footer after
-	// the first visit comes from the footer cache.
-	if m.FooterCacheHits.Value() < int64(st2.Segments) {
-		t.Fatalf("FooterCacheHits = %d, want >= %d", m.FooterCacheHits.Value(), st2.Segments)
-	}
 }
 
-// TestBlockCacheDisabled verifies negative budgets turn both caches
+// TestBlockCacheDisabled verifies a negative budget turns the cache
 // off: scans stay correct and report no cache traffic at all.
 func TestBlockCacheDisabled(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{BlockCacheBytes: -1, FooterCacheEntries: -1})
+	s, err := Open(t.TempDir(), Options{BlockCacheBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +350,7 @@ func TestBlockCacheEviction(t *testing.T) {
 
 // TestPrefixScanWhileWriting pins the /48-exact pushdown path (bloom +
 // key range) against a concurrent writer, since its per-segment state
-// is computed from cached footers.
+// is computed from the footers the store holds.
 func TestPrefixScanWhileWriting(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{CompactEvery: 3})
 	if err != nil {

@@ -254,7 +254,7 @@ func FuzzManifestRecover(f *testing.F) {
 		}
 		man, hi := s.Manifest(), -1
 		for _, si := range man.Segments {
-			if err := s.restoreSegment(si, hi); err != nil {
+			if _, err := s.restoreSegment(si, hi); err != nil {
 				t.Fatalf("recovered manifest keeps an invalid entry: %v", err)
 			}
 			hi = si.SliceHi

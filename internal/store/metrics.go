@@ -20,15 +20,12 @@ type Metrics struct {
 	BytesRead     *obs.Counter
 	BytesSkipped  *obs.Counter
 
-	// Read-path cache families: the decoded-block LRU and the parsed-
-	// footer (segment dictionary) cache that turn repeated selective
+	// The decoded-block cache's families: what turns repeated selective
 	// scans into a hot read path.
 	BlockCacheHits      *obs.Counter
 	BlockCacheMisses    *obs.Counter
 	BlockCacheEvictions *obs.Counter
 	BlockCacheBytes     *obs.Gauge
-	FooterCacheHits     *obs.Counter
-	FooterCacheMisses   *obs.Counter
 }
 
 // NewMetrics registers (or re-binds, registries are get-or-create) the
@@ -49,7 +46,5 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		BlockCacheMisses:    reg.NewCounter("store_block_cache_misses_total", "Scanned blocks read from disk and inflated on a cache miss."),
 		BlockCacheEvictions: reg.NewCounter("store_block_cache_evictions_total", "Decoded blocks evicted to hold the cache byte budget."),
 		BlockCacheBytes:     reg.NewGauge("store_block_cache_bytes", "Decoded bytes currently resident in the block cache."),
-		FooterCacheHits:     reg.NewCounter("store_footer_cache_hits_total", "Segment footers (indexes and dictionaries) served from cache."),
-		FooterCacheMisses:   reg.NewCounter("store_footer_cache_misses_total", "Segment footers read and parsed from disk."),
 	}
 }

@@ -76,7 +76,7 @@ type Iter struct {
 	s    *Store
 	pred Pred
 
-	segs   []SegmentInfo
+	segs   []liveSegment
 	segIdx int
 	cur    *segment
 	file   *os.File
@@ -150,6 +150,13 @@ func compilePrefix(p netip.Prefix) prefixMatch {
 	return m
 }
 
+// liveSegment is a manifest entry with its parsed footer: what Scan
+// snapshots.
+type liveSegment struct {
+	SegmentInfo
+	seg *segment
+}
+
 // identity is the selection of a block every row of which matches.
 var identity = func() (sel [maxBlockRows]int32) {
 	for i := range sel {
@@ -159,7 +166,8 @@ var identity = func() (sel [maxBlockRows]int32) {
 }()
 
 // Scan opens a streaming iterator over all live rows matching pred.
-// The iterator works against a point-in-time snapshot of the manifest,
+// The iterator works against a point-in-time snapshot of the manifest
+// and the footers the store holds for it,
 // so it is safe to run while AppendSlice and compaction mutate the
 // store: slices appended after Scan are not seen, and segments a
 // compaction retires mid-scan remain readable through their retired
@@ -171,7 +179,10 @@ var identity = func() (sel [maxBlockRows]int32) {
 func (s *Store) Scan(pred Pred) *Iter {
 	s.pins.RLock()
 	s.mu.RLock()
-	segs := s.man.clone().Segments
+	segs := make([]liveSegment, len(s.man.Segments))
+	for i, si := range s.man.Segments {
+		segs[i] = liveSegment{si, s.feet[si.Name]}
+	}
 	s.mu.RUnlock()
 	it := &Iter{s: s, pred: pred, segs: segs}
 	if pred.Prefix.IsValid() {
@@ -204,27 +215,22 @@ func wantMask(wanted, dict []string) uint64 {
 	return mask
 }
 
-// nextSegment advances to the next live segment, loading its footer
-// and computing per-segment predicate state.
+// nextSegment advances to the next segment of the snapshot and
+// computes its per-segment predicate state from its footer.
 func (it *Iter) nextSegment() bool {
 	it.closeFile()
-	for it.segIdx < len(it.segs) {
-		si := it.segs[it.segIdx]
-		it.segIdx++
-		seg, _, err := it.s.openSegment(si)
-		if err != nil {
-			it.err = err
-			return false
-		}
-		it.cur = seg
-		it.blkIdx = 0
-		it.stats.Segments++
-		it.wantMod = wantMask(it.pred.Modules, seg.mods)
-		it.wantVan = wantMask(it.pred.Vantages, seg.vans)
-		it.bloomMiss = it.exactKey && seg.bloom != nil && !seg.bloom.mayContain(it.keyLo)
-		return true
+	if it.segIdx >= len(it.segs) {
+		return false
 	}
-	return false
+	seg := it.segs[it.segIdx].seg
+	it.segIdx++
+	it.cur = seg
+	it.blkIdx = 0
+	it.stats.Segments++
+	it.wantMod = wantMask(it.pred.Modules, seg.mods)
+	it.wantVan = wantMask(it.pred.Vantages, seg.vans)
+	it.bloomMiss = it.exactKey && seg.bloom != nil && !seg.bloom.mayContain(it.keyLo)
+	return true
 }
 
 // skipBlock decides, from footer metadata alone, whether a block can

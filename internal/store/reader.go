@@ -1,9 +1,7 @@
 package store
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -27,62 +25,6 @@ func (s *Store) openSegmentFile(name string) (*os.File, error) {
 		}
 	}
 	return nil, fmt.Errorf("store: %w", err)
-}
-
-// openSegment returns a live segment's parsed footer — trailer magic,
-// footer CRC, block index bounds, segment dictionaries, bloom filter —
-// without touching any block payloads. Parsed footers are cached by
-// segment content identity, so repeated scans (the query daemon's
-// steady state) skip the read and re-parse entirely.
-func (s *Store) openSegment(si SegmentInfo) (*segment, int64, error) {
-	if seg := s.feet.get(si); seg != nil {
-		if s.met != nil {
-			s.met.FooterCacheHits.Inc()
-		}
-		return seg, si.Size, nil
-	}
-	if s.met != nil {
-		s.met.FooterCacheMisses.Inc()
-	}
-	f, err := s.openSegmentFile(si.Name)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	size := st.Size()
-	if size < int64(len(segMagic))+trailerLen {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", si.Name, errCorrupt)
-	}
-	var tr [trailerLen]byte
-	if _, err := f.ReadAt(tr[:], size-trailerLen); err != nil {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", si.Name, err)
-	}
-	if string(tr[8:]) != ftrMagic {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", si.Name, errCorrupt)
-	}
-	flen := int64(binary.LittleEndian.Uint32(tr[0:4]))
-	fcrc := binary.LittleEndian.Uint32(tr[4:8])
-	ftrStart := size - trailerLen - flen
-	if ftrStart < int64(len(segMagic)) {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", si.Name, errCorrupt)
-	}
-	body := make([]byte, flen)
-	if _, err := f.ReadAt(body, ftrStart); err != nil {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", si.Name, err)
-	}
-	if crc32.Checksum(body, castagnoli) != fcrc {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", si.Name, errCorrupt)
-	}
-	seg, err := parseFooter(body, ftrStart)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: segment %s: %w", si.Name, err)
-	}
-	s.feet.put(si, seg)
-	return seg, size, nil
 }
 
 // readBlockRaw reads and decodes one block's body from an open segment

@@ -19,9 +19,9 @@ import (
 // once. caps and results are reused between calls: fn copies what it
 // keeps. An error from fn stops the replay.
 //
-// The replay is not a query: it goes through neither the block cache
-// nor the footer cache and moves no store_* counter, so a resumed run's
-// memory and telemetry are the uninterrupted run's. It holds the
+// The replay is not a query: it goes around the block cache and moves
+// no store_* counter, so a resumed run's memory and telemetry are the
+// uninterrupted run's. It holds the
 // store's read lock throughout; fn must not append to, reset or seal
 // the store.
 func (s *Store) ReplaySlices(fn func(slice int, caps []CaptureRow, results []*zgrab.Result) error) error {

@@ -438,8 +438,6 @@ type segment struct {
 	mods   []string
 	vans   []string
 	bloom  *bloom
-	// dataEnd is where block space ends (the footer's file offset).
-	dataEnd int64
 }
 
 // parseFooter decodes a footer body. size is the full file length,
@@ -454,7 +452,7 @@ func parseFooter(body []byte, size int64) (*segment, error) {
 	if err != nil || n > uint64(len(body)) {
 		return nil, errCorrupt
 	}
-	seg := &segment{blocks: make([]blockIndex, 0, n), dataEnd: size}
+	seg := &segment{blocks: make([]blockIndex, 0, n)}
 	end := int64(len(segMagic))
 	for i := uint64(0); i < n; i++ {
 		var bi blockIndex

@@ -84,7 +84,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // crcOf is the whole-buffer CRC-32C.
 func crcOf(data []byte) uint32 { return crc32.Checksum(data, castagnoli) }
 
-// Options tunes a store.
+// Options tunes a store. Footers take no option: the store parses each
+// live segment's once, when it writes or checks the file, and holds it
+// until the segment leaves the manifest.
 type Options struct {
 	// Obs, when non-nil, registers the store's metric families there
 	// (segments/blocks/bytes written, compactions, blocks read and
@@ -101,11 +103,6 @@ type Options struct {
 	// block-body bytes — fills. Cached rows are shared read-only across
 	// scans. 0 uses DefaultBlockCacheBytes; negative disables the cache.
 	BlockCacheBytes int64
-	// FooterCacheEntries bounds the parsed-footer cache (block indexes,
-	// segment dictionaries, bloom filters), which otherwise re-reads and
-	// re-parses every visited segment's footer per Scan. 0 uses
-	// DefaultFooterCacheEntries; negative disables the cache.
-	FooterCacheEntries int
 }
 
 // DefaultCompactEvery is the compaction cadence when Options leaves it
@@ -165,24 +162,28 @@ type Store struct {
 	opt Options
 	met *Metrics
 
-	// mu guards man and nextSlice. Writers (AppendSlice, compaction,
-	// ResetTo, Seal) take it exclusively; Scan/Manifest/Rows take the
-	// read side just long enough to snapshot the segment list.
+	// mu guards man, feet and nextSlice. Writers (AppendSlice,
+	// compaction, ResetTo, Seal) take it exclusively; Scan/Manifest/Rows
+	// take the read side just long enough to snapshot the segment list.
 	mu  sync.RWMutex
 	man Manifest
+	// feet maps the name of every segment man lists to its parsed footer:
+	// parsed from the image writeSegment wrote, or from the file
+	// restoreSegment checked, and dropped when the segment leaves the
+	// manifest. Nothing mutates a footer, so snapshots share them.
+	feet map[string]*segment
 	// nextSlice is the lowest slice id AppendSlice accepts — appends
 	// are strictly ordered, like the collection slices that feed them.
 	nextSlice int
 
-	// pins is read-held by every open iterator from Scan to Close (and by
-	// Rows while it reads footers), and write-held by Seal and ResetTo,
-	// the two calls that delete files: a retired compaction input goes
-	// only when no snapshot can still list it. Taken before mu.
+	// pins is read-held by every open iterator from Scan to Close, and
+	// write-held by Seal and ResetTo, the two calls that delete files: a
+	// retired compaction input goes only when no snapshot can still list
+	// it. Taken before mu.
 	pins sync.RWMutex
 
-	// feet and blocks are the read path's caches (see cache.go). Either
-	// may be nil (disabled).
-	feet   *footerCache
+	// blocks is the read path's decoded-block cache (see cache.go); nil
+	// when disabled.
 	blocks *blockCache
 
 	// w is the block encoder every segment this store builds borrows,
@@ -202,7 +203,10 @@ type Store struct {
 // files on disk (size and whole-file CRC), the manifest is truncated
 // at the first invalid entry, and unsealed strays (.tmp files and
 // segments the manifest does not list) are deleted. Retired compaction
-// inputs are kept for ResetTo.
+// inputs are kept for ResetTo. A valid entry whose footer does not
+// parse is no torn write — the store parsed those very bytes before it
+// listed them — so Open refuses the directory, naming the segment,
+// before it deletes or rewrites anything.
 func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -211,7 +215,6 @@ func Open(dir string, opt Options) (*Store, error) {
 	if opt.Obs != nil {
 		s.met = NewMetrics(opt.Obs)
 	}
-	s.feet = newFooterCache(opt.FooterCacheEntries)
 	s.blocks = newBlockCache(opt.BlockCacheBytes, s.met)
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -219,9 +222,10 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// recover loads MANIFEST.json, keeps its longest valid prefix, and
-// removes unsealed strays.
+// recover loads MANIFEST.json, keeps its longest valid prefix with
+// each entry's footer, and removes unsealed strays.
 func (s *Store) recover() error {
+	s.feet = make(map[string]*segment)
 	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
 	switch {
 	case os.IsNotExist(err):
@@ -237,8 +241,12 @@ func (s *Store) recover() error {
 		}
 		kept, hi := m.Segments[:0], -1
 		for _, si := range m.Segments {
-			if s.restoreSegment(si, hi) != nil {
+			data, err := s.restoreSegment(si, hi)
+			if err != nil {
 				break // truncate at the first invalid entry
+			}
+			if s.feet[si.Name], err = footer(si, data); err != nil {
+				return err
 			}
 			kept, hi = append(kept, si), si.SliceHi
 		}
@@ -304,7 +312,8 @@ func segmentName(level, sliceLo, sliceHi int) string {
 // restoreSegment makes a manifest entry live again: if its file is
 // missing but a retired copy exists (a crash landed between a
 // compaction retiring its inputs and committing the merged manifest),
-// the retired copy is renamed back, then the entry is validated.
+// the retired copy is renamed back, then the entry is validated and
+// the file's bytes returned.
 //
 // A manifest is outside input — a file in a directory someone hands to
 // analyze or queryd, a section of a checkpoint — and its names are
@@ -314,19 +323,18 @@ func segmentName(level, sliceLo, sliceHi int) string {
 // base name, inside the directory), and it starts past prevHi, the
 // slice range of the entry before it (live segments are disjoint and
 // ordered, which also refuses a repeated entry).
-func (s *Store) restoreSegment(si SegmentInfo, prevHi int) error {
+func (s *Store) restoreSegment(si SegmentInfo, prevHi int) ([]byte, error) {
 	if si.Name != segmentName(si.Level, si.SliceLo, si.SliceHi) || si.SliceLo <= prevHi {
-		return fmt.Errorf("store: manifest entry %q (level %d, slices %d-%d) is not a segment this store writes after slice %d",
+		return nil, fmt.Errorf("store: manifest entry %q (level %d, slices %d-%d) is not a segment this store writes after slice %d",
 			si.Name, si.Level, si.SliceLo, si.SliceHi, prevHi)
 	}
 	path := filepath.Join(s.dir, si.Name)
 	if _, err := os.Stat(path); os.IsNotExist(err) {
 		if err := os.Rename(path+retiredSuffix, path); err != nil {
-			return fmt.Errorf("store: segment %s is gone (%w)", si.Name, err)
+			return nil, fmt.Errorf("store: segment %s is gone (%w)", si.Name, err)
 		}
 	}
-	_, err := s.validSegment(si)
-	return err
+	return s.validSegment(si)
 }
 
 // validSegment reads a manifest entry's file and verifies it: size and
@@ -343,6 +351,16 @@ func (s *Store) validSegment(si SegmentInfo) ([]byte, error) {
 		return nil, fmt.Errorf("store: segment %s: crc %08x, manifest %08x", si.Name, crc, si.CRC32)
 	}
 	return data, nil
+}
+
+// footer parses the footer of si's image, bytes the store wrote or
+// checked against si.
+func footer(si SegmentInfo, data []byte) (*segment, error) {
+	seg, err := parseSegmentBytes(data)
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %s: footer: %w", si.Name, err)
+	}
+	return seg, nil
 }
 
 // Manifest returns a deep copy of the live segment list, suitable for
@@ -427,6 +445,10 @@ func (s *Store) writeSegment(level int, sb *segBuilder, retire []SegmentInfo) (S
 		Size:    int64(len(data)),
 		CRC32:   crcOf(data),
 	}
+	seg, err := footer(si, data)
+	if err != nil {
+		return si, err
+	}
 	if err := s.writeFileAtomic(si.Name, data); err != nil {
 		return si, err
 	}
@@ -439,7 +461,11 @@ func (s *Store) writeSegment(level int, sb *segBuilder, retire []SegmentInfo) (S
 	s.man.Segments = slices.DeleteFunc(s.man.Segments, func(m SegmentInfo) bool {
 		return slices.ContainsFunc(retire, func(in SegmentInfo) bool { return in.Name == m.Name })
 	})
+	for _, in := range retire {
+		delete(s.feet, in.Name)
+	}
 	s.man.Segments = append(s.man.Segments, si)
+	s.feet[si.Name] = seg
 	sort.SliceStable(s.man.Segments, func(i, j int) bool {
 		return s.man.Segments[i].SliceLo < s.man.Segments[j].SliceLo
 	})
@@ -478,21 +504,25 @@ func (s *Store) persistManifest() error {
 
 // ResetTo rewinds the directory to a checkpointed manifest: every
 // listed segment is restored (resurrecting retired compaction inputs
-// if needed) and re-validated, everything else — later segments,
-// later compactions, leftover retired files — is deleted. After
-// ResetTo the store accepts appends exactly as it did when the
-// checkpoint was taken, so a resumed campaign reproduces the
-// uninterrupted run's directory byte-for-byte.
+// if needed), re-validated and its footer parsed, and only then is
+// everything else — later segments, later compactions, leftover
+// retired files — deleted. After ResetTo the store accepts appends
+// exactly as it did when the checkpoint was taken, so a resumed
+// campaign reproduces the uninterrupted run's directory byte-for-byte.
 func (s *Store) ResetTo(m Manifest) error {
 	s.pins.Lock()
 	defer s.pins.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	hi := -1
+	feet, hi := make(map[string]*segment, len(m.Segments)), -1
 	for _, si := range m.Segments {
 		// A segment consumed by a post-checkpoint compaction is
 		// resurrected from its retired copy.
-		if err := s.restoreSegment(si, hi); err != nil {
+		data, err := s.restoreSegment(si, hi)
+		if err == nil {
+			feet[si.Name], err = footer(si, data)
+		}
+		if err != nil {
 			return fmt.Errorf("store: reset: %w", err)
 		}
 		hi = si.SliceHi
@@ -511,7 +541,7 @@ func (s *Store) ResetTo(m Manifest) error {
 			os.Remove(filepath.Join(s.dir, e.Name()))
 		}
 	}
-	s.man = m.clone()
+	s.man, s.feet = m.clone(), feet
 	if s.man.Version == 0 {
 		s.man.Version = 1
 	}
@@ -542,19 +572,13 @@ func (s *Store) Seal() error {
 	return nil
 }
 
-// Rows returns the total live row count by kind, from the manifest and
-// footers (no block reads).
+// Rows returns the total live row count by kind, summed from the
+// footers the store holds: no file is read, and the error is always
+// nil.
 func (s *Store) Rows() (captures, results int64, err error) {
-	s.pins.RLock()
-	defer s.pins.RUnlock()
 	s.mu.RLock()
-	segs := append([]SegmentInfo(nil), s.man.Segments...)
-	s.mu.RUnlock()
-	for _, si := range segs {
-		seg, _, err := s.openSegment(si)
-		if err != nil {
-			return 0, 0, err
-		}
+	defer s.mu.RUnlock()
+	for _, seg := range s.feet {
 		for _, bi := range seg.blocks {
 			switch bi.Kind {
 			case KindCaptures:

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"os"
@@ -327,6 +328,61 @@ func TestRecoverDropsUnsealedTail(t *testing.T) {
 	fillStore(t, ref, 4, 20)
 	if DirDigest(t, dir) != DirDigest(t, ref.Dir()) {
 		t.Fatal("recovered+reappended store differs from uninterrupted store")
+	}
+}
+
+// A segment whose bytes match its manifest entry but whose footer does
+// not parse cannot come from a crash: the store parsed those very bytes
+// before it listed them. Open and ResetTo refuse it, naming it, before
+// they delete a file or rewrite the manifest — here a stray .tmp and,
+// for ResetTo, the segment after it would go if they went ahead.
+func TestOpenRefusesAManifestValidSegmentWithACorruptFooter(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{CompactEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, s, 3, 20)
+	man := s.Manifest()
+	bad := &man.Segments[1]
+	path := filepath.Join(dir, bad.Name)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ftrStart, _, err := parseTrailer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[ftrStart] ^= 0xff // the footer's version byte
+	bad.Size, bad.CRC32 = int64(len(data)), crcOf(data)
+	mdata, err := json.Marshal(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, b := range map[string][]byte{
+		bad.Name:               data,
+		manifestName:           append(mdata, '\n'),
+		"seg-L0-00003.seg.tmp": []byte("partial"),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	digest := DirDigest(t, dir)
+
+	if _, err := Open(dir, Options{CompactEvery: -1}); err == nil || !strings.Contains(err.Error(), "store: segment "+bad.Name) {
+		t.Fatalf("Open = %v, want an error naming %s", err, bad.Name)
+	}
+	if DirDigest(t, dir) != digest {
+		t.Fatal("the refused Open changed the directory")
+	}
+	man.Segments = man.Segments[:2]
+	if err := s.ResetTo(man); err == nil || !strings.Contains(err.Error(), "store: segment "+bad.Name) {
+		t.Fatalf("ResetTo = %v, want an error naming %s", err, bad.Name)
+	}
+	if DirDigest(t, dir) != digest {
+		t.Fatal("the refused ResetTo changed the directory")
 	}
 }
 
