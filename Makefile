@@ -68,6 +68,7 @@ FUZZ_TARGETS := \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/zgrab:FuzzResultAppendJSON \
 	./internal/core:FuzzCheckpointAppendJSON \
+	./internal/core:FuzzOrderedSinkMerge \
 	./internal/store:FuzzSegmentDecode \
 	./internal/store:FuzzSpliceMatchesAppendJSON \
 	./internal/store:FuzzManifestRecover \

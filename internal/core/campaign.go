@@ -16,12 +16,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"net/netip"
-	"slices"
 	"time"
 
 	"ntpscan/internal/analysis"
@@ -178,68 +176,152 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// orderedSink accumulates scan results lock-free — every scanner worker
-// appends to its own bucket (the scanner guarantees one worker index
-// per goroutine) — and flushes them in the order of the sequence
-// numbers the scanner stamped at submission, at each slice's drain
-// barrier. Per-slice sorting yields the global order: the barrier
-// guarantees every slice-s sequence number precedes every slice-s+1
-// one. A batch scan (ScanBatch) is the one-flush case.
+// orderedSink accumulates scan results lock-free and flushes them in
+// the order of the sequence numbers the scanner stamped at submission,
+// at each slice's drain barrier. Every scanner worker appends to its
+// own run (the scanner guarantees one worker index per goroutine), and
+// with a writer it also encodes each row there, so the JSONL encode
+// runs on the scan workers rather than serially at the barrier. A
+// worker's calls come in ascending Seq (zgrab.Config.OnResultWorker),
+// so each run is sorted and flush merges them. Per-slice merging yields
+// the global order: the barrier guarantees every slice-s sequence
+// number precedes every slice-s+1 one. A batch scan (ScanBatch) is the
+// one-flush case.
 type orderedSink struct {
-	buckets [][]*zgrab.Result
-	all     []*zgrab.Result
-	cw      *countingWriter
+	runs []sinkRun
+	all  []*zgrab.Result
+	cw   *countingWriter
 	// batch and jsonlBuf are flush scratch, reused across the campaign's
-	// 96 slice flushes: batch collects the slice's results for sorting,
-	// jsonlBuf accumulates their JSONL bytes so each slice costs one
-	// Write instead of one per result. Both keep their high-water
-	// capacity.
+	// 96 slice flushes: batch collects the slice's merged results,
+	// jsonlBuf their JSONL bytes, so each slice costs one Write instead
+	// of one per result. Both keep their high-water capacity, as do the
+	// runs' buffers.
 	batch    []*zgrab.Result
 	jsonlBuf []byte
+}
+
+// sinkRun is one worker's results since the last flush, in emission
+// order. With a writer, buf holds their JSONL lines back to back, row
+// i's line ending at ends[i] (empty when the row could not be encoded);
+// err is the run's first encoding error and errSeq that row's Seq.
+type sinkRun struct {
+	rows   []*zgrab.Result
+	buf    []byte
+	ends   []int
+	err    error
+	errSeq int64
+	head   int // merge cursor into rows
+	// Runs sit side by side and each is written by its own worker; the
+	// pad keeps one run's headers off the cache lines of the next.
+	_ [64]byte
 }
 
 func newOrderedSink(workers int, out io.Writer) *orderedSink {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &orderedSink{buckets: make([][]*zgrab.Result, workers)}
+	s := &orderedSink{runs: make([]sinkRun, workers)}
 	if out != nil {
 		s.cw = &countingWriter{w: out}
 	}
 	return s
 }
 
-// add is the scanner's OnResultWorker hook. No locking: bucket w is
-// only ever touched by worker w.
+// add is the scanner's OnResultWorker hook. No locking: run w is only
+// ever touched by worker w.
 func (s *orderedSink) add(worker int, r *zgrab.Result) {
-	s.buckets[worker] = append(s.buckets[worker], r)
+	run := &s.runs[worker]
+	run.rows = append(run.rows, r)
+	if s.cw == nil {
+		return
+	}
+	var err error
+	if run.buf, err = r.AppendJSON(run.buf); err != nil {
+		if run.err == nil {
+			run.err, run.errSeq = err, r.Seq
+		}
+	} else {
+		run.buf = append(run.buf, '\n')
+	}
+	run.ends = append(run.ends, len(run.buf))
 }
 
-// flush drains the buckets in sequence order into the output writer
-// and the accumulated dataset. Call only at a drain barrier.
+// flush merges the runs in sequence order into the accumulated dataset
+// and, with a writer, the output. Call only at a drain barrier. An
+// encoding error is the lowest-Seq row's that failed, and when there
+// is one nothing of this flush is written; the rows still join the
+// dataset. A run that does not ascend in Seq is a scanner bug, and
+// flush panics rather than emit rows out of order.
 func (s *orderedSink) flush() error {
-	batch := s.batch[:0]
-	for i, b := range s.buckets {
-		batch = append(batch, b...)
-		s.buckets[i] = b[:0]
-	}
-	slices.SortFunc(batch, func(a, b *zgrab.Result) int { return cmp.Compare(a.Seq, b.Seq) })
-	s.all = append(s.all, batch...)
-	s.batch = batch
-	if s.cw != nil {
-		buf := s.jsonlBuf[:0]
-		for _, r := range batch {
-			var err error
-			if buf, err = r.AppendJSON(buf); err != nil {
-				return err
+	// A flush whose rows all sit in one run (always at Workers 1, and
+	// whenever one session made the whole slice) writes that run's
+	// bytes as they are, with no copy through jsonlBuf.
+	var only *sinkRun
+	for i := range s.runs {
+		if len(s.runs[i].rows) > 0 {
+			if only != nil {
+				only = nil
+				break
 			}
-			buf = append(buf, '\n')
+			only = &s.runs[i]
 		}
-		s.jsonlBuf = buf
-		if len(buf) > 0 {
-			if _, err := s.cw.Write(buf); err != nil {
-				return err
+	}
+	batch, buf := s.batch[:0], s.jsonlBuf[:0]
+	for {
+		// The run whose head has the lowest Seq...
+		var next *sinkRun
+		for i := range s.runs {
+			run := &s.runs[i]
+			if run.head < len(run.rows) && (next == nil || run.rows[run.head].Seq < next.rows[next.head].Seq) {
+				next = run
 			}
+		}
+		if next == nil {
+			break
+		}
+		// ...gives up its stretch of consecutive Seqs: no other run can
+		// hold a Seq inside it.
+		lo, hi := next.head, next.head+1
+		for ; hi < len(next.rows); hi++ {
+			prev, seq := next.rows[hi-1].Seq, next.rows[hi].Seq
+			if seq <= prev {
+				panic(fmt.Sprintf("core: a scan worker emitted Seq %d after Seq %d", seq, prev))
+			}
+			if seq != prev+1 {
+				break
+			}
+		}
+		batch = append(batch, next.rows[lo:hi]...)
+		if s.cw != nil && only == nil {
+			start := 0
+			if lo > 0 {
+				start = next.ends[lo-1]
+			}
+			buf = append(buf, next.buf[start:next.ends[hi-1]]...)
+		}
+		next.head = hi
+	}
+	s.batch, s.jsonlBuf = batch, buf
+	if only != nil {
+		buf = only.buf
+	}
+	var err error
+	var errSeq int64
+	for i := range s.runs {
+		run := &s.runs[i]
+		if run.err != nil && (err == nil || run.errSeq < errSeq) {
+			err, errSeq = run.err, run.errSeq
+		}
+		run.rows, run.buf, run.ends = run.rows[:0], run.buf[:0], run.ends[:0]
+		run.err, run.head = nil, 0
+	}
+	s.all = append(s.all, batch...)
+	if err != nil {
+		return err
+	}
+	if len(buf) > 0 {
+		if _, err := s.cw.Write(buf); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -50,7 +50,7 @@ func (p *Pipeline) newScanner(add func(worker int, r *zgrab.Result)) *zgrab.Scan
 // even when the write fails.
 func ScanBatch(ctx context.Context, cfg zgrab.Config, addrs []netip.Addr, out io.Writer) ([]*zgrab.Result, error) {
 	if cfg.Workers < 1 {
-		cfg.Workers = 1 // the sink has one bucket per scanner worker
+		cfg.Workers = 1 // the sink has one run per scanner worker
 	}
 	sink := newOrderedSink(cfg.Workers, out)
 	cfg.OnResultWorker = sink.add
@@ -95,7 +95,7 @@ func (p *Pipeline) BuildHitlist(cfg hitlist.Config) *hitlist.Hitlist {
 // returns the results, in submission (Seq) order, as the dataset called
 // name.
 func (p *Pipeline) ScanList(ctx context.Context, name string, addrs []netip.Addr) *analysis.Dataset {
-	// With no writer the flush only sorts, and cannot fail.
+	// With no writer the flush only merges, and cannot fail.
 	rows, _ := ScanBatch(ctx, p.ScanConfig(), addrs, nil)
 	return analysis.NewDataset(name, rows)
 }

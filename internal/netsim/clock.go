@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -20,30 +21,34 @@ type RealClock struct{}
 func (RealClock) Now() time.Time { return time.Now() }
 
 // ManualClock is a logical clock advanced explicitly by the experiment
-// driver. It is safe for concurrent use.
+// driver. It is safe for concurrent use. Reading it takes no lock: the
+// instant is an immutable time.Time behind an atomic pointer, which
+// Set and Advance replace while holding mu (so moves serialise and
+// Changed waiters are signalled in order).
 type ManualClock struct {
-	mu      sync.RWMutex
-	now     time.Time
+	now     atomic.Pointer[time.Time]
+	mu      sync.Mutex
 	changed chan struct{}
 }
 
 // NewManualClock returns a manual clock starting at the given instant.
 func NewManualClock(start time.Time) *ManualClock {
-	return &ManualClock{now: start}
+	c := &ManualClock{}
+	c.now.Store(&start)
+	return c
 }
 
-// Now implements Clock.
+// Now implements Clock with one atomic load.
 func (c *ManualClock) Now() time.Time {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
+	return *c.now.Load()
 }
 
 // Changed returns a channel that is closed the next time the clock
 // moves. Logical-time waiters (e.g. a token bucket running on simulated
 // time) grab the channel, re-read Now, and block on the channel — the
 // grab-before-read order guarantees an advance between the read and the
-// wait is never missed.
+// wait is never missed: a move stores the new instant before it closes
+// the channel, both under mu.
 func (c *ManualClock) Changed() <-chan struct{} {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -53,8 +58,9 @@ func (c *ManualClock) Changed() <-chan struct{} {
 	return c.changed
 }
 
-// signal wakes Changed waiters. Callers must hold mu.
-func (c *ManualClock) signal() {
+// moveTo publishes t and wakes Changed waiters. Callers hold mu.
+func (c *ManualClock) moveTo(t time.Time) {
+	c.now.Store(&t)
 	if c.changed != nil {
 		close(c.changed)
 		c.changed = nil
@@ -69,22 +75,23 @@ func (c *ManualClock) Advance(d time.Duration) time.Time {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := c.Now()
 	if d > 0 {
-		c.now = c.now.Add(d)
-		c.signal()
+		now = now.Add(d)
+		c.moveTo(now)
 	}
-	return c.now
+	return now
 }
 
 // Set jumps the clock to t. It panics if t is before the current time.
 func (c *ManualClock) Set(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Before(c.now) {
+	now := c.Now()
+	if t.Before(now) {
 		panic("netsim: ManualClock.Set moving backwards")
 	}
-	if t.After(c.now) {
-		c.now = t
-		c.signal()
+	if t.After(now) {
+		c.moveTo(t)
 	}
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -43,29 +45,79 @@ func TestManualClockChanged(t *testing.T) {
 	}
 }
 
+// Readers call Now while a mover alternates Advance and Set: no read
+// may go backwards. A waiter grabs Changed, reads Now and only then
+// lets the mover make one move, which must wake it and be visible —
+// a waiter that missed an advance would hang here, as no later move
+// comes to rescue it. Run under -race (make chaos) this also checks
+// that Now's lock-free load is properly published by the movers.
 func TestManualClockChangedConcurrent(t *testing.T) {
 	c := NewManualClock(time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC))
-	done := make(chan struct{})
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prev := c.Now()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				now := c.Now()
+				if now.Before(prev) {
+					errs <- fmt.Errorf("Now went backwards: %v after %v", now, prev)
+					return
+				}
+				prev = now
+			}
+		}()
+	}
+	ready := make(chan struct{})
+	wg.Add(1)
 	go func() {
-		defer close(done)
-		for i := 0; i < 100; i++ {
+		defer wg.Done()
+		defer close(ready)
+		for range 100 {
 			ch := c.Changed()
-			c.Now()
-			<-ch
+			before := c.Now()
+			ready <- struct{}{}
+			select {
+			case <-ch:
+			case <-time.After(10 * time.Second):
+				errs <- fmt.Errorf("waiter at %v missed the advance", before)
+				return
+			}
+			if after := c.Now(); !after.After(before) {
+				errs <- fmt.Errorf("woken at %v, clock still at %v", before, after)
+				return
+			}
 		}
 	}()
-	// Keep advancing until the waiter has consumed 100 signals; the
-	// grab-before-wait protocol must never strand it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		select {
-		case <-done:
-			return
-		default:
-			if time.Now().After(deadline) {
-				t.Fatal("waiter starved")
-			}
-			c.Advance(time.Millisecond)
+	for i := 0; ; i++ {
+		if _, ok := <-ready; !ok {
+			break
 		}
+		if i%2 == 0 {
+			c.Advance(time.Millisecond)
+		} else {
+			c.Set(c.Now().Add(time.Millisecond))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+func TestManualClockNowAllocatesNothing(t *testing.T) {
+	c := NewManualClock(time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC))
+	if n := testing.AllocsPerRun(100, func() { c.Now() }); n != 0 {
+		t.Fatalf("Now allocates %v times per call, want 0", n)
 	}
 }

@@ -185,3 +185,79 @@ func TestDrainWithoutWork(t *testing.T) {
 	s.Drain() // must not block
 	s.Close()
 }
+
+// The contract core's ordered sink merges on (Config.OnResultWorker):
+// with one goroutine feeding the scanner, each worker's results come in
+// strictly ascending Seq — here under packet loss and garbling, with
+// retries re-rolling the faults and the breaker shedding a dark /48
+// after the first drain.
+func TestWorkerResultsAscendInSeq(t *testing.T) {
+	start := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
+	live := netip.MustParsePrefix("2001:db8:1::/48")
+	for _, workers := range []int{1, 3, 8} {
+		clock := netsim.NewManualClock(start)
+		f := netsim.New(netsim.Config{Clock: clock, DialTimeout: time.Millisecond})
+		plan := &netsim.FaultPlan{Seed: 5}
+		plan.Add(netsim.Fault{Kind: netsim.FaultLoss, Prefix: live, From: start, Until: start.Add(time.Hour), Prob: 0.3})
+		host := fullHost()
+		var addrs []netip.Addr
+		for i := range 3 * 4 * submitChunk {
+			if i%2 == 0 {
+				a := netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 1, 14: byte(i >> 8), 15: byte(i)})
+				f.Register(a, host)
+				if i%6 == 0 {
+					plan.Add(netsim.Fault{Kind: netsim.FaultGarble, Addr: a, From: start, Until: start.Add(time.Hour)})
+				}
+				addrs = append(addrs, a)
+			} else {
+				addrs = append(addrs, netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 2, 14: byte(i >> 8), 15: byte(i)}))
+			}
+		}
+		f.InstallFaults(plan)
+
+		perWorker := make([][]*Result, workers)
+		s := NewScanner(Config{
+			Fabric: f, Source: scanSrc, Timeout: time.Millisecond, Workers: workers,
+			Retry:          &RetryPolicy{MaxAttempts: 3, Base: time.Second, Multiplier: 2},
+			Breaker:        &BreakerConfig{Threshold: 4, Cooldown: time.Hour},
+			OnResultWorker: func(w int, r *Result) { perWorker[w] = append(perWorker[w], r) },
+		})
+		s.Start(context.Background())
+		// Three drains of four sessions each, so every worker count
+		// splits a batch across workers.
+		for b := range 3 {
+			s.SubmitBatch(addrs[b*len(addrs)/3 : (b+1)*len(addrs)/3])
+			s.Drain()
+		}
+		s.Close()
+
+		seen := map[int64]bool{}
+		var shed, retried, busy int
+		for w, rs := range perWorker {
+			for i, r := range rs {
+				if i > 0 && r.Seq <= rs[i-1].Seq {
+					t.Fatalf("workers=%d: worker %d emitted Seq %d after Seq %d", workers, w, r.Seq, rs[i-1].Seq)
+				}
+				seen[r.Seq] = true
+				if r.Status == StatusBreakerOpen {
+					shed++
+				}
+				if r.Attempts > 1 {
+					retried++
+				}
+			}
+			if len(rs) > 0 {
+				busy++
+			}
+		}
+		if workers > 1 && busy < 2 {
+			t.Fatalf("workers=%d: only %d worker emitted; the test needs the sessions spread", workers, busy)
+		}
+		if want := len(addrs) * len(AllModules()); len(seen) != want {
+			t.Fatalf("workers=%d: %d distinct Seqs, want %d", workers, len(seen), want)
+		}
+		if shed == 0 || retried == 0 {
+			t.Fatalf("workers=%d: %d shed and %d retried results; the test needs both", workers, shed, retried)
+		}
+	}
+}

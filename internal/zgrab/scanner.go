@@ -236,7 +236,12 @@ type Config struct {
 	// [0, Workers), of the worker goroutine that calls it. A sink can
 	// keep one unsynchronised buffer per worker and merge at a drain
 	// barrier (core's ordered sink); anything shared across workers
-	// must be safe for concurrent use.
+	// must be safe for concurrent use. When one goroutine feeds the
+	// scanner, one worker's calls come in strictly ascending Seq:
+	// sessions leave the queue in the order their Seqs were stamped,
+	// and a worker scans a session's targets, and each target's
+	// modules, in order; core's sink merges on that instead of
+	// sorting. ScanNow emits as worker 0 outside this order.
 	OnResultWorker func(worker int, r *Result)
 }
 
@@ -514,7 +519,9 @@ func (s *Scanner) Drain() {
 }
 
 // ScanNow scans one address synchronously with all modules, bypassing
-// the queue (used by tests and the batch hitlist run's driver).
+// the queue (used by tests and the benchmark's per-target timings).
+// Its results go to OnResultWorker as worker 0, so it must not overlap
+// Start's workers when the sink keeps state per worker.
 func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
 	seq := s.nextSeq.Add(1) - 1
 	s.met.Submitted.Inc()
