@@ -76,7 +76,8 @@ FUZZ_TARGETS := \
 	./internal/query:FuzzQueryParams \
 	./internal/cluster:FuzzCheckpointDecode \
 	./internal/cluster/transport:FuzzTransportFrameDecode \
-	./internal/netsim/link:FuzzLinkPlanDecode
+	./internal/netsim/link:FuzzLinkPlanDecode \
+	./internal/rng:FuzzHashMatchesFNV
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -105,8 +105,8 @@ func (b *Table2Builder) State() (json.RawMessage, error) {
 	out := make([]t2state, len(b.groups))
 	for i, g := range b.groups {
 		out[i] = t2state{
-			Addrs:    sortedAddrStrings(g.addrs),
-			TLSAddrs: sortedAddrStrings(g.tlsAddrs),
+			Addrs:    SortedAddrStrings(g.addrs),
+			TLSAddrs: SortedAddrStrings(g.tlsAddrs),
 			Idents:   sortedSet(g.idents),
 		}
 	}
@@ -149,7 +149,9 @@ func (b *Table2Builder) Restore(raw json.RawMessage) error {
 	return nil
 }
 
-func sortedAddrStrings(m map[netip.Addr]struct{}) []string {
+// SortedAddrStrings is an address set as sorted text, the form every
+// snapshot stores it in.
+func SortedAddrStrings(m map[netip.Addr]struct{}) []string {
 	out := make([]string, 0, len(m))
 	for a := range m {
 		out = append(out, a.String())

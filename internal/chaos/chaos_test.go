@@ -5,12 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"testing"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/core"
+	"ntpscan/internal/rng"
 	"ntpscan/internal/zgrab"
 )
 
@@ -27,16 +27,15 @@ func faultedPipeline(cfg core.Config, planSeed uint64, spec Spec) *core.Pipeline
 
 func digest(t *testing.T, d *analysis.Dataset) uint64 {
 	t.Helper()
-	h := fnv.New64a()
+	h := rng.NewHash()
 	for _, r := range d.Results {
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(b)
-		h.Write([]byte{'\n'})
+		h = h.Bytes(b).Byte('\n')
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 func successStats(d *analysis.Dataset) (total int, distinct int) {

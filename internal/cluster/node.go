@@ -2,40 +2,9 @@ package cluster
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"ntpscan/internal/core"
 )
-
-// forEach calls fn(0) … fn(n-1) from up to workers goroutines (at
-// least one) and returns when all calls have. Indices are picked up
-// dynamically, so a slow call does not hold back the rest. Both
-// executors run their shard tasks through it: the coordinator's
-// in-process nodes (dispatch) and the replica node driver (RunNode).
-func forEach(workers, n int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // dispatch is the campaign's slice driver (core.DispatchFunc): the
 // whole node-loss protocol runs here, once per slice, in a fixed phase
@@ -204,7 +173,7 @@ func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.Shar
 				// a protocol invariant violation, not a runtime condition —
 				// its leases were renewed this very slice — so it panics
 				// rather than silently dropping work.
-				forEach(c.workers, len(tasks[n]), func(i int) {
+				core.ForEach(c.workers, len(tasks[n]), func(i int) {
 					g := tasks[n][i]
 					run(shards[g.Shard])
 					if err := apis[n].SubmitSlice(n, g.Shard, s, g.Epoch); err != nil {

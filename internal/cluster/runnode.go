@@ -106,7 +106,7 @@ func (d *nodeDriver) dispatch(s int, shards []core.ShardRef, run func(core.Shard
 	}
 
 	// Execute every shard — the replica's whole point.
-	forEach(d.workers, len(shards), func(i int) { run(shards[i]) })
+	core.ForEach(d.workers, len(shards), func(i int) { run(shards[i]) })
 	d.stats.Executed += int64(len(shards))
 
 	// Submit the shard-slices we believe we hold. A grant view past its

@@ -18,7 +18,6 @@ import (
 // an http.Handler; mount it on any listener (the cluster convention is
 // a loopback socket — ListenLoopback).
 type Server struct {
-	api cluster.API
 	mux *http.ServeMux
 
 	// Obs carries the server-side transport families:
@@ -47,7 +46,6 @@ func NewServer(api cluster.API, reg *obs.Registry) *Server {
 		reg = obs.NewRegistry()
 	}
 	s := &Server{
-		api: api,
 		mux: http.NewServeMux(),
 		Obs: reg,
 		requests: reg.NewCounterVec("transport_server_requests_total",
@@ -60,10 +58,22 @@ func NewServer(api cluster.API, reg *obs.Registry) *Server {
 		bytesOut: reg.NewCounter("transport_server_bytes_out_total",
 			"framed response bytes written to the wire"),
 	}
-	s.mux.HandleFunc("POST "+pathClaim, s.handleClaim)
-	s.mux.HandleFunc("POST "+pathHeartbeat, s.handleHeartbeat)
-	s.mux.HandleFunc("POST "+pathSubmit, s.handleSubmit)
-	s.mux.HandleFunc("POST "+pathRelease, s.handleRelease)
+	grants := func(g []cluster.Grant, err error) (any, error) {
+		return grantsResponse{Grants: toWireGrants(g)}, err
+	}
+	ok := func(err error) (any, error) { return okResponse{OK: true}, err }
+	s.mux.HandleFunc("POST "+pathClaim, handle(s, methodClaim, func(q claimRequest) (any, error) {
+		return grants(api.Claim(q.Node, q.Slice))
+	}))
+	s.mux.HandleFunc("POST "+pathHeartbeat, handle(s, methodHeartbeat, func(q claimRequest) (any, error) {
+		return grants(api.Heartbeat(q.Node, q.Slice))
+	}))
+	s.mux.HandleFunc("POST "+pathSubmit, handle(s, methodSubmit, func(q submitRequest) (any, error) {
+		return ok(api.SubmitSlice(q.Node, q.Shard, q.Slice, q.Epoch))
+	}))
+	s.mux.HandleFunc("POST "+pathRelease, handle(s, methodRelease, func(q releaseRequest) (any, error) {
+		return ok(api.Release(q.Node))
+	}))
 	return s
 }
 
@@ -144,58 +154,22 @@ func apiError(err error) (int, string) {
 	return http.StatusInternalServerError, codeInternal
 }
 
-func (s *Server) handleClaim(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if !s.readBody(w, r, methodClaim, &req) {
-		return
+// handle serves one wire method: decode a framed Req, make the API
+// call, frame its reply or its error.
+func handle[Req any](s *Server, method int, call func(Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !s.readBody(w, r, method, &req) {
+			return
+		}
+		resp, err := call(req)
+		if err != nil {
+			status, code := apiError(err)
+			s.writeError(w, method, status, code, err.Error())
+			return
+		}
+		s.writeFramed(w, method, http.StatusOK, resp)
 	}
-	grants, err := s.api.Claim(req.Node, req.Slice)
-	if err != nil {
-		status, code := apiError(err)
-		s.writeError(w, methodClaim, status, code, err.Error())
-		return
-	}
-	s.writeFramed(w, methodClaim, http.StatusOK, grantsResponse{Grants: toWireGrants(grants)})
-}
-
-func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if !s.readBody(w, r, methodHeartbeat, &req) {
-		return
-	}
-	grants, err := s.api.Heartbeat(req.Node, req.Slice)
-	if err != nil {
-		status, code := apiError(err)
-		s.writeError(w, methodHeartbeat, status, code, err.Error())
-		return
-	}
-	s.writeFramed(w, methodHeartbeat, http.StatusOK, grantsResponse{Grants: toWireGrants(grants)})
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req submitRequest
-	if !s.readBody(w, r, methodSubmit, &req) {
-		return
-	}
-	if err := s.api.SubmitSlice(req.Node, req.Shard, req.Slice, req.Epoch); err != nil {
-		status, code := apiError(err)
-		s.writeError(w, methodSubmit, status, code, err.Error())
-		return
-	}
-	s.writeFramed(w, methodSubmit, http.StatusOK, okResponse{OK: true})
-}
-
-func (s *Server) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseRequest
-	if !s.readBody(w, r, methodRelease, &req) {
-		return
-	}
-	if err := s.api.Release(req.Node); err != nil {
-		status, code := apiError(err)
-		s.writeError(w, methodRelease, status, code, err.Error())
-		return
-	}
-	s.writeFramed(w, methodRelease, http.StatusOK, okResponse{OK: true})
 }
 
 // frameLen is the on-wire size of a frame with an n-byte body: magic

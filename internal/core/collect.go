@@ -239,13 +239,6 @@ func (p *Pipeline) collectFrom(startSlice int, batch func([]netip.Addr), drain f
 	p.responsive()
 
 	shards := p.makeCollectShards()
-	workers := p.Cfg.Workers
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 
 	// Interleave: walk the window in slices, emitting each country's
 	// proportional share per slice so time advances monotonically and
@@ -273,7 +266,7 @@ func (p *Pipeline) collectFrom(startSlice int, batch func([]netip.Addr), drain f
 		// pinned slice must be a pure function of s so every execution
 		// mode draws the same queues.
 		p.W.Fabric().NoteLinkSlice(p.sliceTime(s))
-		p.runShards(shards, workers, s, collectSlices, quotas)
+		p.runShards(shards, s, collectSlices, quotas)
 		// Drain barrier: commit per-shard effect buffers (capture
 		// events, dedup attribution, drop and NTP counter deltas, the
 		// responsive bitmap) and fold the arenas' activity deltas into
@@ -405,12 +398,11 @@ func (p *Pipeline) vantageUp(vs *VantageServer) bool {
 	return p.Pool.Healthy(vs.ID)
 }
 
-// runShards executes one slice across the shard set with workers
-// goroutines. Shards are picked up dynamically (they are independent,
-// so pickup order is irrelevant). A campaign dispatcher, when
-// installed, replaces the pool wholesale — the cluster path, where
-// leased nodes decide who runs what.
-func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quotas []collectQuota) {
+// runShards executes one slice across the shard set on Workers
+// goroutines. Shards are independent, so pickup order is irrelevant. A
+// campaign dispatcher, when installed, replaces the pool wholesale —
+// the cluster path, where leased nodes decide who runs what.
+func (p *Pipeline) runShards(shards []*collectShard, s, slices int, quotas []collectQuota) {
 	if p.dispatch != nil {
 		if p.dispatchErr != nil {
 			// A previous slice's dispatch failed fatally: the campaign is
@@ -426,6 +418,18 @@ func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quo
 		}
 		return
 	}
+	ForEach(p.Cfg.Workers, len(shards), func(i int) {
+		p.runShardSlice(shards[i], s, slices, len(shards), quotas)
+	})
+}
+
+// ForEach calls fn(0) … fn(n-1) from up to workers goroutines (at
+// least one, at most n) and returns when all calls have. Indices are
+// picked up dynamically, so a slow call does not hold back the rest.
+// The collection slices, the cluster's node executors and the
+// public-hitlist probes all run on it.
+func ForEach(workers, n int, fn func(i int)) {
+	workers = max(1, min(workers, n))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -434,10 +438,10 @@ func (p *Pipeline) runShards(shards []*collectShard, workers, s, slices int, quo
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(shards) {
+				if i >= n {
 					return
 				}
-				p.runShardSlice(shards[i], s, slices, len(shards), quotas)
+				fn(i)
 			}
 		}()
 	}

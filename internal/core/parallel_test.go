@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"testing"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/hitlist"
+	"ntpscan/internal/rng"
 )
 
 // digest folds every result — in the merged, seq-ordered dataset
@@ -16,16 +16,15 @@ import (
 // difference between two runs changes the value.
 func datasetDigest(t *testing.T, d *analysis.Dataset) uint64 {
 	t.Helper()
-	h := fnv.New64a()
+	h := rng.NewHash()
 	for _, r := range d.Results {
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(b)
-		h.Write([]byte{'\n'})
+		h = h.Bytes(b).Byte('\n')
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // The tentpole acceptance check: the same (seed, scale) experiment must

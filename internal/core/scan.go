@@ -110,10 +110,11 @@ func (p *Pipeline) ScanHitlist(ctx context.Context, h *hitlist.Hitlist) *analysi
 // dealiasing, producing the published variant for Table 1's "public"
 // column (TUM's public list excludes aliased blocks).
 func (p *Pipeline) PublicHitlist(ctx context.Context, h *hitlist.Hitlist) []netip.Addr {
-	responsive := h.Public(func(a netip.Addr) bool {
-		return hitlist.Probe(ctx, p.W.Fabric(), ScanSource, a, p.Cfg.Timeout)
-	}, p.Cfg.Workers)
-	return h.Dealias(responsive, 8, 2)
+	alive := make([]bool, len(h.Full))
+	ForEach(p.Cfg.Workers, len(h.Full), func(i int) {
+		alive[i] = hitlist.Probe(ctx, p.W.Fabric(), ScanSource, h.Full[i], p.Cfg.Timeout)
+	})
+	return h.Dealias(h.Public(alive), 8, 2)
 }
 
 // SummarizeHitlist builds address summaries for hitlist variants.

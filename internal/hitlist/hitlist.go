@@ -13,8 +13,6 @@ import (
 	"errors"
 	"net/netip"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"ntpscan/internal/ipv6x"
@@ -163,31 +161,9 @@ func (h *Hitlist) Dealias(addrs []netip.Addr, threshold, keep int) []netip.Addr 
 }
 
 // Public filters the full list down to responsive addresses — the
-// published variant of the TUM hitlist. probe is called once per
-// address from up to workers goroutines (responsiveness probing is
-// latency-bound, exactly like the real filter); it must be safe for
-// concurrent use. The result preserves the full list's order.
-func (h *Hitlist) Public(probe func(netip.Addr) bool, workers int) []netip.Addr {
-	if workers < 1 {
-		workers = 1
-	}
-	alive := make([]bool, len(h.Full))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(h.Full) {
-					return
-				}
-				alive[idx] = probe(h.Full[idx])
-			}
-		}()
-	}
-	wg.Wait()
+// published variant of the TUM hitlist. alive[i] is Probe's verdict on
+// Full[i]. The result preserves the full list's order.
+func (h *Hitlist) Public(alive []bool) []netip.Addr {
 	var out []netip.Addr
 	for i, ok := range alive {
 		if ok {

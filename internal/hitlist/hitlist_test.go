@@ -100,9 +100,11 @@ func TestPublicSubset(t *testing.T) {
 	h := Build(w, Config{Seed: 5})
 	src := netip.MustParseAddr("2001:db8:5ca::1")
 	ctx := context.Background()
-	pub := h.Public(func(a netip.Addr) bool {
-		return Probe(ctx, w.Fabric(), src, a, 10*time.Millisecond)
-	}, 64)
+	alive := make([]bool, h.Len())
+	for i, a := range h.Full {
+		alive[i] = Probe(ctx, w.Fabric(), src, a, 10*time.Millisecond)
+	}
+	pub := h.Public(alive)
 	if len(pub) == 0 {
 		t.Fatal("empty public list")
 	}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ntpscan/internal/netsim/link"
+	"ntpscan/internal/rng"
 )
 
 // FaultKind selects the pathology a Fault injects.
@@ -343,101 +344,38 @@ func AttemptFrom(ctx context.Context) int {
 
 // --- hash-based stochastic decisions -------------------------------
 //
-// Loss and garble decisions must not consume from a shared rng stream:
-// the draw order would depend on goroutine scheduling and the fabric
-// would stop being worker-count-independent. Instead each decision is
-// a pure FNV-style hash of the packet's identity. UDP source ports are
-// deliberately excluded — ephemeral bind order under concurrency is
-// not deterministic — so flow identity rests on addresses, the
-// destination port, the payload, logical time, and the dial attempt.
+// Loss and garble decisions are rng.Hash chains over the packet's
+// identity, never draws from a shared stream (see package rng).
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-type flowHash uint64
-
-func newFlowHash(seed uint64, tag byte) flowHash {
-	h := flowHash(fnvOffset)
-	h = h.word(seed)
-	h = h.byte(tag)
-	return h
-}
-
-func (h flowHash) byte(b byte) flowHash {
-	return (h ^ flowHash(b)) * fnvPrime
-}
-
-func (h flowHash) word(v uint64) flowHash {
-	for i := 0; i < 8; i++ {
-		h = h.byte(byte(v >> (8 * i)))
-	}
-	return h
-}
-
-func (h flowHash) addr(a netip.Addr) flowHash {
-	b := a.As16()
-	for _, x := range b {
-		h = h.byte(x)
-	}
-	return h
-}
-
-func (h flowHash) bytes(p []byte) flowHash {
-	for _, x := range p {
-		h = h.byte(x)
-	}
-	return h
-}
-
-// roll finalises the hash (splitmix64 mixer, so consecutive inputs
-// decorrelate) and compares the top 53 bits against prob.
-func (h flowHash) roll(prob float64) bool {
+// roll compares the hash's fraction against prob.
+func roll(h rng.Hash, prob float64) bool {
 	if prob <= 0 {
 		return false
 	}
 	if prob >= 1 {
 		return true
 	}
-	z := uint64(h)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return float64(z>>11)/(1<<53) < prob
-}
-
-// uint64 finalises the hash into a well-mixed word.
-func (h flowHash) uint64() uint64 {
-	z := uint64(h)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
+	return h.Float64() < prob
 }
 
 // dropTCP decides whether a SYN dies under burst loss.
 func dropTCP(seed uint64, src netip.Addr, dst netip.AddrPort, at time.Time, attempt int, prob float64) bool {
-	h := newFlowHash(seed, 't')
-	h = h.addr(src).addr(dst.Addr()).word(uint64(dst.Port()))
-	h = h.word(uint64(at.UnixNano()))
-	h = h.word(uint64(attempt))
-	return h.roll(prob)
+	h := rng.NewHash().Word(seed).Byte('t')
+	h = h.Addr(src).Addr(dst.Addr()).Word(uint64(dst.Port()))
+	h = h.Word(uint64(at.UnixNano()))
+	h = h.Word(uint64(attempt))
+	return roll(h, prob)
 }
 
 // dropUDP decides whether a datagram dies (burst loss or the fabric's
 // uniform LossProb). dir distinguishes request from response so the
 // two directions roll independently.
 func dropUDP(seed uint64, dir byte, src, dst netip.Addr, dstPort uint16, payload []byte, at time.Time, prob float64) bool {
-	h := newFlowHash(seed, dir)
-	h = h.addr(src).addr(dst).word(uint64(dstPort))
-	h = h.bytes(payload)
-	h = h.word(uint64(at.UnixNano()))
-	return h.roll(prob)
+	h := rng.NewHash().Word(seed).Byte(dir)
+	h = h.Addr(src).Addr(dst).Word(uint64(dstPort))
+	h = h.Bytes(payload)
+	h = h.Word(uint64(at.UnixNano()))
+	return roll(h, prob)
 }
 
 // --- garbling -------------------------------------------------------
@@ -445,11 +383,11 @@ func dropUDP(seed uint64, dir byte, src, dst netip.Addr, dstPort uint16, payload
 // garbleCut derives where a garbled stream is truncated: enough bytes
 // to look like a banner started, never enough to finish one.
 func garbleCut(seed uint64, dst netip.AddrPort, at time.Time, attempt int) int {
-	h := newFlowHash(seed, 'g')
-	h = h.addr(dst.Addr()).word(uint64(dst.Port()))
-	h = h.word(uint64(at.UnixNano()))
-	h = h.word(uint64(attempt))
-	return 5 + int(h.uint64()%56) // 5..60 bytes
+	h := rng.NewHash().Word(seed).Byte('g')
+	h = h.Addr(dst.Addr()).Word(uint64(dst.Port()))
+	h = h.Word(uint64(at.UnixNano()))
+	h = h.Word(uint64(attempt))
+	return 5 + int(h.Mix()%56) // 5..60 bytes
 }
 
 // garbledConn truncates what the peer sends after cut bytes, flipping

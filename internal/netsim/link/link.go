@@ -25,6 +25,8 @@ import (
 	"net/netip"
 	"sort"
 	"time"
+
+	"ntpscan/internal/rng"
 )
 
 // CrossPacketBytes is the modelled size of one cross-traffic packet in
@@ -352,9 +354,9 @@ func (p *Plan) Traverse(dst netip.Addr, flow uint64, pktBytes int, s int, patien
 	// Stochastic draws fold the slice index, never a raw instant. The
 	// queue process advances once per slice and resets with each churn
 	// epoch.
-	h := planHash(p.Seed, 'Q')
-	h = h.addr(id).word(flow).word(uint64(epoch)).word(uint64(s))
-	depth := occupancy(h.mix(), prm.Utilization)
+	h := rng.NewHash().Word(p.Seed).Byte('Q')
+	h = h.Addr(id).Word(flow).Word(uint64(epoch)).Word(uint64(s))
+	depth := occupancy(h.Float64(), prm.Utilization)
 	if depth >= capacity {
 		out.DropTail = true
 		out.Depth = capacity
@@ -373,8 +375,8 @@ func (p *Plan) Traverse(dst netip.Addr, flow uint64, pktBytes int, s int, patien
 		soj += time.Duration((int64(backlog) + int64(pktBytes)) * int64(time.Second) / prm.BytesPerSec)
 	}
 	if prm.JitterMax > 0 {
-		j := planHash(p.Seed, 'J').addr(id).word(flow).word(uint64(epoch)).word(uint64(s))
-		soj += time.Duration(j.mix() % uint64(prm.JitterMax+1))
+		j := rng.NewHash().Word(p.Seed).Byte('J').Addr(id).Word(flow).Word(uint64(epoch)).Word(uint64(s))
+		soj += time.Duration(j.Mix() % uint64(prm.JitterMax+1))
 	}
 	out.Sojourn = soj
 	out.Late = patience > 0 && soj > patience
@@ -382,16 +384,15 @@ func (p *Plan) Traverse(dst netip.Addr, flow uint64, pktBytes int, s int, patien
 }
 
 // occupancy samples the geometric queue-occupancy law P(depth >= k) =
-// rho^k from a well-mixed hash word: u uniform in (0, 1],
+// rho^k from a hash fraction u, uniform in [0, 1) and lifted off 0:
 // depth = floor(log u / log rho).
-func occupancy(z uint64, rho float64) int {
+func occupancy(u, rho float64) int {
 	if rho <= 0 {
 		return 0
 	}
 	if rho >= 1 {
 		rho = 1 - 1e-9 // saturated: effectively every arrival queues deep
 	}
-	u := float64(z>>11) / (1 << 53)
 	if u <= 0 {
 		u = 1.0 / (1 << 53)
 	}
@@ -403,50 +404,4 @@ func occupancy(z uint64, rho float64) int {
 		return 1 << 20
 	}
 	return int(d)
-}
-
-// --- flow hashing ---------------------------------------------------
-//
-// The same FNV-fold / splitmix-finalise construction netsim's fault
-// decisions use, kept package-local so a plan's draws are a pure
-// function of its own seed.
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-type hash uint64
-
-func planHash(seed uint64, tag byte) hash {
-	h := hash(fnvOffset)
-	h = h.word(seed)
-	h = (h ^ hash(tag)) * fnvPrime
-	return h
-}
-
-func (h hash) word(v uint64) hash {
-	for i := 0; i < 8; i++ {
-		h = (h ^ hash(byte(v>>(8*i)))) * fnvPrime
-	}
-	return h
-}
-
-func (h hash) addr(a netip.Addr) hash {
-	b := a.As16()
-	for _, x := range b {
-		h = (h ^ hash(x)) * fnvPrime
-	}
-	return h
-}
-
-// mix finalises the fold into a well-distributed word (splitmix64).
-func (h hash) mix() uint64 {
-	z := uint64(h)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ntpscan/internal/obs"
+	"ntpscan/internal/rng"
 )
 
 func mustAddr(t *testing.T, s string) netip.Addr {
@@ -208,12 +209,11 @@ func TestLateOutcome(t *testing.T) {
 }
 
 func TestOccupancyGeometric(t *testing.T) {
-	// Empirical check of P(depth >= 1) ~ rho over many mixed words.
-	h := planHash(12345, 'Q')
+	// Empirical check of P(depth >= 1) ~ rho over many hash fractions.
+	h := rng.NewHash().Word(12345).Byte('Q')
 	n, nonzero := 20000, 0
 	for i := 0; i < n; i++ {
-		z := h.word(uint64(i)).mix()
-		if occupancy(z, 0.5) >= 1 {
+		if occupancy(h.Word(uint64(i)).Float64(), 0.5) >= 1 {
 			nonzero++
 		}
 	}
@@ -221,7 +221,7 @@ func TestOccupancyGeometric(t *testing.T) {
 	if math.Abs(frac-0.5) > 0.02 {
 		t.Fatalf("P(depth>=1) = %v, want ~0.5", frac)
 	}
-	if occupancy(12345, 0) != 0 {
+	if occupancy(0.5, 0) != 0 {
 		t.Fatal("rho=0 must give empty queue")
 	}
 }

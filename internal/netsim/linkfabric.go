@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"ntpscan/internal/netsim/link"
+	"ntpscan/internal/rng"
 )
 
 // linkSliceOf reads the pinned churn slice. The campaign driver pins it
@@ -63,11 +64,11 @@ func (n *Network) traverseTCP(src netip.Addr, dst netip.AddrPort, attempt int) l
 	if lp == nil {
 		return link.Outcome{}
 	}
-	flow := newFlowHash(lp.Seed, 'T').
-		addr(src).addr(dst.Addr()).
-		word(uint64(dst.Port())).
-		word(uint64(attempt)).
-		uint64()
+	flow := rng.NewHash().Word(lp.Seed).Byte('T').
+		Addr(src).Addr(dst.Addr()).
+		Word(uint64(dst.Port())).
+		Word(uint64(attempt)).
+		Mix()
 	out := lp.Traverse(dst.Addr(), flow, linkSynBytes, n.linkSliceOf(), n.cfg.DialTimeout)
 	n.linkMetrics().Account(out)
 	return out
@@ -81,11 +82,11 @@ func (n *Network) traverseUDP(dir byte, from, to netip.Addr, serverPort uint16, 
 	if lp == nil {
 		return link.Outcome{}
 	}
-	flow := newFlowHash(lp.Seed, dir).
-		addr(from).addr(to).
-		word(uint64(serverPort)).
-		bytes(payload).
-		uint64()
+	flow := rng.NewHash().Word(lp.Seed).Byte(dir).
+		Addr(from).Addr(to).
+		Word(uint64(serverPort)).
+		Bytes(payload).
+		Mix()
 	out := lp.Traverse(to, flow, linkUDPOverhead+len(payload), n.linkSliceOf(), patience)
 	n.linkMetrics().Account(out)
 	return out
@@ -106,20 +107,20 @@ func (n *Network) LinkAdmit(client, vantage netip.Addr, serverPort uint16) bool 
 	}
 	m := n.linkMetrics()
 	s := n.linkSliceOf()
-	reqFlow := newFlowHash(lp.Seed, 'q').
-		addr(client).addr(vantage).
-		word(uint64(serverPort)).
-		uint64()
+	reqFlow := rng.NewHash().Word(lp.Seed).Byte('q').
+		Addr(client).Addr(vantage).
+		Word(uint64(serverPort)).
+		Mix()
 	req := lp.Traverse(vantage, reqFlow, linkNTPBytes, s, n.cfg.DialTimeout)
 	m.Account(req)
 	if req.Hit && req.Blocked() {
 		return false
 	}
 	patience := n.cfg.DialTimeout - req.Sojourn
-	respFlow := newFlowHash(lp.Seed, 'r').
-		addr(vantage).addr(client).
-		word(uint64(serverPort)).
-		uint64()
+	respFlow := rng.NewHash().Word(lp.Seed).Byte('r').
+		Addr(vantage).Addr(client).
+		Word(uint64(serverPort)).
+		Mix()
 	resp := lp.Traverse(client, respFlow, linkNTPBytes, s, patience)
 	m.Account(resp)
 	return !(resp.Hit && resp.Blocked())

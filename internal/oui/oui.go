@@ -6,9 +6,8 @@
 package oui
 
 import (
-	"hash/fnv"
-
 	"ntpscan/internal/ipv6x"
+	"ntpscan/internal/rng"
 )
 
 // Registry maps OUIs (24-bit prefixes of universally administered MACs)
@@ -68,10 +67,7 @@ func (r *Registry) Allocate(vendor string, n int) [][3]byte {
 // deriveOUI hashes (vendor, index) into a universally administered
 // unicast OUI.
 func deriveOUI(vendor string, idx int) [3]byte {
-	h := fnv.New64a()
-	h.Write([]byte(vendor))
-	h.Write([]byte{byte(idx), byte(idx >> 8)})
-	v := h.Sum64()
+	v := uint64(rng.NewHash().String(vendor).Byte(byte(idx)).Byte(byte(idx >> 8)))
 	return [3]byte{byte(v) &^ 0x03, byte(v >> 8), byte(v >> 16)}
 }
 

@@ -318,13 +318,13 @@ func (a *Aggregates) Snapshot() (json.RawMessage, error) {
 		Slices:   make(map[string]sliceState, len(a.slices)),
 	}
 	for name, m := range a.modules {
-		st.Modules[name] = moduleState{Results: m.results, Successes: m.successes, Addrs: sortedAddrs(m.addrs)}
+		st.Modules[name] = moduleState{Results: m.results, Successes: m.successes, Addrs: analysis.SortedAddrStrings(m.addrs)}
 	}
 	for name, v := range a.vantages {
-		st.Vantages[name] = vantageState{Captures: v.captures, Addrs: sortedAddrs(v.addrs)}
+		st.Vantages[name] = vantageState{Captures: v.captures, Addrs: analysis.SortedAddrStrings(v.addrs)}
 	}
 	for pfx, n := range a.nets {
-		st.Nets[pfx.String()] = netState{Captures: n.captures, Results: n.results, Addrs: sortedAddrs(n.addrs)}
+		st.Nets[pfx.String()] = netState{Captures: n.captures, Results: n.results, Addrs: analysis.SortedAddrStrings(n.addrs)}
 	}
 	for id, s := range a.slices {
 		st.Slices[strconv.Itoa(id)] = sliceState{Captures: s.captures, Results: s.results}
@@ -389,15 +389,6 @@ func (a *Aggregates) Restore(raw json.RawMessage) error {
 	a.table2 = fresh.table2
 	a.mu.Unlock()
 	return nil
-}
-
-func sortedAddrs(m map[netip.Addr]struct{}) []string {
-	out := make([]string, 0, len(m))
-	for a := range m {
-		out = append(out, a.String())
-	}
-	sort.Strings(out)
-	return out
 }
 
 func addrSet(in []string) (map[netip.Addr]struct{}, error) {

@@ -13,11 +13,22 @@
 // it only has to be fast, well distributed, and stable across releases
 // (math/rand's default source gives no cross-version guarantee, and
 // math/rand/v2's ChaCha8 is seeded from OS entropy).
+//
+// A draw that must not depend on how many goroutines run, or in which
+// order, takes no Stream at all: it is a pure Hash of its inputs.
+// Fault-plan loss and garbling, link queue depth and jitter, retry
+// jitter, the store's /48 bloom filter, actor seeds, OUI allocation and
+// Derive itself are all Hash chains. A shared stream's draw order would
+// follow goroutine scheduling; a hash of the packet's identity (plan
+// seed, addresses, destination port, payload, logical time, attempt)
+// rolls the same way whoever sends it. Ephemeral source ports stay out
+// of every flow identity, since bind order under concurrency is not
+// deterministic. The byte-identity oracles rest on this exact
+// construction: changing a fold or the finaliser moves every output.
 package rng
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/bits"
 	"strconv"
@@ -27,16 +38,6 @@ import (
 // concurrent use; derive one stream per goroutine instead of sharing.
 type Stream struct {
 	s [4]uint64
-}
-
-// splitmix64 advances x and returns the next splitmix64 output. It is the
-// recommended seeder for xoshiro state.
-func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // New returns a stream seeded from the given 64-bit seed.
@@ -51,9 +52,12 @@ func New(seed uint64) *Stream {
 // (per-device materialization, per-address derivation) reuse a single
 // scratch Stream through Reseed instead of allocating with New.
 func (r *Stream) Reseed(seed uint64) {
+	// splitmix64, the recommended seeder for xoshiro state: a Weyl
+	// sequence through the finaliser.
 	x := seed
 	for i := range r.s {
-		r.s[i] = splitmix64(&x)
+		x += 0x9e3779b97f4a7c15
+		r.s[i] = Hash(x).Mix()
 	}
 	// xoshiro must not start from the all-zero state; splitmix64 of any
 	// seed cannot produce four zero words, but guard anyway.
@@ -68,15 +72,8 @@ func (r *Stream) Reseed(seed uint64) {
 // parent has been used before deriving — callers should derive all
 // children up front for clarity, but are not required to.
 func (r *Stream) Derive(label string) *Stream {
-	h := fnv.New64a()
-	var buf [32]byte
-	binary.LittleEndian.PutUint64(buf[0:], r.s[0])
-	binary.LittleEndian.PutUint64(buf[8:], r.s[1])
-	binary.LittleEndian.PutUint64(buf[16:], r.s[2])
-	binary.LittleEndian.PutUint64(buf[24:], r.s[3])
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	return New(h.Sum64())
+	h := NewHash().Word(r.s[0]).Word(r.s[1]).Word(r.s[2]).Word(r.s[3])
+	return New(uint64(h.String(label)))
 }
 
 // State exports the stream's current position so a checkpoint can

@@ -1,6 +1,10 @@
 package store
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"ntpscan/internal/rng"
+)
 
 // bloom is a classic k-hash bloom filter over /48 prefix keys, sized
 // at ~10 bits per distinct key (k=7, ~1% false positives). Hashes are
@@ -9,16 +13,6 @@ import "encoding/binary"
 type bloom struct {
 	k    uint32
 	bits []uint64
-}
-
-// mix64 is the splitmix64 finaliser.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // newBloom sizes a filter for the expected distinct-key count.
@@ -31,8 +25,8 @@ func newBloom(distinct int) *bloom {
 }
 
 func (f *bloom) hashes(key uint64) (h1, h2 uint64) {
-	h1 = mix64(key ^ 0x9e3779b97f4a7c15)
-	h2 = mix64(key^0xc2b2ae3d27d4eb4f) | 1
+	h1 = rng.Hash(key ^ 0x9e3779b97f4a7c15).Mix()
+	h2 = rng.Hash(key^0xc2b2ae3d27d4eb4f).Mix() | 1
 	return h1, h2
 }
 

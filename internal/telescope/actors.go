@@ -98,7 +98,7 @@ func NewActor(fabric *netsim.Network, profile ActorProfile, seed uint64) *Actor 
 	a := &Actor{
 		Profile: profile,
 		fabric:  fabric,
-		rng:     rng.New(seed ^ ac7or(profile.Name)),
+		rng:     rng.New(seed ^ uint64(rng.NewHash().String(profile.Name))),
 	}
 	hi := prefHi(profile.ServerNet)
 	for i := 0; i < profile.Servers; i++ {
@@ -192,13 +192,4 @@ func addrIn(hi, iid uint64) netip.Addr {
 		iid >>= 8
 	}
 	return netip.AddrFrom16(b)
-}
-
-// ac7or derives a seed component from the actor name.
-func ac7or(name string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 1099511628211
-	}
-	return h
 }

@@ -3,6 +3,8 @@ package zgrab
 import (
 	"net/netip"
 	"time"
+
+	"ntpscan/internal/rng"
 )
 
 // ErrorClass partitions grab outcomes by what a rescheduler should do
@@ -140,27 +142,9 @@ func (p *RetryPolicy) Backoff(addr netip.Addr, module string, attempt int) time.
 	}
 	if p.Jitter > 0 {
 		// frac in [0,1) from a pure hash; shift d to [1-J/2, 1+J/2) x d.
-		frac := float64(jitterHash(addr, module, attempt)>>11) / (1 << 53)
+		// The attempt is xored in as one word, not folded byte-wise.
+		frac := rng.NewHash().Addr(addr).String(module).Step(uint64(attempt)).Float64()
 		d = time.Duration(float64(d) * (1 - p.Jitter/2 + frac*p.Jitter))
 	}
 	return d
-}
-
-// jitterHash is an FNV-1a/splitmix mix of the probe identity.
-func jitterHash(addr netip.Addr, module string, attempt int) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211
-	h := uint64(offset)
-	b := addr.As16()
-	for _, x := range b {
-		h = (h ^ uint64(x)) * prime
-	}
-	for _, x := range []byte(module) {
-		h = (h ^ uint64(x)) * prime
-	}
-	h = (h ^ uint64(attempt)) * prime
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	return h ^ (h >> 31)
 }
