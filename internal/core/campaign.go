@@ -124,37 +124,46 @@ type CampaignOpts struct {
 	// it references belong to the callee.
 	OnCheckpoint func(*Checkpoint)
 	// Telemetry, when non-nil, receives one JSONL line per slice with
-	// the full metrics registry state, written at the drain barrier.
-	// The stream is deterministic: byte-identical across worker counts,
-	// and a resumed campaign emits exactly the lines the uninterrupted
-	// run would have from its resume slice onward.
+	// the full metrics registry state as it stood at the slice's drain
+	// barrier. With a Store or Aggregates attached the line is written
+	// on the campaign goroutine once the slice's sink job is joined,
+	// before the next flush; the store's writer counters in it are
+	// re-read then (see sliceSink). The stream is deterministic:
+	// byte-identical across worker counts, and a resumed campaign emits
+	// exactly the lines the uninterrupted run would have from its resume
+	// slice onward.
 	Telemetry io.Writer
-	// Store, when non-nil, is the campaign's durable columnar sink: at
-	// each slice's drain barrier the slice's capture events and scan
-	// results are appended as one immutable segment, checkpoints carry
-	// the store manifest, and resume rewinds the directory to it. The
-	// store directory is bit-identical across worker counts and across
-	// an interrupted-and-resumed run.
+	// Store, when non-nil, is the campaign's durable columnar sink: each
+	// slice's capture events and scan results are appended as one
+	// immutable segment on the sink goroutine, one call at a time, in
+	// slice order, joined before the next flush; checkpoints carry the
+	// store manifest, and resume rewinds the directory to it. The store
+	// directory is bit-identical across worker counts and across an
+	// interrupted-and-resumed run.
 	Store *store.Store
 	// Dispatch, when non-nil, replaces the built-in worker pool as the
 	// slice executor (see DispatchFunc).
 	Dispatch DispatchFunc
-	// Aggregates, when non-nil, observes every slice's drained data at
-	// the same barrier the store append runs at, letting a serving layer
-	// maintain materialized query tables incrementally instead of
-	// rescanning the store. A checkpoint holds none of its state:
-	// ResumeCampaign feeds the rewound store back through it, so the view
-	// is rebuilt exactly in step with the pinned store manifest.
+	// Aggregates, when non-nil, observes every slice's drained data
+	// right after the store append, on the sink goroutine, one call at a
+	// time, in slice order, joined before the next flush, letting a
+	// serving layer maintain materialized query tables incrementally
+	// instead of rescanning the store. A checkpoint holds none of its
+	// state: ResumeCampaign feeds the rewound store back through it, so
+	// the view is rebuilt exactly in step with the pinned store manifest.
 	Aggregates SliceAggregator
 }
 
 // SliceAggregator consumes each slice's quiescent drained data — the
 // capture rows and scan results the slice produced, in deterministic
-// order. AggregateSlice runs at the drain barrier on the campaign
-// goroutine; caps and results are only valid for the duration of the
-// call (the campaign reuses the backing arrays), so implementations
-// must copy what they keep. The post-Close result tail arrives as one
-// final synthetic slice (caps nil), mirroring the store's tail append.
+// order. In a campaign, AggregateSlice runs on the sink goroutine, one
+// call at a time, in slice order, joined before the next flush, while
+// the campaign collects and scans the next slice; it must not move the
+// campaign's metrics registry. caps and results are only valid for the
+// duration of the call (the campaign reuses the backing arrays), so
+// implementations must copy what they keep. The post-Close result tail
+// arrives as one final synthetic slice (caps nil), mirroring the
+// store's tail append.
 // A slice may arrive in more than one call, and calls need not come in
 // slice order: a resume replays the rewound store segment by segment
 // (store.ReplaySlices), and a compacted segment holds all its slices'
@@ -335,6 +344,53 @@ func (s *orderedSink) offset() int64 {
 	return s.cw.n
 }
 
+// sliceSink is a campaign's durable sink: one slice's store append,
+// then its aggregator feed, run on a goroutine of its own while the
+// campaign collects and scans the next slice. At most one job is in
+// flight, and the campaign joins it before the next flush reuses the
+// rows it was handed. A checkpoint slice runs its job inline instead,
+// so a checkpoint sees the store and the registry settled.
+//
+// The telemetry line of a slice whose job runs late is captured at the
+// slice's barrier and written after the join, with only
+// store.WriterSeries re-read: the append advances those counters and
+// nothing else, so the line is the one a barrier-time append would
+// have produced.
+type sliceSink struct {
+	st   *store.Store
+	agg  SliceAggregator
+	done chan error // depth 1: the in-flight job's result
+	busy bool
+}
+
+// run is one slice's sink job. The aggregator is fed even when the
+// append failed; the first error is returned.
+func (k *sliceSink) run(slice int, caps []store.CaptureRow, results []*zgrab.Result) error {
+	var err error
+	if k.st != nil {
+		err = k.st.AppendSlice(slice, caps, results)
+	}
+	if k.agg != nil {
+		if aerr := k.agg.AggregateSlice(slice, caps, results); err == nil {
+			err = aerr
+		}
+	}
+	return err
+}
+
+// start runs the slice's job on the sink goroutine. caps and results
+// must not change until join returns.
+func (k *sliceSink) start(slice int, caps []store.CaptureRow, results []*zgrab.Result) {
+	k.busy = true
+	go func() { k.done <- k.run(slice, caps, results) }()
+}
+
+// join waits for the in-flight job and returns its error.
+func (k *sliceSink) join() error {
+	k.busy = false
+	return <-k.done
+}
+
 // RunCampaign is the §4.1 collect-and-scan campaign with streaming
 // output and checkpointing. With zero opts it produces exactly
 // RunNTPCampaign's dataset.
@@ -399,6 +455,24 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	}
 
 	var werr error
+	keep := func(err error) {
+		if err != nil && werr == nil {
+			werr = err
+		}
+	}
+	sk := &sliceSink{st: opts.Store, agg: opts.Aggregates, done: make(chan error, 1)}
+	// settle joins the in-flight sink job and writes the telemetry line
+	// captured at its barrier. Errors keep slice order: a job's error is
+	// recorded before the next slice's flush can fail.
+	settle := func() {
+		if !sk.busy {
+			return
+		}
+		keep(sk.join())
+		if tw != nil {
+			keep(tw.WriteCaptured(store.WriterSeries...))
+		}
+	}
 	// capBase marks the capture-log high-water mark, so each slice's
 	// store append carries exactly the captures that slice produced.
 	// After a restore the log already holds the replayed prefix — those
@@ -408,13 +482,20 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	p.collectFrom(startSlice, func(batch []netip.Addr) {
 		scanner.SubmitBatch(batch)
 	}, scanner.Drain, func(next int, shards []*collectShard) {
-		if err := sink.flush(); err != nil && werr == nil {
-			werr = err
+		// The previous slice's sink job still holds sink.batch and
+		// capScratch; join it before this flush reuses them.
+		settle()
+		keep(sink.flush())
+		checkpoint := opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil &&
+			next < collectSlices && next%opts.CheckpointEvery == 0
+		// Telemetry is captured before the checkpoint counter below
+		// ticks, so full and resumed runs agree on every line.
+		p.met.outBytes.Set(sink.offset())
+		if tw != nil {
+			tw.Capture(next-1, p.W.Clock().Now())
 		}
-		// Store before telemetry: the slice's segment write lands in its
-		// own telemetry line and checkpoint snapshot, identically in full
-		// and resumed runs. The aggregator sees exactly the rows the store
-		// appends, at the same barrier.
+		// The store appends the slice's capture events and results; the
+		// aggregator sees exactly the rows the store appends.
 		if opts.Store != nil || opts.Aggregates != nil {
 			rows := capScratch[:0]
 			for _, c := range p.capLog[capBase:] {
@@ -422,28 +503,16 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 			}
 			capBase = len(p.capLog)
 			capScratch = rows
-			if opts.Store != nil {
-				if err := opts.Store.AppendSlice(next-1, rows, sink.batch); err != nil && werr == nil {
-					werr = err
-				}
-			}
-			if opts.Aggregates != nil {
-				if err := opts.Aggregates.AggregateSlice(next-1, rows, sink.batch); err != nil && werr == nil {
-					werr = err
-				}
+			if checkpoint {
+				keep(sk.run(next-1, rows, sink.batch))
+			} else {
+				sk.start(next-1, rows, sink.batch)
 			}
 		}
-		// Telemetry before checkpointing: the line reflects the slice's
-		// quiescent state, and the checkpoint counter below must tick
-		// after it so full and resumed runs agree on every line.
-		p.met.outBytes.Set(sink.offset())
-		if tw != nil {
-			if err := tw.WriteSlice(next-1, p.W.Clock().Now()); err != nil && werr == nil {
-				werr = err
-			}
+		if !sk.busy && tw != nil {
+			keep(tw.WriteCaptured(store.WriterSeries...))
 		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil &&
-			next < collectSlices && next%opts.CheckpointEvery == 0 {
+		if checkpoint {
 			p.met.checkpoints.Inc()
 			cp := p.checkpoint(next, shards, scanner, sink.offset())
 			if opts.Store != nil {
@@ -454,32 +523,18 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		}
 	})
 	scanner.Close()
+	settle()
 	// A fatal dispatcher error outranks sink errors: it names the root
 	// cause (the control plane died), not the knock-on effects.
-	if p.dispatchErr != nil && werr == nil {
-		werr = p.dispatchErr
-	}
-	if err := sink.flush(); err != nil && werr == nil {
-		werr = err
-	}
+	keep(p.dispatchErr)
+	keep(sink.flush())
 	// The post-Close drain can surface a result tail past the last
 	// collection slice; it lands on the synthetic slice collectSlices
 	// (for both the store and the aggregator), and sealing garbage-
 	// collects retired compaction inputs.
+	keep(sk.run(collectSlices, nil, sink.batch))
 	if opts.Store != nil {
-		if err := opts.Store.AppendSlice(collectSlices, nil, sink.batch); err != nil && werr == nil {
-			werr = err
-		}
-	}
-	if opts.Aggregates != nil {
-		if err := opts.Aggregates.AggregateSlice(collectSlices, nil, sink.batch); err != nil && werr == nil {
-			werr = err
-		}
-	}
-	if opts.Store != nil {
-		if err := opts.Store.Seal(); err != nil && werr == nil {
-			werr = err
-		}
+		keep(opts.Store.Seal())
 	}
 	p.restoreCp, p.restoreArenas = nil, nil
 	return analysis.NewDataset("ntp", sink.all), werr

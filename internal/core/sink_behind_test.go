@@ -1,0 +1,228 @@
+package core_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ntpscan/internal/chaos"
+	"ntpscan/internal/core"
+	"ntpscan/internal/netsim"
+	"ntpscan/internal/query"
+	"ntpscan/internal/store"
+	"ntpscan/internal/world"
+	"ntpscan/internal/zgrab"
+)
+
+func sinkConfig(seed uint64, workers int) core.Config {
+	return core.Config{
+		Seed:          seed,
+		World:         world.Config{DeviceScale: 1e-3, AddrScale: 1e-6, ASScale: 0.02},
+		Workers:       workers,
+		CaptureBudget: 400,
+	}
+}
+
+// durableCampaign runs (or, with cp, resumes) a campaign with every
+// sink attached — JSONL, telemetry, a store in dir and aggregates — and
+// returns its output, its telemetry and the aggregates' snapshot.
+func durableCampaign(t *testing.T, cfg core.Config, dir string, cp *core.Checkpoint, opts core.CampaignOpts) (out, tel, agg string) {
+	t.Helper()
+	p := core.NewPipeline(cfg)
+	st, err := store.Open(dir, store.Options{Obs: p.Obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aggs := query.NewAggregates()
+	var o, tl bytes.Buffer
+	opts.Out, opts.Telemetry, opts.Store, opts.Aggregates = &o, &tl, st, aggs
+	if cp == nil {
+		_, err = p.RunCampaign(context.Background(), opts)
+	} else {
+		_, err = p.ResumeCampaign(context.Background(), cp, opts)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := aggs.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.String(), tl.String(), string(snap)
+}
+
+// Checkpoints every 5 slices fall between compactions (every 8), so
+// most resume from a store whose last compaction ran on the sink
+// goroutine, behind the scanner. Resuming from each must reproduce the
+// uninterrupted run's JSONL and telemetry tails, store directory and
+// aggregates byte for byte.
+func TestResumeBetweenCompactions(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			cfg := sinkConfig(51, workers)
+			dir := t.TempDir()
+			type crash struct {
+				cp  *core.Checkpoint
+				dir string // the store directory as it stood at cp
+			}
+			var crashes []crash
+			out, tel, agg := durableCampaign(t, cfg, dir, nil, core.CampaignOpts{
+				CheckpointEvery: 5,
+				OnCheckpoint: func(cp *core.Checkpoint) {
+					at := filepath.Join(t.TempDir(), "store")
+					if err := os.CopyFS(at, os.DirFS(dir)); err != nil {
+						t.Fatal(err)
+					}
+					crashes = append(crashes, crash{cp, at})
+				},
+			})
+			if len(crashes) != core.CollectSlices/5 {
+				t.Fatalf("%d checkpoints, want %d", len(crashes), core.CollectSlices/5)
+			}
+			digest := store.DirDigest(t, dir)
+			lines := strings.SplitAfter(tel, "\n")
+			for _, c := range crashes {
+				n := c.cp.NextSlice
+				// A checkpoint slice's job runs inline, after its telemetry
+				// capture: the line must still show the store counters its
+				// checkpoint holds.
+				var line struct{ Metrics map[string]int64 }
+				if err := json.Unmarshal([]byte(lines[n-1]), &line); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range store.WriterSeries {
+					if got, want := line.Metrics[name], c.cp.Obs[name][0]; got != want {
+						t.Errorf("slice %d telemetry: %s = %d, checkpoint holds %d", n-1, name, got, want)
+					}
+				}
+				// The resumed run checkpoints too: the checkpoint counter is
+				// in its telemetry.
+				gotOut, gotTel, gotAgg := durableCampaign(t, cfg, c.dir, c.cp, core.CampaignOpts{
+					CheckpointEvery: 5,
+					OnCheckpoint:    func(*core.Checkpoint) {},
+				})
+				if gotOut != out[c.cp.OutOffset:] {
+					t.Errorf("resume at slice %d: JSONL tail diverges", n)
+				}
+				if gotTel != strings.Join(lines[n:], "") {
+					t.Errorf("resume at slice %d: telemetry tail diverges", n)
+				}
+				if store.DirDigest(t, c.dir) != digest {
+					t.Errorf("resume at slice %d: store directory diverges", n)
+				}
+				if gotAgg != agg {
+					t.Errorf("resume at slice %d: aggregates diverge", n)
+				}
+			}
+		})
+	}
+}
+
+// orderAggregator checks the sink's contract from inside: calls come
+// one at a time, in strictly increasing slice order. It fails at
+// failAt.
+type orderAggregator struct {
+	inflight atomic.Int32
+	overlap  atomic.Bool
+	// last and calls are touched only inside calls; the campaign must
+	// join each call before it reads them.
+	last, calls int
+	disorder    bool
+	failAt      int
+}
+
+func (a *orderAggregator) AggregateSlice(slice int, _ []store.CaptureRow, _ []*zgrab.Result) error {
+	if a.inflight.Add(1) != 1 {
+		a.overlap.Store(true)
+	}
+	defer a.inflight.Add(-1)
+	runtime.Gosched() // widen the window a second call would need
+	if slice <= a.last {
+		a.disorder = true
+	}
+	a.last = slice
+	a.calls++
+	if slice == a.failAt {
+		return fmt.Errorf("aggregator failed at slice %d", slice)
+	}
+	return nil
+}
+
+// clockFailWriter fails every write made once the logical clock has
+// reached from.
+type clockFailWriter struct {
+	clock  *netsim.ManualClock
+	from   time.Time
+	failed int
+}
+
+func (w *clockFailWriter) Write(b []byte) (int, error) {
+	if w.clock.Now().Before(w.from) {
+		return len(b), nil
+	}
+	w.failed++
+	return 0, errors.New("out writer failed")
+}
+
+// The sink runs behind the scanner but keeps the synchronous order:
+// aggregator calls never overlap, arrive in strictly increasing slice
+// order with the tail last, are joined before every checkpoint and
+// before RunCampaign returns, and their errors keep slice order — an
+// aggregator failing at slice k outranks an Out writer failing from
+// slice k+1 on.
+func TestSinkCallsKeepSliceOrder(t *testing.T) {
+	chaos.NoGoroutineLeaks(t)
+	const k = 10 // not a checkpoint slice: its job runs behind the scanner
+	p := core.NewPipeline(sinkConfig(52, 3))
+	st, err := store.Open(t.TempDir(), store.Options{Obs: p.Obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := &orderAggregator{last: -1, failAt: k}
+	from, _ := p.SliceWindow(k + 1)
+	out := &clockFailWriter{clock: p.W.Clock(), from: from}
+	checkpoints := 0
+	_, err = p.RunCampaign(context.Background(), core.CampaignOpts{
+		Out:             out,
+		Store:           st,
+		Aggregates:      agg,
+		CheckpointEvery: 4,
+		OnCheckpoint: func(cp *core.Checkpoint) {
+			checkpoints++
+			if agg.inflight.Load() != 0 || agg.last != cp.NextSlice-1 {
+				t.Errorf("checkpoint at slice %d: sink not joined (last call slice %d)", cp.NextSlice, agg.last)
+			}
+		},
+	})
+	if want := fmt.Sprintf("aggregator failed at slice %d", k); err == nil || err.Error() != want {
+		t.Errorf("campaign error %v, want %q", err, want)
+	}
+	if out.failed == 0 {
+		t.Error("the Out writer never failed: the error order went untested")
+	}
+	if checkpoints == 0 {
+		t.Error("no checkpoints")
+	}
+	if agg.inflight.Load() != 0 {
+		t.Error("an aggregator call was still running when RunCampaign returned")
+	}
+	if agg.overlap.Load() {
+		t.Error("aggregator calls overlapped")
+	}
+	if agg.disorder {
+		t.Error("aggregator calls arrived out of slice order")
+	}
+	if agg.last != core.CollectSlices || agg.calls != core.CollectSlices+1 {
+		t.Errorf("%d calls ending at slice %d, want %d ending at the tail slice %d",
+			agg.calls, agg.last, core.CollectSlices+1, core.CollectSlices)
+	}
+}

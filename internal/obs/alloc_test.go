@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"testing"
 	"time"
 )
@@ -34,5 +35,18 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, fn); n != 0 {
 			t.Errorf("%s allocates %.1f per op, want 0", name, n)
 		}
+	}
+}
+
+// A campaign captures one telemetry line per slice at its drain
+// barrier. Once the writer's buffer has grown, the capture allocates
+// nothing: series keys are spelled at registration, and the samples
+// land in the buffer the previous capture used.
+func TestCaptureAllocs(t *testing.T) {
+	tw := NewTelemetryWriter(goldenRegistry(), io.Discard)
+	at := time.Unix(0, 0)
+	tw.Capture(0, at)
+	if n := testing.AllocsPerRun(100, func() { tw.Capture(1, at) }); n != 0 {
+		t.Errorf("Capture allocates %.1f per call, want 0", n)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,4 +76,36 @@ func TestTelemetryLineGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "telemetry.golden", buf.Bytes())
+}
+
+// The two-step write is WriteSlice taken apart: a line captured, then
+// written after one captured and one re-read series both moved, equals
+// the line WriteSlice wrote at capture time with only the re-read
+// series changed. Names that are not scalars are not re-read.
+func TestCaptureThenWriteRereadsOnlyNamedSeries(t *testing.T) {
+	r := goldenRegistry()
+	at := time.Date(2025, 6, 1, 0, 15, 0, 0, time.UTC)
+	var want bytes.Buffer
+	if err := NewTelemetryWriter(r, &want).WriteSlice(3, at); err != nil {
+		t.Fatal(err)
+	}
+
+	var got bytes.Buffer
+	tw := NewTelemetryWriter(r, &got)
+	tw.Capture(3, at)
+	r.NewGauge("breaker_open", "").Set(9)           // captured: keeps 2
+	r.NewCounter("scan_completed_total", "").Add(1) // re-read: 1235
+	r.NewCounterVec("capture_events_total", "", "vantage", []string{"DE", "US"}).Add(0, 5)
+	r.NewHistogram("scan_retry_backoff_ms", "", []int64{250, 500, 1000}).Observe(1)
+	if err := tw.WriteCaptured("scan_completed_total", "capture_events_total",
+		"scan_retry_backoff_ms", "scan_retry_backoff_ms_sum", "no_such_total"); err != nil {
+		t.Fatal(err)
+	}
+	line := strings.Replace(want.String(), `"scan_completed_total":1234`, `"scan_completed_total":1235`, 1)
+	if line == want.String() {
+		t.Fatal("fixture holds no scan_completed_total sample")
+	}
+	if got.String() != line {
+		t.Errorf("two-step line:\n got %s\nwant %s", got.String(), line)
+	}
 }

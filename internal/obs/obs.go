@@ -79,6 +79,10 @@ type metric struct {
 	bounds []int64
 	counts []atomic.Int64
 	sum    atomic.Int64
+
+	// keys are the metric's flattened series keys, spelled once at
+	// registration (see seriesKeys).
+	keys []string
 }
 
 // Registry holds registered metrics. All methods are safe for
@@ -129,6 +133,7 @@ func (r *Registry) register(name, help string, kind Kind, label string, labelVal
 	} else {
 		m.vals = make([]atomic.Int64, 1)
 	}
+	m.keys = m.seriesKeys()
 	r.metrics = append(r.metrics, m)
 	r.byName[name] = m
 	if raw, ok := r.pending[name]; ok {

@@ -28,6 +28,18 @@ type Metrics struct {
 	BlockCacheBytes     *obs.Gauge
 }
 
+// WriterSeries names the writer-side counters: the series AppendSlice
+// advances, and the only ones. A campaign whose sink appends a slice
+// after that slice's barrier has passed re-reads these, and only these,
+// when it writes the barrier's telemetry line.
+var WriterSeries = []string{
+	"store_segments_written_total",
+	"store_segments_compacted_total",
+	"store_compactions_total",
+	"store_blocks_written_total",
+	"store_bytes_written_total",
+}
+
 // NewMetrics registers (or re-binds, registries are get-or-create) the
 // store families on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
