@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ntpscan/internal/chaos"
+	"ntpscan/internal/store"
 )
 
 var update = flag.Bool("update", false, "rewrite docs/measured_output.txt from this build's -ablations output")
@@ -55,7 +56,11 @@ func TestExperimentsCollectOnlySmoke(t *testing.T) {
 // TestNodesAndStorePrintThePlainRun: routing the campaign through a
 // three-node cluster, or into a columnar store, changes where the work
 // runs and what is kept, never what is printed — stdout is the plain
-// run's, byte for byte.
+// run's, byte for byte. The store leg runs through the repeat gate,
+// each run into a fresh directory: its stdout and the sealed store's
+// DirDigest must not depend on scheduling, although the store is
+// written behind the scanner and each L1 is built while its window
+// fills.
 func TestNodesAndStorePrintThePlainRun(t *testing.T) {
 	stdoutOf := func(args ...string) string {
 		var stdout, stderr bytes.Buffer
@@ -68,10 +73,16 @@ func TestNodesAndStorePrintThePlainRun(t *testing.T) {
 	if !strings.Contains(plain, "== Table 2 ==") {
 		t.Fatal("the plain run printed no scan-side section")
 	}
-	for _, args := range [][]string{{"-nodes", "3"}, {"-store", filepath.Join(t.TempDir(), "s.store")}} {
-		if got := stdoutOf(args...); got != plain {
+	stored := chaos.SameEveryRun(t, func() string {
+		dir := filepath.Join(t.TempDir(), "s.store")
+		out := stdoutOf("-store", dir)
+		return store.DirDigest(t, dir) + "\n" + out
+	})
+	stored = stored[strings.IndexByte(stored, '\n')+1:]
+	for args, got := range map[string]string{"-nodes 3": stdoutOf("-nodes", "3"), "-store": stored} {
+		if got != plain {
 			line := 1 + strings.Count(got[:commonPrefix([]byte(got), []byte(plain))], "\n")
-			t.Errorf("experiments %v printed %d bytes, the plain run %d; first difference on line %d", args, len(got), len(plain), line)
+			t.Errorf("experiments %s printed %d bytes, the plain run %d; first difference on line %d", args, len(got), len(plain), line)
 		}
 	}
 }

@@ -42,6 +42,15 @@ type Coordinator struct {
 	views [][]Grant // each node's last-received grant list (its lease belief)
 
 	apis []API // per-node control handles (fault seam over Dial or self)
+
+	// every is the campaign's checkpoint cadence (0: no checkpoints are
+	// delivered). A checkpoint can reach the caller after the slice that
+	// follows its barrier has been dispatched, so dispatch records the
+	// checkpoint section as it begins each slice whose barrier took one:
+	// marked, for the checkpoint whose NextSlice is markedAt.
+	every    int
+	marked   *core.ClusterState
+	markedAt int
 }
 
 // NewCoordinator builds the control plane for a pipeline. The
@@ -110,17 +119,35 @@ func (c *Coordinator) TaskCounts() (claimed, completed, fenced, lost int64) {
 
 // campaignOpts wires the coordinator into campaign options: it becomes
 // the slice dispatcher, and checkpoints grow the cluster section
-// (lease epochs + cluster registry) before reaching the caller.
+// (lease epochs + cluster registry) before reaching the caller. The
+// section is the state at the checkpoint's barrier: the one dispatch
+// marked when it began slice NextSlice, or, while that slice has not
+// been dispatched, the state now.
 func (c *Coordinator) campaignOpts(opts core.CampaignOpts) core.CampaignOpts {
 	opts.Dispatch = c.dispatch
+	c.every, c.marked = 0, nil
 	user := opts.OnCheckpoint
 	if user != nil {
+		c.every = opts.CheckpointEvery
 		opts.OnCheckpoint = func(cp *core.Checkpoint) {
-			cp.Cluster = c.state()
+			if c.marked != nil && c.markedAt == cp.NextSlice {
+				cp.Cluster = c.marked
+			} else {
+				cp.Cluster = c.state()
+			}
 			user(cp)
 		}
 	}
 	return opts
+}
+
+// mark records the checkpoint section at slice s's barrier when that
+// barrier took a checkpoint. dispatch calls it before slice s moves
+// anything.
+func (c *Coordinator) mark(s int) {
+	if c.every > 0 && s%c.every == 0 {
+		c.marked, c.markedAt = c.state(), s
+	}
 }
 
 // state snapshots the coordinator's checkpoint section.

@@ -36,6 +36,7 @@ import (
 // shard order — by the time dispatch returns, each shard has exactly
 // one surviving execution.
 func (c *Coordinator) dispatch(s int, shards []core.ShardRef, run func(core.ShardRef)) error {
+	c.mark(s)
 	plan := c.p.Cfg.Faults
 	from, until := c.p.SliceWindow(s)
 	nodes := c.cfg.Nodes

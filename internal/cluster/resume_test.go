@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"ntpscan/internal/chaos"
 	"ntpscan/internal/cluster"
 	"ntpscan/internal/core"
 	"ntpscan/internal/netsim"
+	"ntpscan/internal/query"
+	"ntpscan/internal/store"
 )
 
 // partitionAt returns the plan mutation used by the resume tests: a
@@ -90,6 +94,122 @@ func TestClusterResumeReproducesOutput(t *testing.T) {
 	claimed, completed, fenced, lost := coord2.TaskCounts()
 	if claimed != completed+fenced+lost {
 		t.Errorf("resumed task conservation violated: %d != %d+%d+%d", claimed, completed, fenced, lost)
+	}
+}
+
+// With a store attached, a clustered campaign delivers each checkpoint
+// once the sink job of its slice is joined — after the next slice has
+// been dispatched — yet the checkpoint is the one taken at its barrier:
+// every checkpoint's cluster section and Obs — and all of it but the
+// store section — equal, byte for byte, those of the same campaign run
+// with no store and no aggregates, whose checkpoints are delivered at
+// the barrier. Checkpoints every 8 slices
+// put one at slice 40, right before node 2's partition opens, and one
+// at 48 inside it; resuming the durable run from the latter reproduces
+// its JSONL tail and its store directory.
+func TestClusterCheckpointsAreTakenAtTheBarrier(t *testing.T) {
+	chaos.NoGoroutineLeaks(t)
+	seed := chaos.Seeds()[0]
+	cfg := cluster.Config{Nodes: 3}
+	type run struct {
+		out  bytes.Buffer
+		cps  []*core.Checkpoint
+		dirs map[int]string // the store directory as each checkpoint pinned it
+	}
+	campaign := func(dir string) *run {
+		r := &run{dirs: map[int]string{}}
+		p := chaos.FaultedPipeline(chaos.Config(seed), seed+1, chaos.DefaultSpec())
+		partitionAt(p)
+		opts := core.CampaignOpts{Out: &r.out, CheckpointEvery: 8}
+		if dir != "" {
+			st, err := store.Open(dir, store.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Store, opts.Aggregates = st, query.NewAggregates()
+		}
+		opts.OnCheckpoint = func(cp *core.Checkpoint) {
+			r.cps = append(r.cps, cp)
+			if dir != "" {
+				at := filepath.Join(t.TempDir(), "store")
+				if err := os.CopyFS(at, os.DirFS(dir)); err != nil {
+					t.Fatal(err)
+				}
+				r.dirs[cp.NextSlice] = at
+			}
+		}
+		if _, _, err := cluster.Run(context.Background(), p, cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	dir := t.TempDir()
+	plain, durable := campaign(""), campaign(dir)
+	if !bytes.Equal(durable.out.Bytes(), plain.out.Bytes()) {
+		t.Fatal("the durable run's JSONL differs from the plain run's")
+	}
+	if len(durable.cps) != len(plain.cps) || len(plain.cps) != core.CollectSlices/8-1 {
+		t.Fatalf("%d durable and %d plain checkpoints, want %d", len(durable.cps), len(plain.cps), core.CollectSlices/8-1)
+	}
+	for i, cp := range durable.cps {
+		want := plain.cps[i]
+		rest := *cp
+		rest.Store = nil // the one section only the durable run has
+		for name, pair := range map[string][2]any{
+			"cluster section":        {cp.Cluster, want.Cluster},
+			"Obs":                    {cp.Obs, want.Obs},
+			"rest of the checkpoint": {&rest, want},
+		} {
+			got, err := json.Marshal(pair[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			exp, err := json.Marshal(pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, exp) {
+				t.Errorf("checkpoint at slice %d: %s differs from the one taken at the barrier", cp.NextSlice, name)
+			}
+		}
+	}
+	if t.Failed() {
+		return
+	}
+
+	var src *core.Checkpoint
+	for _, cp := range durable.cps {
+		if cp.NextSlice == 48 {
+			src = cp
+		}
+	}
+	var frame bytes.Buffer
+	if err := cluster.EncodeCheckpoint(&frame, src); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := cluster.DecodeCheckpoint(bytes.NewReader(frame.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := durable.dirs[cp.NextSlice]
+	st, err := store.Open(at, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rest bytes.Buffer
+	p := chaos.FaultedPipeline(chaos.Config(seed), seed+1, chaos.DefaultSpec())
+	partitionAt(p)
+	_, _, err = cluster.Resume(context.Background(), p, cp, cfg, core.CampaignOpts{
+		Out: &rest, Store: st, Aggregates: query.NewAggregates(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rest.Bytes(), durable.out.Bytes()[cp.OutOffset:]) {
+		t.Errorf("resume at slice %d: JSONL tail diverges", cp.NextSlice)
+	}
+	if store.DirDigest(t, at) != store.DirDigest(t, dir) {
+		t.Errorf("resume at slice %d: store directory diverges", cp.NextSlice)
 	}
 }
 

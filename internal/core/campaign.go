@@ -120,8 +120,16 @@ type CampaignOpts struct {
 	Out io.Writer
 	// CheckpointEvery takes a checkpoint every N slices (0 disables).
 	CheckpointEvery int
-	// OnCheckpoint receives each checkpoint. The pointer and everything
-	// it references belong to the callee.
+	// OnCheckpoint receives each checkpoint, on the campaign goroutine.
+	// A checkpoint is captured at its slice's drain barrier. With a Store
+	// or Aggregates attached, that slice's sink job is then still
+	// running, so the checkpoint is delivered once the job is joined:
+	// before the next slice's flush, with Store the manifest as the job
+	// left it and the store's writer counters in Obs re-read then (see
+	// sliceSink). Without either it is delivered at its barrier. Either
+	// way the Out writer has written exactly OutOffset bytes when it is
+	// called. The pointer and everything it references belong to the
+	// callee.
 	OnCheckpoint func(*Checkpoint)
 	// Telemetry, when non-nil, receives one JSONL line per slice with
 	// the full metrics registry state as it stood at the slice's drain
@@ -348,14 +356,13 @@ func (s *orderedSink) offset() int64 {
 // then its aggregator feed, run on a goroutine of its own while the
 // campaign collects and scans the next slice. At most one job is in
 // flight, and the campaign joins it before the next flush reuses the
-// rows it was handed. A checkpoint slice runs its job inline instead,
-// so a checkpoint sees the store and the registry settled.
+// rows it was handed.
 //
-// The telemetry line of a slice whose job runs late is captured at the
-// slice's barrier and written after the join, with only
-// store.WriterSeries re-read: the append advances those counters and
-// nothing else, so the line is the one a barrier-time append would
-// have produced.
+// The telemetry line and the checkpoint of a slice whose job runs late
+// are captured at the slice's barrier and written or delivered after
+// the join, with only store.WriterSeries re-read: the append advances
+// those counters and nothing else, so the line and the checkpoint are
+// the ones a barrier-time append would have produced.
 type sliceSink struct {
 	st   *store.Store
 	agg  SliceAggregator
@@ -461,9 +468,21 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		}
 	}
 	sk := &sliceSink{st: opts.Store, agg: opts.Aggregates, done: make(chan error, 1)}
-	// settle joins the in-flight sink job and writes the telemetry line
-	// captured at its barrier. Errors keep slice order: a job's error is
-	// recorded before the next slice's flush can fail.
+	// deliver completes a checkpoint captured at a barrier whose sink
+	// job has finished, and hands it over.
+	deliver := func(cp *Checkpoint) {
+		if opts.Store != nil {
+			m := opts.Store.Manifest()
+			cp.Store = &m
+		}
+		opts.OnCheckpoint(cp)
+	}
+	// pending is the checkpoint captured at the in-flight job's barrier.
+	var pending *Checkpoint
+	// settle joins the in-flight sink job, then writes the telemetry line
+	// and delivers the checkpoint captured at its barrier. Errors keep
+	// slice order: a job's error is recorded before the next slice's
+	// flush can fail.
 	settle := func() {
 		if !sk.busy {
 			return
@@ -471,6 +490,11 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		keep(sk.join())
 		if tw != nil {
 			keep(tw.WriteCaptured(store.WriterSeries...))
+		}
+		if pending != nil {
+			p.Obs.Reread(pending.Obs, store.WriterSeries...)
+			deliver(pending)
+			pending = nil
 		}
 	}
 	// capBase marks the capture-log high-water mark, so each slice's
@@ -486,8 +510,6 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		// capScratch; join it before this flush reuses them.
 		settle()
 		keep(sink.flush())
-		checkpoint := opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil &&
-			next < collectSlices && next%opts.CheckpointEvery == 0
 		// Telemetry is captured before the checkpoint counter below
 		// ticks, so full and resumed runs agree on every line.
 		p.met.outBytes.Set(sink.offset())
@@ -503,23 +525,19 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 			}
 			capBase = len(p.capLog)
 			capScratch = rows
-			if checkpoint {
-				keep(sk.run(next-1, rows, sink.batch))
-			} else {
-				sk.start(next-1, rows, sink.batch)
-			}
+			sk.start(next-1, rows, sink.batch)
+		} else if tw != nil {
+			keep(tw.WriteCaptured())
 		}
-		if !sk.busy && tw != nil {
-			keep(tw.WriteCaptured(store.WriterSeries...))
-		}
-		if checkpoint {
+		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil &&
+			next < collectSlices && next%opts.CheckpointEvery == 0 {
 			p.met.checkpoints.Inc()
 			cp := p.checkpoint(next, shards, scanner, sink.offset())
-			if opts.Store != nil {
-				m := opts.Store.Manifest()
-				cp.Store = &m
+			if sk.busy {
+				pending = cp
+			} else {
+				deliver(cp)
 			}
-			opts.OnCheckpoint(cp)
 		}
 	})
 	scanner.Close()

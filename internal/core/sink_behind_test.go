@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -92,9 +93,10 @@ func TestResumeBetweenCompactions(t *testing.T) {
 			lines := strings.SplitAfter(tel, "\n")
 			for _, c := range crashes {
 				n := c.cp.NextSlice
-				// A checkpoint slice's job runs inline, after its telemetry
-				// capture: the line must still show the store counters its
-				// checkpoint holds.
+				// A checkpoint slice's job runs behind the scanner, like any
+				// other's, and both its telemetry line and its checkpoint
+				// re-read the store counters once it is joined: the line
+				// must show the counters the checkpoint holds.
 				var line struct{ Metrics map[string]int64 }
 				if err := json.Unmarshal([]byte(lines[n-1]), &line); err != nil {
 					t.Fatal(err)
@@ -224,5 +226,72 @@ func TestSinkCallsKeepSliceOrder(t *testing.T) {
 	if agg.last != core.CollectSlices || agg.calls != core.CollectSlices+1 {
 		t.Errorf("%d calls ending at slice %d, want %d ending at the tail slice %d",
 			agg.calls, agg.last, core.CollectSlices+1, core.CollectSlices)
+	}
+}
+
+// A checkpoint is taken at its barrier but delivered once that slice's
+// sink job is joined, at the next barrier: OnCheckpoint(N) runs after
+// slice N-1's job has been joined and before slice N's flush (the Out
+// writer has written exactly cp.OutOffset bytes), with cp.Store the
+// store's manifest at that moment and the store's writer counters in
+// cp.Obs those of telemetry line N-1, which is already written. Every
+// checkpoint is delivered, the last one (slice 92) too.
+func TestCheckpointWaitsForItsSliceJob(t *testing.T) {
+	chaos.NoGoroutineLeaks(t)
+	const every = 4
+	p := core.NewPipeline(sinkConfig(53, 2))
+	st, err := store.Open(t.TempDir(), store.Options{Obs: p.Obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := &orderAggregator{last: -1, failAt: -1}
+	var out, tel bytes.Buffer
+	var delivered []int
+	_, err = p.RunCampaign(context.Background(), core.CampaignOpts{
+		Out:             &out,
+		Telemetry:       &tel,
+		Store:           st,
+		Aggregates:      agg,
+		CheckpointEvery: every,
+		OnCheckpoint: func(cp *core.Checkpoint) {
+			n := cp.NextSlice
+			delivered = append(delivered, n)
+			if agg.inflight.Load() != 0 || agg.last != n-1 {
+				t.Errorf("checkpoint %d: delivered before slice %d's job was joined (last call slice %d)", n, n-1, agg.last)
+			}
+			if int64(out.Len()) != cp.OutOffset {
+				t.Errorf("checkpoint %d: %d bytes written, OutOffset %d", n, out.Len(), cp.OutOffset)
+			}
+			if cp.Store == nil || !reflect.DeepEqual(*cp.Store, st.Manifest()) {
+				t.Errorf("checkpoint %d: its store manifest is not the store's", n)
+			}
+			lines := strings.SplitAfter(tel.String(), "\n")
+			if len(lines) < n+1 {
+				t.Errorf("checkpoint %d: telemetry line %d is not written yet", n, n-1)
+				return
+			}
+			var line struct {
+				Slice   int
+				Metrics map[string]int64
+			}
+			if err := json.Unmarshal([]byte(lines[n-1]), &line); err != nil || line.Slice != n-1 {
+				t.Fatalf("telemetry line %d: slice %d, %v", n-1, line.Slice, err)
+			}
+			for _, name := range store.WriterSeries {
+				if got, want := cp.Obs[name][0], line.Metrics[name]; got != want {
+					t.Errorf("checkpoint %d: %s = %d, telemetry line %d shows %d", n, name, got, n-1, want)
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for n := every; n < core.CollectSlices; n += every {
+		want = append(want, n)
+	}
+	if !reflect.DeepEqual(delivered, want) {
+		t.Errorf("checkpoints delivered %v, want %v", delivered, want)
 	}
 }

@@ -37,3 +37,19 @@ func (r *Registry) Restore(s Snapshot) {
 		r.pending[name] = append([]int64(nil), raw...)
 	}
 }
+
+// Reread sets the named metrics in s to their current values: for a
+// snapshot cut while late work still moved those series, which must
+// show them where that work left them. Names s does not hold are
+// skipped.
+func (r *Registry) Reread(s Snapshot, names ...string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, name := range names {
+		if m := r.byName[name]; m != nil {
+			if _, ok := s[name]; ok {
+				s[name] = m.raw()
+			}
+		}
+	}
+}

@@ -13,9 +13,6 @@ func (s *Store) maybeCompact(slice int) error {
 	if k <= 0 || (slice+1)%k != 0 {
 		return nil
 	}
-	// Every held segment is merged now or stays an L0 that a later
-	// compaction reads from its file, so at most K-1 are ever held.
-	defer clear(s.held)
 	var inputs []SegmentInfo
 	for _, si := range s.man.Segments {
 		if si.Level == 0 && si.SliceHi <= slice {
@@ -23,48 +20,53 @@ func (s *Store) maybeCompact(slice int) error {
 		}
 	}
 	if len(inputs) < 2 {
+		// A lone L0 stays live, and stays in the builder, for the next
+		// window's compaction.
 		return nil
 	}
 	return s.compact(inputs)
 }
 
-// compact merges the input segments (already in manifest order) into
-// one L1 segment, column to column: all capture rows in segment order,
-// then all result rows in segment order, re-chunked into fresh blocks.
-// Every input is first read and checked against its manifest entry
-// (size and whole-file CRC), and nothing is written unless all of them
-// pass. The columns merged are the ones the store held since it wrote
-// the segment; a segment it did not write in this process (one
-// recovered by Open, or rewound to by ResetTo) is decoded from the
-// file it was just checked against, which yields the same columns.
+// compact merges the input segments (already in manifest order, every
+// live L0) into one L1 segment, column to column: all capture rows in
+// segment order, then all result rows in segment order, re-chunked
+// into fresh blocks. Every input is first read and checked against its
+// manifest entry (size and whole-file CRC), and nothing is written
+// unless all of them pass. The rows merged are the ones the pending L1
+// builder was fed as each input was written, most of them framed
+// already; without a builder (after Open, ResetTo or a failed append)
+// every input is decoded from the file it was just checked against,
+// which yields the same columns. Either way the builder is spent: a
+// compaction that fails leaves its inputs live and the next one reads
+// them from their files.
 func (s *Store) compact(inputs []SegmentInfo) error {
-	cols := make([][]*colBlock, len(inputs))
-	for i, si := range inputs {
+	sb := s.l1
+	s.l1 = nil
+	var files [][]byte // kept only when there is no builder to use
+	for _, si := range inputs {
 		data, err := s.validSegment(si)
 		if err != nil {
 			return fmt.Errorf("store: compact: %w", err)
 		}
-		if cols[i] = s.held[segKey{si.CRC32, si.Size}]; cols[i] != nil {
-			continue
-		}
-		err = eachBlock(data, func(b *colBlock) error {
-			cols[i] = append(cols[i], b)
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("store: compact: segment %s: %w", si.Name, err)
+		if sb == nil {
+			files = append(files, data)
 		}
 	}
-	sb := newSegBuilder(&s.w, false)
-	for _, kind := range []Kind{KindCaptures, KindResults} {
-		for _, blocks := range cols {
-			for _, b := range blocks {
-				if b.kind == kind {
-					sb.addBlock(b)
-				}
+	if sb == nil {
+		sb = newSegBuilder(&s.w)
+		for i, si := range inputs {
+			err := eachBlock(files[i], func(b *colBlock) error {
+				sb.addBlock(b)
+				return nil
+			})
+			if err != nil {
+				return fmt.Errorf("store: compact: segment %s: %w", si.Name, err)
 			}
 		}
 	}
-	_, err := s.writeSegment(1, sb, inputs)
-	return err
+	if _, err := s.writeSegment(1, sb, inputs); err != nil {
+		return err
+	}
+	s.resetL1()
+	return nil
 }

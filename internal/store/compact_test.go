@@ -17,9 +17,9 @@ import (
 
 // compactRows is slice sl's rows for the compaction tests: fillStore's,
 // with every seventh result's SSH banner holding bytes of invalid UTF-8
-// — the one grab a parse does not give back as it was written, so a
-// held block and the file's decoded one differ there unless the store
-// settles it.
+// — the one grab a parse does not give back as it was written, so the
+// pending L1 builder and the file's decoded blocks differ there unless
+// the store settles it.
 func compactRows(sl, rowsPer int) ([]CaptureRow, []*zgrab.Result) {
 	caps := make([]CaptureRow, rowsPer)
 	results := make([]*zgrab.Result, rowsPer)
@@ -60,72 +60,137 @@ func sealedDigest(t *testing.T, s *Store) string {
 	return DirDigest(t, s.Dir())
 }
 
-// columnsOf is every vector the merge copies or re-codes, with the
-// dictionaries the codes index: what a held block and the block
-// decoded from its file must agree on.
-func columnsOf(b *colBlock) []any {
-	if b.kind == KindCaptures {
-		return []any{b.n, b.slices, b.addrs, b.vans, b.van}
-	}
-	grabs := make([]string, b.n)
-	for i := range grabs {
-		grabs[i] = string(b.grab(i))
-	}
-	return []any{b.n, b.slices, b.addrs, b.mods, b.stats, b.errs, b.mod, b.stat, b.errc,
-		b.ports, b.times, b.attempts, b.seqs, grabs}
-}
-
-// fileColumns decodes a live segment's file to columns.
-func fileColumns(t *testing.T, s *Store, si SegmentInfo) []*colBlock {
+// rowString is a row as the row view reads it, one string per row: the
+// slice and the capture's fields, or the slice and the result's JSON.
+func rowString(t *testing.T, kind Kind, slice int, c CaptureRow, r *zgrab.Result) string {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join(s.Dir(), si.Name))
+	if kind == KindCaptures {
+		return fmt.Sprintf("%d %s %q", slice, c.Addr, c.Vantage)
+	}
+	b, err := r.AppendJSON([]byte(fmt.Sprintf("%d ", slice)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var blocks []*colBlock
-	if err := eachBlock(data, func(b *colBlock) error { blocks = append(blocks, b); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	return blocks
+	return string(b)
 }
 
-// The columns a store holds for compaction are exactly what its files
-// decode to, only live L0 segments have them, and never more than K-1
-// of those: over a 96-slice append with K = 8 the set fills to 7 and
-// empties at every eighth slice. With compaction off nothing is held.
-func TestHeldColumnsAreTheFilesBounded(t *testing.T) {
-	for _, k := range []int{8, -1} {
-		s := openStore(t, t.TempDir(), k)
-		most := 0
-		for sl := 0; sl < 96; sl++ {
-			appendSlices(t, s, sl, sl+1, 20)
-			most = max(most, len(s.held))
-			live := 0
-			for _, si := range s.Manifest().Segments {
-				held, ok := s.held[segKey{si.CRC32, si.Size}]
-				if !ok {
-					continue
-				}
-				live++
-				if si.Level != 0 {
-					t.Fatalf("K=%d, slice %d: %s is held", k, sl, si.Name)
-				}
-				decoded := fileColumns(t, s, si)
-				if len(held) != len(decoded) {
-					t.Fatalf("K=%d: %s holds %d blocks, its file %d", k, si.Name, len(held), len(decoded))
-				}
-				for i := range held {
-					if !reflect.DeepEqual(columnsOf(held[i]), columnsOf(decoded[i])) {
-						t.Fatalf("K=%d: %s block %d: held columns differ from the file's", k, si.Name, i)
-					}
-				}
+// liveL0Rows decodes every live L0 segment's file, in manifest order:
+// its capture rows, then its result rows.
+func liveL0Rows(t *testing.T, s *Store) (caps, results []string) {
+	t.Helper()
+	for _, si := range s.Manifest().Segments {
+		if si.Level != 0 {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(s.Dir(), si.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = DecodeSegment(data,
+			func(c CaptureRow, slice int) error {
+				caps = append(caps, rowString(t, KindCaptures, slice, c, nil))
+				return nil
+			},
+			func(r *zgrab.Result, slice int) error {
+				results = append(results, rowString(t, KindResults, slice, CaptureRow{}, r))
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return caps, results
+}
+
+// builderRows is every row a builder holds, per kind: its framed blocks
+// decoded from their section, then the block it is filling. It also
+// checks the bound the builder keeps: at most one block per kind is
+// still columns, every other one is framed.
+func builderRows(t *testing.T, sb *segBuilder) (caps, results []string) {
+	t.Helper()
+	for _, p := range []*pending{&sb.caps, &sb.res} {
+		var blocks []*colBlock
+		for _, bi := range p.index {
+			raw, err := decodeBlock(p.section[bi.Off:bi.Off+bi.Len], bi)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if live != len(s.held) {
-				t.Fatalf("K=%d, slice %d: %d held, %d of them live", k, sl, len(s.held), live)
+			b, err := decodeColumns(raw, bi.Kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, b)
+		}
+		if p.n >= maxBlockRows {
+			t.Fatalf("the builder holds %d unframed %s rows", p.n, p.kind)
+		}
+		open := p.colBlock
+		open.vans = p.dicts[0].vals
+		open.mods, open.stats, open.errs = p.dicts[0].vals, p.dicts[1].vals, p.dicts[2].vals
+		blocks = append(blocks, &open)
+		for _, b := range blocks {
+			for i := 0; i < b.n; i++ {
+				if b.kind == KindCaptures {
+					caps = append(caps, rowString(t, b.kind, b.slices[i], b.capture(i), nil))
+				} else {
+					results = append(results, rowString(t, b.kind, b.slices[i], CaptureRow{}, b.result(i)))
+				}
 			}
 		}
-		if want := max(k-1, 0); most != want {
-			t.Errorf("K=%d: at most %d segments held, want %d", k, most, want)
+	}
+	return caps, results
+}
+
+// checkPendingL1 holds the store's pending L1 builder to its invariant
+// — exactly the live L0 segments' rows, as their files decode — and
+// returns how many rows it holds.
+func checkPendingL1(t *testing.T, s *Store) int {
+	t.Helper()
+	if s.l1 == nil {
+		t.Fatal("the store has no pending L1 builder")
+	}
+	gotCaps, gotRes := builderRows(t, s.l1)
+	wantCaps, wantRes := liveL0Rows(t, s)
+	if !reflect.DeepEqual(gotCaps, wantCaps) || !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("the pending L1 builder holds %d captures and %d results, not the live L0s' %d and %d",
+			len(gotCaps), len(gotRes), len(wantCaps), len(wantRes))
+	}
+	return len(gotCaps) + len(gotRes)
+}
+
+// The pending L1 builder holds exactly the rows the live L0 segments'
+// files decode to, and frames each L1 block as it fills: over 24 slices
+// of 1 500 captures and 1 500 results with K = 8, a block of each kind
+// is framed before its window closes, and the builder is empty after
+// every eighth slice and after a reopen at a window boundary. With
+// compaction off there is no builder.
+func TestPendingL1IsTheLiveL0s(t *testing.T) {
+	const slices, rowsPer = 24, 1500
+	for _, k := range []int{8, -1} {
+		dir := t.TempDir()
+		s := openStore(t, dir, k)
+		framedEarly := false
+		for sl := 0; sl < slices; sl++ {
+			if sl == 16 {
+				s = openStore(t, dir, k)
+			}
+			appendSlices(t, s, sl, sl+1, rowsPer)
+			if k < 0 {
+				if s.l1 != nil {
+					t.Fatalf("slice %d: a pending L1 builder with compaction off", sl)
+				}
+				continue
+			}
+			n := checkPendingL1(t, s)
+			if (sl+1)%k == 0 && n != 0 {
+				t.Fatalf("slice %d closes a window, yet the builder holds %d rows", sl, n)
+			}
+			if (sl+1)%k != 0 && len(s.l1.caps.index) > 0 && len(s.l1.res.index) > 0 {
+				framedEarly = true
+			}
+		}
+		if k > 0 && !framedEarly {
+			t.Error("no window framed a block of each kind before it closed")
 		}
 	}
 }
@@ -146,8 +211,8 @@ func TestCompactionFallsBackToTheFile(t *testing.T) {
 		dir := t.TempDir()
 		appendSlices(t, openStore(t, dir, k), 0, 6, rowsPer)
 		s := openStore(t, dir, k) // slices 4 and 5 pending
-		if len(s.held) != 0 {
-			t.Fatalf("a reopened store holds %d segments", len(s.held))
+		if s.l1 != nil {
+			t.Fatal("a store reopened mid-window has a pending L1 builder")
 		}
 		appendSlices(t, s, 6, slices, rowsPer)
 		if got := sealedDigest(t, s); got != want {
@@ -158,12 +223,12 @@ func TestCompactionFallsBackToTheFile(t *testing.T) {
 		s := openStore(t, t.TempDir(), k)
 		appendSlices(t, s, 0, 6, rowsPer)
 		cp := s.Manifest()
-		appendSlices(t, s, 6, slices-1, rowsPer) // slices 8-10 held
+		appendSlices(t, s, 6, slices-1, rowsPer) // slices 8-10 in the builder
 		if err := s.ResetTo(cp); err != nil {
 			t.Fatal(err)
 		}
-		if len(s.held) != 0 {
-			t.Fatalf("a rewound store holds %d segments", len(s.held))
+		if s.l1 != nil {
+			t.Fatal("a store rewound mid-window has a pending L1 builder")
 		}
 		appendSlices(t, s, 6, slices, rowsPer)
 		if got := sealedDigest(t, s); got != want {
@@ -172,8 +237,8 @@ func TestCompactionFallsBackToTheFile(t *testing.T) {
 	})
 }
 
-// Compaction merges held columns, but only after the file each came
-// from checks out against the manifest: a byte flipped in a pending L0
+// Compaction merges what the pending L1 builder holds, but only after
+// the file each input came from checks out against the manifest: a byte flipped in a pending L0
 // fails the compacting append with an error naming that segment, before
 // anything is written — no L1, no input retired, MANIFEST.json as it
 // was (the compacting slice is empty, so it writes no L0 either).
@@ -182,8 +247,8 @@ func TestCompactionRefusesAChangedInput(t *testing.T) {
 	s := openStore(t, dir, 4)
 	appendSlices(t, s, 0, 3, 20)
 	victim := segmentName(0, 1, 1)
-	if len(s.held) != 3 {
-		t.Fatalf("%d segments held before the compaction, want 3", len(s.held))
+	if n := checkPendingL1(t, s); n != 3*2*20 {
+		t.Fatalf("the builder holds %d rows before the compaction, want %d", n, 3*2*20)
 	}
 	path := filepath.Join(dir, victim)
 	data, err := os.ReadFile(path)
@@ -211,7 +276,8 @@ func TestCompactionRefusesAChangedInput(t *testing.T) {
 }
 
 // compactInput turns fuzz bytes into k slices of rows. The first byte
-// picks k in 2..8; each following record is
+// picks k in 2..8 (and, through mid, where the fuzz target reopens and
+// rewinds the store); each following record is
 //
 //	op count shape addr len(s) s len(s2) s2 n
 //
@@ -287,53 +353,92 @@ func compactInput(data []byte) (k int, caps [][]CaptureRow, results [][]*zgrab.R
 
 // FuzzCompactIsConcatenation is the compactor's byte-exact oracle. Rows
 // derived from the input are appended as k slices with CompactEvery k,
-// once straight through — the merge works from the columns the store
-// held since each append — and once with the store reopened before the
-// k-th append, which merges the first k-1 segments decoded from their
-// files. Each time the L1 image must be what a fresh segBuilder writes
-// when fed every capture and then every result the L0 segments hold,
-// in segment order, as the row view reads them back.
+// three times: straight through, where the merge takes what the pending
+// L1 builder framed as each segment was appended; with the store
+// reopened before slice m; and with slices m..k-2 appended, then the
+// store rewound with ResetTo to its manifest before slice m and the
+// rest appended again. m is mid (see compactInput). A store reopened
+// or rewound with L0 segments live has no builder, and merges every
+// input decoded from its file. Each time the L1 image must be what a
+// fresh segBuilder writes when fed every capture and then every result
+// the L0 segments hold, in segment order, as the row view reads them
+// back.
 func FuzzCompactIsConcatenation(f *testing.F) {
 	for _, seed := range compactSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, caps, results := compactInput(data)
-		for _, reopen := range []bool{false, true} {
-			dir := t.TempDir()
-			s := openStore(t, dir, k)
-			for sl := 0; sl < k; sl++ {
-				if sl == k-1 {
-					if n := len(s.held); !reopen && n != countNonEmpty(caps, results, k-1) {
-						t.Fatalf("%d segments held before the compaction", n)
-					}
-					if reopen {
-						s = openStore(t, dir, k)
-					}
-				}
+		m := mid(data, k)
+		appendRange := func(s *Store, lo, hi int) {
+			for sl := lo; sl < hi; sl++ {
 				if err := s.AppendSlice(sl, caps[sl], results[sl]); err != nil {
 					t.Fatalf("append slice %d: %v", sl, err)
 				}
 			}
+		}
+		// noBuilderRows checks a store just reopened or rewound before
+		// slice m: a builder only if no L0 is live, and then an empty one.
+		noBuilderRows := func(s *Store, how string) {
+			live := countNonEmpty(caps, results, m)
+			if (s.l1 == nil) != (live > 0) || s.l1 != nil && checkPendingL1(t, s) != 0 {
+				t.Fatalf("%s before slice %d with %d L0s live: pending L1 builder %v", how, m, live, s.l1 != nil)
+			}
+		}
+		for _, leg := range []string{"straight", "Open", "ResetTo"} {
+			dir := t.TempDir()
+			s := openStore(t, dir, k)
+			switch leg {
+			case "straight":
+				appendRange(s, 0, k-1)
+				checkPendingL1(t, s)
+			case "Open":
+				appendRange(s, 0, m)
+				s = openStore(t, dir, k)
+				noBuilderRows(s, leg)
+				appendRange(s, m, k-1)
+			case "ResetTo":
+				appendRange(s, 0, m)
+				man := s.Manifest()
+				appendRange(s, m, k-1)
+				if err := s.ResetTo(man); err != nil {
+					t.Fatal(err)
+				}
+				noBuilderRows(s, leg)
+				appendRange(s, m, k-1)
+			}
+			appendRange(s, k-1, k)
 			man := s.Manifest()
 			if countNonEmpty(caps, results, k) < 2 {
 				if len(man.Segments) > 1 || len(man.Segments) == 1 && man.Segments[0].Level != 0 {
-					t.Fatalf("nothing to merge, yet the manifest is %+v", man.Segments)
+					t.Fatalf("%s: nothing to merge, yet the manifest is %+v", leg, man.Segments)
 				}
 				continue
 			}
 			if len(man.Segments) != 1 || man.Segments[0].Level != 1 {
-				t.Fatalf("after the compaction the manifest is %+v", man.Segments)
+				t.Fatalf("%s: after the compaction the manifest is %+v", leg, man.Segments)
 			}
 			got, err := os.ReadFile(filepath.Join(dir, man.Segments[0].Name))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := concatenation(t, dir, k); !bytes.Equal(got, want) {
-				t.Fatalf("reopen %v: the L1 image (%d bytes) is not the concatenation of its inputs (%d bytes)", reopen, len(got), len(want))
+				t.Fatalf("%s: the L1 image (%d bytes) is not the concatenation of its inputs (%d bytes)", leg, len(got), len(want))
 			}
 		}
 	})
+}
+
+// mid is the slice before which the fuzz target reopens or rewinds the
+// store: the first input byte b picks k as 2+b%7 and mid as (b/7)%k, or
+// k-1 when that is 0.
+func mid(data []byte, k int) int {
+	if len(data) > 0 {
+		if m := int(data[0]/7) % k; m > 0 {
+			return m
+		}
+	}
+	return k - 1
 }
 
 func countNonEmpty(caps [][]CaptureRow, results [][]*zgrab.Result, slices int) int {
@@ -376,7 +481,7 @@ func concatenation(t *testing.T, dir string, k int) []byte {
 			t.Fatal(err)
 		}
 	}
-	sb := newSegBuilder(new(blockWriter), false)
+	sb := newSegBuilder(new(blockWriter))
 	for _, c := range caps {
 		sb.addCapture(c.c, c.slice)
 	}
@@ -393,7 +498,12 @@ func concatenation(t *testing.T, dir string, k int) []byte {
 // smallest merge, merges that cross the 8192-row block boundary within
 // a source block and between them, a module dictionary past the 64 ids
 // a pruning mask has, grabs with invalid UTF-8, empty slices between
-// full ones, and one full slice of k (nothing to merge).
+// full ones, and one full slice of k (nothing to merge). Three more
+// hold what a builder writing one stream of blocks gets wrong: a result
+// block that fills in the window's first slice while captures keep
+// arriving — and fill a block — in later ones; and the Open and ResetTo
+// legs at a mid-window slice, with L0 segments live on both sides of it
+// and blocks filling after it.
 func compactSeeds() map[string][]byte {
 	rec := func(op, count, shape, addr byte, s, s2 string, n byte) []byte {
 		b := []byte{op, count, shape, addr, byte(len(s))}
@@ -416,5 +526,18 @@ func compactSeeds() map[string][]byte {
 		"seed-invalid-utf8":     cat(3, rec(res|0, 4, 6, 1, "ssh", "SSH-2.0-\xff\xfe", 1), rec(2, 3, 0, 2, "\xc3", "", 0), rec(res|3, 2, 17, 3, "coap\xe2\x80", " &\xff", 2)),
 		"seed-empty-slices":     cat(6, rec(0, 9, 0, 1, "DE", "", 0), rec(res|4, 9, 3, 2, "http", "timeout", 5), rec(res|7, 1, 4, 3, "", "", 0)),
 		"seed-nothing-to-merge": cat(0, rec(res|1, 7, 2, 1, "http", "t", 1), rec(1, 7, 0, 1, "US", "", 0)),
+		"seed-results-fill-first": cat(1,
+			rec(res|0, 0xf8, 6, 1, "ssh", "SSH-2.0-\xff", 22), rec(0, 4, 0, 2, "DE", "", 0),
+			rec(1, 0xf8, 0, 3, "US", "", 0), rec(2, 5, 0, 4, "JP", "", 0), rec(res|2, 3, 2, 5, "http", "t", 80)),
+		// k = 5, reopened before slice 2.
+		"seed-reopen-mid-window": cat(7*2+3,
+			rec(0, 0xf1, 0, 1, "DE", "", 0), rec(res|1, 0xf3, 2, 2, "http", "<title>", 80),
+			rec(2, 0xf6, 0, 3, "US", "", 0), rec(res|3, 0xf5, 4, 4, "ssh", "SSH-2.0-x", 22), rec(res|4, 2, 8, 5, "https", "CN=a", 3)),
+		// k = 6, rewound to its manifest before slice 2 once slices 2-4
+		// were appended.
+		"seed-rewind-mid-window": cat(7*2+4,
+			rec(res|0, 0xf2, 6, 1, "ssh", "SSH-2.0-\xfe", 22), rec(1, 0xf1, 0, 2, "DE", "", 0),
+			rec(res|2, 0xf4, 2, 3, "http", "t", 80), rec(3, 0xf6, 0, 4, "US", "", 0),
+			rec(res|4, 0xf1, 16, 5, "coap", "/x", 5), rec(5, 3, 0, 6, "JP", "", 0)),
 	}
 }

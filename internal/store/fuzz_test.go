@@ -16,7 +16,7 @@ import (
 // kinds, multi-slice rows, and every column type — the canonical
 // corpus entry the fuzzer mutates from.
 func seedSegment(tb testing.TB, nCaps, nRes int) []byte {
-	sb := newSegBuilder(new(blockWriter), false)
+	sb := newSegBuilder(new(blockWriter))
 	for i := 0; i < nCaps; i++ {
 		sb.addCapture(testCapture(i), i%3)
 	}
@@ -91,7 +91,7 @@ func FuzzSegmentDecode(f *testing.F) {
 			return
 		}
 		// Accepted inputs must round-trip through the builder.
-		sb := newSegBuilder(new(blockWriter), false)
+		sb := newSegBuilder(new(blockWriter))
 		for _, cr := range caps {
 			sb.addCapture(cr.c, cr.slice)
 		}

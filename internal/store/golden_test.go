@@ -43,7 +43,7 @@ func TestGrabColumnGoldenDigest(t *testing.T) {
 		{Module: "coap", CoAP: &zgrab.CoAPGrab{Code: "4.04", Resources: []string{}}},
 	}
 	w := new(blockWriter)
-	sb := newSegBuilder(w, false)
+	sb := newSegBuilder(w)
 	for i := range grabs {
 		r := &grabs[i]
 		r.IP = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 4: byte(i), 15: byte(i + 1)})

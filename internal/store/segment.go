@@ -124,47 +124,50 @@ func (w *blockWriter) compress(body []byte) []byte {
 // segBuilder accumulates rows as column vectors and emits a complete
 // segment image. Each kind fills a pending block in colBlock's shape:
 // addCapture and addResult turn one row into columns (an append
-// converts each Result once), addBlock appends a decoded block's rows
-// column to column (compaction). Captures come before results —
-// flushing a result block flushes the pending captures first — so
-// capture blocks precede result blocks in every segment, which is the
-// canonical row order the query engine returns.
+// converts each Result once), addBlock appends a decoded or flushed
+// block's rows column to column (compaction, the pending L1 builder).
+// Each kind frames its full blocks into a section of its own as they
+// fill, and finish lays the capture section before the result section,
+// so capture blocks precede result blocks in every segment — the
+// canonical row order the query engine returns — however the two
+// kinds' rows were interleaved on the way in.
 type segBuilder struct {
-	w      *blockWriter
-	buf    []byte
-	blocks []blockIndex
-	mods   dict
-	vans   dict
-	keys   map[uint64]struct{}
+	w    *blockWriter
+	mods dict
+	vans dict
+	keys map[uint64]struct{}
 
 	sliceLo, sliceHi int
 	rows             int64
 
 	caps, res pending
-	// With keep, every flushed block also goes to held: the segment's
-	// rows as the columns decodeColumns reads back from its image, for
-	// the compaction that will merge it.
-	keep  bool
-	held  []*colBlock
+	// l1, when set, is fed every block this builder flushes, as the
+	// columns decodeColumns reads back from its image: the store's
+	// pending L1 builder, which the segment will be compacted into.
+	l1    *segBuilder
 	remap []uint32 // recode's scratch
 }
 
-// pending is a block being filled: its rows in colBlock's vectors, and
-// the block-local dictionaries its codes index, in first-seen order
-// (captures: vantages; results: modules, statuses, errors).
+// pending is one kind's side of a builder: the block being filled, its
+// rows in colBlock's vectors and the block-local dictionaries its codes
+// index, in first-seen order (captures: vantages; results: modules,
+// statuses, errors); and the kind's section, its framed blocks back to
+// back with their index entries, offsets counted from the section's
+// start.
 type pending struct {
 	colBlock
 	dicts [3]dict
+
+	section []byte
+	index   []blockIndex
 }
 
-func newSegBuilder(w *blockWriter, keep bool) *segBuilder {
+func newSegBuilder(w *blockWriter) *segBuilder {
 	sb := &segBuilder{
 		w:       w,
-		buf:     append(make([]byte, 0, 1<<16), segMagic...),
 		keys:    make(map[uint64]struct{}),
 		sliceLo: -1,
 		sliceHi: -1,
-		keep:    keep,
 	}
 	sb.caps.start(KindCaptures)
 	sb.res.start(KindResults)
@@ -315,15 +318,13 @@ func appendDeltas[T int | int64](b []byte, col []T) []byte {
 
 // flush encodes the pending block as a block body — the columns in the
 // order decodeColumns reads them — compresses it, appends the framed
-// block to the image and its entry to the index, and starts the next
-// block.
+// block to its kind's section and its entry to that section's index,
+// feeds the block to the L1 builder if there is one, and starts the
+// next block.
 func (sb *segBuilder) flush(p *pending) {
 	b := &p.colBlock
 	if b.n == 0 {
 		return
-	}
-	if b.kind == KindResults {
-		sb.flush(&sb.caps)
 	}
 	body := binary.AppendUvarint(sb.w.body[:0], uint64(b.n))
 	body = appendDeltas(body, b.slices)
@@ -361,7 +362,7 @@ func (sb *segBuilder) flush(p *pending) {
 	// The index entry: the mask over the segment's module (or vantage)
 	// dictionary, the /48 key range; and the segment's slice range and
 	// key set.
-	bi := blockIndex{Kind: b.kind, Off: int64(len(sb.buf)), RawLen: len(body), Rows: b.n,
+	bi := blockIndex{Kind: b.kind, Off: int64(len(p.section)), RawLen: len(body), Rows: b.n,
 		SliceLo: b.slices[0], SliceHi: b.slices[b.n-1], Min48: ^uint64(0)}
 	for _, s := range p.dicts[0].vals {
 		bi.Mask |= maskBit(segDict.id(s))
@@ -382,27 +383,36 @@ func (sb *segBuilder) flush(p *pending) {
 	var hdr [blockHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[4:], crc32.Checksum(payload, castagnoli))
-	sb.buf = append(append(sb.buf, hdr[:]...), payload...)
+	p.section = append(append(p.section, hdr[:]...), payload...)
 	bi.Len = int64(blockHeaderLen + len(payload))
-	sb.blocks = append(sb.blocks, bi)
+	p.index = append(p.index, bi)
 	sb.rows += int64(b.n)
 
-	if sb.keep {
-		kept := *b
-		kept.settleGrabs()
-		sb.held = append(sb.held, &kept)
+	if sb.l1 != nil {
+		b.settleGrabs()
+		sb.l1.addBlock(b)
 	}
 	p.start(b.kind)
 }
 
-// finish flushes pending rows and appends the footer and trailer,
-// returning the complete file image and its row count.
+// finish flushes pending rows and lays out the file: the magic, the
+// capture section, the result section, the footer and the trailer. It
+// returns the complete image and its row count.
 func (sb *segBuilder) finish() ([]byte, int64) {
 	sb.flush(&sb.caps)
 	sb.flush(&sb.res)
+	blocks := make([]blockIndex, 0, len(sb.caps.index)+len(sb.res.index))
+	base := int64(len(segMagic))
+	for _, p := range []*pending{&sb.caps, &sb.res} {
+		for _, bi := range p.index {
+			bi.Off += base
+			blocks = append(blocks, bi)
+		}
+		base += int64(len(p.section))
+	}
 	ftr := []byte{segVersion}
-	ftr = binary.AppendUvarint(ftr, uint64(len(sb.blocks)))
-	for _, bi := range sb.blocks {
+	ftr = binary.AppendUvarint(ftr, uint64(len(blocks)))
+	for _, bi := range blocks {
 		ftr = append(ftr, byte(bi.Kind))
 		ftr = binary.AppendUvarint(ftr, uint64(bi.Off))
 		ftr = binary.AppendUvarint(ftr, uint64(bi.Len))
@@ -422,7 +432,10 @@ func (sb *segBuilder) finish() ([]byte, int64) {
 	}
 	ftr = appendBloom(ftr, bl)
 
-	out := append(sb.buf, ftr...)
+	out := make([]byte, 0, base+int64(len(ftr))+trailerLen)
+	out = append(out, segMagic...)
+	out = append(append(out, sb.caps.section...), sb.res.section...)
+	out = append(out, ftr...)
 	var tr [trailerLen]byte
 	binary.LittleEndian.PutUint32(tr[0:], uint32(len(ftr)))
 	binary.LittleEndian.PutUint32(tr[4:], crc32.Checksum(ftr, castagnoli))
@@ -572,8 +585,8 @@ func decodeBlock(blockBytes []byte, bi blockIndex) ([]byte, error) {
 }
 
 // eachBlock parses a whole segment image and hands fn its blocks in
-// file order, each decoded to columns: how compaction reads a segment
-// it holds no columns of, and what DecodeSegment walks.
+// file order, each decoded to columns: how compaction reads its inputs
+// when no pending L1 builder holds them, and what DecodeSegment walks.
 func eachBlock(data []byte, fn func(*colBlock) error) error {
 	seg, err := parseSegmentBytes(data)
 	if err != nil {

@@ -49,14 +49,17 @@
 // Every K-th slice the pending L0 segments are merged into one L1
 // segment column to column (compact.go): no row is rebuilt as a struct
 // and no grab is parsed. A segment builder accumulates rows as column
-// vectors, so an append turns each Result into columns once, and the
-// store keeps those columns for every L0 segment it wrote until the
-// compaction that merges it — after checking the segment's file
-// against the manifest's size and whole-file CRC. A segment written
-// before the store was opened, or rewound to by ResetTo, is decoded
-// from that file instead; the columns, and so the L1 bytes, are the
-// same. Every block the store writes goes through its one flate
-// writer.
+// vectors, so an append turns each Result into columns once; and the
+// store keeps one pending L1 builder, fed each L0's blocks as the
+// append builds them. The builder frames every L1 block that fills —
+// captures into one section, results into another, so captures still
+// precede results in the file — and the K-th slice frames only the
+// tails, the footer and the file, after checking every input's file
+// against the manifest's size and whole-file CRC. An L0 written before
+// the store was opened, or rewound to by ResetTo, was never fed to a
+// builder: that window's compaction decodes every input from the file
+// it just checked instead, and the L1 bytes are the same. Every block
+// the store writes goes through its one flate writer.
 package store
 
 import (
@@ -189,13 +192,13 @@ type Store struct {
 	// w is the block encoder every segment this store builds borrows,
 	// under mu: one flate writer per store, not one per segment.
 	w blockWriter
-	// held, under mu, maps each L0 segment this store wrote and has not
-	// compacted yet to its columns — exactly what decodeColumns reads
-	// back from its blocks — keyed by content identity like the caches,
-	// so compaction merges them without reading the blocks back. At most
-	// K-1 segments are held, none when compaction is off; ResetTo
-	// forgets them all.
-	held map[segKey][]*colBlock
+	// l1, under mu, is the pending L1 builder: it holds exactly the rows
+	// of the live L0 segments, in manifest order, with every full block
+	// already framed. It is nil when compaction is off, and when a live
+	// L0 was never fed to it (one recovered by Open, rewound to by
+	// ResetTo, or written by an append that failed): the next compaction
+	// then decodes its inputs from their files.
+	l1 *segBuilder
 }
 
 // Open opens (creating if needed) the store directory and recovers it
@@ -280,7 +283,18 @@ func (s *Store) recover() error {
 		}
 	}
 	s.nextSlice = s.man.maxSliceHi() + 1
+	s.resetL1()
 	return s.persistManifest()
+}
+
+// resetL1 starts the pending L1 builder over: empty when no L0 segment
+// is live, absent when one is (it was not fed to this builder) or when
+// compaction is off.
+func (s *Store) resetL1() {
+	s.l1 = nil
+	if s.opt.compactEvery() > 0 && !slices.ContainsFunc(s.man.Segments, func(si SegmentInfo) bool { return si.Level == 0 }) {
+		s.l1 = newSegBuilder(&s.w)
+	}
 }
 
 // maxSliceHi is the highest slice any live segment covers (-1 when
@@ -392,29 +406,32 @@ func (s *Store) appendSlice(slice int, caps []CaptureRow, results []*zgrab.Resul
 	}
 	s.nextSlice = slice + 1
 	if len(caps) > 0 || len(results) > 0 {
-		sb := newSegBuilder(&s.w, s.opt.compactEvery() > 0)
-		sb.caps.grow(len(caps))
-		sb.res.grow(len(results))
-		for _, c := range caps {
-			sb.addCapture(c, slice)
-		}
-		for _, r := range results {
-			if err := sb.addResult(r, slice); err != nil {
-				return err
-			}
-		}
-		si, err := s.writeSegment(0, sb, nil)
-		if err != nil {
+		if err := s.appendL0(slice, caps, results); err != nil {
+			// The L1 builder may hold rows no live segment does.
+			s.l1 = nil
 			return err
-		}
-		if sb.keep {
-			if s.held == nil {
-				s.held = make(map[segKey][]*colBlock)
-			}
-			s.held[segKey{si.CRC32, si.Size}] = sb.held
 		}
 	}
 	return s.maybeCompact(slice)
+}
+
+// appendL0 writes the slice's rows as one L0 segment, feeding each of
+// its blocks to the pending L1 builder as it is framed.
+func (s *Store) appendL0(slice int, caps []CaptureRow, results []*zgrab.Result) error {
+	sb := newSegBuilder(&s.w)
+	sb.l1 = s.l1
+	sb.caps.grow(len(caps))
+	sb.res.grow(len(results))
+	for _, c := range caps {
+		sb.addCapture(c, slice)
+	}
+	for _, r := range results {
+		if err := sb.addResult(r, slice); err != nil {
+			return err
+		}
+	}
+	_, err := s.writeSegment(0, sb, nil)
+	return err
 }
 
 // AppendResults appends a batch of scan results outside a sliced
@@ -475,7 +492,7 @@ func (s *Store) writeSegment(level int, sb *segBuilder, retire []SegmentInfo) (S
 			s.met.SegmentsCompacted.Add(int64(len(retire)))
 		}
 		s.met.SegmentsWritten.Inc()
-		s.met.BlocksWritten.Add(int64(len(sb.blocks)))
+		s.met.BlocksWritten.Add(int64(len(sb.caps.index) + len(sb.res.index)))
 		s.met.BytesWritten.Add(int64(len(data)))
 	}
 	return si, s.persistManifest()
@@ -546,7 +563,7 @@ func (s *Store) ResetTo(m Manifest) error {
 		s.man.Version = 1
 	}
 	s.nextSlice = s.man.maxSliceHi() + 1
-	clear(s.held)
+	s.resetL1()
 	return s.persistManifest()
 }
 
