@@ -150,8 +150,8 @@ func compilePrefix(p netip.Prefix) prefixMatch {
 	return m
 }
 
-// liveSegment is a manifest entry with its parsed footer: what Scan
-// snapshots.
+// liveSegment is a manifest entry with its parsed footer: an entry of
+// a view.
 type liveSegment struct {
 	SegmentInfo
 	seg *segment
@@ -166,10 +166,10 @@ var identity = func() (sel [maxBlockRows]int32) {
 }()
 
 // Scan opens a streaming iterator over all live rows matching pred.
-// The iterator works against a point-in-time snapshot of the manifest
-// and the footers the store holds for it,
-// so it is safe to run while AppendSlice and compaction mutate the
-// store: slices appended after Scan are not seen, and segments a
+// The iterator works against the view the store last published — a
+// manifest and its footers, never mutated — and takes no lock the
+// writer holds, so it neither waits for nor delays AppendSlice and
+// compaction: slices appended after Scan are not seen, and segments a
 // compaction retires mid-scan remain readable through their retired
 // names for as long as the iterator is open — Seal and ResetTo, which
 // delete files, wait for every open iterator to Close. Close it (or run
@@ -177,14 +177,10 @@ var identity = func() (sel [maxBlockRows]int32) {
 // another goroutine may be doing either — Scan again from the goroutine
 // that holds one open.
 func (s *Store) Scan(pred Pred) *Iter {
+	// Pinned before the view is loaded: Seal and ResetTo cannot delete a
+	// file the view lists until Close.
 	s.pins.RLock()
-	s.mu.RLock()
-	segs := make([]liveSegment, len(s.man.Segments))
-	for i, si := range s.man.Segments {
-		segs[i] = liveSegment{si, s.feet[si.Name]}
-	}
-	s.mu.RUnlock()
-	it := &Iter{s: s, pred: pred, segs: segs}
+	it := &Iter{s: s, pred: pred, segs: s.current.Load().segs}
 	if pred.Prefix.IsValid() {
 		it.hasPrefix = true
 		it.keyLo, it.keyHi = prefixKeyRange(pred.Prefix)
@@ -215,7 +211,7 @@ func wantMask(wanted, dict []string) uint64 {
 	return mask
 }
 
-// nextSegment advances to the next segment of the snapshot and
+// nextSegment advances to the next segment of the view and
 // computes its per-segment predicate state from its footer.
 func (it *Iter) nextSegment() bool {
 	it.closeFile()
@@ -461,7 +457,7 @@ func (it *Iter) closeFile() {
 }
 
 // Close releases the iterator — its file, its pin on the files of its
-// snapshot — and folds its stats into the store's metric families.
+// view — and folds its stats into the store's metric families.
 // Idempotent.
 func (it *Iter) Close() error {
 	if it.closed {

@@ -27,6 +27,21 @@ func (s *Store) openSegmentFile(name string) (*os.File, error) {
 	return nil, fmt.Errorf("store: %w", err)
 }
 
+// readSegmentFile reads a live segment's whole file through
+// openSegmentFile.
+func (s *Store) readSegmentFile(si SegmentInfo) ([]byte, error) {
+	f, err := s.openSegmentFile(si.Name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	data := make([]byte, si.Size)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return data, nil
+}
+
 // readBlockRaw reads and decodes one block's body from an open segment
 // file.
 func readBlockRaw(f *os.File, bi blockIndex) ([]byte, error) {

@@ -2,8 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"ntpscan/internal/zgrab"
 )
@@ -11,22 +9,23 @@ import (
 // ReplaySlices feeds the live rows back to fn the way AppendSlice
 // received them, which is how a resumed campaign rebuilds the view it
 // maintains beside the store (core.SliceAggregator) after ResetTo. It
-// walks the manifest in order and decodes each segment file whole with
-// DecodeSegment; fn gets runs of rows of one slice — a one-slice L0
-// segment's captures and results together, a compacted segment's
-// slices first as capture-only and then as result-only calls — so a
-// slice may arrive in more than one call, and every row arrives exactly
-// once. caps and results are reused between calls: fn copies what it
-// keeps. An error from fn stops the replay.
+// walks the current view in manifest order and decodes each segment
+// file whole with DecodeSegment; fn gets runs of rows of one slice — a
+// one-slice L0 segment's captures and results together, a compacted
+// segment's slices first as capture-only and then as result-only calls
+// — so a slice may arrive in more than one call, and every row arrives
+// exactly once. caps and results are reused between calls: fn copies
+// what it keeps. An error from fn stops the replay.
 //
 // The replay is not a query: it goes around the block cache and moves
 // no store_* counter, so a resumed run's memory and telemetry are the
-// uninterrupted run's. It holds the
-// store's read lock throughout; fn must not append to, reset or seal
-// the store.
+// uninterrupted run's. Like an open iterator it pins the view's files
+// throughout, reopening a segment a compaction retires meanwhile
+// through its .retired name, and takes no lock the writer holds; fn
+// must not reset or seal the store.
 func (s *Store) ReplaySlices(fn func(slice int, caps []CaptureRow, results []*zgrab.Result) error) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.pins.RLock()
+	defer s.pins.RUnlock()
 	var (
 		slice   int
 		caps    []CaptureRow
@@ -40,8 +39,9 @@ func (s *Store) ReplaySlices(fn func(slice int, caps []CaptureRow, results []*zg
 		slice, caps, results = to, caps[:0], results[:0]
 		return err
 	}
-	for _, si := range s.man.Segments {
-		data, err := os.ReadFile(filepath.Join(s.dir, si.Name))
+	for _, ls := range s.current.Load().segs {
+		si := ls.SegmentInfo
+		data, err := s.readSegmentFile(si)
 		if err == nil {
 			err = DecodeSegment(data, func(c CaptureRow, sl int) (err error) {
 				if sl != slice {

@@ -101,7 +101,8 @@ type blockIndex struct {
 
 // blockWriter is what encoding a block reuses: the flate writer (about
 // 0.6 MB to build), its output buffer and the body scratch. A Store
-// owns one, and every segment it builds borrows it under Store.mu.
+// owns one, and every segment it builds borrows it under the store's
+// writer mutex.
 type blockWriter struct {
 	fl   *flate.Writer
 	out  bytes.Buffer

@@ -72,6 +72,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ntpscan/internal/obs"
 	"ntpscan/internal/zgrab"
@@ -153,9 +154,12 @@ func (m Manifest) clone() Manifest {
 }
 
 // Store is an open store directory. One writer (the campaign's drain
-// barrier) and any number of concurrent readers are safe: mutating
-// methods hold the write lock while readers snapshot the manifest under
-// the read lock, and a running iterator works against its snapshot —
+// barrier) and any number of concurrent readers are safe, and readers
+// never wait for the writer: the writer encodes, writes and compacts
+// under a mutex of its own and, once MANIFEST.json has landed,
+// publishes an immutable view of the segment list; Scan, Manifest,
+// Rows, ExportJSONL and ReplaySlices load the latest view and take no
+// lock the writer holds. A running iterator works against its view —
 // segments a compaction retires mid-query are reopened through their
 // .retired name (see openSegmentFile). Concurrent writers are not
 // supported: appends are strictly ordered, like the collection slices
@@ -165,40 +169,53 @@ type Store struct {
 	opt Options
 	met *Metrics
 
-	// mu guards man, feet and nextSlice. Writers (AppendSlice,
-	// compaction, ResetTo, Seal) take it exclusively; Scan/Manifest/Rows
-	// take the read side just long enough to snapshot the segment list.
-	mu  sync.RWMutex
+	// mu is the writer's: AppendSlice, AppendResults, compaction,
+	// ResetTo and Seal hold it, and it guards man, feet, nextSlice, w
+	// and l1. No read path takes it.
+	mu  sync.Mutex
 	man Manifest
 	// feet maps the name of every segment man lists to its parsed footer:
 	// parsed from the image writeSegment wrote, or from the file
 	// restoreSegment checked, and dropped when the segment leaves the
-	// manifest. Nothing mutates a footer, so snapshots share them.
+	// manifest. Nothing mutates a footer, so views share them.
 	feet map[string]*segment
 	// nextSlice is the lowest slice id AppendSlice accepts — appends
 	// are strictly ordered, like the collection slices that feed them.
 	nextSlice int
 
-	// pins is read-held by every open iterator from Scan to Close, and
-	// write-held by Seal and ResetTo, the two calls that delete files: a
-	// retired compaction input goes only when no snapshot can still list
-	// it. Taken before mu.
+	// current is the view readers load: man and its footers as of the
+	// last MANIFEST.json that landed (see persistManifest).
+	current atomic.Pointer[view]
+
+	// pins is read-held by every open iterator from Scan to Close and by
+	// ReplaySlices, and write-held by Seal and ResetTo, the two calls
+	// that delete files: a retired compaction input goes only when no
+	// view a reader holds can still list it. A reader takes it before it
+	// loads the view; Seal and ResetTo take it before mu.
 	pins sync.RWMutex
 
 	// blocks is the read path's decoded-block cache (see cache.go); nil
 	// when disabled.
 	blocks *blockCache
 
-	// w is the block encoder every segment this store builds borrows,
-	// under mu: one flate writer per store, not one per segment.
+	// w is the block encoder every segment this store builds borrows:
+	// one flate writer per store, not one per segment.
 	w blockWriter
-	// l1, under mu, is the pending L1 builder: it holds exactly the rows
-	// of the live L0 segments, in manifest order, with every full block
-	// already framed. It is nil when compaction is off, and when a live
-	// L0 was never fed to it (one recovered by Open, rewound to by
-	// ResetTo, or written by an append that failed): the next compaction
-	// then decodes its inputs from their files.
+	// l1 is the pending L1 builder: it holds exactly the rows of the
+	// live L0 segments, in manifest order, with every full block already
+	// framed. It is nil when compaction is off, and when a live L0 was
+	// never fed to it (one recovered by Open, rewound to by ResetTo, or
+	// written by an append that failed): the next compaction then
+	// decodes its inputs from their files.
 	l1 *segBuilder
+}
+
+// view is one published state of the store, never mutated once
+// published: a manifest MANIFEST.json holds, and each segment it lists
+// with its footer, in manifest order.
+type view struct {
+	man  Manifest
+	segs []liveSegment
 }
 
 // Open opens (creating if needed) the store directory and recovers it
@@ -380,9 +397,7 @@ func footer(si SegmentInfo, data []byte) (*segment, error) {
 // Manifest returns a deep copy of the live segment list, suitable for
 // embedding in a campaign checkpoint.
 func (s *Store) Manifest() Manifest {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.man.clone()
+	return s.current.Load().man.clone()
 }
 
 // Dir returns the store directory.
@@ -399,7 +414,7 @@ func (s *Store) AppendSlice(slice int, caps []CaptureRow, results []*zgrab.Resul
 	return s.appendSlice(slice, caps, results)
 }
 
-// appendSlice is AppendSlice with s.mu held.
+// appendSlice is AppendSlice with the writer's mutex held.
 func (s *Store) appendSlice(slice int, caps []CaptureRow, results []*zgrab.Result) error {
 	if slice < s.nextSlice {
 		return fmt.Errorf("store: slice %d appended out of order (next %d)", slice, s.nextSlice)
@@ -510,13 +525,23 @@ func (s *Store) writeFileAtomic(name string, data []byte) error {
 	return nil
 }
 
-// persistManifest rewrites MANIFEST.json atomically.
+// persistManifest rewrites MANIFEST.json atomically, then publishes
+// man and its footers as the view readers load — in that order, so no
+// reader is handed a segment list the directory does not hold.
 func (s *Store) persistManifest() error {
 	data, err := json.Marshal(s.man)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return s.writeFileAtomic(manifestName, append(data, '\n'))
+	if err := s.writeFileAtomic(manifestName, append(data, '\n')); err != nil {
+		return err
+	}
+	v := &view{man: s.man.clone(), segs: make([]liveSegment, len(s.man.Segments))}
+	for i, si := range v.man.Segments {
+		v.segs[i] = liveSegment{si, s.feet[si.Name]}
+	}
+	s.current.Store(v)
+	return nil
 }
 
 // ResetTo rewinds the directory to a checkpointed manifest: every
@@ -590,13 +615,11 @@ func (s *Store) Seal() error {
 }
 
 // Rows returns the total live row count by kind, summed from the
-// footers the store holds: no file is read, and the error is always
-// nil.
+// footers of the current view: no file is read, and the error is
+// always nil.
 func (s *Store) Rows() (captures, results int64, err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, seg := range s.feet {
-		for _, bi := range seg.blocks {
+	for _, ls := range s.current.Load().segs {
+		for _, bi := range ls.seg.blocks {
 			switch bi.Kind {
 			case KindCaptures:
 				captures += int64(bi.Rows)
