@@ -41,12 +41,13 @@ race:
 # and across cluster node counts, plus the link_* conservation laws. A
 # final leg re-runs the end-to-end campaign suites for one seed against
 # a 10x world through the arenas — same faults, same oracles. The store
-# leg repeats the reader/writer race tests ten times: scans, replays and
-# manifest reads against a writer that appends, compacts and seals.
+# leg repeats the reader/writer race tests ten times: scans, replays,
+# manifest reads and read-only opens of the directory against a writer
+# that appends, compacts and seals.
 chaos:
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race -skip 'Congested' ./internal/chaos/ ./internal/netsim/ ./internal/netsim/link/ ./internal/zgrab/ ./internal/core/ ./internal/obs/ ./internal/store/
-	$(GO) test -race -count=10 -run 'WhileAppend|WhileWriting|AcrossCompaction|WaitsForOpen|PublishedView' ./internal/store/
+	$(GO) test -race -count=10 -run 'WhileAppend|WhileWriting|AcrossCompaction|WaitsForOpen|PublishedView|BesideAWriter' ./internal/store/
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race ./internal/cluster/ ./internal/cluster/transport/ ./cmd/clusterd/
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \

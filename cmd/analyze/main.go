@@ -10,6 +10,10 @@
 // An input path may be a JSONL file (decoded as a stream — no slurp)
 // or a columnar store directory (read through the query engine, which
 // skips non-result blocks outright; the pruning stats land on stderr).
+// A store directory is opened read-only (store.OpenReadOnly), so
+// analyze changes nothing in it and may read one a campaign is still
+// filling; a MANIFEST.json that does not parse, or a segment that fails
+// its size, checksum or footer, stops it with exit 1 naming each.
 // Without -hitlist the hitlist columns are those of an empty dataset.
 // The seed regenerates the world's registries (AS, geolocation, OUI)
 // so addresses resolve; it must match the seed the scans ran under.
@@ -110,7 +114,7 @@ func loadDataset(name, path string, stderr io.Writer) (*analysis.Dataset, error)
 // The result-kind predicate pushes down to the footer index, so capture
 // blocks are skipped without being read; the scan stats quantify it.
 func addStoreResults(d *analysis.Dataset, dir string, stderr io.Writer) error {
-	st, err := store.Open(dir, store.Options{})
+	st, err := store.OpenReadOnly(dir, store.Options{})
 	if err != nil {
 		return err
 	}

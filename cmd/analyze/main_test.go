@@ -169,49 +169,107 @@ func TestAnalyzeRejectsBadArguments(t *testing.T) {
 	}
 }
 
-// A store segment whose footer rots after it was sealed fails at
-// store.Open, which parses every live segment's footer. analyze must
-// stop with the store's error and render no tables. (The manifest's
-// whole-file checksum is recomputed over the rotten bytes: store.Open
-// is the writer's crash recovery and would otherwise drop the segment
-// as a torn write.)
+// analyze only reads a store directory: it opens it with
+// store.OpenReadOnly, which checks every manifest entry and repairs
+// nothing. Damage — a footer that rots after sealing (its whole-file
+// checksum recomputed, so no crash explains it), one flipped body byte
+// in a middle segment, a garbled MANIFEST.json, a directory that is not
+// there — stops analyze with exit 1, no tables, and an error naming the
+// segment or file, and leaves the directory byte for byte as it was
+// (and a missing one missing). A listed segment a crash left only under
+// its .retired name is read there: analyze prints the intact store's
+// tables, and renames nothing back.
 func TestAnalyzeReportsCorruptStore(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{})
+	intact := t.TempDir()
+	st, err := store.Open(intact, store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tinyPipeline().RunCampaign(context.Background(), core.CampaignOpts{Store: st}); err != nil {
 		t.Fatal(err)
 	}
-	if code, _, stderr := analyze("-ntp", dir); code != 0 {
+	code, want, stderr := analyze("-ntp", intact)
+	if code != 0 {
 		t.Fatalf("intact store: exit %d (stderr: %s)", code, stderr)
 	}
-
 	man := st.Manifest()
-	seg := &man.Segments[len(man.Segments)-1]
-	path := filepath.Join(dir, seg.Name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-6] ^= 0xff // inside the footer checksum
-	seg.CRC32 = crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-	blob, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	last, middle := man.Segments[len(man.Segments)-1].Name, man.Segments[len(man.Segments)/2].Name
 
-	code, stdout, stderr := analyze("-ntp", dir)
-	if code != 1 || stdout != "" || !strings.Contains(stderr, "store: segment "+seg.Name) {
-		t.Fatalf("rotten segment %s: exit %d, stdout %d bytes, stderr %q; want exit 1 with the store's error and no tables",
-			seg.Name, code, len(stdout), stderr)
+	// edit rewrites one file of dir.
+	edit := func(t *testing.T, dir, name string, fn func([]byte) []byte) {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, fn(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string) (path string)
+		want   string // in stderr; "" means analyze must succeed
+	}{
+		{"footer-rot", func(t *testing.T, dir string) string {
+			m := st.Manifest()
+			seg := &m.Segments[len(m.Segments)-1]
+			edit(t, dir, seg.Name, func(b []byte) []byte {
+				b[len(b)-6] ^= 0xff // inside the footer checksum
+				seg.CRC32 = crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
+				return b
+			})
+			blob, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(t, dir, "MANIFEST.json", func([]byte) []byte { return blob })
+			return dir
+		}, "store: segment " + last},
+		{"body-byte", func(t *testing.T, dir string) string {
+			edit(t, dir, middle, func(b []byte) []byte { b[20] ^= 0xff; return b }) // inside the first block
+			return dir
+		}, "store: segment " + middle},
+		{"garbled-manifest", func(t *testing.T, dir string) string {
+			edit(t, dir, "MANIFEST.json", func(b []byte) []byte { b[0] = '#'; return b })
+			return dir
+		}, "MANIFEST.json"},
+		{"missing-dir", func(t *testing.T, dir string) string {
+			return filepath.Join(dir, "nodir")
+		}, "nodir"},
+		{"retired-only", func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, middle)
+			if err := os.Rename(path, path+".retired"); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(intact)); err != nil {
+				t.Fatal(err)
+			}
+			path := tc.damage(t, dir)
+			var digest string
+			if path == dir {
+				digest = store.DirDigest(t, dir)
+			}
+			code, stdout, stderr := analyze("-ntp", path)
+			switch {
+			case tc.want == "" && (code != 0 || stdout != want):
+				t.Errorf("exit %d, stdout %d bytes (intact: %d), stderr %q; want the intact store's tables", code, len(stdout), len(want), stderr)
+			case tc.want != "" && (code != 1 || stdout != "" || !strings.Contains(stderr, tc.want)):
+				t.Errorf("exit %d, stdout %d bytes, stderr %q; want exit 1, no tables, an error naming %s", code, len(stdout), stderr, tc.want)
+			}
+			if path != dir {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("analyze created %s (%v)", path, err)
+				}
+			} else if store.DirDigest(t, dir) != digest {
+				t.Error("analyze changed the store directory")
+			}
+		})
 	}
 }
 

@@ -9,12 +9,16 @@
 //	queryd -store DIR [-listen :8080] [-cache-bytes N] [-max-rows N]
 //	queryd -demo-seed 42 [-store DIR] [-workers N] [...]
 //
-// Offline mode (-store) opens an existing store directory — typically
-// one a campaign sealed — recomputes the aggregates with one full
-// scan, and serves; a segment whose footer does not parse stops it
-// before it listens (exit 1, naming the segment). Demo mode (-demo-seed) runs a simulated campaign
-// into the store while serving: the aggregate tables advance at every
-// slice drain and queries run against the growing store, which is the
+// Offline mode (-store) opens an existing store directory read-only
+// (store.OpenReadOnly) — typically one a campaign sealed, or one a
+// campaign is still filling — recomputes the aggregates with one full
+// scan, and serves. It changes nothing in the directory: a missing
+// directory, a MANIFEST.json that does not parse, or a segment that
+// fails its size, checksum or footer stops it before it listens (exit
+// 1, naming each). Demo mode (-demo-seed) opens the store as its writer
+// (store.Open, creating it if needed) and runs a simulated campaign
+// into it while serving: the aggregate tables advance at every slice
+// drain and queries run against the growing store, which is the
 // daemon's live-serving configuration.
 //
 // Endpoints:
@@ -85,7 +89,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("queryd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		dir        = fs.String("store", "", "store directory (existing unless -demo-seed)")
+		dir        = fs.String("store", "", "store directory: read-only and existing, unless -demo-seed writes it")
 		listen     = fs.String("listen", ":8080", "HTTP listen address")
 		cacheBytes = fs.Int64("cache-bytes", 0, "decoded-block cache budget (0 = default, <0 disables)")
 		maxRows    = fs.Int("max-rows", 0, "/v1/query row cap (0 = built-in default)")
@@ -114,7 +118,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	reg := obs.NewRegistry()
-	st, err := store.Open(*dir, store.Options{Obs: reg, BlockCacheBytes: *cacheBytes})
+	openStore := store.OpenReadOnly
+	if *demoSeed != 0 {
+		openStore = store.Open
+	}
+	st, err := openStore(*dir, store.Options{Obs: reg, BlockCacheBytes: *cacheBytes})
 	if err != nil {
 		fmt.Fprintln(stderr, "queryd:", err)
 		return 1

@@ -179,19 +179,53 @@ func TestQuerydArgErrors(t *testing.T) {
 			t.Fatalf("queryd %v: exit %d, want 2", args, code)
 		}
 	}
-	if code := run(context.Background(), []string{"-store", t.TempDir(), "-listen", "256.256.256.256:0"}, &out, &errb); code != 1 {
+	dir := t.TempDir()
+	seedStore(t, dir)
+	if code := run(context.Background(), []string{"-store", dir, "-listen", "256.256.256.256:0"}, &out, &errb); code != 1 {
 		t.Fatalf("bad listen addr: exit %d", code)
 	}
 }
 
-// A sealed segment whose footer rotted (its manifest checksum
-// recomputed over the rotten bytes, so it is no torn write) stops the
-// daemon at store.Open: exit 1 naming the segment, before it listens.
+// tables fetches the five /v1/tables/* bodies of a serving daemon,
+// each without its stats envelope (which carries a wall-clock time).
+func tables(t *testing.T, st status) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	for _, name := range []string{"modules", "table2", "vantages", "prefixes", "slices"} {
+		resp, err := http.Get("http://" + st.Listening + "/v1/tables/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct {
+			Data json.RawMessage `json:"data"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d %v", name, resp.StatusCode, err)
+		}
+		out[name] = string(env.Data)
+	}
+	return out
+}
+
+// Offline mode only reads the store: queryd -store opens it with
+// store.OpenReadOnly, which checks every manifest entry and repairs
+// nothing. Damage — a footer that rots after sealing (its whole-file
+// checksum recomputed, so no crash explains it), one flipped body byte
+// in the middle segment, a garbled MANIFEST.json, a directory that is
+// not there — stops the daemon before it listens: exit 1, no status
+// line, an error naming the segment or file, and the directory byte for
+// byte as it was (a missing one still missing). A listed segment a
+// crash left only under its .retired name is read there: the daemon
+// serves the intact store's tables and renames nothing back.
 func TestQuerydRefusesACorruptFooter(t *testing.T) {
-	dir := t.TempDir()
-	seedStore(t, dir)
-	mpath := filepath.Join(dir, "MANIFEST.json")
-	blob, err := os.ReadFile(mpath)
+	intact := t.TempDir()
+	seedStore(t, intact)
+	st, shutdown := startQueryd(t, []string{"-store", intact, "-listen", "127.0.0.1:0"})
+	want := tables(t, st)
+	shutdown()
+	blob, err := os.ReadFile(filepath.Join(intact, "MANIFEST.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,28 +233,96 @@ func TestQuerydRefusesACorruptFooter(t *testing.T) {
 	if err := json.Unmarshal(blob, &man); err != nil {
 		t.Fatal(err)
 	}
-	seg := &man.Segments[len(man.Segments)-1]
-	path := filepath.Join(dir, seg.Name)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-6] ^= 0xff // inside the footer checksum
-	seg.CRC32 = crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli))
-	if blob, err = json.Marshal(man); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(mpath, blob, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	last, middle := man.Segments[len(man.Segments)-1].Name, man.Segments[len(man.Segments)/2].Name
 
-	var out, errb bytes.Buffer
-	code := run(context.Background(), []string{"-store", dir, "-listen", "127.0.0.1:0"}, &out, &errb)
-	if code != 1 || out.Len() != 0 || !strings.Contains(errb.String(), "store: segment "+seg.Name) {
-		t.Fatalf("rotten segment %s: exit %d, stdout %q, stderr %q; want exit 1 naming it", seg.Name, code, out.String(), errb.String())
+	// edit rewrites one file of dir.
+	edit := func(t *testing.T, dir, name string, fn func([]byte) []byte) {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, fn(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		damage func(t *testing.T, dir string) (path string)
+		want   string // in stderr; "" means queryd must serve
+	}{
+		{"footer-rot", func(t *testing.T, dir string) string {
+			m := store.Manifest{Version: man.Version, Segments: append([]store.SegmentInfo(nil), man.Segments...)}
+			seg := &m.Segments[len(m.Segments)-1]
+			edit(t, dir, seg.Name, func(b []byte) []byte {
+				b[len(b)-6] ^= 0xff // inside the footer checksum
+				seg.CRC32 = crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
+				return b
+			})
+			blob, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			edit(t, dir, "MANIFEST.json", func([]byte) []byte { return blob })
+			return dir
+		}, "store: segment " + last},
+		{"body-byte", func(t *testing.T, dir string) string {
+			edit(t, dir, middle, func(b []byte) []byte { b[20] ^= 0xff; return b }) // inside the first block
+			return dir
+		}, "store: segment " + middle},
+		{"garbled-manifest", func(t *testing.T, dir string) string {
+			edit(t, dir, "MANIFEST.json", func(b []byte) []byte { b[0] = '#'; return b })
+			return dir
+		}, "MANIFEST.json"},
+		{"missing-dir", func(t *testing.T, dir string) string {
+			return filepath.Join(dir, "nodir")
+		}, "nodir"},
+		{"retired-only", func(t *testing.T, dir string) string {
+			path := filepath.Join(dir, middle)
+			if err := os.Rename(path, path+".retired"); err != nil {
+				t.Fatal(err)
+			}
+			return dir
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(intact)); err != nil {
+				t.Fatal(err)
+			}
+			path := tc.damage(t, dir)
+			var digest string
+			if path == dir {
+				digest = store.DirDigest(t, dir)
+			}
+			args := []string{"-store", path, "-listen", "127.0.0.1:0"}
+			if tc.want == "" {
+				st, shutdown := startQueryd(t, args)
+				got := tables(t, st)
+				shutdown()
+				for name := range want {
+					if got[name] != want[name] {
+						t.Errorf("/v1/tables/%s = %s, intact store %s", name, got[name], want[name])
+					}
+				}
+			} else {
+				// A daemon that serves anyway is stopped, and fails below.
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				var out, errb bytes.Buffer
+				code := run(ctx, args, &out, &errb)
+				if code != 1 || out.Len() != 0 || !strings.Contains(errb.String(), tc.want) {
+					t.Errorf("exit %d, stdout %q, stderr %q; want exit 1 naming %s", code, out.String(), errb.String(), tc.want)
+				}
+			}
+			if path != dir {
+				if _, err := os.Stat(path); !os.IsNotExist(err) {
+					t.Errorf("queryd created %s (%v)", path, err)
+				}
+			} else if store.DirDigest(t, dir) != digest {
+				t.Error("queryd changed the store directory")
+			}
+		})
 	}
 }
 

@@ -14,9 +14,9 @@ func (s *Store) maybeCompact(slice int) error {
 		return nil
 	}
 	var inputs []SegmentInfo
-	for _, si := range s.man.Segments {
-		if si.Level == 0 && si.SliceHi <= slice {
-			inputs = append(inputs, si)
+	for _, ls := range s.current.Load().segs {
+		if ls.Level == 0 && ls.SliceHi <= slice {
+			inputs = append(inputs, ls.SegmentInfo)
 		}
 	}
 	if len(inputs) < 2 {
@@ -44,7 +44,7 @@ func (s *Store) compact(inputs []SegmentInfo) error {
 	s.l1 = nil
 	var files [][]byte // kept only when there is no builder to use
 	for _, si := range inputs {
-		data, err := s.validSegment(si)
+		data, err := s.readSegment(si)
 		if err != nil {
 			return fmt.Errorf("store: compact: %w", err)
 		}
@@ -67,6 +67,6 @@ func (s *Store) compact(inputs []SegmentInfo) error {
 	if _, err := s.writeSegment(1, sb, inputs); err != nil {
 		return err
 	}
-	s.resetL1()
+	s.resetL1(s.current.Load())
 	return nil
 }

@@ -104,7 +104,7 @@ func TestScanReportsCorruptSegment(t *testing.T) {
 	}
 	man := s.Manifest()
 	path := filepath.Join(dir, man.Segments[0].Name)
-	blocks := s.feet[man.Segments[0].Name].blocks
+	blocks := s.current.Load().segs[0].seg.blocks
 	payload := blocks[len(blocks)-1].Off + blockHeaderLen
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ntpscan/internal/zgrab"
@@ -176,7 +179,7 @@ func (fx manifestFixture) seeds(tb testing.TB) map[string][]byte {
 		tb.Fatalf("fixture manifest: %v (%d segments)", err, len(m.Segments))
 	}
 	edit := func(fn func(first *SegmentInfo, m *Manifest)) []byte {
-		c := m.clone()
+		c := Manifest{Version: m.Version, Segments: slices.Clone(m.Segments)}
 		fn(&c.Segments[0], &c)
 		out, err := json.Marshal(c)
 		if err != nil {
@@ -209,6 +212,12 @@ func (fx manifestFixture) seeds(tb testing.TB) map[string][]byte {
 // with a manifest whose every entry is a segment the store could have
 // written and that checks out against its file, and must leave the
 // directory in a state a second Open does not change.
+//
+// OpenReadOnly runs first, as the cross-oracle: it must not panic, must
+// change nothing inside the directory or beside it, and must agree with
+// Open — when it succeeds, Open recovers the manifest it read (with
+// Open's version normalisation), and when Open drops an entry the input
+// listed, OpenReadOnly failed naming the entry Open truncated at.
 func FuzzManifestRecover(f *testing.F) {
 	fx := newManifestFixture(f)
 	for _, seed := range fx.seeds(f) {
@@ -245,6 +254,12 @@ func FuzzManifestRecover(f *testing.F) {
 		}
 		before := outside()
 
+		digest := DirDigest(t, dir)
+		ro, roErr := OpenReadOnly(dir, Options{})
+		if after := outside(); after != before || DirDigest(t, dir) != digest {
+			t.Fatalf("OpenReadOnly changed the directory or reached outside it: %s -> %s", before, after)
+		}
+
 		s, err := Open(dir, Options{})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
@@ -252,12 +267,29 @@ func FuzzManifestRecover(f *testing.F) {
 		if after := outside(); after != before {
 			t.Fatalf("Open reached outside the directory: %s -> %s", before, after)
 		}
-		man, hi := s.Manifest(), -1
-		for _, si := range man.Segments {
-			if _, err := s.restoreSegment(si, hi); err != nil {
-				t.Fatalf("recovered manifest keeps an invalid entry: %v", err)
+		man := s.Manifest()
+		if _, errs := s.check(man); len(errs) > 0 {
+			t.Fatalf("recovered manifest keeps an invalid entry: %v", errs[0])
+		}
+		if roErr == nil {
+			got := ro.Manifest()
+			if got.Version == 0 {
+				got.Version = 1
 			}
-			hi = si.SliceHi
+			if !reflect.DeepEqual(got, man) {
+				t.Fatalf("OpenReadOnly read %+v, Open recovered %+v", got, man)
+			}
+		}
+		var in Manifest
+		if json.Unmarshal(manifest, &in) != nil {
+			if roErr == nil {
+				t.Fatal("OpenReadOnly accepted a manifest that does not parse")
+			}
+		} else if len(man.Segments) < len(in.Segments) {
+			name := in.Segments[len(man.Segments)].Name
+			if roErr == nil || !strings.Contains(roErr.Error(), name) && !strings.Contains(roErr.Error(), strconv.Quote(name)) {
+				t.Fatalf("Open dropped entry %q; OpenReadOnly = %v", name, roErr)
+			}
 		}
 		first := DirDigest(t, dir)
 		s2, err := Open(dir, Options{})

@@ -27,17 +27,28 @@ func (s *Store) openSegmentFile(name string) (*os.File, error) {
 	return nil, fmt.Errorf("store: %w", err)
 }
 
-// readSegmentFile reads a live segment's whole file through
-// openSegmentFile.
-func (s *Store) readSegmentFile(si SegmentInfo) ([]byte, error) {
+// readSegment reads a manifest entry's whole file through
+// openSegmentFile and checks it against the entry: size, then
+// whole-file CRC.
+func (s *Store) readSegment(si SegmentInfo) ([]byte, error) {
 	f, err := s.openSegmentFile(si.Name)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("store: segment %s is gone (%w)", si.Name, err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %s: %w", si.Name, err)
+	}
+	if fi.Size() != si.Size {
+		return nil, fmt.Errorf("store: segment %s: size %d, manifest %d", si.Name, fi.Size(), si.Size)
+	}
 	data := make([]byte, si.Size)
 	if _, err := f.ReadAt(data, 0); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: segment %s: %w", si.Name, err)
+	}
+	if crc := crcOf(data); crc != si.CRC32 {
+		return nil, fmt.Errorf("store: segment %s: crc %08x, manifest %08x", si.Name, crc, si.CRC32)
 	}
 	return data, nil
 }

@@ -10,7 +10,8 @@ import (
 // received them, which is how a resumed campaign rebuilds the view it
 // maintains beside the store (core.SliceAggregator) after ResetTo. It
 // walks the current view in manifest order and decodes each segment
-// file whole with DecodeSegment; fn gets runs of rows of one slice — a
+// file whole with DecodeSegment, once readSegment has checked it
+// against its manifest entry (size and whole-file CRC); fn gets runs of rows of one slice — a
 // one-slice L0 segment's captures and results together, a compacted
 // segment's slices first as capture-only and then as result-only calls
 // — so a slice may arrive in more than one call, and every row arrives
@@ -41,7 +42,7 @@ func (s *Store) ReplaySlices(fn func(slice int, caps []CaptureRow, results []*zg
 	}
 	for _, ls := range s.current.Load().segs {
 		si := ls.SegmentInfo
-		data, err := s.readSegmentFile(si)
+		data, err := s.readSegment(si)
 		if err == nil {
 			err = DecodeSegment(data, func(c CaptureRow, sl int) (err error) {
 				if sl != slice {

@@ -44,6 +44,13 @@
 // rewind to a checkpoint taken before a compaction that consumed its
 // segments; Seal garbage-collects retired files once a run completes.
 //
+// Reading a store changes nothing. One function, check, decides
+// whether a manifest is true of the directory, and renames, deletes and
+// writes nothing; OpenReadOnly runs it and refuses any damage, naming
+// every entry that fails, while the writer's Open and ResetTo run it and
+// then repair (adopt). Only those two rename, remove or rewrite a file
+// when a store is opened.
+//
 // # Compaction
 //
 // Every K-th slice the pending L0 segments are merged into one L1
@@ -64,6 +71,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -146,13 +154,6 @@ type Manifest struct {
 	Segments []SegmentInfo `json:"segments,omitempty"`
 }
 
-// clone deep-copies the manifest.
-func (m Manifest) clone() Manifest {
-	out := Manifest{Version: m.Version}
-	out.Segments = append([]SegmentInfo(nil), m.Segments...)
-	return out
-}
-
 // Store is an open store directory. One writer (the campaign's drain
 // barrier) and any number of concurrent readers are safe, and readers
 // never wait for the writer: the writer encodes, writes and compacts
@@ -163,28 +164,26 @@ func (m Manifest) clone() Manifest {
 // segments a compaction retires mid-query are reopened through their
 // .retired name (see openSegmentFile). Concurrent writers are not
 // supported: appends are strictly ordered, like the collection slices
-// that feed them.
+// that feed them. A store OpenReadOnly returned has no writer: only
+// the read paths work, on the view it checked.
 type Store struct {
 	dir string
 	opt Options
 	met *Metrics
+	// readOnly marks a store OpenReadOnly returned.
+	readOnly bool
 
 	// mu is the writer's: AppendSlice, AppendResults, compaction,
-	// ResetTo and Seal hold it, and it guards man, feet, nextSlice, w
-	// and l1. No read path takes it.
-	mu  sync.Mutex
-	man Manifest
-	// feet maps the name of every segment man lists to its parsed footer:
-	// parsed from the image writeSegment wrote, or from the file
-	// restoreSegment checked, and dropped when the segment leaves the
-	// manifest. Nothing mutates a footer, so views share them.
-	feet map[string]*segment
+	// ResetTo and Seal hold it, and it guards nextSlice, w and l1 and
+	// orders every publish. No read path takes it.
+	mu sync.Mutex
 	// nextSlice is the lowest slice id AppendSlice accepts — appends
 	// are strictly ordered, like the collection slices that feed them.
 	nextSlice int
 
-	// current is the view readers load: man and its footers as of the
-	// last MANIFEST.json that landed (see persistManifest).
+	// current is the view readers load, and the writer's own segment
+	// list: the segments of the last MANIFEST.json that landed, with
+	// their footers (see publish).
 	current atomic.Pointer[view]
 
 	// pins is read-held by every open iterator from Scan to Close and by
@@ -211,105 +210,182 @@ type Store struct {
 }
 
 // view is one published state of the store, never mutated once
-// published: a manifest MANIFEST.json holds, and each segment it lists
-// with its footer, in manifest order.
+// published: the manifest version and each segment MANIFEST.json
+// lists, with its footer, in manifest order. Nothing mutates a footer,
+// so successive views share them.
 type view struct {
-	man  Manifest
-	segs []liveSegment
+	version int
+	segs    []liveSegment
 }
 
-// Open opens (creating if needed) the store directory and recovers it
-// to a consistent state: manifest entries are validated against the
-// files on disk (size and whole-file CRC), the manifest is truncated
-// at the first invalid entry, and unsealed strays (.tmp files and
-// segments the manifest does not list) are deleted. Retired compaction
-// inputs are kept for ResetTo. A valid entry whose footer does not
-// parse is no torn write — the store parsed those very bytes before it
-// listed them — so Open refuses the directory, naming the segment,
-// before it deletes or rewrites anything.
+// manifest is the Manifest v spells.
+func (v *view) manifest() Manifest {
+	m := Manifest{Version: v.version}
+	for _, ls := range v.segs {
+		m.Segments = append(m.Segments, ls.SegmentInfo)
+	}
+	return m
+}
+
+// Open opens (creating if needed) the store directory as its writer
+// and recovers it to a consistent state: check validates the
+// manifest's entries against the files on disk, the manifest is
+// truncated at the first entry a crash can leave bad (a file missing
+// or of the wrong size or whole-file CRC, or a name the store does not
+// write), and adopt makes the directory match what is left, deleting
+// unsealed strays (.tmp files and segments the manifest does not list)
+// and keeping retired compaction inputs for ResetTo. A MANIFEST.json
+// that does not parse cannot come from a torn write (atomic rename),
+// but must not brick the directory: Open starts empty. A valid entry
+// whose footer does not parse is no torn write either — the store
+// parsed those very bytes before it listed them — so Open refuses the
+// directory, naming the segment, before it renames, deletes or
+// rewrites anything. Open is for the directory's one writer; a reader
+// uses OpenReadOnly.
 func Open(dir string, opt Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Store{dir: dir, opt: opt}
-	if opt.Obs != nil {
-		s.met = NewMetrics(opt.Obs)
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.blocks = newBlockCache(opt.BlockCacheBytes, s.met)
-	if err := s.recover(); err != nil {
+	var m Manifest
+	if json.Unmarshal(data, &m) != nil {
+		m = Manifest{}
+	}
+	s := newStore(dir, opt)
+	segs, errs := s.check(m)
+	if len(errs) > 0 && errors.Is(errs[0], errFooter) {
+		return nil, errs[0]
+	}
+	if err := s.adopt(&view{version: m.Version, segs: segs}, true); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// recover loads MANIFEST.json, keeps its longest valid prefix with
-// each entry's footer, and removes unsealed strays.
-func (s *Store) recover() error {
-	s.feet = make(map[string]*segment)
-	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	switch {
-	case os.IsNotExist(err):
-		s.man = Manifest{Version: 1}
-	case err != nil:
-		return fmt.Errorf("store: %w", err)
-	default:
-		var m Manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			// A torn manifest write cannot happen (atomic rename), but a
-			// corrupted file must not brick the directory: start empty.
-			m = Manifest{Version: 1}
-		}
-		kept, hi := m.Segments[:0], -1
-		for _, si := range m.Segments {
-			data, err := s.restoreSegment(si, hi)
-			if err != nil {
-				break // truncate at the first invalid entry
-			}
-			if s.feet[si.Name], err = footer(si, data); err != nil {
-				return err
-			}
-			kept, hi = append(kept, si), si.SliceHi
-		}
-		m.Segments = kept
-		if m.Version == 0 {
-			m.Version = 1
-		}
-		s.man = m
+// OpenReadOnly opens an existing store directory for reading only, and
+// changes nothing on disk: MANIFEST.json must exist and parse, and
+// every entry must pass check — an error names each one that fails.
+// Nothing is created, renamed, removed or rewritten, so a reader may
+// open a directory a writer is still filling; a segment a compaction
+// retired after the manifest was read is read under its .retired name.
+// The writer calls (AppendSlice, AppendResults, ResetTo, Seal) fail.
+func OpenReadOnly(dir string, opt Options) (*Store, error) {
+	var m Manifest
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err == nil {
+		err = json.Unmarshal(data, &m)
 	}
-	live := make(map[string]bool, len(s.man.Segments))
-	for _, si := range s.man.Segments {
-		live[si.Name] = true
+	if err != nil {
+		return nil, fmt.Errorf("store: %s: %w", manifestName, err)
+	}
+	s := newStore(dir, opt)
+	segs, errs := s.check(m)
+	if len(errs) > 0 {
+		return nil, errors.Join(errs...)
+	}
+	s.readOnly = true
+	s.current.Store(&view{version: m.Version, segs: segs})
+	return s, nil
+}
+
+// newStore is a handle on dir with no view yet.
+func newStore(dir string, opt Options) *Store {
+	s := &Store{dir: dir, opt: opt}
+	if opt.Obs != nil {
+		s.met = NewMetrics(opt.Obs)
+	}
+	s.blocks = newBlockCache(opt.BlockCacheBytes, s.met)
+	return s
+}
+
+// errFooter marks a check error that no crash explains: the entry's
+// file is the one the manifest pins, and its footer does not parse.
+var errFooter = errors.New("footer")
+
+// errReadOnly is what a writer call on an OpenReadOnly store returns.
+var errReadOnly = errors.New("store: opened read-only")
+
+// check validates every entry of m against the directory, and changes
+// nothing on disk. A manifest is outside input — a file in a directory
+// someone hands to analyze or queryd, a section of a checkpoint — and
+// its names are joined into paths, so an entry is refused before it
+// touches the disk unless the store could have written it: its name is
+// the one its level and slice range spell (a base name, inside the
+// directory), and it starts past the entry before it (live segments
+// are disjoint and ordered, which also refuses a repeated entry). Then
+// its file, read by readSegment, must have the entry's size and
+// whole-file CRC, and its footer must parse. check returns the entries
+// of the longest prefix that passes, with their footers, and one error
+// per entry that fails.
+func (s *Store) check(m Manifest) (segs []liveSegment, errs []error) {
+	prevHi := -1
+	for _, si := range m.Segments {
+		var (
+			seg  *segment
+			data []byte
+			err  error
+		)
+		if si.Name != segmentName(si.Level, si.SliceLo, si.SliceHi) || si.SliceLo <= prevHi {
+			err = fmt.Errorf("store: manifest entry %q (level %d, slices %d-%d) is not a segment this store writes after slice %d",
+				si.Name, si.Level, si.SliceLo, si.SliceHi, prevHi)
+		} else if data, err = s.readSegment(si); err == nil {
+			seg, err = footer(si, data)
+		}
+		if err != nil {
+			errs = append(errs, err)
+		} else if len(errs) == 0 {
+			segs = append(segs, liveSegment{si, seg})
+		}
+		prevHi = si.SliceHi
+	}
+	return segs, errs
+}
+
+// adopt makes v, a view check passed, the writer's and the directory's:
+// each segment v lists that a crash left only under its .retired name
+// (between a compaction retiring its inputs and committing the merged
+// manifest) is renamed back; every other file but MANIFEST.json is
+// deleted — a staged .tmp, a sealed segment the crash beat the manifest
+// write to, an entry Open truncated, everything a rewind leaves behind —
+// except, when keepRetired, retired compaction inputs, which ResetTo may
+// need to resurrect; and MANIFEST.json is rewritten and v published.
+func (s *Store) adopt(v *view, keepRetired bool) error {
+	if v.version == 0 {
+		v.version = 1
+	}
+	live := map[string]bool{manifestName: true}
+	for _, ls := range v.segs {
+		live[ls.Name] = true
+		path := filepath.Join(s.dir, ls.Name)
+		if _, err := os.Stat(path); os.IsNotExist(err) {
+			if err := os.Rename(path+retiredSuffix, path); err != nil {
+				return fmt.Errorf("store: segment %s is gone (%w)", ls.Name, err)
+			}
+		}
 	}
 	ents, err := os.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, e := range ents {
-		name := e.Name()
-		switch {
-		case name == manifestName, strings.HasSuffix(name, retiredSuffix):
-			// Keep: the manifest, and retired compaction inputs (ResetTo
-			// may need to resurrect them).
-		case strings.HasSuffix(name, ".seg") && live[name]:
-			// Sealed and manifested.
-		default:
-			// Unsealed tail: a staged .tmp, a sealed segment the crash
-			// beat the manifest write to, or a truncated entry dropped
-			// above. All are rewritten by the resumed run.
-			os.Remove(filepath.Join(s.dir, name))
+		if !live[e.Name()] && !(keepRetired && strings.HasSuffix(e.Name(), retiredSuffix)) {
+			os.Remove(filepath.Join(s.dir, e.Name()))
 		}
 	}
-	s.nextSlice = s.man.maxSliceHi() + 1
-	s.resetL1()
-	return s.persistManifest()
+	s.nextSlice = v.manifest().maxSliceHi() + 1
+	s.resetL1(v)
+	return s.publish(v)
 }
 
 // resetL1 starts the pending L1 builder over: empty when no L0 segment
-// is live, absent when one is (it was not fed to this builder) or when
-// compaction is off.
-func (s *Store) resetL1() {
+// is live in v, absent when one is (it was not fed to this builder) or
+// when compaction is off.
+func (s *Store) resetL1(v *view) {
 	s.l1 = nil
-	if s.opt.compactEvery() > 0 && !slices.ContainsFunc(s.man.Segments, func(si SegmentInfo) bool { return si.Level == 0 }) {
+	if s.opt.compactEvery() > 0 && !slices.ContainsFunc(v.segs, func(ls liveSegment) bool { return ls.Level == 0 }) {
 		s.l1 = newSegBuilder(&s.w)
 	}
 }
@@ -340,56 +416,12 @@ func segmentName(level, sliceLo, sliceHi int) string {
 	return ""
 }
 
-// restoreSegment makes a manifest entry live again: if its file is
-// missing but a retired copy exists (a crash landed between a
-// compaction retiring its inputs and committing the merged manifest),
-// the retired copy is renamed back, then the entry is validated and
-// the file's bytes returned.
-//
-// A manifest is outside input — a file in a directory someone hands to
-// analyze or queryd, a section of a checkpoint — and its names are
-// joined into paths that are opened and renamed, so an entry is
-// refused before it touches the disk unless the store could have
-// written it: its name is the one its level and slice range spell (a
-// base name, inside the directory), and it starts past prevHi, the
-// slice range of the entry before it (live segments are disjoint and
-// ordered, which also refuses a repeated entry).
-func (s *Store) restoreSegment(si SegmentInfo, prevHi int) ([]byte, error) {
-	if si.Name != segmentName(si.Level, si.SliceLo, si.SliceHi) || si.SliceLo <= prevHi {
-		return nil, fmt.Errorf("store: manifest entry %q (level %d, slices %d-%d) is not a segment this store writes after slice %d",
-			si.Name, si.Level, si.SliceLo, si.SliceHi, prevHi)
-	}
-	path := filepath.Join(s.dir, si.Name)
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if err := os.Rename(path+retiredSuffix, path); err != nil {
-			return nil, fmt.Errorf("store: segment %s is gone (%w)", si.Name, err)
-		}
-	}
-	return s.validSegment(si)
-}
-
-// validSegment reads a manifest entry's file and verifies it: size and
-// whole-file CRC must match.
-func (s *Store) validSegment(si SegmentInfo) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, si.Name))
-	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: %w", si.Name, err)
-	}
-	if int64(len(data)) != si.Size {
-		return nil, fmt.Errorf("store: segment %s: size %d, manifest %d", si.Name, len(data), si.Size)
-	}
-	if crc := crcOf(data); crc != si.CRC32 {
-		return nil, fmt.Errorf("store: segment %s: crc %08x, manifest %08x", si.Name, crc, si.CRC32)
-	}
-	return data, nil
-}
-
 // footer parses the footer of si's image, bytes the store wrote or
 // checked against si.
 func footer(si SegmentInfo, data []byte) (*segment, error) {
 	seg, err := parseSegmentBytes(data)
 	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: footer: %w", si.Name, err)
+		return nil, fmt.Errorf("store: segment %s: %w: %w", si.Name, errFooter, err)
 	}
 	return seg, nil
 }
@@ -397,7 +429,7 @@ func footer(si SegmentInfo, data []byte) (*segment, error) {
 // Manifest returns a deep copy of the live segment list, suitable for
 // embedding in a campaign checkpoint.
 func (s *Store) Manifest() Manifest {
-	return s.current.Load().man.clone()
+	return s.current.Load().manifest()
 }
 
 // Dir returns the store directory.
@@ -416,6 +448,9 @@ func (s *Store) AppendSlice(slice int, caps []CaptureRow, results []*zgrab.Resul
 
 // appendSlice is AppendSlice with the writer's mutex held.
 func (s *Store) appendSlice(slice int, caps []CaptureRow, results []*zgrab.Result) error {
+	if s.readOnly {
+		return errReadOnly
+	}
 	if slice < s.nextSlice {
 		return fmt.Errorf("store: slice %d appended out of order (next %d)", slice, s.nextSlice)
 	}
@@ -463,9 +498,10 @@ func (s *Store) AppendResults(results []*zgrab.Result) error {
 // inputs; nil for an append), in the order that lets a crash leave
 // only an unsealed tail: stage the file and rename it into place,
 // retire the inputs (rename to .retired, not delete), then rewrite the
-// manifest. Until the manifest lands the new segment is a stray that
-// recover deletes, and retired inputs a manifest still lists are
-// resurrected by recover and ResetTo.
+// manifest and publish the next view, built from the current one. Until
+// the manifest lands the new segment is a stray that Open deletes, and
+// retired inputs a manifest still lists are resurrected by Open and
+// ResetTo.
 func (s *Store) writeSegment(level int, sb *segBuilder, retire []SegmentInfo) (SegmentInfo, error) {
 	data, rows := sb.finish()
 	si := SegmentInfo{
@@ -490,17 +526,15 @@ func (s *Store) writeSegment(level int, sb *segBuilder, retire []SegmentInfo) (S
 			return si, fmt.Errorf("store: compact: %w", err)
 		}
 	}
-	s.man.Segments = slices.DeleteFunc(s.man.Segments, func(m SegmentInfo) bool {
-		return slices.ContainsFunc(retire, func(in SegmentInfo) bool { return in.Name == m.Name })
-	})
-	for _, in := range retire {
-		delete(s.feet, in.Name)
+	cur := s.current.Load()
+	v := &view{version: cur.version, segs: make([]liveSegment, 0, len(cur.segs)+1)}
+	for _, ls := range cur.segs {
+		if !slices.ContainsFunc(retire, func(in SegmentInfo) bool { return in.Name == ls.Name }) {
+			v.segs = append(v.segs, ls)
+		}
 	}
-	s.man.Segments = append(s.man.Segments, si)
-	s.feet[si.Name] = seg
-	sort.SliceStable(s.man.Segments, func(i, j int) bool {
-		return s.man.Segments[i].SliceLo < s.man.Segments[j].SliceLo
-	})
+	v.segs = append(v.segs, liveSegment{si, seg})
+	sort.SliceStable(v.segs, func(i, j int) bool { return v.segs[i].SliceLo < v.segs[j].SliceLo })
 	if s.met != nil {
 		if len(retire) > 0 {
 			s.met.Compactions.Inc()
@@ -510,7 +544,7 @@ func (s *Store) writeSegment(level int, sb *segBuilder, retire []SegmentInfo) (S
 		s.met.BlocksWritten.Add(int64(len(sb.caps.index) + len(sb.res.index)))
 		s.met.BytesWritten.Add(int64(len(data)))
 	}
-	return si, s.persistManifest()
+	return si, s.publish(v)
 }
 
 // writeFileAtomic stages data to name.tmp and renames it into place.
@@ -525,71 +559,42 @@ func (s *Store) writeFileAtomic(name string, data []byte) error {
 	return nil
 }
 
-// persistManifest rewrites MANIFEST.json atomically, then publishes
-// man and its footers as the view readers load — in that order, so no
-// reader is handed a segment list the directory does not hold.
-func (s *Store) persistManifest() error {
-	data, err := json.Marshal(s.man)
+// publish rewrites MANIFEST.json atomically to v's segment list, then
+// publishes v as the view readers load — in that order, so no reader is
+// handed a segment list the directory does not hold.
+func (s *Store) publish(v *view) error {
+	data, err := json.Marshal(v.manifest())
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := s.writeFileAtomic(manifestName, append(data, '\n')); err != nil {
 		return err
 	}
-	v := &view{man: s.man.clone(), segs: make([]liveSegment, len(s.man.Segments))}
-	for i, si := range v.man.Segments {
-		v.segs[i] = liveSegment{si, s.feet[si.Name]}
-	}
 	s.current.Store(v)
 	return nil
 }
 
 // ResetTo rewinds the directory to a checkpointed manifest: every
-// listed segment is restored (resurrecting retired compaction inputs
-// if needed), re-validated and its footer parsed, and only then is
-// everything else — later segments, later compactions, leftover
-// retired files — deleted. After ResetTo the store accepts appends
-// exactly as it did when the checkpoint was taken, so a resumed
-// campaign reproduces the uninterrupted run's directory byte-for-byte.
+// listed segment must pass check — a retired compaction input is read
+// under its .retired name — and only then does adopt rename the
+// retired ones back and delete everything else: later segments, later
+// compactions, leftover retired files. After ResetTo the store accepts
+// appends exactly as it did when the checkpoint was taken, so a
+// resumed campaign reproduces the uninterrupted run's directory
+// byte-for-byte.
 func (s *Store) ResetTo(m Manifest) error {
+	if s.readOnly {
+		return errReadOnly
+	}
 	s.pins.Lock()
 	defer s.pins.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	feet, hi := make(map[string]*segment, len(m.Segments)), -1
-	for _, si := range m.Segments {
-		// A segment consumed by a post-checkpoint compaction is
-		// resurrected from its retired copy.
-		data, err := s.restoreSegment(si, hi)
-		if err == nil {
-			feet[si.Name], err = footer(si, data)
-		}
-		if err != nil {
-			return fmt.Errorf("store: reset: %w", err)
-		}
-		hi = si.SliceHi
+	segs, errs := s.check(m)
+	if len(errs) > 0 {
+		return fmt.Errorf("store: reset: %w", errs[0])
 	}
-	keep := make(map[string]bool, len(m.Segments)+1)
-	keep[manifestName] = true
-	for _, si := range m.Segments {
-		keep[si.Name] = true
-	}
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, e := range ents {
-		if !keep[e.Name()] {
-			os.Remove(filepath.Join(s.dir, e.Name()))
-		}
-	}
-	s.man, s.feet = m.clone(), feet
-	if s.man.Version == 0 {
-		s.man.Version = 1
-	}
-	s.nextSlice = s.man.maxSliceHi() + 1
-	s.resetL1()
-	return s.persistManifest()
+	return s.adopt(&view{version: m.Version, segs: segs}, false)
 }
 
 // Seal marks the run complete: retired compaction inputs are garbage-
@@ -598,6 +603,9 @@ func (s *Store) ResetTo(m Manifest) error {
 // still list them, so Seal waits for every open iterator to close. The
 // store remains readable and appendable.
 func (s *Store) Seal() error {
+	if s.readOnly {
+		return errReadOnly
+	}
 	s.pins.Lock()
 	defer s.pins.Unlock()
 	s.mu.Lock()
