@@ -61,15 +61,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// write, so the one Flush after the collection reports it.
 	out := bufio.NewWriter(stdout)
 	seen := make(map[netip.Addr]struct{})
-	p.Collect(func(a netip.Addr) {
-		if *summaryOnly {
-			return
+	p.Collect(func(batch []netip.Addr) {
+		for _, a := range batch {
+			if _, dup := seen[a]; !dup && !*summaryOnly {
+				seen[a] = struct{}{}
+				fmt.Fprintln(out, a)
+			}
 		}
-		if _, dup := seen[a]; dup {
-			return
-		}
-		seen[a] = struct{}{}
-		fmt.Fprintln(out, a)
 	})
 	if err := out.Flush(); err != nil {
 		fmt.Fprintln(stderr, "poolsim: write addresses:", err)

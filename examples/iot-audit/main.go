@@ -47,7 +47,7 @@ func main() {
 
 	fmt.Println("collecting NTP client addresses and probing IoT services live...")
 	scanner.Start(context.Background())
-	p.Collect(func(a netip.Addr) { scanner.Submit(a) })
+	p.Collect(func(batch []netip.Addr) { scanner.SubmitBatch(batch) })
 	scanner.Close()
 
 	data := analysis.NewDataset("iot", slices.Concat(buckets...))

@@ -44,13 +44,12 @@ type Coordinator struct {
 	apis []API // per-node control handles (fault seam over Dial or self)
 
 	// every is the campaign's checkpoint cadence (0: no checkpoints are
-	// delivered). A checkpoint can reach the caller after the slice that
+	// delivered). A checkpoint reaches the caller after the slice that
 	// follows its barrier has been dispatched, so dispatch records the
 	// checkpoint section as it begins each slice whose barrier took one:
-	// marked, for the checkpoint whose NextSlice is markedAt.
-	every    int
-	marked   *core.ClusterState
-	markedAt int
+	// marked, taken as slice markSlice began.
+	every, markSlice int
+	marked           *core.ClusterState
 }
 
 // NewCoordinator builds the control plane for a pipeline. The
@@ -121,20 +120,19 @@ func (c *Coordinator) TaskCounts() (claimed, completed, fenced, lost int64) {
 // the slice dispatcher, and checkpoints grow the cluster section
 // (lease epochs + cluster registry) before reaching the caller. The
 // section is the state at the checkpoint's barrier: the one dispatch
-// marked when it began slice NextSlice, or, while that slice has not
-// been dispatched, the state now.
+// marked when it began slice NextSlice, which every delivered
+// checkpoint's slice has been.
 func (c *Coordinator) campaignOpts(opts core.CampaignOpts) core.CampaignOpts {
 	opts.Dispatch = c.dispatch
-	c.every, c.marked = 0, nil
+	c.every, c.markSlice, c.marked = 0, 0, nil
 	user := opts.OnCheckpoint
 	if user != nil {
 		c.every = opts.CheckpointEvery
 		opts.OnCheckpoint = func(cp *core.Checkpoint) {
-			if c.marked != nil && c.markedAt == cp.NextSlice {
-				cp.Cluster = c.marked
-			} else {
-				cp.Cluster = c.state()
+			if c.markSlice != cp.NextSlice {
+				panic(fmt.Sprintf("cluster: checkpoint for slice %d, but the section was marked at slice %d", cp.NextSlice, c.markSlice))
 			}
+			cp.Cluster = c.marked
 			user(cp)
 		}
 	}
@@ -146,7 +144,7 @@ func (c *Coordinator) campaignOpts(opts core.CampaignOpts) core.CampaignOpts {
 // anything.
 func (c *Coordinator) mark(s int) {
 	if c.every > 0 && s%c.every == 0 {
-		c.marked, c.markedAt = c.state(), s
+		c.marked, c.markSlice = c.state(), s
 	}
 }
 

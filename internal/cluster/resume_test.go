@@ -99,27 +99,50 @@ func TestClusterResumeReproducesOutput(t *testing.T) {
 
 // With a store attached, a clustered campaign delivers each checkpoint
 // once the sink job of its slice is joined — after the next slice has
-// been dispatched — yet the checkpoint is the one taken at its barrier:
-// every checkpoint's cluster section and Obs — and all of it but the
-// store section — equal, byte for byte, those of the same campaign run
-// with no store and no aggregates, whose checkpoints are delivered at
-// the barrier. Checkpoints every 8 slices
-// put one at slice 40, right before node 2's partition opens, and one
-// at 48 inside it; resuming the durable run from the latter reproduces
-// its JSONL tail and its store directory.
+// been dispatched — yet the checkpoint is the one taken at its barrier.
+// Its Obs and everything but its store and cluster sections equal, byte
+// for byte, those of the same campaign run with no store and no
+// aggregates. The cluster section is held by resuming: checkpoints
+// every 8 slices put one at slice 40, right before node 2's partition
+// opens, one at 48 inside it and one at 56 after it, and resuming the
+// durable run from each reproduces its JSONL tail, its store directory,
+// and the coordinator's final metrics and task counts — those the
+// checkpoint fixes. It carries the fencing epochs and the counters, not
+// who holds each lease or what each node believes it holds: a resumed
+// coordinator grants every lease afresh, and a node partitioned across
+// the resume point runs none of the zombie work it would have. The
+// series that count those (leaseSeries) are left out.
 func TestClusterCheckpointsAreTakenAtTheBarrier(t *testing.T) {
 	chaos.NoGoroutineLeaks(t)
 	seed := chaos.Seeds()[0]
 	cfg := cluster.Config{Nodes: 3}
+	leaseSeries := []string{"cluster_leases_granted_total", "cluster_leases_expired_total",
+		"cluster_tasks_claimed_total", "cluster_epoch_rejections_total"}
 	type run struct {
-		out  bytes.Buffer
-		cps  []*core.Checkpoint
-		dirs map[int]string // the store directory as each checkpoint pinned it
+		out             bytes.Buffer
+		cps             []*core.Checkpoint
+		dirs            map[int]string // the store directory as each checkpoint pinned it
+		obs             []byte         // the coordinator's metrics once the run ended
+		completed, lost int64          // its task counts outside leaseSeries
+	}
+	finish := func(r *run, coord *cluster.Coordinator) {
+		snap := coord.Obs.Snapshot()
+		for _, name := range leaseSeries {
+			delete(snap, name)
+		}
+		var err error
+		if r.obs, err = json.Marshal(snap); err != nil {
+			t.Fatal(err)
+		}
+		_, r.completed, _, r.lost = coord.TaskCounts()
+	}
+	pipeline := func() *core.Pipeline {
+		p := chaos.FaultedPipeline(chaos.Config(seed), seed+1, chaos.DefaultSpec())
+		partitionAt(p)
+		return p
 	}
 	campaign := func(dir string) *run {
 		r := &run{dirs: map[int]string{}}
-		p := chaos.FaultedPipeline(chaos.Config(seed), seed+1, chaos.DefaultSpec())
-		partitionAt(p)
 		opts := core.CampaignOpts{Out: &r.out, CheckpointEvery: 8}
 		if dir != "" {
 			st, err := store.Open(dir, store.Options{})
@@ -138,9 +161,11 @@ func TestClusterCheckpointsAreTakenAtTheBarrier(t *testing.T) {
 				r.dirs[cp.NextSlice] = at
 			}
 		}
-		if _, _, err := cluster.Run(context.Background(), p, cfg, opts); err != nil {
+		_, coord, err := cluster.Run(context.Background(), pipeline(), cfg, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
+		finish(r, coord)
 		return r
 	}
 	dir := t.TempDir()
@@ -152,13 +177,12 @@ func TestClusterCheckpointsAreTakenAtTheBarrier(t *testing.T) {
 		t.Fatalf("%d durable and %d plain checkpoints, want %d", len(durable.cps), len(plain.cps), core.CollectSlices/8-1)
 	}
 	for i, cp := range durable.cps {
-		want := plain.cps[i]
+		want := *plain.cps[i]
 		rest := *cp
-		rest.Store = nil // the one section only the durable run has
+		rest.Store, rest.Cluster, want.Cluster = nil, nil, nil // the sections the resumes below hold
 		for name, pair := range map[string][2]any{
-			"cluster section":        {cp.Cluster, want.Cluster},
 			"Obs":                    {cp.Obs, want.Obs},
-			"rest of the checkpoint": {&rest, want},
+			"rest of the checkpoint": {&rest, &want},
 		} {
 			got, err := json.Marshal(pair[0])
 			if err != nil {
@@ -177,39 +201,45 @@ func TestClusterCheckpointsAreTakenAtTheBarrier(t *testing.T) {
 		return
 	}
 
-	var src *core.Checkpoint
-	for _, cp := range durable.cps {
-		if cp.NextSlice == 48 {
-			src = cp
+	digest := store.DirDigest(t, dir)
+	for _, src := range durable.cps {
+		if n := src.NextSlice; n != 40 && n != 48 && n != 56 {
+			continue
 		}
-	}
-	var frame bytes.Buffer
-	if err := cluster.EncodeCheckpoint(&frame, src); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := cluster.DecodeCheckpoint(bytes.NewReader(frame.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := durable.dirs[cp.NextSlice]
-	st, err := store.Open(at, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rest bytes.Buffer
-	p := chaos.FaultedPipeline(chaos.Config(seed), seed+1, chaos.DefaultSpec())
-	partitionAt(p)
-	_, _, err = cluster.Resume(context.Background(), p, cp, cfg, core.CampaignOpts{
-		Out: &rest, Store: st, Aggregates: query.NewAggregates(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rest.Bytes(), durable.out.Bytes()[cp.OutOffset:]) {
-		t.Errorf("resume at slice %d: JSONL tail diverges", cp.NextSlice)
-	}
-	if store.DirDigest(t, at) != store.DirDigest(t, dir) {
-		t.Errorf("resume at slice %d: store directory diverges", cp.NextSlice)
+		var frame bytes.Buffer
+		if err := cluster.EncodeCheckpoint(&frame, src); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := cluster.DecodeCheckpoint(bytes.NewReader(frame.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := durable.dirs[cp.NextSlice]
+		st, err := store.Open(at, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &run{}
+		_, coord, err := cluster.Resume(context.Background(), pipeline(), cp, cfg, core.CampaignOpts{
+			Out: &r.out, Store: st, Aggregates: query.NewAggregates(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		finish(r, coord)
+		if !bytes.Equal(r.out.Bytes(), durable.out.Bytes()[cp.OutOffset:]) {
+			t.Errorf("resume at slice %d: JSONL tail diverges", cp.NextSlice)
+		}
+		if store.DirDigest(t, at) != digest {
+			t.Errorf("resume at slice %d: store directory diverges", cp.NextSlice)
+		}
+		if !bytes.Equal(r.obs, durable.obs) {
+			t.Errorf("resume at slice %d: coordinator metrics diverge:\n got %s\nwant %s", cp.NextSlice, r.obs, durable.obs)
+		}
+		if r.completed != durable.completed || r.lost != durable.lost {
+			t.Errorf("resume at slice %d: %d tasks completed and %d lost, want %d and %d",
+				cp.NextSlice, r.completed, r.lost, durable.completed, durable.lost)
+		}
 	}
 }
 

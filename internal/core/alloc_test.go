@@ -21,14 +21,14 @@ func TestCaptureFastPathZeroAlloc(t *testing.T) {
 	// Warm up: first capture inserts the address into the dedup
 	// accumulators and touches every lazy structure.
 	sh.volumeStats = true
-	if err := p.captureVia(sh, vs, client); err != nil {
-		t.Fatal(err)
+	if !p.captureVia(sh, vs, client) {
+		t.Fatal("capture not answered")
 	}
 
 	allocs := testing.AllocsPerRun(1000, func() {
 		sh.events = sh.events[:0] // committed at the slice boundary
-		if err := p.captureVia(sh, vs, client); err != nil {
-			t.Fatal(err)
+		if !p.captureVia(sh, vs, client) {
+			t.Fatal("capture not answered")
 		}
 	})
 	if allocs != 0 {

@@ -76,7 +76,7 @@ func (cp *Checkpoint) AppendJSON(dst []byte) ([]byte, error) {
 			dst = append(dst, `{"addr":`...)
 			dst = zgrab.AppendJSONAddr(dst, rec.Addr)
 			dst = append(dst, `,"country":`...)
-			dst = zgrab.AppendJSONString(dst, rec.Country)
+			dst = zgrab.AppendJSONString(dst, rec.Vantage)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')

@@ -56,7 +56,7 @@ func fuzzCheckpoint(shape uint16, ip []byte, zone, country string, sec, nsec int
 		cp.Time = time.Time{}
 	}
 	if empty {
-		cp.Shards, cp.CapturedResp, cp.CapLog = []ShardSnap{}, []int{}, []CapRecord{}
+		cp.Shards, cp.CapturedResp, cp.CapLog = []ShardSnap{}, []int{}, []store.CaptureRow{}
 		cp.Scan.Revisit, cp.Scan.Breaker = []zgrab.RevisitEntry{}, []zgrab.BreakerEntryState{}
 		cp.PoolScores, cp.Obs = PoolScoreMap{}, obs.Snapshot{}
 	}
@@ -81,7 +81,7 @@ func fuzzCheckpoint(shape uint16, ip []byte, zone, country string, sec, nsec int
 		cp.CapturedResp = []int{0, int(n), -1}
 	}
 	if shape&cpCapLog != 0 {
-		cp.CapLog = []CapRecord{{Addr: addr, Country: country}, {Country: "DE"}}
+		cp.CapLog = []store.CaptureRow{{Addr: addr, Vantage: country}, {Vantage: "DE"}}
 	}
 	if shape&cpRevisit != 0 {
 		cp.Scan.Revisit = []zgrab.RevisitEntry{{Addr: addr, Last: when}, {Addr: netip.IPv6Unspecified(), Last: when}}
@@ -153,7 +153,7 @@ func allocCheckpoint(caps, revisits int) *Checkpoint {
 		cp.Shards = append(cp.Shards, ShardSnap{Vol: [4]uint64{r.Uint64()}, Arena: a})
 	}
 	for range caps {
-		cp.CapLog = append(cp.CapLog, CapRecord{Addr: addr(), Country: "BR"})
+		cp.CapLog = append(cp.CapLog, store.CaptureRow{Addr: addr(), Vantage: "BR"})
 	}
 	for range revisits {
 		cp.Scan.Revisit = append(cp.Scan.Revisit, zgrab.RevisitEntry{Addr: addr(), Last: when})

@@ -29,13 +29,6 @@ import (
 	"ntpscan/internal/zgrab"
 )
 
-// CapRecord is one first-seen capture: the minimal fact whose ordered
-// replay reconstructs every dedup'd collection statistic.
-type CapRecord struct {
-	Addr    netip.Addr `json:"addr"`
-	Country string     `json:"country"`
-}
-
 // Checkpoint is a resumable snapshot of a campaign, taken at a slice
 // boundary (the drain barrier: no captures or scans in flight). It is
 // plain data — json.Marshal/Unmarshal round-trips it exactly, and
@@ -50,12 +43,12 @@ type Checkpoint struct {
 	NextSlice int       `json:"next_slice"`
 	Time      time.Time `json:"time"` // logical clock at the boundary
 
-	Captures     int64           `json:"captures"`
-	Shards       []ShardSnap     `json:"shards"`
-	CapturedResp []int           `json:"captured_resp,omitempty"`
-	CapLog       []CapRecord     `json:"cap_log,omitempty"`
-	Scan         zgrab.ScanState `json:"scan"`
-	PoolScores   PoolScoreMap    `json:"pool_scores,omitempty"`
+	Captures     int64              `json:"captures"`
+	Shards       []ShardSnap        `json:"shards"`
+	CapturedResp []int              `json:"captured_resp,omitempty"`
+	CapLog       []store.CaptureRow `json:"cap_log,omitempty"`
+	Scan         zgrab.ScanState    `json:"scan"`
+	PoolScores   PoolScoreMap       `json:"pool_scores,omitempty"`
 	// Obs carries the metrics registry's raw values, so a resumed run's
 	// telemetry stream continues the interrupted run's byte-for-byte.
 	Obs obs.Snapshot `json:"obs,omitempty"`
@@ -121,25 +114,22 @@ type CampaignOpts struct {
 	// CheckpointEvery takes a checkpoint every N slices (0 disables).
 	CheckpointEvery int
 	// OnCheckpoint receives each checkpoint, on the campaign goroutine.
-	// A checkpoint is captured at its slice's drain barrier. With a Store
-	// or Aggregates attached, that slice's sink job is then still
-	// running, so the checkpoint is delivered once the job is joined:
-	// before the next slice's flush, with Store the manifest as the job
-	// left it and the store's writer counters in Obs re-read then (see
-	// sliceSink). Without either it is delivered at its barrier. Either
-	// way the Out writer has written exactly OutOffset bytes when it is
-	// called. The pointer and everything it references belong to the
-	// callee.
+	// A checkpoint is captured at its slice's drain barrier and delivered
+	// once that slice's sink job is joined: at the next barrier, before
+	// its flush, with Store the manifest as the job left it and the
+	// store's writer counters in Obs re-read then (see sliceSink). The Out
+	// writer has written exactly OutOffset bytes when it is called. No
+	// checkpoint is taken once a Dispatch has failed. The pointer and
+	// everything it references belong to the callee.
 	OnCheckpoint func(*Checkpoint)
 	// Telemetry, when non-nil, receives one JSONL line per slice with
 	// the full metrics registry state as it stood at the slice's drain
-	// barrier. With a Store or Aggregates attached the line is written
-	// on the campaign goroutine once the slice's sink job is joined,
-	// before the next flush; the store's writer counters in it are
-	// re-read then (see sliceSink). The stream is deterministic:
-	// byte-identical across worker counts, and a resumed campaign emits
-	// exactly the lines the uninterrupted run would have from its resume
-	// slice onward.
+	// barrier. The line is written on the campaign goroutine once the
+	// slice's sink job is joined, before the next flush; the store's
+	// writer counters in it are re-read then (see sliceSink). The stream
+	// is deterministic: byte-identical across worker counts, and a
+	// resumed campaign emits exactly the lines the uninterrupted run
+	// would have from its resume slice onward.
 	Telemetry io.Writer
 	// Store, when non-nil, is the campaign's durable columnar sink: each
 	// slice's capture events and scan results are appended as one
@@ -356,13 +346,14 @@ func (s *orderedSink) offset() int64 {
 // then its aggregator feed, run on a goroutine of its own while the
 // campaign collects and scans the next slice. At most one job is in
 // flight, and the campaign joins it before the next flush reuses the
-// rows it was handed.
+// results it was handed. With neither a store nor an aggregator the
+// job is empty and completes at once.
 //
-// The telemetry line and the checkpoint of a slice whose job runs late
-// are captured at the slice's barrier and written or delivered after
-// the join, with only store.WriterSeries re-read: the append advances
-// those counters and nothing else, so the line and the checkpoint are
-// the ones a barrier-time append would have produced.
+// Every slice's telemetry line and checkpoint are captured at the
+// slice's barrier and written or delivered after the join, with only
+// store.WriterSeries re-read: the append advances those counters and
+// nothing else, so the line and the checkpoint are the ones a
+// barrier-time append would have produced.
 type sliceSink struct {
 	st   *store.Store
 	agg  SliceAggregator
@@ -385,10 +376,15 @@ func (k *sliceSink) run(slice int, caps []store.CaptureRow, results []*zgrab.Res
 	return err
 }
 
-// start runs the slice's job on the sink goroutine. caps and results
-// must not change until join returns.
+// start runs the slice's job on the sink goroutine, or completes the
+// empty job at once when nothing is attached. caps and results must not
+// change until join returns.
 func (k *sliceSink) start(slice int, caps []store.CaptureRow, results []*zgrab.Result) {
 	k.busy = true
+	if k.st == nil && k.agg == nil {
+		k.done <- nil
+		return
+	}
 	go func() { k.done <- k.run(slice, caps, results) }()
 }
 
@@ -468,15 +464,6 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		}
 	}
 	sk := &sliceSink{st: opts.Store, agg: opts.Aggregates, done: make(chan error, 1)}
-	// deliver completes a checkpoint captured at a barrier whose sink
-	// job has finished, and hands it over.
-	deliver := func(cp *Checkpoint) {
-		if opts.Store != nil {
-			m := opts.Store.Manifest()
-			cp.Store = &m
-		}
-		opts.OnCheckpoint(cp)
-	}
 	// pending is the checkpoint captured at the in-flight job's barrier.
 	var pending *Checkpoint
 	// settle joins the in-flight sink job, then writes the telemetry line
@@ -493,21 +480,25 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		}
 		if pending != nil {
 			p.Obs.Reread(pending.Obs, store.WriterSeries...)
-			deliver(pending)
+			if opts.Store != nil {
+				m := opts.Store.Manifest()
+				pending.Store = &m
+			}
+			opts.OnCheckpoint(pending)
 			pending = nil
 		}
 	}
 	// capBase marks the capture-log high-water mark, so each slice's
 	// store append carries exactly the captures that slice produced.
 	// After a restore the log already holds the replayed prefix — those
-	// slices live in segments the store was reset to.
+	// slices live in segments the store was reset to. The sink job reads
+	// its stretch of the log while the next slice appends after it.
 	capBase := len(p.capLog)
-	var capScratch []store.CaptureRow
 	p.collectFrom(startSlice, func(batch []netip.Addr) {
 		scanner.SubmitBatch(batch)
 	}, scanner.Drain, func(next int, shards []*collectShard) {
-		// The previous slice's sink job still holds sink.batch and
-		// capScratch; join it before this flush reuses them.
+		// The previous slice's sink job still holds sink.batch; join it
+		// before this flush reuses it.
 		settle()
 		keep(sink.flush())
 		// Telemetry is captured before the checkpoint counter below
@@ -518,26 +509,14 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		}
 		// The store appends the slice's capture events and results; the
 		// aggregator sees exactly the rows the store appends.
-		if opts.Store != nil || opts.Aggregates != nil {
-			rows := capScratch[:0]
-			for _, c := range p.capLog[capBase:] {
-				rows = append(rows, store.CaptureRow{Addr: c.Addr, Vantage: c.Country})
-			}
-			capBase = len(p.capLog)
-			capScratch = rows
-			sk.start(next-1, rows, sink.batch)
-		} else if tw != nil {
-			keep(tw.WriteCaptured())
-		}
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil &&
+		sk.start(next-1, p.capLog[capBase:], sink.batch)
+		capBase = len(p.capLog)
+		// After a failed dispatch the slices left are skipped: a
+		// checkpoint would claim work that never ran.
+		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && p.dispatchErr == nil &&
 			next < collectSlices && next%opts.CheckpointEvery == 0 {
 			p.met.checkpoints.Inc()
-			cp := p.checkpoint(next, shards, scanner, sink.offset())
-			if sk.busy {
-				pending = cp
-			} else {
-				deliver(cp)
-			}
+			pending = p.checkpoint(next, shards, scanner, sink.offset())
 		}
 	})
 	scanner.Close()
@@ -568,7 +547,7 @@ func (p *Pipeline) checkpoint(next int, shards []*collectShard, scanner *zgrab.S
 		Time:          p.W.Clock().Now(),
 		Captures:      p.captures.Load(),
 		Shards:        make([]ShardSnap, len(shards)),
-		CapLog:        append([]CapRecord(nil), p.capLog...),
+		CapLog:        append([]store.CaptureRow(nil), p.capLog...),
 		Scan:          scanner.Snapshot(),
 		PoolScores:    make(PoolScoreMap, len(p.Servers)),
 		Obs:           p.Obs.Snapshot(),
@@ -630,9 +609,9 @@ func (p *Pipeline) restore(cp *Checkpoint) error {
 	// side effects are not needed here (any address scanned after the
 	// resume point is re-registered by its own capture's CurrentAddr).
 	for _, rec := range cp.CapLog {
-		p.EUI.Add(rec.Addr, rec.Country)
+		p.EUI.Add(rec.Addr, rec.Vantage)
 		if p.Summary.Add(rec.Addr) {
-			if vs, ok := p.ServerByCountry(rec.Country); ok {
+			if vs, ok := p.ServerByCountry(rec.Vantage); ok {
 				p.perCountryN[vs.idx]++
 			}
 		}

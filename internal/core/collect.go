@@ -11,6 +11,7 @@ import (
 	"ntpscan/internal/ntp"
 	"ntpscan/internal/obs"
 	"ntpscan/internal/rng"
+	"ntpscan/internal/store"
 	"ntpscan/internal/world"
 )
 
@@ -34,20 +35,18 @@ type collectShard struct {
 	// hit/miss sequence a pure function of the shard's draw stream, so
 	// the folded counters stay byte-identical across worker counts.
 	arena *world.Materializer
-	// reqBuf/respBuf are the shard's reusable NTP wire buffers: both
-	// codec capture calls encode every request slab and receive every
-	// response slab here, so steady-state captures allocate nothing.
-	// Owned by exactly one shard, never shared — pooling per shard keeps
-	// the buffers out of any cross-goroutine ordering.
+	// reqBuf/respBuf are the shard's reusable NTP wire buffers: every
+	// exchange encodes its request slab and receives its response slab
+	// here, so steady-state captures allocate nothing. Owned by exactly
+	// one shard, never shared — pooling per shard keeps the buffers out
+	// of any cross-goroutine ordering.
 	reqBuf  []byte
 	respBuf []byte
-	// pkts/clients/oks are the volume batch path's per-slice scratch:
-	// the slice's sampled clients and their request/response bookkeeping
-	// for one RespondBatch call. High-water capacity is kept across
-	// slices.
+	// pkts/clients are the exchange's scratch: the requests of the
+	// clients admit queued, for one RespondBatch call. High-water
+	// capacity is kept across slices.
 	pkts    []ntp.Packet
 	clients []netip.AddrPort
-	oks     []bool
 	// events buffers this shard's captures within the current slice —
 	// address, vantage, and channel, in exact capture order.
 	// Preallocated from the capture budget so steady-state appends
@@ -171,28 +170,12 @@ type collectQuota struct {
 //     address epochs with rate responsiveDupRate — dynamic addresses
 //     re-observed, the mechanism behind addrs > certs in Table 2.
 //
-// feed, when non-nil, receives every captured address as it happens
-// (the real-time scan feed), in canonical shard order within each time
-// slice. The logical clock advances across the window as events are
-// generated.
-func (p *Pipeline) Collect(feed func(netip.Addr)) {
-	var batch func([]netip.Addr)
-	if feed != nil {
-		batch = func(addrs []netip.Addr) {
-			for _, a := range addrs {
-				feed(a)
-			}
-		}
-	}
-	p.collect(batch, nil)
-}
-
-// collect is the sharded collection driver. batch, when non-nil,
-// receives each slice's captures merged in shard order; drain, when
-// non-nil, runs after each slice's batches — the campaign uses it to
-// complete all in-flight scans before the clock moves.
-func (p *Pipeline) collect(batch func([]netip.Addr), drain func()) {
-	p.collectFrom(0, batch, drain, nil)
+// feed, when non-nil, receives every captured address (the real-time
+// scan feed) at each slice's barrier, one batch per shard in ascending
+// shard order; the batch is reused once feed returns. The logical clock
+// advances across the window as events are generated.
+func (p *Pipeline) Collect(feed func([]netip.Addr)) {
+	p.collectFrom(0, feed, nil, nil)
 }
 
 // collectSlices is the collection window's time resolution: 7-hour
@@ -210,9 +193,13 @@ func (p *Pipeline) sliceTime(s int) time.Time {
 	return p.W.Cfg.Start.Add(world.CollectionWindow * time.Duration(s) / collectSlices)
 }
 
-// collectFrom is collect starting at an arbitrary slice (resume path).
-// onSlice, when non-nil, runs after each slice is fully drained — the
-// quiescent point where the checkpointer snapshots shard streams.
+// collectFrom is the sharded collection driver, starting at an
+// arbitrary slice (resume path). batch, when non-nil, receives each
+// slice's captures merged in shard order; drain, when non-nil, runs
+// after each slice's batches — the campaign uses it to complete all
+// in-flight scans before the clock moves. onSlice, when non-nil, runs
+// after each slice is fully drained — the quiescent point where the
+// checkpointer snapshots shard streams.
 func (p *Pipeline) collectFrom(startSlice int, batch func([]netip.Addr), drain func(), onSlice func(next int, shards []*collectShard)) {
 	budget := p.captureBudget()
 	clock := p.W.Clock()
@@ -349,7 +336,7 @@ func (p *Pipeline) commitShard(sh *collectShard, batch func([]netip.Addr)) {
 					// accumulator state. Only fresh addresses are logged —
 					// re-Adding each exactly once restores every dedup'd
 					// statistic.
-					p.capLog = append(p.capLog, CapRecord{Addr: ev.addr, Country: country})
+					p.capLog = append(p.capLog, store.CaptureRow{Addr: ev.addr, Vantage: country})
 				}
 			}
 		}
@@ -508,7 +495,7 @@ func (p *Pipeline) responsiveShardSlice(sh *collectShard, s, slices, nshards int
 			// what this execution reads.
 			if p.vantageUp(vs) {
 				addr := p.W.CurrentAddr(dev, clock.Now())
-				if p.captureVia(sh, vs, addr) == nil {
+				if p.captureVia(sh, vs, addr) {
 					sh.respSet = append(sh.respSet, int32(i))
 				}
 			}

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"sync/atomic"
 	"time"
@@ -33,6 +32,7 @@ import (
 	"ntpscan/internal/ntppool"
 	"ntpscan/internal/obs"
 	"ntpscan/internal/rng"
+	"ntpscan/internal/store"
 	"ntpscan/internal/world"
 	"ntpscan/internal/zgrab"
 )
@@ -191,12 +191,12 @@ type Pipeline struct {
 	// self-healing that lets faulted campaigns converge to clean ones.
 	respCaptured []bool
 
-	// recordCaps turns on the capture log feeding checkpoints: each
-	// first-seen (addr, country) pair, in capture order. Replaying the
-	// log into fresh accumulators reproduces Summary/EUI/PerCountry
-	// exactly on resume.
+	// recordCaps turns on the capture log feeding checkpoints and the
+	// campaign's sink: each first-seen (addr, country) pair, in capture
+	// order. Replaying the log into fresh accumulators reproduces
+	// Summary/EUI/PerCountry exactly on resume.
 	recordCaps bool
-	capLog     []CapRecord
+	capLog     []store.CaptureRow
 
 	// feedBuf is commitShard's reusable scratch: one shard's slice feed
 	// (every captured address, duplicates included) built from its event
@@ -334,80 +334,63 @@ func (p *Pipeline) ServerByCountry(code string) (*VantageServer, bool) {
 }
 
 // captureVia routes one client sync through the shard's clone of the
-// vantage server: the codec capture call for a single event (the
-// responsive channel). The request is encoded and the response received
-// in the shard's scratch buffers — zero heap allocations per capture in
-// steady state (asserted by TestCaptureFastPathZeroAlloc). The clone
-// runs the same ntp.Server logic as the fabric-registered server;
+// vantage server: admit plus an exchange of one (the responsive
+// channel). It reports whether the sync was answered. The request is
+// encoded and the response received in the shard's scratch buffers —
+// zero heap allocations per capture in steady state (asserted by
+// TestCaptureFastPathZeroAlloc). The clone runs the same ntp.Server
+// logic as the fabric-registered server;
 // TestCodecCaptureMatchesFabricExchange holds the two to each other.
-func (p *Pipeline) captureVia(sh *collectShard, vs *VantageServer, client netip.Addr) error {
+func (p *Pipeline) captureVia(sh *collectShard, vs *VantageServer, client netip.Addr) bool {
 	now := p.W.Clock().Now()
-	port := 40000 + uint16(sh.ports.Intn(20000))
-	if !p.W.Fabric().HostUp(vs.Addr, now) {
-		// The vantage is blacked out by the fault plan: the sync never
-		// completes. (The port draw above still happened, keeping the
-		// shard's stream schedule independent of the plan's timing.)
-		sh.dropped[vs.idx]++
-		return fmt.Errorf("core: vantage %s is down", vs.ID)
-	}
-	// The codec call does not cross the fabric, so the link-layer round
-	// trip is modelled here: request through the vantage's link,
-	// response through the client's. A blocked exchange is a drop — the
-	// same accounting as a blacked-out vantage.
-	if !p.W.Fabric().LinkAdmit(client, vs.Addr, port) {
-		sh.dropped[vs.idx]++
-		return fmt.Errorf("core: vantage %s link blocked", vs.ID)
-	}
-	req := ntp.ClientPacket(now)
-	sh.reqBuf = req.AppendEncode(sh.reqBuf[:0])
-	resp, ok := sh.ntp[vs.idx].RespondAppend(netip.AddrPortFrom(client, port), sh.reqBuf, sh.respBuf[:0])
-	sh.respBuf = resp
-	if !ok {
-		sh.dropped[vs.idx]++
-		return fmt.Errorf("core: vantage %s dropped request", vs.ID)
-	}
-	return nil
+	return p.admit(sh, vs, client, now) && p.exchange(sh, vs, now) == 1
 }
 
-// volumeBatch emits n volume-channel events for one vantage: the codec
-// capture call for a batch. Per-event semantics — stream draw order
-// (client sample, then source port), the down-vantage drop accounting,
-// and the capture hook sequence — are exactly those of n captureVia
-// calls; what the batch buys is that every client in a frozen slice
-// sends the same mode-3 request, so the slab is encoded by stride copy,
-// decoded once, and answered with one RespondBatch call instead of n
-// codec round-trips.
+// volumeBatch emits n volume-channel events for one vantage: admit per
+// sampled client, then one exchange for all of them. Every client in a
+// frozen slice sends the same mode-3 request, so the slab is encoded by
+// stride copy, decoded once, and answered with one RespondBatch call
+// instead of n codec round-trips.
 func (p *Pipeline) volumeBatch(sh *collectShard, vs *VantageServer, n int) {
 	now := p.W.Clock().Now()
-	fabric := p.W.Fabric()
-	clients := sh.clients[:0]
 	for i := 0; i < n; i++ {
 		gid := p.W.SampleClientID(vs.Country, sh.vol)
 		if gid < 0 {
 			continue
 		}
-		dev := sh.arena.Device(gid)
-		addr := p.W.CurrentAddr(dev, now)
-		// The port draw precedes the health check, exactly like
-		// captureVia: the shard's stream schedule must not depend on the
-		// fault plan's timing.
-		port := 40000 + uint16(sh.ports.Intn(20000))
-		if !fabric.HostUp(vs.Addr, now) {
-			sh.dropped[vs.idx]++
-			continue
-		}
-		// Same link-layer round trip as captureVia; the admit hash
-		// excludes payload, so the two calls agree on which exchanges
-		// survive.
-		if !fabric.LinkAdmit(addr, vs.Addr, port) {
-			sh.dropped[vs.idx]++
-			continue
-		}
-		clients = append(clients, netip.AddrPortFrom(addr, port))
+		p.admit(sh, vs, p.W.CurrentAddr(sh.arena.Device(gid), now), now)
 	}
-	sh.clients = clients
+	p.exchange(sh, vs, now)
+}
+
+// admit draws the client's source port and queues its sync for the
+// next exchange, unless the vantage is blacked out by the fault plan or
+// the link layer blocks the round trip (request through the vantage's
+// link, response through the client's; the codec call does not cross
+// the fabric, so it is modelled here). A sync that fails either check
+// is a drop. The port is drawn first, so the shard's stream schedule
+// does not depend on the plan's timing, and the link admit hash
+// excludes the payload, so both channels agree on which exchanges
+// survive.
+func (p *Pipeline) admit(sh *collectShard, vs *VantageServer, client netip.Addr, now time.Time) bool {
+	port := 40000 + uint16(sh.ports.Intn(20000))
+	fabric := p.W.Fabric()
+	if !fabric.HostUp(vs.Addr, now) || !fabric.LinkAdmit(client, vs.Addr, port) {
+		sh.dropped[vs.idx]++
+		return false
+	}
+	sh.clients = append(sh.clients, netip.AddrPortFrom(client, port))
+	return true
+}
+
+// exchange sends every queued client's request to the vantage in one
+// RespondBatch call and empties the queue. A request left unanswered
+// is a drop. It returns how many were answered.
+func (p *Pipeline) exchange(sh *collectShard, vs *VantageServer, now time.Time) int {
+	clients := sh.clients
+	sh.clients = clients[:0]
 	if len(clients) == 0 {
-		return
+		return 0
 	}
 	req := ntp.ClientPacket(now)
 	pkts := sh.pkts[:0]
@@ -416,14 +399,8 @@ func (p *Pipeline) volumeBatch(sh *collectShard, vs *VantageServer, n int) {
 	}
 	sh.pkts = pkts
 	sh.reqBuf = ntp.EncodeBatch(pkts, sh.reqBuf[:0])
-	if cap(sh.oks) < len(clients) {
-		sh.oks = make([]bool, len(clients))
-	}
-	oks := sh.oks[:len(clients)]
-	sh.respBuf, _ = sh.ntp[vs.idx].RespondBatch(clients, sh.reqBuf, sh.respBuf[:0], oks)
-	for i := range oks {
-		if !oks[i] {
-			sh.dropped[vs.idx]++
-		}
-	}
+	var answered int
+	sh.respBuf, answered = sh.ntp[vs.idx].RespondBatch(clients, sh.reqBuf, sh.respBuf[:0], nil)
+	sh.dropped[vs.idx] += int64(len(clients) - answered)
+	return answered
 }

@@ -85,11 +85,13 @@ func TestCollectDeterministic(t *testing.T) {
 func TestCollectFeedSeesEveryCapture(t *testing.T) {
 	p := NewPipeline(testConfig(1))
 	n := 0
-	p.Collect(func(a netip.Addr) {
-		if !a.IsValid() {
-			t.Error("invalid address in feed")
+	p.Collect(func(batch []netip.Addr) {
+		for _, a := range batch {
+			if !a.IsValid() {
+				t.Error("invalid address in feed")
+			}
 		}
-		n++
+		n += len(batch)
 	})
 	if n != p.Captures {
 		t.Fatalf("feed saw %d of %d captures", n, p.Captures)
@@ -108,14 +110,15 @@ func fieldsOf(p *ntp.Packet) respFields {
 	return respFields{p.Stratum, p.ReferenceID, p.OriginTime, p.ReceiveTime, p.TransmitTime}
 }
 
-// TestCodecCaptureMatchesFabricExchange holds the campaign's two codec
-// capture calls to the exchange they stand in for. The reference is a
+// TestCodecCaptureMatchesFabricExchange holds the campaign's codec
+// capture call to the exchange it stands in for. The reference is a
 // complete UDP round trip on a clean fabric — ntp.QuerySim against the
 // vantage server registered at its address. The shard's clone of that
-// server, asked through RespondAppend (captureVia's call) and through
-// RespondBatch (volumeBatch's call), must capture the same client
-// addresses in the same order and answer with the same stratum,
-// reference ID and origin/receive/transmit timestamps.
+// server, asked through RespondAppend (one request, as Serve and
+// Respond answer it) and through RespondBatch (the exchange both
+// capture channels make), must capture the same client addresses in
+// the same order and answer with the same stratum, reference ID and
+// origin/receive/transmit timestamps.
 func TestCodecCaptureMatchesFabricExchange(t *testing.T) {
 	p := NewPipeline(testConfig(3))
 	sh := p.makeCollectShards()[0]
@@ -203,7 +206,7 @@ func TestCodecCaptureMatchesFabricExchange(t *testing.T) {
 	}
 	check("RespondAppend", got)
 
-	// RespondBatch takes one vantage's clients per call, as volumeBatch
+	// RespondBatch takes one vantage's clients per call, as an exchange
 	// hands them over; triples are grouped by vantage already.
 	got = got[:0]
 	for lo := 0; lo < len(triples); {

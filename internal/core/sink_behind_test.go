@@ -295,3 +295,35 @@ func TestCheckpointWaitsForItsSliceJob(t *testing.T) {
 		t.Errorf("checkpoints delivered %v, want %v", delivered, want)
 	}
 }
+
+// A dispatcher's fatal error skips every later slice, so no checkpoint
+// may be taken after it: one would claim slices were collected that
+// never ran. A dispatch failing at slice 10, with a checkpoint every 4
+// slices, delivers checkpoints 4 and 8 and nothing after them, and the
+// campaign returns the dispatcher's error.
+func TestNoCheckpointAfterDispatchFails(t *testing.T) {
+	chaos.NoGoroutineLeaks(t)
+	const failAt = 10
+	lost := errors.New("control plane lost")
+	p := core.NewPipeline(sinkConfig(54, 2))
+	var delivered []int
+	_, err := p.RunCampaign(context.Background(), core.CampaignOpts{
+		CheckpointEvery: 4,
+		OnCheckpoint:    func(cp *core.Checkpoint) { delivered = append(delivered, cp.NextSlice) },
+		Dispatch: func(slice int, shards []core.ShardRef, run func(core.ShardRef)) error {
+			for _, r := range shards {
+				run(r)
+			}
+			if slice == failAt {
+				return fmt.Errorf("slice %d: %w", slice, lost)
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, lost) {
+		t.Errorf("campaign error %v, want the dispatcher's", err)
+	}
+	if want := []int{4, 8}; !reflect.DeepEqual(delivered, want) {
+		t.Errorf("checkpoints delivered %v, want %v", delivered, want)
+	}
+}

@@ -33,12 +33,12 @@ func AblationFeedVsBatch(opts Options) string {
 	// Arm B: collect first, let a week pass (addresses churn), then
 	// scan the aggregated list.
 	batch := newPipeline(opts)
-	var collected []netip.Addr
-	seen := map[netip.Addr]struct{}{}
-	batch.Collect(func(a netip.Addr) {
-		if _, dup := seen[a]; !dup {
-			seen[a] = struct{}{}
-			collected = append(collected, a)
+	seen, collected := map[netip.Addr]bool{}, []netip.Addr(nil)
+	batch.Collect(func(addrs []netip.Addr) {
+		for _, a := range addrs {
+			if !seen[a] {
+				seen[a], collected = true, append(collected, a)
+			}
 		}
 	})
 	batch.AdvanceWorld(7 * 24 * time.Hour)

@@ -97,9 +97,9 @@ func (n *Network) traverseUDP(dir byte, from, to netip.Addr, serverPort uint16, 
 // traverses the vantage's link, the response traverses the client's,
 // and the response's patience is whatever the request's sojourn left
 // of the dialer's budget. Reports whether the exchange survives. The
-// flow hash deliberately excludes the payload — captureVia and
-// volumeBatch must admit identically for the same (client, vantage,
-// port, slice) regardless of which codec buffer they encode into.
+// flow hash deliberately excludes the payload — both capture channels
+// must admit identically for the same (client, vantage, port, slice)
+// however many requests share the exchange's slab.
 func (n *Network) LinkAdmit(client, vantage netip.Addr, serverPort uint16) bool {
 	lp := n.links()
 	if lp == nil {

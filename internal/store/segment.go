@@ -75,10 +75,11 @@ func (k Kind) String() string {
 }
 
 // CaptureRow is one capture event: a first-seen client address and the
-// vantage country that captured it.
+// vantage country that captured it. The JSON keys are those of a
+// campaign checkpoint's capture log, which is a list of these rows.
 type CaptureRow struct {
-	Addr    netip.Addr
-	Vantage string
+	Addr    netip.Addr `json:"addr"`
+	Vantage string     `json:"country"`
 }
 
 // blockIndex is one footer entry: everything the query engine needs to

@@ -97,7 +97,7 @@ func TestRealNetScan(t *testing.T) {
 		},
 	})
 	s.Start(context.Background())
-	s.Submit(netip.MustParseAddr("127.0.0.1"))
+	s.SubmitBatch([]netip.Addr{netip.MustParseAddr("127.0.0.1")})
 	s.Close()
 
 	mu.Lock()

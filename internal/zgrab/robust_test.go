@@ -171,7 +171,7 @@ func TestInterProtocolDelayStampsSchedule(t *testing.T) {
 			OnResultWorker:     func(_ int, r *Result) { results[r.Module] = r },
 		})
 		s.Start(context.Background())
-		s.Submit(target)
+		s.SubmitBatch([]netip.Addr{target})
 		s.Close()
 		return results
 	}
@@ -217,7 +217,7 @@ func TestRetryStampsBackoffOnLogicalClock(t *testing.T) {
 	})
 	s.Start(context.Background())
 	wall := time.Now()
-	s.Submit(netip.MustParseAddr("2001:db8::dead"))
+	s.SubmitBatch([]netip.Addr{netip.MustParseAddr("2001:db8::dead")})
 	s.Drain()
 	s.Close()
 	if elapsed := time.Since(wall); elapsed > 5*time.Second {
@@ -265,7 +265,7 @@ func TestRetryEmitsOnlyFinalAttempt(t *testing.T) {
 		},
 	})
 	s.Start(context.Background())
-	s.Submit(target)
+	s.SubmitBatch([]netip.Addr{target})
 	s.Close()
 	for m, n := range count {
 		if n != 1 {

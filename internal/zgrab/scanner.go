@@ -440,32 +440,13 @@ func (s *Scanner) finish(n int) {
 	s.pendingMu.Unlock()
 }
 
-// Submit enqueues one target, honouring revisit suppression. It reports
-// whether the address was accepted; submitting to a closed scanner is a
-// safe no-op returning false. Submit blocks when the queue is full
-// (backpressure onto the capture feed).
-func (s *Scanner) Submit(addr netip.Addr) bool {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return false
-	}
-	s.met.Submitted.Inc()
-	if !s.revisit.Allow(addr, s.cfg.Clock.Now()) {
-		s.met.Suppressed.Inc()
-		return false
-	}
-	sess := s.sessions.acquire()
-	sess.targets = append(sess.targets, target{addr: addr})
-	s.enqueue(sess)
-	return true
-}
-
-// SubmitBatch enqueues many targets with one channel operation per
+// SubmitBatch enqueues targets with one channel operation per
 // submitChunk addresses, honouring revisit suppression. It returns how
-// many were accepted; a closed scanner accepts none. Sequence numbers
-// are assigned in slice order, so a single feeding goroutine produces a
-// deterministic result order regardless of worker count.
+// many were accepted; submitting to a closed scanner is a safe no-op
+// accepting none. It blocks when the queue is full (backpressure onto
+// the capture feed). Sequence numbers are assigned in slice order, so a
+// single feeding goroutine produces a deterministic result order
+// regardless of worker count.
 func (s *Scanner) SubmitBatch(addrs []netip.Addr) int {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()

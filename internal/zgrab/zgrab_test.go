@@ -223,10 +223,10 @@ func TestScannerEndToEnd(t *testing.T) {
 		},
 	})
 	s.Start(context.Background())
-	if !s.Submit(target) {
+	if s.SubmitBatch([]netip.Addr{target}) != 1 {
 		t.Fatal("submit rejected")
 	}
-	if s.Submit(target) {
+	if s.SubmitBatch([]netip.Addr{target}) != 0 {
 		t.Fatal("duplicate submit not suppressed")
 	}
 	s.Close()
