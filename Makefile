@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 
 .PHONY: all check vet build test race profiles chaos fuzz-smoke cover \
-	cover-gate reach reach-dynamic loc
+	cover-gate reach reach-dynamic mutants loc
 
 all: check
 
@@ -126,6 +126,16 @@ reach:
 # .reach_dynamic/). Not a gate: it is the next prune's worklist.
 reach-dynamic:
 	bash internal/reach/dynamic.sh
+
+# mutants is the mutation gate: each patch under
+# internal/reach/testdata/mutants/ breaks the program on purpose and
+# names, in its header, the tests that must fail under it
+# (internal/reach/mutants.sh; under a minute on a warm build cache,
+# without -race). It fails if such a test passes or if a patch no
+# longer applies: a change that moves the mutated code re-points the
+# patch.
+mutants:
+	bash internal/reach/mutants.sh
 
 # loc prints non-test code lines per package — lines that are neither
 # blank nor only a // comment, over the non-_test.go files — the count

@@ -29,3 +29,6 @@ make cover-gate
 # Pruning gate: no declaration under internal/ or cmd/ that only its own
 # package's tests reach, unless internal/reach/allowlist.txt says why.
 make reach
+# Mutation gate: every recorded mutant must still fail the tests its
+# patch names (see `make mutants`).
+make mutants

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"ntpscan/internal/experiments"
 	"ntpscan/internal/store"
 	"ntpscan/internal/world"
+	"ntpscan/internal/zgrab"
 )
 
 // tinyOpts is a world small enough for a campaign per test; tinyFlags
@@ -311,8 +313,30 @@ func TestLoadDatasetJSONLAndStoreAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(mem.Results); n == 0 || len(fromJSONL.Results) != n || len(fromStore.Results) != n {
-		t.Fatalf("rows: campaign %d, JSONL %d, store %d", n, len(fromJSONL.Results), len(fromStore.Results))
+	// The datasets keep only successes, so rows are counted at the
+	// sources loadDataset reads: the JSONL decoder and the store scan.
+	rowsJSONL, rowsStore := 0, 0
+	jf, err := os.Open(jsonlPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jf.Close()
+	if err := zgrab.DecodeJSONL(bufio.NewReader(jf), func(*zgrab.Result) error {
+		rowsJSONL++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	it := st.Scan(store.Pred{Kind: store.KindResults})
+	for it.Next() {
+		rowsStore++
+	}
+	it.Close()
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mem.Results); n == 0 || rowsJSONL != n || rowsStore != n {
+		t.Fatalf("rows: campaign %d, JSONL %d, store %d", n, rowsJSONL, rowsStore)
 	}
 	want := analysis.Table2(mem)
 	successes := 0
@@ -328,8 +352,88 @@ func TestLoadDatasetJSONLAndStoreAgree(t *testing.T) {
 	if got := analysis.Table2(fromStore); !reflect.DeepEqual(got, want) {
 		t.Errorf("Table 2 from the store %+v, from the campaign %+v", got, want)
 	}
+	wantResp, wantScanned, _ := analysis.HitRate(mem)
+	for name, d := range map[string]*analysis.Dataset{"JSONL": fromJSONL, "store": fromStore} {
+		if resp, scanned, _ := analysis.HitRate(d); resp != wantResp || scanned != wantScanned {
+			t.Errorf("hit rate from the %s %d/%d, from the campaign %d/%d", name, resp, scanned, wantResp, wantScanned)
+		}
+	}
 
 	if _, err := loadDataset("ntp", filepath.Join(dir, "missing.jsonl"), io.Discard); err == nil {
 		t.Error("a missing input loaded")
+	}
+}
+
+// liveHeap is the heap still reachable after two collections.
+func liveHeap() float64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return float64(ms.HeapAlloc)
+}
+
+// TestLoadedDatasetKeepsWhatTheTablesRead loads a campaign's store with
+// loadDataset, and then the same rows the same way into a plain slice.
+// The tables read only the successful grabs and the addresses scanned,
+// and most grabs fail, so the dataset must keep at most a quarter of
+// the live heap that holding every row keeps.
+func TestLoadedDatasetKeepsWhatTheTablesRead(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tinyPipeline().RunCampaign(context.Background(), core.CampaignOpts{Store: st}); err != nil {
+		t.Fatal(err)
+	}
+	rows := func() []*zgrab.Result {
+		ro, err := store.OpenReadOnly(dir, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := ro.Scan(store.Pred{Kind: store.KindResults})
+		defer it.Close()
+		var rs []*zgrab.Result
+		for it.Next() {
+			rs = append(rs, it.Row().Result)
+		}
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	load := func() *analysis.Dataset {
+		d, err := loadDataset("ntp", dir, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// One throwaway load of each warms process-global state (the intern
+	// table), so each delta below is what its own load keeps.
+	load()
+	rows()
+
+	before := liveHeap()
+	d := load()
+	kept := liveHeap() - before
+	if resp, _, _ := analysis.HitRate(d); resp == 0 {
+		t.Fatal("no target answered: the dataset is empty and proves nothing")
+	}
+	runtime.KeepAlive(d)
+
+	before = liveHeap()
+	rs := rows()
+	all := liveHeap() - before
+	runtime.KeepAlive(rs)
+
+	t.Logf("%d rows: dataset keeps %.0f KB, the rows %.0f KB (%.1f%%)", len(rs), kept/1e3, all/1e3, 100*kept/all)
+	if all <= 0 {
+		t.Fatalf("the rows kept %.0f bytes; the comparison has no base", all)
+	}
+	if kept > all/4 {
+		t.Fatalf("the dataset keeps %.0f live-heap bytes, %.2fx the %.0f the %d rows keep; it may keep a quarter",
+			kept, kept/all, all, len(rs))
 	}
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"net/netip"
+	"reflect"
 	"testing"
 
 	"ntpscan/internal/asn"
@@ -57,6 +58,61 @@ func TestDatasetIndexing(t *testing.T) {
 	d.Add(httpsOK(addr(3), "c2", "T", 200))
 	if len(d.Successes("https")) != 2 {
 		t.Fatal("Add did not index")
+	}
+}
+
+// TestStreamedDatasetIsTheFold builds one dataset from a row slice and
+// one row by row through Add, as cmd/analyze streams a store or a JSONL
+// file. They must agree on every index the tables read, and the
+// streamed one must keep no failed row. The rows hold the cases the
+// scanned-address record has to get right: failures beside successes
+// of the same address, an address that only ever failed, and an address
+// scanned again later with another target in between (a revisit).
+func TestStreamedDatasetIsTheFold(t *testing.T) {
+	rs := []*zgrab.Result{
+		httpsOK(addr(1), "certA", "T", 200),
+		{IP: addr(1), Module: "ssh", Status: zgrab.StatusRefused, Error: "connection refused"},
+		{IP: addr(2), Module: "https", Status: zgrab.StatusTimeout, Error: "i/o timeout"},
+		{IP: addr(2), Module: "ssh", Status: zgrab.StatusTimeout, Error: "i/o timeout"},
+		sshOK(addr(3), "key1", "SSH-2.0-OpenSSH_9.6p1", "Ubuntu"),
+		{IP: addr(3), Module: "mqtt", Status: zgrab.StatusTimeout, Error: "i/o timeout"},
+		{IP: addr(1), Module: "https", Status: zgrab.StatusTimeout, Error: "i/o timeout"}, // revisit
+		mqttOK(addr(1), true),
+		{IP: addr(4), Module: "coap", Status: zgrab.StatusTimeout, Error: "i/o timeout"},
+	}
+	whole := NewDataset("x", rs)
+	streamed := NewDataset("x", nil)
+	for _, r := range rs {
+		streamed.Add(r)
+	}
+
+	held := 0
+	for _, m := range []string{"http", "https", "ssh", "mqtt", "mqtts", "amqp", "amqps", "coap"} {
+		got, want := streamed.Successes(m), whole.Successes(m)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Successes(%q): streamed %v, whole %v", m, got, want)
+		}
+		for _, r := range got {
+			if !r.Success() {
+				t.Errorf("the streamed dataset indexes a failed row: %+v", r)
+			}
+		}
+		held += len(got)
+	}
+	if held != 3 {
+		t.Errorf("the streamed dataset indexes %d successes, want 3", held)
+	}
+	for _, d := range []*Dataset{whole, streamed} {
+		if resp, scanned, _ := HitRate(d); resp != 2 || scanned != 4 {
+			t.Errorf("HitRate = %d/%d, want 2/4 (addresses 1 and 3 of 1-4)", resp, scanned)
+		}
+	}
+	if got, want := Table2(streamed), Table2(whole); !reflect.DeepEqual(got, want) {
+		t.Errorf("Table 2: streamed %+v, whole %+v", got, want)
+	}
+
+	if len(streamed.Results) != 0 {
+		t.Errorf("the streamed dataset holds %d rows; Add keeps only successes", len(streamed.Results))
 	}
 }
 

@@ -9,7 +9,9 @@
 package analysis
 
 import (
+	"iter"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"ntpscan/internal/asn"
@@ -25,24 +27,44 @@ type Context struct {
 	OUI *oui.Registry
 }
 
-// Dataset is one scan campaign's results (e.g. "ntp" or "hitlist") with
-// per-module indexes built once.
+// Dataset is one scan campaign's results (e.g. "ntp" or "hitlist") as
+// the tables read them: the successful grabs indexed by module, and a
+// record of the addresses scanned. It is one fold over the rows in scan
+// order (Add); a failed grab leaves only its address behind.
 type Dataset struct {
-	Name    string
+	Name string
+	// Results is the row slice NewDataset was handed, kept as given for
+	// a caller that walks every row (the benchmark's layer probes). No
+	// analysis reads it and Add does not extend it.
 	Results []*zgrab.Result
 
 	byModule map[string][]*zgrab.Result // successes only
+	// scanned is every row's address minus repeats of the row before:
+	// a target's module rows are adjacent, so this is about one entry
+	// per scanned target. A revisit repeats its address; HitRate
+	// deduplicates.
+	scanned []netip.Addr
 }
 
-// NewDataset indexes results.
+// NewDataset folds results through Add and keeps the slice in Results.
 func NewDataset(name string, results []*zgrab.Result) *Dataset {
 	d := &Dataset{Name: name, Results: results, byModule: map[string][]*zgrab.Result{}}
 	for _, r := range results {
-		if r.Success() {
-			d.byModule[r.Module] = append(d.byModule[r.Module], r)
-		}
+		d.Add(r)
 	}
 	return d
+}
+
+// Add folds one more result in (streaming collection): a success is
+// indexed by module, and the address is recorded as scanned. The row
+// itself is kept only if it succeeded.
+func (d *Dataset) Add(r *zgrab.Result) {
+	if n := len(d.scanned); n == 0 || d.scanned[n-1] != r.IP {
+		d.scanned = append(d.scanned, r.IP)
+	}
+	if r.Success() {
+		d.byModule[r.Module] = append(d.byModule[r.Module], r)
+	}
 }
 
 // Successes returns the successful grabs of a module.
@@ -50,21 +72,34 @@ func (d *Dataset) Successes(module string) []*zgrab.Result {
 	return d.byModule[module]
 }
 
-// Add appends more results (streaming collection).
-func (d *Dataset) Add(r *zgrab.Result) {
-	d.Results = append(d.Results, r)
-	if r.Success() {
-		d.byModule[r.Module] = append(d.byModule[r.Module], r)
+// AllSuccesses walks every successful grab, module by module in name
+// order; an address appears once per successful grab.
+func (d *Dataset) AllSuccesses() iter.Seq[*zgrab.Result] {
+	return func(yield func(*zgrab.Result) bool) {
+		for _, m := range sortedKeys(d.byModule) {
+			for _, r := range d.byModule[m] {
+				if !yield(r) {
+					return
+				}
+			}
+		}
 	}
 }
 
-// uniqueAddrs returns the distinct addresses among results.
-func uniqueAddrs(results []*zgrab.Result) map[netip.Addr]struct{} {
-	out := make(map[netip.Addr]struct{})
-	for _, r := range results {
-		out[r.IP] = struct{}{}
+// Responsive returns the distinct addresses with at least one
+// successful grab, sorted.
+func Responsive(d *Dataset) []netip.Addr {
+	var addrs []netip.Addr
+	for r := range d.AllSuccesses() {
+		addrs = append(addrs, r.IP)
 	}
-	return out
+	return sortedDistinct(addrs)
+}
+
+// sortedDistinct sorts addrs in place and drops the repeats.
+func sortedDistinct(addrs []netip.Addr) []netip.Addr {
+	slices.SortFunc(addrs, netip.Addr.Compare)
+	return slices.Compact(addrs)
 }
 
 // Protocol groups pair a plain module with its TLS sibling as the
@@ -113,15 +148,8 @@ func Table2(d *Dataset) []Table2Row {
 // HitRate returns responsive-address share: distinct addresses with at
 // least one successful grab over distinct addresses scanned.
 func HitRate(d *Dataset) (responsive, scanned int, rate float64) {
-	all := uniqueAddrs(d.Results)
-	resp := make(map[netip.Addr]struct{})
-	for _, r := range d.Results {
-		if r.Success() {
-			resp[r.IP] = struct{}{}
-		}
-	}
-	scanned = len(all)
-	responsive = len(resp)
+	responsive = len(Responsive(d))
+	scanned = len(sortedDistinct(slices.Clone(d.scanned)))
 	if scanned > 0 {
 		rate = float64(responsive) / float64(scanned)
 	}

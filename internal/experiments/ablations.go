@@ -71,26 +71,21 @@ func AblationDedup(s *Suite) string {
 	macs := map[ipv6x.MAC]struct{}{}
 	nets := map[netip.Prefix]struct{}{}
 	addrs := map[netip.Addr]struct{}{}
-	for _, module := range []string{"https", "mqtts", "amqps"} {
-		for _, r := range d.Successes(module) {
-			if r.TLS != nil && r.TLS.HandshakeOK {
-				certs[r.TLS.CertFingerprint] = struct{}{}
-			}
-		}
-	}
-	for _, r := range d.Successes("ssh") {
-		if r.SSH != nil && r.SSH.KeyFingerprint != "" {
-			certs["ssh:"+r.SSH.KeyFingerprint] = struct{}{}
-		}
-	}
-	for _, r := range d.Results {
-		if !r.Success() {
-			continue
-		}
+	for r := range d.AllSuccesses() {
 		addrs[r.IP] = struct{}{}
 		nets[ipv6x.Prefix64(r.IP)] = struct{}{}
 		if mac, ok := ipv6x.ExtractMAC(r.IP); ok && mac.Universal() {
 			macs[mac] = struct{}{}
+		}
+		switch r.Module {
+		case "https", "mqtts", "amqps":
+			if r.TLS != nil && r.TLS.HandshakeOK {
+				certs[r.TLS.CertFingerprint] = struct{}{}
+			}
+		case "ssh":
+			if r.SSH != nil && r.SSH.KeyFingerprint != "" {
+				certs["ssh:"+r.SSH.KeyFingerprint] = struct{}{}
+			}
 		}
 	}
 	t := tabulate.New("Ablation: host-count estimates by dedup strategy",

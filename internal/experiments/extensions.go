@@ -22,25 +22,14 @@ func ExtensionTargetGen(s *Suite, candidates int) string {
 	if candidates <= 0 {
 		candidates = 2000
 	}
-	// Seed sets: collected NTP addresses (volume channel) plus the
-	// addresses our scans actually saw; and the hitlist's responsive
-	// addresses.
+	// Seed sets: collected NTP addresses (volume channel) plus one entry
+	// per successful grab of our scans, duplicates kept; and the
+	// hitlist's responsive addresses.
 	ntpSeeds := s.P.Summary.Set().Sorted()
-	for _, r := range s.NTP.Results {
-		if r.Success() {
-			ntpSeeds = append(ntpSeeds, r.IP)
-		}
+	for r := range s.NTP.AllSuccesses() {
+		ntpSeeds = append(ntpSeeds, r.IP)
 	}
-	var hitSeeds []netip.Addr
-	seen := map[netip.Addr]struct{}{}
-	for _, r := range s.Hitlist.Results {
-		if r.Success() {
-			if _, dup := seen[r.IP]; !dup {
-				seen[r.IP] = struct{}{}
-				hitSeeds = append(hitSeeds, r.IP)
-			}
-		}
-	}
+	hitSeeds := analysis.Responsive(s.Hitlist)
 
 	t := tabulate.New("Extension: target generation trained on each source (paper §6 future work)",
 		"Training set", "Seeds", "Learnable IIDs", "Candidates", "Responsive", "Hit rate").

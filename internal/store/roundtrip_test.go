@@ -3,9 +3,7 @@ package store_test
 import (
 	"bytes"
 	"context"
-	"net/netip"
 	"reflect"
-	"sort"
 	"testing"
 
 	"ntpscan/internal/analysis"
@@ -33,30 +31,29 @@ func TestAnalysisRoundTripThroughStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// JSONL-derived dataset (the legacy path).
-	var dsJSON *analysis.Dataset
-	{
-		d := analysis.NewDataset("ntp", nil)
-		if err := zgrab.DecodeJSONL(bytes.NewReader(out.Bytes()), func(r *zgrab.Result) error {
-			d.Add(r)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		dsJSON = d
+	// JSONL-derived dataset (the legacy path). Rows are counted at the
+	// source: the dataset keeps only successes.
+	dsJSON, rowsJSON := analysis.NewDataset("ntp", nil), 0
+	if err := zgrab.DecodeJSONL(bytes.NewReader(out.Bytes()), func(r *zgrab.Result) error {
+		dsJSON.Add(r)
+		rowsJSON++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 
 	// Store-queried dataset (the query-engine path).
-	dsStore := analysis.NewDataset("ntp", nil)
+	dsStore, rowsStore := analysis.NewDataset("ntp", nil), 0
 	it := st.Scan(store.Pred{Kind: store.KindResults})
 	for it.Next() {
 		dsStore.Add(it.Row().Result)
+		rowsStore++
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if len(dsStore.Results) == 0 || len(dsStore.Results) != len(dsJSON.Results) {
-		t.Fatalf("store dataset has %d results, JSONL %d", len(dsStore.Results), len(dsJSON.Results))
+	if rowsStore == 0 || rowsStore != rowsJSON {
+		t.Fatalf("store yielded %d results, JSONL %d", rowsStore, rowsJSON)
 	}
 	if s := it.Stats(); s.BlocksSkipped == 0 || s.BytesSkipped == 0 {
 		t.Fatalf("result-only query skipped nothing (capture blocks must be pruned): %+v", s)
@@ -73,21 +70,7 @@ func TestAnalysisRoundTripThroughStore(t *testing.T) {
 	}
 
 	// Identical hitlists (distinct responsive addresses, sorted).
-	hitlist := func(d *analysis.Dataset) []netip.Addr {
-		seen := make(map[netip.Addr]struct{})
-		for _, r := range d.Results {
-			if r.Success() {
-				seen[r.IP] = struct{}{}
-			}
-		}
-		addrs := make([]netip.Addr, 0, len(seen))
-		for a := range seen {
-			addrs = append(addrs, a)
-		}
-		sort.Slice(addrs, func(i, j int) bool { return addrs[i].Less(addrs[j]) })
-		return addrs
-	}
-	hlStore, hlJSON := hitlist(dsStore), hitlist(dsJSON)
+	hlStore, hlJSON := analysis.Responsive(dsStore), analysis.Responsive(dsJSON)
 	if !reflect.DeepEqual(hlStore, hlJSON) {
 		t.Fatalf("hitlists diverge: store %d addrs, jsonl %d", len(hlStore), len(hlJSON))
 	}
