@@ -45,12 +45,14 @@ race:
 # manifest reads and read-only opens of the directory against a writer
 # that appends, compacts and seals. The sink leg repeats the campaign's
 # sink hand-off five times: the sink goroutine reads its slice's stretch
-# of the capture log while the campaign goroutine appends after it.
+# of the capture log while the campaign goroutine appends after it, and
+# writes the JSONL buffer a worker's run handed over while that worker
+# fills the buffer it took in exchange.
 chaos:
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race -skip 'Congested' ./internal/chaos/ ./internal/netsim/ ./internal/netsim/link/ ./internal/zgrab/ ./internal/core/ ./internal/obs/ ./internal/store/
 	$(GO) test -race -count=10 -run 'WhileAppend|WhileWriting|AcrossCompaction|WaitsForOpen|PublishedView|BesideAWriter' ./internal/store/
-	$(GO) test -race -count=5 -run 'TestSinkCallsKeepSliceOrder|TestCheckpointWaitsForItsSliceJob|TestStoreCampaignBitIdenticalAcrossWorkers' ./internal/core/
+	$(GO) test -race -count=5 -run 'TestSinkCallsKeepSliceOrder|TestOutWriterRunsBehindInSliceOrder|TestCheckpointWaitsForItsSliceJob|TestStoreCampaignBitIdenticalAcrossWorkers' ./internal/core/
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \
 		$(GO) test -race ./internal/cluster/ ./internal/cluster/transport/ ./cmd/clusterd/
 	NTPSCAN_CHAOS_SEEDS="$${NTPSCAN_CHAOS_SEEDS:-11 23 42}" \

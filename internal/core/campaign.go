@@ -109,7 +109,11 @@ type PoolScoreMap map[string]float64
 // behaviour.
 type CampaignOpts struct {
 	// Out, when non-nil, receives every scan result as a JSONL line in
-	// deterministic (submission-sequence) order, flushed once per slice.
+	// deterministic (submission-sequence) order: one Write per slice,
+	// made by the slice's sink job on the sink goroutine — one call at
+	// a time, in slice order, ahead of the slice's store append —
+	// while the campaign collects and scans the next slice. The
+	// post-Close tail is written last, and RunCampaign returns after it.
 	Out io.Writer
 	// CheckpointEvery takes a checkpoint every N slices (0 disables).
 	CheckpointEvery int
@@ -171,44 +175,36 @@ type SliceAggregator interface {
 	AggregateSlice(slice int, caps []store.CaptureRow, results []*zgrab.Result) error
 }
 
-// countingWriter tracks the output byte offset for checkpoints.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// orderedSink accumulates scan results lock-free and flushes them in
+// orderedSink accumulates scan results lock-free and merges them in
 // the order of the sequence numbers the scanner stamped at submission,
 // at each slice's drain barrier. Every scanner worker appends to its
 // own run (the scanner guarantees one worker index per goroutine), and
-// with a writer it also encodes each row there, so the JSONL encode
+// with encode set it also encodes each row there, so the JSONL encode
 // runs on the scan workers rather than serially at the barrier. A
 // worker's calls come in ascending Seq (zgrab.Config.OnResultWorker),
 // so each run is sorted and flush merges them. Per-slice merging yields
 // the global order: the barrier guarantees every slice-s sequence
 // number precedes every slice-s+1 one. A batch scan (ScanBatch) is the
-// one-flush case.
+// one-flush case. The sink writes nothing itself: whoever holds a
+// flush's bytes writes them.
 type orderedSink struct {
-	runs []sinkRun
-	all  []*zgrab.Result
-	cw   *countingWriter
-	// batch and jsonlBuf are flush scratch, reused across the campaign's
-	// 96 slice flushes: batch collects the slice's merged results,
-	// jsonlBuf their JSONL bytes, so each slice costs one Write instead
-	// of one per result. Both keep their high-water capacity, as do the
-	// runs' buffers.
-	batch    []*zgrab.Result
-	jsonlBuf []byte
+	runs   []sinkRun
+	all    []*zgrab.Result
+	encode bool
+	// n counts the JSONL bytes flushes have handed over: the output
+	// offset a checkpoint records.
+	n int64
+	// batch and jsonl are the last flush's merged rows and their JSONL
+	// bytes, so a slice costs one Write instead of one per row. The
+	// campaign hands both to the slice's sink job and joins it before
+	// the next flush reuses them. They keep their high-water capacity,
+	// as do the runs' buffers.
+	batch []*zgrab.Result
+	jsonl []byte
 }
 
 // sinkRun is one worker's results since the last flush, in emission
-// order. With a writer, buf holds their JSONL lines back to back, row
+// order. With encode set, buf holds their JSONL lines back to back, row
 // i's line ending at ends[i] (empty when the row could not be encoded);
 // err is the run's first encoding error and errSeq that row's Seq.
 type sinkRun struct {
@@ -223,15 +219,11 @@ type sinkRun struct {
 	_ [64]byte
 }
 
-func newOrderedSink(workers int, out io.Writer) *orderedSink {
+func newOrderedSink(workers int, encode bool) *orderedSink {
 	if workers < 1 {
 		workers = 1
 	}
-	s := &orderedSink{runs: make([]sinkRun, workers)}
-	if out != nil {
-		s.cw = &countingWriter{w: out}
-	}
-	return s
+	return &orderedSink{runs: make([]sinkRun, workers), encode: encode}
 }
 
 // add is the scanner's OnResultWorker hook. No locking: run w is only
@@ -239,7 +231,7 @@ func newOrderedSink(workers int, out io.Writer) *orderedSink {
 func (s *orderedSink) add(worker int, r *zgrab.Result) {
 	run := &s.runs[worker]
 	run.rows = append(run.rows, r)
-	if s.cw == nil {
+	if !s.encode {
 		return
 	}
 	var err error
@@ -253,16 +245,18 @@ func (s *orderedSink) add(worker int, r *zgrab.Result) {
 	run.ends = append(run.ends, len(run.buf))
 }
 
-// flush merges the runs in sequence order into the accumulated dataset
-// and, with a writer, the output. Call only at a drain barrier. An
-// encoding error is the lowest-Seq row's that failed, and when there
-// is one nothing of this flush is written; the rows still join the
-// dataset. A run that does not ascend in Seq is a scanner bug, and
-// flush panics rather than emit rows out of order.
+// flush merges the runs in sequence order into batch, which also
+// joins the accumulated dataset, and with encode set their JSONL bytes
+// into jsonl. Call only at a drain barrier, once the previous flush's
+// batch and jsonl are no longer read. An encoding error is the
+// lowest-Seq row's that failed, and when there is one jsonl is left
+// empty; the rows still join the dataset. A run that does not ascend
+// in Seq is a scanner bug, and flush panics rather than emit rows out
+// of order.
 func (s *orderedSink) flush() error {
 	// A flush whose rows all sit in one run (always at Workers 1, and
-	// whenever one session made the whole slice) writes that run's
-	// bytes as they are, with no copy through jsonlBuf.
+	// whenever one session made the whole slice) hands over that run's
+	// buffer as it is, with no copy.
 	var only *sinkRun
 	for i := range s.runs {
 		if len(s.runs[i].rows) > 0 {
@@ -273,7 +267,7 @@ func (s *orderedSink) flush() error {
 			only = &s.runs[i]
 		}
 	}
-	batch, buf := s.batch[:0], s.jsonlBuf[:0]
+	batch, buf := s.batch[:0], s.jsonl[:0]
 	for {
 		// The run whose head has the lowest Seq...
 		var next *sinkRun
@@ -299,7 +293,7 @@ func (s *orderedSink) flush() error {
 			}
 		}
 		batch = append(batch, next.rows[lo:hi]...)
-		if s.cw != nil && only == nil {
+		if s.encode && only == nil {
 			start := 0
 			if lo > 0 {
 				start = next.ends[lo-1]
@@ -308,10 +302,12 @@ func (s *orderedSink) flush() error {
 		}
 		next.head = hi
 	}
-	s.batch, s.jsonlBuf = batch, buf
-	if only != nil {
-		buf = only.buf
+	if only != nil && s.encode {
+		// The run's bytes leave with the slice, and the run takes the
+		// buffer the previous flush handed over, free again now.
+		buf, only.buf = only.buf, buf
 	}
+	s.batch, s.jsonl = batch, buf
 	var err error
 	var errSeq int64
 	for i := range s.runs {
@@ -324,30 +320,20 @@ func (s *orderedSink) flush() error {
 	}
 	s.all = append(s.all, batch...)
 	if err != nil {
+		s.jsonl = s.jsonl[:0]
 		return err
 	}
-	if len(buf) > 0 {
-		if _, err := s.cw.Write(buf); err != nil {
-			return err
-		}
-	}
+	s.n += int64(len(s.jsonl))
 	return nil
 }
 
-// offset is the JSONL byte position (0 with no writer).
-func (s *orderedSink) offset() int64 {
-	if s.cw == nil {
-		return 0
-	}
-	return s.cw.n
-}
-
-// sliceSink is a campaign's durable sink: one slice's store append,
-// then its aggregator feed, run on a goroutine of its own while the
-// campaign collects and scans the next slice. At most one job is in
-// flight, and the campaign joins it before the next flush reuses the
-// results it was handed. With neither a store nor an aggregator the
-// job is empty and completes at once.
+// sliceSink is a campaign's sink job: one slice's JSONL write, then its
+// store append, then its aggregator feed, run on a goroutine of its own
+// while the campaign collects and scans the next slice. At most one job
+// is in flight, and the campaign joins it before the next flush reuses
+// the bytes and results it was handed. With nothing to write and
+// neither a store nor an aggregator the job is empty and completes at
+// once.
 //
 // Every slice's telemetry line and checkpoint are captured at the
 // slice's barrier and written or delivered after the join, with only
@@ -355,18 +341,24 @@ func (s *orderedSink) offset() int64 {
 // nothing else, so the line and the checkpoint are the ones a
 // barrier-time append would have produced.
 type sliceSink struct {
+	out  io.Writer
 	st   *store.Store
 	agg  SliceAggregator
 	done chan error // depth 1: the in-flight job's result
 	busy bool
 }
 
-// run is one slice's sink job. The aggregator is fed even when the
-// append failed; the first error is returned.
-func (k *sliceSink) run(slice int, caps []store.CaptureRow, results []*zgrab.Result) error {
+// run is one slice's sink job. Each step runs even when an earlier one
+// failed; the first error is returned.
+func (k *sliceSink) run(slice int, jsonl []byte, caps []store.CaptureRow, results []*zgrab.Result) error {
 	var err error
+	if len(jsonl) > 0 {
+		_, err = k.out.Write(jsonl)
+	}
 	if k.st != nil {
-		err = k.st.AppendSlice(slice, caps, results)
+		if serr := k.st.AppendSlice(slice, caps, results); err == nil {
+			err = serr
+		}
 	}
 	if k.agg != nil {
 		if aerr := k.agg.AggregateSlice(slice, caps, results); err == nil {
@@ -377,15 +369,15 @@ func (k *sliceSink) run(slice int, caps []store.CaptureRow, results []*zgrab.Res
 }
 
 // start runs the slice's job on the sink goroutine, or completes the
-// empty job at once when nothing is attached. caps and results must not
-// change until join returns.
-func (k *sliceSink) start(slice int, caps []store.CaptureRow, results []*zgrab.Result) {
+// empty job at once. jsonl, caps and results must not change until
+// join returns.
+func (k *sliceSink) start(slice int, jsonl []byte, caps []store.CaptureRow, results []*zgrab.Result) {
 	k.busy = true
-	if k.st == nil && k.agg == nil {
+	if len(jsonl) == 0 && k.st == nil && k.agg == nil {
 		k.done <- nil
 		return
 	}
-	go func() { k.done <- k.run(slice, caps, results) }()
+	go func() { k.done <- k.run(slice, jsonl, caps, results) }()
 }
 
 // join waits for the in-flight job and returns its error.
@@ -442,9 +434,9 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	p.dispatchErr = nil
 	defer func() { p.dispatch = nil }()
 	p.recordCaps = true
-	sink := newOrderedSink(p.Cfg.Workers, opts.Out)
-	if p.restoreCp != nil && sink.cw != nil {
-		sink.cw.n = p.restoreCp.OutOffset
+	sink := newOrderedSink(p.Cfg.Workers, opts.Out != nil)
+	if p.restoreCp != nil && sink.encode {
+		sink.n = p.restoreCp.OutOffset
 	}
 	scanner := p.newScanner(sink.add)
 	if p.restoreCp != nil {
@@ -463,7 +455,7 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 			werr = err
 		}
 	}
-	sk := &sliceSink{st: opts.Store, agg: opts.Aggregates, done: make(chan error, 1)}
+	sk := &sliceSink{out: opts.Out, st: opts.Store, agg: opts.Aggregates, done: make(chan error, 1)}
 	// pending is the checkpoint captured at the in-flight job's barrier.
 	var pending *Checkpoint
 	// settle joins the in-flight sink job, then writes the telemetry line
@@ -497,26 +489,27 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	p.collectFrom(startSlice, func(batch []netip.Addr) {
 		scanner.SubmitBatch(batch)
 	}, scanner.Drain, func(next int, shards []*collectShard) {
-		// The previous slice's sink job still holds sink.batch; join it
-		// before this flush reuses it.
+		// The previous slice's sink job still holds sink.jsonl and
+		// sink.batch; join it before this flush reuses them.
 		settle()
 		keep(sink.flush())
 		// Telemetry is captured before the checkpoint counter below
 		// ticks, so full and resumed runs agree on every line.
-		p.met.outBytes.Set(sink.offset())
+		p.met.outBytes.Set(sink.n)
 		if tw != nil {
 			tw.Capture(next-1, p.W.Clock().Now())
 		}
-		// The store appends the slice's capture events and results; the
-		// aggregator sees exactly the rows the store appends.
-		sk.start(next-1, p.capLog[capBase:], sink.batch)
+		// The job writes the slice's JSONL, the store appends its
+		// capture events and results, and the aggregator sees exactly
+		// the rows the store appends.
+		sk.start(next-1, sink.jsonl, p.capLog[capBase:], sink.batch)
 		capBase = len(p.capLog)
 		// After a failed dispatch the slices left are skipped: a
 		// checkpoint would claim work that never ran.
 		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && p.dispatchErr == nil &&
 			next < collectSlices && next%opts.CheckpointEvery == 0 {
 			p.met.checkpoints.Inc()
-			pending = p.checkpoint(next, shards, scanner, sink.offset())
+			pending = p.checkpoint(next, shards, scanner, sink.n)
 		}
 	})
 	scanner.Close()
@@ -526,10 +519,10 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	keep(p.dispatchErr)
 	keep(sink.flush())
 	// The post-Close drain can surface a result tail past the last
-	// collection slice; it lands on the synthetic slice collectSlices
-	// (for both the store and the aggregator), and sealing garbage-
-	// collects retired compaction inputs.
-	keep(sk.run(collectSlices, nil, sink.batch))
+	// collection slice; it is written last and lands on the synthetic
+	// slice collectSlices (for both the store and the aggregator), and
+	// sealing garbage-collects retired compaction inputs.
+	keep(sk.run(collectSlices, sink.jsonl, nil, sink.batch))
 	if opts.Store != nil {
 		keep(opts.Store.Seal())
 	}

@@ -52,13 +52,16 @@ func ScanBatch(ctx context.Context, cfg zgrab.Config, addrs []netip.Addr, out io
 	if cfg.Workers < 1 {
 		cfg.Workers = 1 // the sink has one run per scanner worker
 	}
-	sink := newOrderedSink(cfg.Workers, out)
+	sink := newOrderedSink(cfg.Workers, out != nil)
 	cfg.OnResultWorker = sink.add
 	scanner := zgrab.NewScanner(cfg)
 	scanner.Start(ctx)
 	scanner.SubmitBatch(addrs)
 	scanner.Close()
 	err := sink.flush()
+	if err == nil && len(sink.jsonl) > 0 {
+		_, err = out.Write(sink.jsonl)
+	}
 	return sink.all, err
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"ntpscan/internal/chaos"
 	"ntpscan/internal/core"
-	"ntpscan/internal/netsim"
 	"ntpscan/internal/query"
 	"ntpscan/internal/store"
 	"ntpscan/internal/world"
@@ -159,16 +158,39 @@ func (a *orderAggregator) AggregateSlice(slice int, _ []store.CaptureRow, _ []*z
 	return nil
 }
 
-// clockFailWriter fails every write made once the logical clock has
-// reached from.
-type clockFailWriter struct {
-	clock  *netsim.ManualClock
-	from   time.Time
+// sliceOfJSONL returns the collection slice whose window holds the
+// time of the first JSONL line in b: the slice a write's bytes belong
+// to, wherever and whenever the write is made. It reports a failure
+// with t.Error, so a sink goroutine may call it.
+func sliceOfJSONL(t *testing.T, p *core.Pipeline, b []byte) int {
+	line, _, _ := bytes.Cut(b, []byte{'\n'})
+	var r struct {
+		Time time.Time `json:"time"`
+	}
+	if err := json.Unmarshal(line, &r); err != nil {
+		t.Errorf("first line of a write: %v", err)
+		return -1
+	}
+	for s := range core.CollectSlices {
+		if from, until := p.SliceWindow(s); !r.Time.Before(from) && r.Time.Before(until) {
+			return s
+		}
+	}
+	t.Errorf("first line of a write is stamped %v, past every slice", r.Time)
+	return -1
+}
+
+// sliceFailWriter fails every write whose bytes belong to slice from
+// or a later one.
+type sliceFailWriter struct {
+	t      *testing.T
+	p      *core.Pipeline
+	from   int
 	failed int
 }
 
-func (w *clockFailWriter) Write(b []byte) (int, error) {
-	if w.clock.Now().Before(w.from) {
+func (w *sliceFailWriter) Write(b []byte) (int, error) {
+	if sliceOfJSONL(w.t, w.p, b) < w.from {
 		return len(b), nil
 	}
 	w.failed++
@@ -190,8 +212,7 @@ func TestSinkCallsKeepSliceOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := &orderAggregator{last: -1, failAt: k}
-	from, _ := p.SliceWindow(k + 1)
-	out := &clockFailWriter{clock: p.W.Clock(), from: from}
+	out := &sliceFailWriter{t: t, p: p, from: k + 1}
 	checkpoints := 0
 	_, err = p.RunCampaign(context.Background(), core.CampaignOpts{
 		Out:             out,
@@ -229,10 +250,128 @@ func TestSinkCallsKeepSliceOrder(t *testing.T) {
 	}
 }
 
+// orderWriter checks the Out contract from inside: writes never
+// overlap, come in strictly increasing slice order, each ahead of its
+// slice's store append and aggregator call, and none after RunCampaign
+// returned.
+type orderWriter struct {
+	t        *testing.T
+	p        *core.Pipeline
+	st       *store.Store
+	agg      *orderAggregator
+	inflight atomic.Int32
+	overlap  atomic.Bool
+	returned atomic.Bool
+	late     atomic.Bool
+	// The rest is touched only inside writes; the campaign joins each
+	// write before it reads them.
+	out    bytes.Buffer
+	slices []int
+	behind []string
+}
+
+func (w *orderWriter) Write(b []byte) (int, error) {
+	if w.inflight.Add(1) != 1 {
+		w.overlap.Store(true)
+	}
+	defer w.inflight.Add(-1)
+	runtime.Gosched() // widen the window a second write would need
+	if w.returned.Load() {
+		w.late.Store(true)
+	}
+	s := sliceOfJSONL(w.t, w.p, b)
+	w.slices = append(w.slices, s)
+	stored := -1
+	for _, seg := range w.st.Manifest().Segments {
+		stored = max(stored, seg.SliceHi)
+	}
+	if stored >= s || w.agg.last >= s {
+		w.behind = append(w.behind, fmt.Sprintf("slice %d written after its store append (store at %d) or aggregation (at %d)", s, stored, w.agg.last))
+	}
+	return w.out.Write(b)
+}
+
+// The JSONL write is the first step of a slice's sink job, one slice
+// behind the scanner: Out calls never overlap, arrive one per slice in
+// strictly increasing slice order — each before that slice's store
+// append and aggregator call — and the last is made before RunCampaign
+// returns. Every checkpoint finds exactly its OutOffset written, the
+// total is the offset the telemetry's last line reports, and the bytes
+// are identical at Workers 1, 3 and 8.
+func TestOutWriterRunsBehindInSliceOrder(t *testing.T) {
+	chaos.NoGoroutineLeaks(t)
+	var ref []byte
+	for _, workers := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			p := core.NewPipeline(sinkConfig(55, workers))
+			st, err := store.Open(t.TempDir(), store.Options{Obs: p.Obs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg := &orderAggregator{last: -1, failAt: -1}
+			w := &orderWriter{t: t, p: p, st: st, agg: agg}
+			var tel bytes.Buffer
+			checkpoints := 0
+			_, err = p.RunCampaign(context.Background(), core.CampaignOpts{
+				Out:             w,
+				Telemetry:       &tel,
+				Store:           st,
+				Aggregates:      agg,
+				CheckpointEvery: 3,
+				OnCheckpoint: func(cp *core.Checkpoint) {
+					checkpoints++
+					if w.inflight.Load() != 0 || int64(w.out.Len()) != cp.OutOffset {
+						t.Errorf("checkpoint %d: %d bytes written, OutOffset %d", cp.NextSlice, w.out.Len(), cp.OutOffset)
+					}
+				},
+			})
+			w.returned.Store(true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.inflight.Load() != 0 || w.late.Load() {
+				t.Error("a write was still running when RunCampaign returned")
+			}
+			if w.overlap.Load() {
+				t.Error("writes overlapped")
+			}
+			for _, msg := range w.behind {
+				t.Error(msg)
+			}
+			if checkpoints == 0 {
+				t.Error("no checkpoints")
+			}
+			if len(w.slices) < core.CollectSlices/2 {
+				t.Errorf("%d writes for %d slices", len(w.slices), core.CollectSlices)
+			}
+			for i := 1; i < len(w.slices); i++ {
+				if w.slices[i] <= w.slices[i-1] {
+					t.Fatalf("write %d carries slice %d after slice %d", i, w.slices[i], w.slices[i-1])
+				}
+			}
+			lines := strings.Split(strings.TrimSpace(tel.String()), "\n")
+			var last struct{ Metrics map[string]int64 }
+			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+				t.Fatal(err)
+			}
+			if got := int64(w.out.Len()); got != last.Metrics["campaign_out_bytes"] {
+				t.Errorf("%d bytes written, the last telemetry line counts %d", got, last.Metrics["campaign_out_bytes"])
+			}
+			if ref == nil {
+				ref = bytes.Clone(w.out.Bytes())
+			} else if !bytes.Equal(w.out.Bytes(), ref) {
+				t.Errorf("output differs from Workers=1's")
+			}
+		})
+	}
+}
+
 // A checkpoint is taken at its barrier but delivered once that slice's
 // sink job is joined, at the next barrier: OnCheckpoint(N) runs after
 // slice N-1's job has been joined and before slice N's flush (the Out
-// writer has written exactly cp.OutOffset bytes), with cp.Store the
+// writer has written exactly cp.OutOffset bytes, and the registry's
+// campaign_out_bytes, which each flush moves, still counts those
+// alone), with cp.Store the
 // store's manifest at that moment and the store's writer counters in
 // cp.Obs those of telemetry line N-1, which is already written. Every
 // checkpoint is delivered, the last one (slice 92) too.
@@ -261,6 +400,9 @@ func TestCheckpointWaitsForItsSliceJob(t *testing.T) {
 			}
 			if int64(out.Len()) != cp.OutOffset {
 				t.Errorf("checkpoint %d: %d bytes written, OutOffset %d", n, out.Len(), cp.OutOffset)
+			}
+			if flushed, _ := p.Obs.Value("campaign_out_bytes"); flushed != cp.OutOffset {
+				t.Errorf("checkpoint %d: delivered after slice %d's flush (%d bytes handed over, OutOffset %d)", n, n, flushed, cp.OutOffset)
 			}
 			if cp.Store == nil || !reflect.DeepEqual(*cp.Store, st.Manifest()) {
 				t.Errorf("checkpoint %d: its store manifest is not the store's", n)

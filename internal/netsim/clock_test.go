@@ -47,10 +47,11 @@ func TestManualClockChanged(t *testing.T) {
 
 // Readers call Now while a mover alternates Advance and Set: no read
 // may go backwards. A waiter grabs Changed, reads Now and only then
-// lets the mover make one move, which must wake it and be visible —
-// a waiter that missed an advance would hang here, as no later move
-// comes to rescue it. Run under -race (make chaos) this also checks
-// that Now's lock-free load is properly published by the movers.
+// lets the mover make one move, which must wake it and be visible. The
+// mover then reports the move done, so a waiter that missed it finds
+// its channel still open and says so, with no timer. Run under -race
+// (make chaos) this also checks that Now's lock-free load is properly
+// published by the movers.
 func TestManualClockChangedConcurrent(t *testing.T) {
 	c := NewManualClock(time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC))
 	stop := make(chan struct{})
@@ -76,7 +77,9 @@ func TestManualClockChangedConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	ready := make(chan struct{})
+	// moved holds at most one token: the mover sends one per move, the
+	// waiter takes one before it asks for the next move.
+	ready, moved := make(chan struct{}), make(chan struct{}, 1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -85,13 +88,21 @@ func TestManualClockChangedConcurrent(t *testing.T) {
 			ch := c.Changed()
 			before := c.Now()
 			ready <- struct{}{}
+			var after time.Time
 			select {
 			case <-ch:
-			case <-time.After(10 * time.Second):
-				errs <- fmt.Errorf("waiter at %v missed the advance", before)
-				return
+				after = c.Now()
+				<-moved
+			case <-moved:
+				select {
+				case <-ch:
+				default:
+					errs <- fmt.Errorf("waiter at %v missed the advance", before)
+					return
+				}
+				after = c.Now()
 			}
-			if after := c.Now(); !after.After(before) {
+			if !after.After(before) {
 				errs <- fmt.Errorf("woken at %v, clock still at %v", before, after)
 				return
 			}
@@ -106,6 +117,7 @@ func TestManualClockChangedConcurrent(t *testing.T) {
 		} else {
 			c.Set(c.Now().Add(time.Millisecond))
 		}
+		moved <- struct{}{}
 	}
 	close(stop)
 	wg.Wait()

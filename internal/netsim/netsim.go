@@ -117,6 +117,9 @@ type Network struct {
 	prefixHosts map[netip.Prefix]*Host
 	udpBinds    map[netip.AddrPort]*UDPConn
 	sniffers    []snifferEntry
+	// sniffing counts the live entries of sniffers, so a send with
+	// nobody listening builds no PacketInfo and takes no lock for one.
+	sniffing atomic.Int32
 
 	// faults holds the installed FaultPlan (nil box or nil plan = no
 	// faults). Atomic so plans can be swapped mid-run.
@@ -216,12 +219,14 @@ func (n *Network) Sniff(prefix netip.Prefix, fn SnifferFunc) (cancel func()) {
 	defer n.mu.Unlock()
 	e := snifferEntry{prefix: prefix.Masked(), fn: fn}
 	n.sniffers = append(n.sniffers, e)
+	n.sniffing.Add(1)
 	idx := len(n.sniffers) - 1
 	return func() {
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		if idx < len(n.sniffers) {
+		if idx < len(n.sniffers) && n.sniffers[idx].fn != nil {
 			n.sniffers[idx].fn = nil
+			n.sniffing.Add(-1)
 		}
 	}
 }
@@ -250,10 +255,16 @@ func (n *Network) notifySniffers(pi PacketInfo) {
 // truncated mid-banner.
 func (n *Network) DialTCP(ctx context.Context, src netip.Addr, dst netip.AddrPort) (net.Conn, error) {
 	now := n.clock.Now()
-	n.notifySniffers(PacketInfo{
-		Time: now, Proto: "tcp",
-		Src: netip.AddrPortFrom(src, ephemeralPort(src, dst)), Dst: dst,
-	})
+	// The flow's source port, hashed once and only for a sniffer or an
+	// open port (ephemeralPort never returns 0).
+	var sport uint16
+	if n.sniffing.Load() > 0 {
+		sport = ephemeralPort(src, dst)
+		n.notifySniffers(PacketInfo{
+			Time: now, Proto: "tcp",
+			Src: netip.AddrPortFrom(src, sport), Dst: dst,
+		})
+	}
 
 	var eff faultEffects
 	attempt := AttemptFrom(ctx)
@@ -280,8 +291,10 @@ func (n *Network) DialTCP(ctx context.Context, src netip.Addr, dst netip.AddrPor
 
 	if ok {
 		if handler, open := host.TCP[dst.Port()]; open {
-			client, server := NewConnPair(
-				netip.AddrPortFrom(src, ephemeralPort(src, dst)), dst)
+			if sport == 0 {
+				sport = ephemeralPort(src, dst)
+			}
+			client, server := NewConnPair(netip.AddrPortFrom(src, sport), dst)
 			if _, logical := n.clock.(*ManualClock); logical {
 				client.ignoreDeadlines = true
 				server.ignoreDeadlines = true
@@ -372,9 +385,11 @@ func (n *Network) dropDatagram(dir byte, from, to netip.Addr, serverPort uint16,
 // back within any deadline), and garble corrupts the responses.
 func (n *Network) SendUDP(src, dst netip.AddrPort, payload []byte) {
 	now := n.clock.Now()
-	n.notifySniffers(PacketInfo{
-		Time: now, Proto: "udp", Src: src, Dst: dst, Payload: payload,
-	})
+	if n.sniffing.Load() > 0 {
+		n.notifySniffers(PacketInfo{
+			Time: now, Proto: "udp", Src: src, Dst: dst, Payload: payload,
+		})
+	}
 
 	var eff faultEffects
 	if plan := n.plan(); plan != nil {

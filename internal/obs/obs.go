@@ -1,8 +1,7 @@
 // Package obs is the pipeline's deterministic observability layer:
 // counters, gauges, and fixed-bucket histograms registered by dense
-// index on a Registry, with logical-clock-aware timers so every timing
-// is derived from the experiment's injected clock rather than wall
-// time.
+// index on a Registry, whose timings are read from the experiment's
+// injected clock rather than wall time.
 //
 // Design rules (see DESIGN.md "Observability"):
 //
@@ -31,8 +30,8 @@ import (
 	"time"
 )
 
-// Clock is the minimal clock surface obs needs (netsim.Clock satisfies
-// it). Timers read logical time through it.
+// Clock is the minimal clock surface a timing is read through
+// (netsim.Clock satisfies it).
 type Clock interface {
 	Now() time.Time
 }
@@ -280,16 +279,21 @@ func (r *Registry) NewHistogram(name, help string, bounds []int64) *Histogram {
 	return &Histogram{m: m}
 }
 
-// Observe records one value. Linear scan over the (short, fixed)
+// Observe records one value.
+func (h *Histogram) Observe(v int64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of v at once (n >= 0): the fold of a
+// private tally of equal observations into the shared histogram, made
+// at a synchronisation point. Linear scan over the (short, fixed)
 // bounds, then two atomic adds — no allocation.
-func (h *Histogram) Observe(v int64) {
+func (h *Histogram) ObserveN(v, n int64) {
 	m := h.m
 	i := 0
 	for i < len(m.bounds) && v > m.bounds[i] {
 		i++
 	}
-	m.counts[i].Add(1)
-	m.sum.Add(v)
+	m.counts[i].Add(n)
+	m.sum.Add(v * n)
 }
 
 // Count is the total number of observations.
@@ -303,28 +307,6 @@ func (h *Histogram) Count() int64 {
 
 // Sum is the running total of observed values.
 func (h *Histogram) Sum() int64 { return h.m.sum.Load() }
-
-// Timer measures elapsed time on an injected clock and records it into
-// a histogram in whole milliseconds. Under a netsim.ManualClock the
-// elapsed time is logical — frozen-clock sections observe exactly 0 —
-// so timer output is deterministic; under a real clock it behaves like
-// an ordinary latency timer. Timer is a value: starting and stopping
-// allocate nothing.
-type Timer struct {
-	h     *Histogram
-	clock Clock
-	start time.Time
-}
-
-// StartTimer begins timing on the given clock.
-func StartTimer(h *Histogram, clock Clock) Timer {
-	return Timer{h: h, clock: clock, start: clock.Now()}
-}
-
-// Stop records the elapsed logical time in milliseconds.
-func (t Timer) Stop() {
-	t.h.Observe(t.clock.Now().Sub(t.start).Milliseconds())
-}
 
 // DurationMS converts a duration to the millisecond unit histograms
 // record (for stamped — not slept — delays).

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -127,26 +126,20 @@ func TestRegistryValue(t *testing.T) {
 	}
 }
 
-// manualClock is a minimal logical clock for timer tests.
-type manualClock struct{ now time.Time }
-
-func (c *manualClock) Now() time.Time { return c.now }
-
-func TestTimerRecordsLogicalTime(t *testing.T) {
+// ObserveN(v, n) is n calls of Observe(v) in two atomic adds: a scan
+// worker's tally of zero-length waits folds in with it.
+func TestObserveNFoldsEqualObservations(t *testing.T) {
+	bounds := []int64{0, 10, 100}
 	r := NewRegistry()
-	h := r.NewHistogram("wait_ms", "wait", []int64{10, 100})
-	clk := &manualClock{now: time.Unix(1000, 0)}
-
-	tm := StartTimer(h, clk)
-	tm.Stop() // frozen clock: exactly 0 elapsed
-	if h.Sum() != 0 || h.Count() != 1 {
-		t.Fatalf("frozen-clock timer recorded sum=%d count=%d, want 0/1", h.Sum(), h.Count())
+	one, folded := r.NewHistogram("one_ms", "", bounds), r.NewHistogram("folded_ms", "", bounds)
+	for _, o := range []struct{ v, n int64 }{{0, 7}, {4, 3}, {250, 2}, {0, 0}, {-1, 1}} {
+		for range o.n {
+			one.Observe(o.v)
+		}
+		folded.ObserveN(o.v, o.n)
 	}
-
-	tm = StartTimer(h, clk)
-	clk.now = clk.now.Add(42 * time.Millisecond)
-	tm.Stop()
-	if h.Sum() != 42 {
-		t.Fatalf("timer recorded %d ms, want 42", h.Sum())
+	snap := r.Snapshot()
+	if got, want := snap["folded_ms"], snap["one_ms"]; !reflect.DeepEqual(got, want) {
+		t.Errorf("ObserveN booked %v, Observe %v", got, want)
 	}
 }

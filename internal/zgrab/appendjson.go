@@ -336,10 +336,17 @@ var (
 )
 
 // AppendJSONTime appends t as time.Time.MarshalJSON does: quoted RFC
-// 3339 with nanoseconds, refusing what RFC 3339 cannot express. The
+// 3339 with nanoseconds, refusing what RFC 3339 cannot express. A UTC
+// time in years 0 to 9999 — every time a campaign stamps — is written
+// digit by digit; any other goes through time.AppendFormat, and the
 // checks read the formatted bytes, as the standard library's do. On
 // error dst holds a partial time; callers cut it back.
 func AppendJSONTime(dst []byte, t time.Time) ([]byte, error) {
+	if t.Location() == time.UTC {
+		if sec := t.Unix(); sec >= unixYear0 && sec < unixYear10000 {
+			return appendUTC(dst, sec, t.Nanosecond()), nil
+		}
+	}
 	dst = append(dst, '"')
 	n0 := len(dst)
 	dst = t.AppendFormat(dst, time.RFC3339Nano)
@@ -357,22 +364,97 @@ func AppendJSONTime(dst []byte, t time.Time) ([]byte, error) {
 	return append(dst, '"'), nil
 }
 
+// The Unix seconds of 0000-01-01T00:00:00Z and 10000-01-01T00:00:00Z.
+const (
+	unixYear0     = -62167219200
+	unixYear10000 = 253402300800
+)
+
+// appendUTC appends the quoted RFC 3339 text of sec seconds and nsec
+// nanoseconds past the Unix epoch, in UTC, sec in [unixYear0,
+// unixYear10000): "YYYY-MM-DDThh:mm:ss", then a '.' and the nanoseconds
+// without trailing zeros unless nsec is 0, then "Z". The date is the
+// proleptic Gregorian one, found as Hinnant's civil_from_days does:
+// in years that begin on March 1, so a leap day ends its year, counted
+// from 1 March of year -400 so every count is non-negative.
+func appendUTC(dst []byte, sec int64, nsec int) []byte {
+	secs := sec - unixYear0
+	rem := int(secs % 86400)
+	days := int(secs/86400) - 60 + 146097 // 0000-01-01 is 60 days before 0000-03-01
+	era, doe := days/146097, days%146097  // 400-year eras of 146 097 days
+	yoe := (doe - doe/1460 + doe/36524 - doe/146096) / 365
+	doy := doe - (365*yoe + yoe/4 - yoe/100)
+	mp := (5*doy + 2) / 153 // months since March
+	year, month, day := era*400+yoe-400, mp+3, doy-(153*mp+2)/5+1
+	if month > 12 {
+		month -= 12
+		year++
+	}
+	const maxLen = len(`"2006-01-02T15:04:05.999999999Z"`)
+	dst = slices.Grow(dst, maxLen)
+	b := dst[len(dst) : len(dst)+maxLen]
+	hh, mm, ss := rem/3600, rem/60%60, rem%60
+	b[0] = '"'
+	b[1], b[2], b[3], b[4] = byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10)
+	b[5], b[6], b[7], b[8] = '-', byte('0'+month/10), byte('0'+month%10), '-'
+	b[9], b[10], b[11] = byte('0'+day/10), byte('0'+day%10), 'T'
+	b[12], b[13], b[14] = byte('0'+hh/10), byte('0'+hh%10), ':'
+	b[15], b[16], b[17] = byte('0'+mm/10), byte('0'+mm%10), ':'
+	b[18], b[19] = byte('0'+ss/10), byte('0'+ss%10)
+	n := 20
+	if nsec != 0 {
+		b[n] = '.'
+		for i := 9; i > 0; i-- {
+			b[n+i] = byte('0' + nsec%10)
+			nsec /= 10
+		}
+		n += 10
+		for b[n-1] == '0' {
+			n--
+		}
+	}
+	b[n], b[n+1] = 'Z', '"'
+	return dst[:len(dst)+n+2]
+}
+
 const hexDigits = "0123456789abcdef"
+
+// jsonSafe[b] reports whether byte b stands for itself inside a JSON
+// string: printable ASCII other than `"`, `\` and the HTML-sensitive
+// <, > and &. A byte of 0x80 or above starts a multi-byte sequence that
+// must be checked for validity and for U+2028 and U+2029.
+var jsonSafe [256]bool
+
+func init() {
+	for b := ' '; b < utf8.RuneSelf; b++ {
+		jsonSafe[b] = b != '"' && b != '\\' && b != '<' && b != '>' && b != '&'
+	}
+}
 
 // AppendJSONString appends s as a JSON string literal with
 // encoding/json's default escaping: the two-character escapes for
 // `"`, `\`, \b, \f, \n, \r, \t; \u00XX for other controls and for the
 // HTML-sensitive <, > and &; \u2028 and \u2029; and \ufffd for each
-// byte of invalid UTF-8.
+// byte of invalid UTF-8. A string of safe bytes alone — module names,
+// statuses, the error texts of a silent probe — is copied whole.
 func AppendJSONString(dst []byte, s string) []byte {
+	i := 0
+	for i < len(s) && jsonSafe[s[i]] {
+		i++
+	}
 	dst = append(dst, '"')
+	if i == len(s) {
+		dst = append(dst, s...)
+		return append(dst, '"')
+	}
 	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
+	for i < len(s) {
+		b := s[i]
+		if jsonSafe[b] {
+			i++
+			continue
+		}
+		if b < utf8.RuneSelf {
 			dst = append(dst, s[start:i]...)
 			switch b {
 			case '\\', '"':

@@ -14,6 +14,13 @@ import "ntpscan/internal/obs"
 // Config.Modules; duration histograms record milliseconds of logical
 // time (stamped backoff, limiter waits on the injected clock), so the
 // whole bundle is byte-identical across worker counts.
+//
+// Probes, Successes, Completed and the zero-length limiter waits are
+// counted per scan worker and folded into the registry at quiescent
+// points — Drain, Close and the end of ScanNow — where every registry
+// value is exact. Between them those series may lag by up to one
+// slice (one Drain's worth of work): queryd's /metrics, read during a
+// campaign, shows them as of the last barrier.
 type Metrics struct {
 	// Target-level flow.
 	Submitted  *obs.Counter // targets offered to Submit/SubmitBatch

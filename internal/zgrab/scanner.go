@@ -310,6 +310,47 @@ func (t *sessionTable) release(s *session) {
 	t.mu.Unlock()
 }
 
+// tally is one scan worker's share of the per-probe books since the
+// last fold: probes and successes by module slot, completed targets,
+// and limiter waits of 0 ms (every wait on a frozen logical clock). A
+// worker adds here instead of to the registry, so no probe writes a
+// cache line another worker writes; fold moves the counts into the
+// registry at Drain, at Close and at the end of ScanNow. The counts
+// are atomic only so a fold racing a scan (a Drain beside another
+// goroutine's Submit) loses nothing.
+type tally struct {
+	probes, successes []atomic.Int64
+	completed         atomic.Int64
+	zeroWaits         atomic.Int64
+	// Tallies sit side by side, each written by its own worker; the pad
+	// keeps one tally's counters off the cache lines of the next.
+	_ [64]byte
+}
+
+func newTallies(workers, modules int) []tally {
+	ts := make([]tally, workers)
+	for i := range ts {
+		// One allocation per worker, with a cache line of slack after
+		// the counts so no other worker's land beside them.
+		c := make([]atomic.Int64, 2*modules+8)
+		ts[i].probes, ts[i].successes = c[:modules:modules], c[modules:2*modules:2*modules]
+	}
+	return ts
+}
+
+// fold moves every tally into the registry.
+func (s *Scanner) fold() {
+	for i := range s.tallies {
+		tl := &s.tallies[i]
+		for mi := range tl.probes {
+			s.met.Probes.Add(mi, tl.probes[mi].Swap(0))
+			s.met.Successes.Add(mi, tl.successes[mi].Swap(0))
+		}
+		s.met.Completed.Add(tl.completed.Swap(0))
+		s.met.LimiterWait.ObserveN(0, tl.zeroWaits.Swap(0))
+	}
+}
+
 // Scanner is the zgrab2-style runtime: submit addresses, modules fan
 // out, results stream to OnResultWorker.
 type Scanner struct {
@@ -318,6 +359,9 @@ type Scanner struct {
 	revisit *Revisit
 	breaker *Breaker // nil unless Config.Breaker is set
 	met     *Metrics // never nil
+	// tallies holds each worker's per-probe books, folded into met at
+	// every quiescent point (see tally).
+	tallies []tally
 
 	sessions sessionTable
 	queue    chan *session
@@ -378,6 +422,7 @@ func NewScanner(cfg Config) *Scanner {
 		reg = obs.NewRegistry()
 	}
 	s.met = newScanMetrics(reg, cfg.Modules)
+	s.tallies = newTallies(cfg.Workers, len(cfg.Modules))
 	if cfg.Breaker != nil {
 		s.breaker = NewBreaker(*cfg.Breaker)
 		s.breaker.met = s.met
@@ -492,6 +537,7 @@ func (s *Scanner) Drain() {
 		s.pendingCond.Wait()
 	}
 	s.pendingMu.Unlock()
+	s.fold()
 	now := s.cfg.Clock.Now()
 	s.revisit.Sweep(now)
 	if s.breaker != nil {
@@ -504,27 +550,40 @@ func (s *Scanner) Drain() {
 // Its results go to OnResultWorker as worker 0, so it must not overlap
 // Start's workers when the sink keeps state per worker.
 func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
+	defer s.fold()
+	tl := &s.tallies[0]
 	seq := s.nextSeq.Add(1) - 1
 	s.met.Submitted.Inc()
 	out := make([]*Result, 0, len(s.cfg.Modules))
 	for i, m := range s.cfg.Modules {
-		t := obs.StartTimer(s.met.LimiterWait, s.cfg.Clock)
-		err := s.cfg.Limiter.Wait(ctx)
-		t.Stop()
-		if err != nil {
+		if s.wait(ctx, tl) != nil {
 			return out
 		}
-		s.met.Probes.Inc(i)
+		tl.probes[i].Add(1)
 		r := m.Scan(ctx, s.env, addr)
 		if r.Status == StatusSuccess {
-			s.met.Successes.Inc(i)
+			tl.successes[i].Add(1)
 		}
 		r.Seq = seq*int64(len(s.cfg.Modules)) + int64(i)
 		out = append(out, r)
 		s.emit(0, r)
 	}
-	s.met.Completed.Inc()
+	tl.completed.Add(1)
 	return out
+}
+
+// wait runs the limiter for one probe and books how long it took on
+// the injected clock: a wait of 0 ms in the worker's tally, any other
+// in the histogram directly.
+func (s *Scanner) wait(ctx context.Context, tl *tally) error {
+	start := s.cfg.Clock.Now()
+	err := s.cfg.Limiter.Wait(ctx)
+	if ms := s.cfg.Clock.Now().Sub(start).Milliseconds(); ms == 0 {
+		tl.zeroWaits.Add(1)
+	} else {
+		s.met.LimiterWait.Observe(ms)
+	}
+	return err
 }
 
 func (s *Scanner) emit(worker int, r *Result) {
@@ -550,9 +609,10 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 		s.met.Shed.Inc()
 		return
 	}
+	tl := &s.tallies[worker]
 	alive := false
 	for i, m := range s.cfg.Modules {
-		r := s.scanModule(ctx, t.addr, i, m)
+		r := s.scanModule(ctx, tl, t.addr, i, m)
 		if r == nil {
 			return // cancelled in the limiter
 		}
@@ -560,7 +620,7 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 			alive = true
 		}
 		if r.Status == StatusSuccess {
-			s.met.Successes.Inc(i)
+			tl.successes[i].Add(1)
 		}
 		r.Seq = t.seq*int64(len(s.cfg.Modules)) + int64(i)
 		if s.cfg.InterProtocolDelay > 0 {
@@ -571,7 +631,7 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 	if s.breaker != nil {
 		s.breaker.Record(t.addr, alive)
 	}
-	s.met.Completed.Inc()
+	tl.completed.Add(1)
 }
 
 // scanModule runs one module probe under the retry policy and returns
@@ -579,17 +639,14 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 // Retries re-roll the fabric's fault hashes via the context attempt
 // tag; accumulated backoff is stamped into the result's schedule under
 // a logical clock and slept under a real one.
-func (s *Scanner) scanModule(ctx context.Context, addr netip.Addr, mi int, m Module) *Result {
+func (s *Scanner) scanModule(ctx context.Context, tl *tally, addr netip.Addr, mi int, m Module) *Result {
 	attempts := s.cfg.Retry.attempts()
 	var backoff time.Duration
 	for attempt := 0; ; attempt++ {
-		t := obs.StartTimer(s.met.LimiterWait, s.cfg.Clock)
-		err := s.cfg.Limiter.Wait(ctx)
-		t.Stop()
-		if err != nil {
+		if s.wait(ctx, tl) != nil {
 			return nil
 		}
-		s.met.Probes.Inc(mi)
+		tl.probes[mi].Add(1)
 		r := m.Scan(netsim.WithAttempt(ctx, attempt), s.env, addr)
 		if attempt > 0 {
 			r.Attempts = attempt + 1
@@ -664,4 +721,5 @@ func (s *Scanner) Close() {
 	close(s.queue)
 	s.closeMu.Unlock()
 	s.wg.Wait()
+	s.fold()
 }
