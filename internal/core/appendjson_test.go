@@ -168,12 +168,8 @@ func allocCheckpoint(caps, revisits int) *Checkpoint {
 // collector is off while counting: a cycle that a megabyte buffer
 // starts makes a few allocations of its own.
 func TestCheckpointAppendJSONAllocs(t *testing.T) {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("under the race detector sync.Pool drops a quarter of its Puts at random: encoding/json's buffers, and so the verbatim sections' counts, do not repeat")
-			}
-		}
+	if raceBuild() {
+		t.Skip("under the race detector sync.Pool drops a quarter of its Puts at random: encoding/json's buffers, and so the verbatim sections' counts, do not repeat")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	room := make([]byte, 0, 4<<20)

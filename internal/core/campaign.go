@@ -119,17 +119,17 @@ type CampaignOpts struct {
 	CheckpointEvery int
 	// OnCheckpoint receives each checkpoint, on the campaign goroutine.
 	// A checkpoint is captured at its slice's drain barrier and delivered
-	// once that slice's sink job is joined: at the next barrier, before
-	// its flush, with Store the manifest as the job left it and the
-	// store's writer counters in Obs re-read then (see sliceSink). The Out
-	// writer has written exactly OutOffset bytes when it is called. No
+	// once that slice's sink job is joined, at the next barrier, with
+	// Store the manifest as the job left it and the store's writer
+	// counters in Obs re-read then (see sliceSink). The Out writer has
+	// written exactly OutOffset bytes when it is called. No
 	// checkpoint is taken once a Dispatch has failed. The pointer and
 	// everything it references belong to the callee.
 	OnCheckpoint func(*Checkpoint)
 	// Telemetry, when non-nil, receives one JSONL line per slice with
 	// the full metrics registry state as it stood at the slice's drain
 	// barrier. The line is written on the campaign goroutine once the
-	// slice's sink job is joined, before the next flush; the store's
+	// slice's sink job is joined at the next drain barrier; the store's
 	// writer counters in it are re-read then (see sliceSink). The stream
 	// is deterministic: byte-identical across worker counts, and a
 	// resumed campaign emits exactly the lines the uninterrupted run
@@ -138,7 +138,7 @@ type CampaignOpts struct {
 	// Store, when non-nil, is the campaign's durable columnar sink: each
 	// slice's capture events and scan results are appended as one
 	// immutable segment on the sink goroutine, one call at a time, in
-	// slice order, joined before the next flush; checkpoints carry the
+	// slice order, joined at the next drain barrier; checkpoints carry the
 	// store manifest, and resume rewinds the directory to it. The store
 	// directory is bit-identical across worker counts and across an
 	// interrupted-and-resumed run.
@@ -148,7 +148,7 @@ type CampaignOpts struct {
 	Dispatch DispatchFunc
 	// Aggregates, when non-nil, observes every slice's drained data
 	// right after the store append, on the sink goroutine, one call at a
-	// time, in slice order, joined before the next flush, letting a
+	// time, in slice order, joined at the next drain barrier, letting a
 	// serving layer maintain materialized query tables incrementally
 	// instead of rescanning the store. A checkpoint holds none of its
 	// state: ResumeCampaign feeds the rewound store back through it, so
@@ -159,7 +159,7 @@ type CampaignOpts struct {
 // SliceAggregator consumes each slice's quiescent drained data — the
 // capture rows and scan results the slice produced, in deterministic
 // order. In a campaign, AggregateSlice runs on the sink goroutine, one
-// call at a time, in slice order, joined before the next flush, while
+// call at a time, in slice order, joined at the next drain barrier, while
 // the campaign collects and scans the next slice; it must not move the
 // campaign's metrics registry. caps and results are only valid for the
 // duration of the call (the campaign reuses the backing arrays), so
@@ -177,40 +177,51 @@ type SliceAggregator interface {
 
 // orderedSink accumulates scan results lock-free and merges them in
 // the order of the sequence numbers the scanner stamped at submission,
-// at each slice's drain barrier. Every scanner worker appends to its
-// own run (the scanner guarantees one worker index per goroutine), and
-// with encode set it also encodes each row there, so the JSONL encode
-// runs on the scan workers rather than serially at the barrier. A
-// worker's calls come in ascending Seq (zgrab.Config.OnResultWorker),
-// so each run is sorted and flush merges them. Per-slice merging yields
-// the global order: the barrier guarantees every slice-s sequence
-// number precedes every slice-s+1 one. A batch scan (ScanBatch) is the
-// one-flush case. The sink writes nothing itself: whoever holds a
-// flush's bytes writes them.
+// one slice at a time. Every scanner worker appends to its own run (the
+// scanner guarantees one worker index per goroutine), and with encode
+// set it also encodes each row there, so the JSONL encode runs on the
+// scan workers. A worker's calls come in ascending Seq
+// (zgrab.Config.OnResultWorker), so each run is sorted and merge joins
+// them. Per-slice merging yields the global order: the barrier
+// guarantees every slice-s sequence number precedes every slice-s+1
+// one.
+//
+// The sink keeps two sets of runs so that the barrier does only the
+// serial part. take, at the drain barrier, swaps the set the workers
+// filled for the set the last merge emptied, and books the slice's
+// bytes and error; merge, in the slice's sink job, joins the taken runs
+// while the workers fill the other set. A batch scan (ScanBatch) is the
+// one-flush case: take and merge at once. The sink writes nothing
+// itself: whoever holds a merge's bytes writes them.
 type orderedSink struct {
-	runs   []sinkRun
-	all    []*zgrab.Result
-	encode bool
-	// n counts the JSONL bytes flushes have handed over: the output
-	// offset a checkpoint records.
+	// runs are the workers', taken the ones the last take set aside.
+	runs, taken []sinkRun
+	all         []*zgrab.Result
+	encode      bool
+	// n counts the JSONL bytes takes have booked: the output offset a
+	// checkpoint records.
 	n int64
-	// batch and jsonl are the last flush's merged rows and their JSONL
-	// bytes, so a slice costs one Write instead of one per row. The
-	// campaign hands both to the slice's sink job and joins it before
-	// the next flush reuses them. They keep their high-water capacity,
-	// as do the runs' buffers.
+	// failed marks taken runs holding a row that could not be encoded:
+	// their merge hands over no bytes.
+	failed bool
+	// batch and jsonl are the last merge's rows and their JSONL bytes,
+	// so a slice costs one Write instead of one per row. The sink job
+	// that merged them uses them, and the next merge reuses them. They
+	// keep their high-water capacity, as do the runs' buffers.
 	batch []*zgrab.Result
 	jsonl []byte
 }
 
-// sinkRun is one worker's results since the last flush, in emission
-// order. With encode set, buf holds their JSONL lines back to back, row
-// i's line ending at ends[i] (empty when the row could not be encoded);
-// err is the run's first encoding error and errSeq that row's Seq.
+// sinkRun is one worker's results since the run was last emptied, in
+// emission order. With encode set, buf holds their JSONL lines back to
+// back, row i's line ending at ends[i] (empty when the row could not be
+// encoded), written through memo; err is the run's first encoding error
+// and errSeq that row's Seq.
 type sinkRun struct {
 	rows   []*zgrab.Result
 	buf    []byte
 	ends   []int
+	memo   zgrab.RowMemo
 	err    error
 	errSeq int64
 	head   int // merge cursor into rows
@@ -223,7 +234,7 @@ func newOrderedSink(workers int, encode bool) *orderedSink {
 	if workers < 1 {
 		workers = 1
 	}
-	return &orderedSink{runs: make([]sinkRun, workers), encode: encode}
+	return &orderedSink{runs: make([]sinkRun, workers), taken: make([]sinkRun, workers), encode: encode}
 }
 
 // add is the scanner's OnResultWorker hook. No locking: run w is only
@@ -235,7 +246,7 @@ func (s *orderedSink) add(worker int, r *zgrab.Result) {
 		return
 	}
 	var err error
-	if run.buf, err = r.AppendJSON(run.buf); err != nil {
+	if run.buf, err = run.memo.AppendJSON(run.buf, r); err != nil {
 		if run.err == nil {
 			run.err, run.errSeq = err, r.Seq
 		}
@@ -245,34 +256,57 @@ func (s *orderedSink) add(worker int, r *zgrab.Result) {
 	run.ends = append(run.ends, len(run.buf))
 }
 
-// flush merges the runs in sequence order into batch, which also
-// joins the accumulated dataset, and with encode set their JSONL bytes
-// into jsonl. Call only at a drain barrier, once the previous flush's
-// batch and jsonl are no longer read. An encoding error is the
-// lowest-Seq row's that failed, and when there is one jsonl is left
-// empty; the rows still join the dataset. A run that does not ascend
-// in Seq is a scanner bug, and flush panics rather than emit rows out
-// of order.
-func (s *orderedSink) flush() error {
-	// A flush whose rows all sit in one run (always at Workers 1, and
+// take sets the workers' runs aside for merge and hands the workers the
+// runs the last merge emptied. It books the taken bytes into n and
+// returns the lowest-Seq encoding error among the taken rows; when
+// there is one nothing is booked, and merge hands over no bytes. Call
+// only at a drain barrier, once the last take's merge has returned.
+func (s *orderedSink) take() error {
+	s.runs, s.taken = s.taken, s.runs
+	var err error
+	var errSeq int64
+	var n int
+	for i := range s.taken {
+		run := &s.taken[i]
+		n += len(run.buf)
+		if run.err != nil && (err == nil || run.errSeq < errSeq) {
+			err, errSeq = run.err, run.errSeq
+		}
+	}
+	s.failed = err != nil
+	if !s.failed {
+		s.n += int64(n)
+	}
+	return err
+}
+
+// merge joins the taken runs in sequence order into batch, which also
+// joins the accumulated dataset, and with encode set and nothing failed
+// their JSONL bytes into jsonl, then empties the taken runs. It may run
+// beside the workers' adds: they fill the other set. A run that does
+// not ascend in Seq is a scanner bug, and merge panics rather than emit
+// rows out of order.
+func (s *orderedSink) merge() {
+	// A merge whose rows all sit in one run (always at Workers 1, and
 	// whenever one session made the whole slice) hands over that run's
 	// buffer as it is, with no copy.
 	var only *sinkRun
-	for i := range s.runs {
-		if len(s.runs[i].rows) > 0 {
+	for i := range s.taken {
+		if len(s.taken[i].rows) > 0 {
 			if only != nil {
 				only = nil
 				break
 			}
-			only = &s.runs[i]
+			only = &s.taken[i]
 		}
 	}
+	copyBytes := s.encode && !s.failed && only == nil
 	batch, buf := s.batch[:0], s.jsonl[:0]
 	for {
 		// The run whose head has the lowest Seq...
 		var next *sinkRun
-		for i := range s.runs {
-			run := &s.runs[i]
+		for i := range s.taken {
+			run := &s.taken[i]
 			if run.head < len(run.rows) && (next == nil || run.rows[run.head].Seq < next.rows[next.head].Seq) {
 				next = run
 			}
@@ -293,7 +327,7 @@ func (s *orderedSink) flush() error {
 			}
 		}
 		batch = append(batch, next.rows[lo:hi]...)
-		if s.encode && only == nil {
+		if copyBytes {
 			start := 0
 			if lo > 0 {
 				start = next.ends[lo-1]
@@ -302,38 +336,36 @@ func (s *orderedSink) flush() error {
 		}
 		next.head = hi
 	}
-	if only != nil && s.encode {
+	if only != nil && s.encode && !s.failed {
 		// The run's bytes leave with the slice, and the run takes the
-		// buffer the previous flush handed over, free again now.
+		// buffer the last merge handed over, free again now.
 		buf, only.buf = only.buf, buf
 	}
 	s.batch, s.jsonl = batch, buf
-	var err error
-	var errSeq int64
-	for i := range s.runs {
-		run := &s.runs[i]
-		if run.err != nil && (err == nil || run.errSeq < errSeq) {
-			err, errSeq = run.err, run.errSeq
-		}
+	for i := range s.taken {
+		run := &s.taken[i]
 		run.rows, run.buf, run.ends = run.rows[:0], run.buf[:0], run.ends[:0]
+		run.memo.Reset()
 		run.err, run.head = nil, 0
 	}
 	s.all = append(s.all, batch...)
-	if err != nil {
-		s.jsonl = s.jsonl[:0]
-		return err
-	}
-	s.n += int64(len(s.jsonl))
-	return nil
 }
 
-// sliceSink is a campaign's sink job: one slice's JSONL write, then its
-// store append, then its aggregator feed, run on a goroutine of its own
-// while the campaign collects and scans the next slice. At most one job
-// is in flight, and the campaign joins it before the next flush reuses
-// the bytes and results it was handed. With nothing to write and
-// neither a store nor an aggregator the job is empty and completes at
-// once.
+// flush is take and merge at once, for a caller with no sink job.
+func (s *orderedSink) flush() error {
+	err := s.take()
+	s.merge()
+	return err
+}
+
+// sliceSink is a campaign's sink job: one slice's merge, then its JSONL
+// write, then its store append, then its aggregator feed, run on a
+// goroutine of its own while the campaign collects and scans the next
+// slice. At most one job is in flight, and the campaign joins it before
+// the next take hands the sink's other set of runs back to the
+// workers. The merge leaves no job empty: even with nothing to write
+// and neither a store nor an aggregator, the job merges the slice's
+// rows into the dataset.
 //
 // Every slice's telemetry line and checkpoint are captured at the
 // slice's barrier and written or delivered after the join, with only
@@ -341,6 +373,7 @@ func (s *orderedSink) flush() error {
 // nothing else, so the line and the checkpoint are the ones a
 // barrier-time append would have produced.
 type sliceSink struct {
+	sink *orderedSink
 	out  io.Writer
 	st   *store.Store
 	agg  SliceAggregator
@@ -348,9 +381,12 @@ type sliceSink struct {
 	busy bool
 }
 
-// run is one slice's sink job. Each step runs even when an earlier one
-// failed; the first error is returned.
-func (k *sliceSink) run(slice int, jsonl []byte, caps []store.CaptureRow, results []*zgrab.Result) error {
+// run is one slice's sink job on the runs the last take set aside. Each
+// step after the merge runs even when an earlier one failed; the first
+// error is returned.
+func (k *sliceSink) run(slice int, caps []store.CaptureRow) error {
+	k.sink.merge()
+	jsonl, results := k.sink.jsonl, k.sink.batch
 	var err error
 	if len(jsonl) > 0 {
 		_, err = k.out.Write(jsonl)
@@ -368,16 +404,11 @@ func (k *sliceSink) run(slice int, jsonl []byte, caps []store.CaptureRow, result
 	return err
 }
 
-// start runs the slice's job on the sink goroutine, or completes the
-// empty job at once. jsonl, caps and results must not change until
-// join returns.
-func (k *sliceSink) start(slice int, jsonl []byte, caps []store.CaptureRow, results []*zgrab.Result) {
+// start runs the slice's job on the sink goroutine. caps must not
+// change until join returns.
+func (k *sliceSink) start(slice int, caps []store.CaptureRow) {
 	k.busy = true
-	if len(jsonl) == 0 && k.st == nil && k.agg == nil {
-		k.done <- nil
-		return
-	}
-	go func() { k.done <- k.run(slice, jsonl, caps, results) }()
+	go func() { k.done <- k.run(slice, caps) }()
 }
 
 // join waits for the in-flight job and returns its error.
@@ -427,8 +458,8 @@ func (p *Pipeline) ResumeCampaign(ctx context.Context, cp *Checkpoint, opts Camp
 }
 
 // runCampaignFrom drives collection from startSlice with the scan feed
-// attached, flushing output and taking checkpoints at slice
-// boundaries.
+// attached, handing each slice to the sink and taking checkpoints at
+// slice boundaries.
 func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts CampaignOpts) (*analysis.Dataset, error) {
 	p.dispatch = opts.Dispatch
 	p.dispatchErr = nil
@@ -455,13 +486,13 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 			werr = err
 		}
 	}
-	sk := &sliceSink{out: opts.Out, st: opts.Store, agg: opts.Aggregates, done: make(chan error, 1)}
+	sk := &sliceSink{sink: sink, out: opts.Out, st: opts.Store, agg: opts.Aggregates, done: make(chan error, 1)}
 	// pending is the checkpoint captured at the in-flight job's barrier.
 	var pending *Checkpoint
 	// settle joins the in-flight sink job, then writes the telemetry line
 	// and delivers the checkpoint captured at its barrier. Errors keep
 	// slice order: a job's error is recorded before the next slice's
-	// flush can fail.
+	// take can fail.
 	settle := func() {
 		if !sk.busy {
 			return
@@ -489,20 +520,20 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	p.collectFrom(startSlice, func(batch []netip.Addr) {
 		scanner.SubmitBatch(batch)
 	}, scanner.Drain, func(next int, shards []*collectShard) {
-		// The previous slice's sink job still holds sink.jsonl and
-		// sink.batch; join it before this flush reuses them.
+		// The previous slice's sink job may still be merging the runs
+		// this take hands back to the workers; join it first.
 		settle()
-		keep(sink.flush())
+		keep(sink.take())
 		// Telemetry is captured before the checkpoint counter below
 		// ticks, so full and resumed runs agree on every line.
 		p.met.outBytes.Set(sink.n)
 		if tw != nil {
 			tw.Capture(next-1, p.W.Clock().Now())
 		}
-		// The job writes the slice's JSONL, the store appends its
-		// capture events and results, and the aggregator sees exactly
-		// the rows the store appends.
-		sk.start(next-1, sink.jsonl, p.capLog[capBase:], sink.batch)
+		// The job merges the slice's runs, writes its JSONL, the store
+		// appends its capture events and results, and the aggregator
+		// sees exactly the rows the store appends.
+		sk.start(next-1, p.capLog[capBase:])
 		capBase = len(p.capLog)
 		// After a failed dispatch the slices left are skipped: a
 		// checkpoint would claim work that never ran.
@@ -517,12 +548,13 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	// A fatal dispatcher error outranks sink errors: it names the root
 	// cause (the control plane died), not the knock-on effects.
 	keep(p.dispatchErr)
-	keep(sink.flush())
+	keep(sink.take())
 	// The post-Close drain can surface a result tail past the last
-	// collection slice; it is written last and lands on the synthetic
-	// slice collectSlices (for both the store and the aggregator), and
-	// sealing garbage-collects retired compaction inputs.
-	keep(sk.run(collectSlices, sink.jsonl, nil, sink.batch))
+	// collection slice; it is merged and written last, here, and lands
+	// on the synthetic slice collectSlices (for both the store and the
+	// aggregator), and sealing garbage-collects retired compaction
+	// inputs.
+	keep(sk.run(collectSlices, nil))
 	if opts.Store != nil {
 		keep(opts.Store.Seal())
 	}
@@ -602,8 +634,8 @@ func (p *Pipeline) restore(cp *Checkpoint) error {
 	// side effects are not needed here (any address scanned after the
 	// resume point is re-registered by its own capture's CurrentAddr).
 	for _, rec := range cp.CapLog {
-		p.EUI.Add(rec.Addr, rec.Vantage)
 		if p.Summary.Add(rec.Addr) {
+			p.EUI.Add(rec.Addr, rec.Vantage)
 			if vs, ok := p.ServerByCountry(rec.Vantage); ok {
 				p.perCountryN[vs.idx]++
 			}

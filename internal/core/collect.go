@@ -327,8 +327,11 @@ func (p *Pipeline) commitShard(sh *collectShard, batch func([]netip.Addr)) {
 			vi := int(ev.vantage)
 			country := p.Servers[vi].Country
 			p.met.capEvents.Inc(vi)
-			p.EUI.Add(ev.addr, country)
 			if p.Summary.Add(ev.addr) {
+				// EUI keeps first sightings only, and Summary has just
+				// found this one new: the same stream, without a second
+				// lookup of every repeat.
+				p.EUI.Add(ev.addr, country)
 				p.perCountryN[vi]++
 				p.met.capDistinct.Inc(vi)
 				if p.recordCaps {

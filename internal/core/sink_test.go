@@ -29,7 +29,10 @@ type sinkSession struct {
 // refuses). The rest come in pairs, one session each: the first byte
 // sets its target count (1..8) and how many of its last rows a
 // cancellation dropped (0..3, leaving a Seq gap); the second the worker
-// that scanned it and, in its top bit, whether a barrier follows.
+// that scanned it and, in its top bit, whether a barrier follows. As in
+// a campaign, a target's rows share its address, and rows share a time
+// across targets and sessions, barriers included: every third session
+// the clock moves.
 func fuzzSinkSessions(data []byte) (workers int, sessions []sinkSession) {
 	if len(data) < 4 {
 		return 0, nil
@@ -43,12 +46,14 @@ func fuzzSinkSessions(data []byte) (workers int, sessions []sinkSession) {
 		targets, dropped := 1+int(rest[0]%8), int(rest[0]>>3)%4
 		rows := targets*modules - dropped
 		s := sinkSession{worker: int(rest[1]&0x7f) % workers, flush: rest[1]&0x80 != 0}
+		when := base.Add(time.Duration(len(sessions)/3) * time.Second)
 		for i := range max(rows, 0) {
 			rs := seq + int64(i)
+			ti := rs / int64(modules)
 			r := &zgrab.Result{
-				IP:     netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: byte(rs >> 8), 15: byte(rs)}),
+				IP:     netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: byte(ti >> 8), 15: byte(ti)}),
 				Module: fmt.Sprintf("m%d", int(rs)%modules), Port: uint16(rs),
-				Time: base.Add(time.Duration(rs) * time.Second), Status: zgrab.StatusSuccess,
+				Time: when, Status: zgrab.StatusSuccess,
 				Seq: rs,
 			}
 			switch n {
@@ -84,14 +89,16 @@ func sortThenEncode(rows []*zgrab.Result) ([]*zgrab.Result, []byte, error) {
 
 // FuzzOrderedSinkMerge holds the merge to the sort it replaced: over
 // any worker count, session split, Seq gaps and unencodable rows, each
-// flush's batch is its rows in Seq order and its bytes are the sorted
-// rows' JSONL; a flush that meets an unencodable row returns the
-// lowest-Seq one's error and hands over no bytes, and the dataset
-// keeps every row either way. As in a campaign, the bytes a flush
-// hands over are written only after the next slice's rows have been
-// added, just before the next flush: a run buffer that left with one
-// flush must hold its bytes while the workers fill the buffer the run
-// took in exchange.
+// slice's batch is its rows in Seq order and its bytes are the sorted
+// rows' JSONL; a take that meets an unencodable row returns the
+// lowest-Seq one's error and books no bytes, the merge then hands over
+// none, and the dataset keeps every row either way. It drives the sink
+// as a campaign does: take at the barrier, and the slice's sink job —
+// merge, then write — as late as the campaign may run it, after the
+// workers have added the next slice's rows to the other set of runs and
+// just before the next take. So a buffer that left with one merge must
+// hold its bytes while the workers fill the buffer its run took in
+// exchange.
 func FuzzOrderedSinkMerge(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		workers, sessions := fuzzSinkSessions(data)
@@ -102,34 +109,38 @@ func FuzzOrderedSinkMerge(f *testing.F) {
 		sink := newOrderedSink(workers, true)
 		var pending, all []*zgrab.Result
 		var want []byte
-		// write is the sink job's step: the previous flush's bytes.
-		write := func() {
+		// job is the in-flight sink job, nil when none is.
+		var job func()
+		barrier := func() {
 			t.Helper()
-			out.Write(sink.jsonl)
-			if !bytes.Equal(out.Bytes(), want) {
-				t.Fatalf("written bytes differ from sort-then-AppendJSON:\n got %q\nwant %q", out.Bytes(), want)
+			if job != nil {
+				job()
 			}
-		}
-		check := func() {
-			t.Helper()
-			write()
 			batch, lines, wantErr := sortThenEncode(pending)
-			err := sink.flush()
-			if !errors.Is(err, wantErr) {
-				t.Fatalf("flush error %v, want %v", err, wantErr)
-			}
-			if !slices.Equal(sink.batch, batch) {
-				t.Fatalf("batch is not the flush's rows in Seq order")
+			if err := sink.take(); !errors.Is(err, wantErr) {
+				t.Fatalf("take error %v, want %v", err, wantErr)
 			}
 			want = append(want, lines...)
 			if sink.n != int64(len(want)) {
 				t.Fatalf("offset %d, want %d", sink.n, len(want))
 			}
 			all = append(all, batch...)
-			if !slices.Equal(sink.all, all) {
-				t.Fatalf("dataset does not hold every flushed row")
+			wantAll, written := slices.Clone(all), len(want)
+			job = func() {
+				t.Helper()
+				sink.merge()
+				if !slices.Equal(sink.batch, batch) {
+					t.Fatalf("batch is not the slice's rows in Seq order")
+				}
+				if !slices.Equal(sink.all, wantAll) {
+					t.Fatalf("dataset does not hold every merged row")
+				}
+				out.Write(sink.jsonl)
+				if !bytes.Equal(out.Bytes(), want[:written]) {
+					t.Fatalf("written bytes differ from sort-then-AppendJSON:\n got %q\nwant %q", out.Bytes(), want[:written])
+				}
 			}
-			pending = pending[:0]
+			pending = nil
 		}
 		for _, s := range sessions {
 			for _, r := range s.rows {
@@ -137,11 +148,11 @@ func FuzzOrderedSinkMerge(f *testing.F) {
 			}
 			pending = append(pending, s.rows...)
 			if s.flush {
-				check()
+				barrier()
 			}
 		}
-		check()
-		write()
+		barrier()
+		job()
 	})
 }
 

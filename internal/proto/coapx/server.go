@@ -3,8 +3,9 @@ package coapx
 import (
 	"bytes"
 	"net/netip"
-	"sync"
 	"time"
+
+	"ntpscan/internal/freelist"
 )
 
 // DeviceOptions describes a simulated CoAP endpoint.
@@ -19,8 +20,8 @@ type DeviceOptions struct {
 // handlerMsgs pools the scratch messages Handler parses requests into;
 // option values alias the request payload, which the handler is done
 // with before it returns.
-var handlerMsgs = sync.Pool{
-	New: func() any { return &Message{} },
+var handlerMsgs = freelist.List[*Message]{
+	New: func() *Message { return &Message{} },
 }
 
 // Handler returns a netsim UDP packet handler implementing the device.
@@ -42,7 +43,7 @@ func Handler(opts DeviceOptions) func(netip.AddrPort, []byte) [][]byte {
 	}
 
 	return func(from netip.AddrPort, payload []byte) [][]byte {
-		req := handlerMsgs.Get().(*Message)
+		req := handlerMsgs.Get()
 		defer handlerMsgs.Put(req)
 		if err := parseInto(req, payload, false); err != nil || req.Code != CodeGET {
 			return nil
@@ -188,8 +189,8 @@ type scanScratch struct {
 	resp  Message
 }
 
-var scanScratches = sync.Pool{
-	New: func() any {
+var scanScratches = freelist.List[*scanScratch]{
+	New: func() *scanScratch {
 		return &scanScratch{enc: make([]byte, 0, 64), buf: make([]byte, 2048)}
 	},
 }
@@ -205,7 +206,7 @@ var wellKnownOpts = []Option{
 // response must echo the derived token. The caller keeps ownership of
 // sock.
 func ScanConn(sock PacketSocket, dst netip.AddrPort, messageID uint16, timeout time.Duration) (*ScanResult, error) {
-	sc := scanScratches.Get().(*scanScratch)
+	sc := scanScratches.Get()
 	defer scanScratches.Put(sc)
 	sc.token = [4]byte{byte(messageID >> 8), byte(messageID), 0x5c, 0x0a}
 	req := Message{

@@ -17,7 +17,8 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
+
+	"ntpscan/internal/freelist"
 )
 
 // maxBodyBytes bounds how much of a response body the client retains,
@@ -60,8 +61,8 @@ type clientReader struct {
 	br *bufio.Reader
 }
 
-var clientReaders = sync.Pool{
-	New: func() any {
+var clientReaders = freelist.List[*clientReader]{
+	New: func() *clientReader {
 		cr := &clientReader{}
 		cr.br = bufio.NewReader(&cr.lr)
 		return cr
@@ -90,7 +91,7 @@ func Get(conn net.Conn, host, path string) (*Response, error) {
 			return nil, err
 		}
 	}
-	cr := clientReaders.Get().(*clientReader)
+	cr := clientReaders.Get()
 	cr.lr.R = conn
 	cr.lr.N = maxHeaderBytes + maxBodyBytes + 4096
 	cr.br.Reset(&cr.lr)

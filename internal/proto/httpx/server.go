@@ -6,21 +6,22 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
+
+	"ntpscan/internal/freelist"
 )
 
 // serverReaders pools the per-connection buffered readers; a device
 // answers one request per connection, so the reader's lifetime is one
 // ServeConn call.
-var serverReaders = sync.Pool{
-	New: func() any { return bufio.NewReader(nil) },
+var serverReaders = freelist.List[*bufio.Reader]{
+	New: func() *bufio.Reader { return bufio.NewReader(nil) },
 }
 
 // responseBufs pools the response assembly buffers so writeResponse
 // neither grows a fresh strings.Builder nor double-copies it into a
 // []byte for conn.Write.
-var responseBufs = sync.Pool{
-	New: func() any {
+var responseBufs = freelist.List[*[]byte]{
+	New: func() *[]byte {
 		b := make([]byte, 0, 512)
 		return &b
 	},
@@ -81,7 +82,7 @@ func renderPage(title string) string {
 // Connection: close style. Malformed requests get a 400.
 func ServeConn(conn net.Conn, opts ServerOptions) {
 	defer conn.Close()
-	br := serverReaders.Get().(*bufio.Reader)
+	br := serverReaders.Get()
 	br.Reset(conn)
 	defer func() {
 		br.Reset(nil)
@@ -141,7 +142,7 @@ func writeResponse(conn net.Conn, code int, serverHeader, contentType, body stri
 	if contentType == "" {
 		contentType = "text/html; charset=utf-8"
 	}
-	bp := responseBufs.Get().(*[]byte)
+	bp := responseBufs.Get()
 	b := (*bp)[:0]
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(code), 10)

@@ -7,19 +7,20 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
+
+	"ntpscan/internal/freelist"
 )
 
 // readers pools the buffered readers both ends of the exchange use.
 // Heap profiles put per-connection bufio.NewReader among the campaign's
 // top allocation sites: every SSH probe paid for two 4 KB buffers (one
 // per end) that lived for a handful of short lines.
-var readers = sync.Pool{
-	New: func() any { return bufio.NewReader(nil) },
+var readers = freelist.List[*bufio.Reader]{
+	New: func() *bufio.Reader { return bufio.NewReader(nil) },
 }
 
 func getReader(conn net.Conn) *bufio.Reader {
-	br := readers.Get().(*bufio.Reader)
+	br := readers.Get()
 	br.Reset(conn)
 	return br
 }

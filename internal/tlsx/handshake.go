@@ -6,7 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
+
+	"ntpscan/internal/freelist"
 )
 
 // Handshake message framing: one type byte, a 3-byte big-endian length,
@@ -28,15 +29,15 @@ var (
 // messages and parses one; with the hitlist's millions of handshakes
 // the per-message allocations were a visible slice of campaign heap
 // profiles. Certificates comfortably fit the initial capacity.
-var msgBufs = sync.Pool{
-	New: func() any {
+var msgBufs = freelist.List[*[]byte]{
+	New: func() *[]byte {
 		b := make([]byte, 0, 512)
 		return &b
 	},
 }
 
 func writeMsg(w io.Writer, typ byte, payload []byte) error {
-	bp := msgBufs.Get().(*[]byte)
+	bp := msgBufs.Get()
 	b := append((*bp)[:0], typ, byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
 	b = append(b, payload...)
 	_, err := w.Write(b)
@@ -159,7 +160,7 @@ func Client(conn net.Conn, cfg ClientConfig) (*Conn, error) {
 		return nil, err
 	}
 
-	bp := msgBufs.Get().(*[]byte)
+	bp := msgBufs.Get()
 	defer msgBufs.Put(bp)
 	typ, payload, err := readMsg(conn, bp)
 	if err != nil {
@@ -197,7 +198,7 @@ func Server(conn net.Conn, cfg ServerConfig) (*Conn, error) {
 	if srvV == 0 {
 		srvV = VersionTLS12
 	}
-	bp := msgBufs.Get().(*[]byte)
+	bp := msgBufs.Get()
 	defer msgBufs.Put(bp)
 	typ, payload, err := readMsg(conn, bp)
 	if err != nil {
@@ -228,7 +229,7 @@ func Server(conn net.Conn, cfg ServerConfig) (*Conn, error) {
 		return nil, alertError(AlertProtocolVersion)
 	}
 
-	rp := msgBufs.Get().(*[]byte)
+	rp := msgBufs.Get()
 	resp := append((*rp)[:0], byte(version>>8), byte(version))
 	resp = cfg.Certificate.appendMarshal(resp)
 	err = writeMsg(conn, msgServerHello, resp)

@@ -23,9 +23,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"ntpscan/internal/freelist"
 	"ntpscan/internal/intern"
 )
 
@@ -77,8 +77,8 @@ type Certificate struct {
 // marshalBufs pools certificate encodings for Fingerprint: the scanner
 // fingerprints every completed handshake, and the transient marshal was
 // a per-result allocation. Certificates fit the initial capacity.
-var marshalBufs = sync.Pool{
-	New: func() any {
+var marshalBufs = freelist.List[*[]byte]{
+	New: func() *[]byte {
 		b := make([]byte, 0, 256)
 		return &b
 	},
@@ -87,7 +87,7 @@ var marshalBufs = sync.Pool{
 // Fingerprint returns the SHA-256 digest of the certificate's canonical
 // encoding, the dedup key used throughout the analysis ("#Certs/Keys").
 func (c *Certificate) Fingerprint() [32]byte {
-	bp := marshalBufs.Get().(*[]byte)
+	bp := marshalBufs.Get()
 	b := c.appendMarshal((*bp)[:0])
 	sum := sha256.Sum256(b)
 	*bp = b[:0]

@@ -28,17 +28,58 @@ import (
 // json.Marshal(r) produces (JSONL writers add the '\n' Encoder.Encode
 // would). On error dst comes back at its original length.
 func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
+	var m RowMemo
+	return m.AppendJSON(dst, r)
+}
+
+// RowMemo lets consecutive rows written into one buffer share their
+// "ip" and "time" values' bytes. A target's rows repeat its address,
+// and its time too when no inter-protocol delay or backoff moves it, so
+// after the first row the encoder copies those bytes from where the
+// previous row left them in the buffer instead of formatting them
+// again. The zero RowMemo remembers nothing.
+type RowMemo struct {
+	ip              netip.Addr
+	time            time.Time
+	ipAt, ipEnd     int // ip's value in the buffer; ipEnd 0: none
+	timeAt, timeEnd int // time's value in the buffer; timeEnd 0: none
+}
+
+// Reset forgets the remembered bytes.
+func (m *RowMemo) Reset() { *m = RowMemo{} }
+
+// AppendJSON appends r as Result.AppendJSON does, every byte the same:
+// it is the one result writer, and Result.AppendJSON is it with a memo
+// that remembers nothing. dst must be the buffer the memo's earlier
+// rows were appended to, with those bytes still in place: a caller that
+// cuts the buffer back or swaps it calls Reset first. A row that fails
+// to encode resets the memo itself.
+func (m *RowMemo) AppendJSON(dst []byte, r *Result) ([]byte, error) {
 	n0 := len(dst)
 	dst = append(dst, `{"ip":`...)
-	dst = AppendJSONAddr(dst, r.IP)
+	// A netip.Addr or time.Time equal under == writes equal bytes.
+	if m.ipEnd > 0 && r.IP == m.ip {
+		dst = append(dst, dst[m.ipAt:m.ipEnd]...)
+	} else {
+		at := len(dst)
+		dst = AppendJSONAddr(dst, r.IP)
+		m.ip, m.ipAt, m.ipEnd = r.IP, at, len(dst)
+	}
 	dst = append(dst, `,"module":`...)
 	dst = AppendJSONString(dst, r.Module)
 	dst = append(dst, `,"port":`...)
 	dst = strconv.AppendUint(dst, uint64(r.Port), 10)
 	dst = append(dst, `,"time":`...)
-	dst, err := AppendJSONTime(dst, r.Time)
-	if err != nil {
-		return dst[:n0], err
+	var err error
+	if m.timeEnd > 0 && r.Time == m.time {
+		dst = append(dst, dst[m.timeAt:m.timeEnd]...)
+	} else {
+		at := len(dst)
+		if dst, err = AppendJSONTime(dst, r.Time); err != nil {
+			m.Reset()
+			return dst[:n0], err
+		}
+		m.time, m.timeAt, m.timeEnd = r.Time, at, len(dst)
 	}
 	dst = append(dst, `,"status":`...)
 	dst = AppendJSONString(dst, string(r.Status))
@@ -48,6 +89,7 @@ func (r *Result) AppendJSON(dst []byte) ([]byte, error) {
 		dst = strconv.AppendInt(dst, int64(r.Attempts), 10)
 	}
 	if dst, err = r.appendGrabMembers(dst); err != nil {
+		m.Reset()
 		return dst[:n0], err
 	}
 	return append(dst, '}'), nil

@@ -86,6 +86,11 @@ func fuzzResult(shape uint8, flag bool, ip []byte, zone string, sec, nsec int64,
 // none, empty vs nil Resources, zero and zoned times, years and zone
 // hours RFC 3339 cannot express, zero / IPv4 / mapped / zoned
 // addresses, and strings that need every kind of escape.
+//
+// The same input also drives RowMemo: consecutive rows written into one
+// buffer, as a sink run writes them, sharing or differing in address,
+// zone and time (see memoRows), must be exactly their json.Marshal
+// lines, with a refused row leaving the buffer as it was.
 func FuzzResultAppendJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, shape uint8, flag bool, ip []byte, zone string, sec, nsec int64, off int32,
 		sec2 int64, off2 int32, n int64, s0, s1, s2 string) {
@@ -112,7 +117,46 @@ func FuzzResultAppendJSON(f *testing.F) {
 		if !bytes.Equal(got, append(append([]byte(nil), prefix...), want...)) {
 			t.Fatalf("AppendGrabs differs from json.Marshal(grabPayload):\n got %q\nwant %s%s", got, prefix, want)
 		}
+
+		var memo RowMemo
+		buf, lines := append([]byte(nil), prefix...), append([]byte(nil), prefix...)
+		for i, row := range memoRows(r, fuzzTime(sec2, nsec, off2), s2) {
+			want, wantErr := json.Marshal(row)
+			out, err := memo.AppendJSON(buf, row)
+			if (err != nil) != (wantErr != nil) {
+				t.Fatalf("row %d: RowMemo.AppendJSON error %v, json.Marshal error %v", i, err, wantErr)
+			}
+			if err == nil {
+				lines = append(append(lines, want...), '\n')
+				out = append(out, '\n')
+			}
+			if !bytes.Equal(out, lines) {
+				t.Fatalf("row %d: RowMemo.AppendJSON differs from json.Marshal lines:\n got %q\nwant %q", i, out, lines)
+			}
+			buf = out
+		}
 	})
+}
+
+// memoRows is a run of rows as a sink writes them: r; r as the next
+// module (same address and time); r at another time; r's address
+// without its zone, and with zone as its zone; r on the zero address;
+// and r itself again, after all of them.
+func memoRows(r *Result, other time.Time, zone string) []*Result {
+	vary := func(f func(*Result)) *Result {
+		c := *r
+		f(&c)
+		return &c
+	}
+	return []*Result{
+		r,
+		vary(func(c *Result) { c.Module, c.Port = c.Module+"s", c.Port+1 }),
+		vary(func(c *Result) { c.Time = other }),
+		vary(func(c *Result) { c.IP = c.IP.WithZone("") }),
+		vary(func(c *Result) { c.IP = c.IP.WithZone(zone) }),
+		vary(func(c *Result) { c.IP = netip.Addr{} }),
+		r,
+	}
 }
 
 // allocShapes is a failure row plus one success row per grab kind.

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"sync"
 	"syscall"
 	"time"
 
+	"ntpscan/internal/freelist"
 	"ntpscan/internal/intern"
 	"ntpscan/internal/netsim"
 	"ntpscan/internal/proto/amqpx"
@@ -49,6 +49,18 @@ type Module interface {
 	// timeouts. The returned result always carries Status; a nil error
 	// with non-success status is normal (closed port etc.).
 	Scan(ctx context.Context, env *Env, target netip.Addr) *Result
+	// scanInto is Scan writing into a Result the caller provides: the
+	// scanner's workers fill one slot of their session's result slab
+	// (see Scanner) instead of allocating a Result per probe. res is
+	// overwritten whole.
+	scanInto(ctx context.Context, env *Env, target netip.Addr, res *Result)
+}
+
+// scanNew is every module's Scan: scanInto on a fresh Result.
+func scanNew(ctx context.Context, m Module, env *Env, target netip.Addr) *Result {
+	res := new(Result)
+	m.scanInto(ctx, env, target, res)
+	return res
 }
 
 // Env is the scan environment shared by modules.
@@ -73,11 +85,30 @@ type Env struct {
 	// profiles showed as the campaign's single largest allocation site.
 	Logical bool
 
-	// udpSocks pools bound CoAP sockets. A probe socket carries no
+	// udpSocks recycles bound CoAP sockets. A probe socket carries no
 	// cross-probe state the scan loop doesn't already filter (stale
 	// datagrams fail the source/token checks), so reuse is invisible to
-	// results and saves a bind + buffer per UDP probe.
-	udpSocks sync.Pool
+	// results and saves a bind + buffer per UDP probe. Once no probe is
+	// running the list holds every socket the Env bound and did not
+	// close (putSocket), and closeSockets unbinds them all
+	// (Scanner.Close calls it).
+	udpSocks freelist.List[coapx.PacketSocket]
+}
+
+// putSocket returns a probe's socket to udpSocks, or closes it when the
+// list is full.
+func (e *Env) putSocket(sock coapx.PacketSocket) {
+	if !e.udpSocks.Put(sock) {
+		sock.Close()
+	}
+}
+
+// closeSockets closes every CoAP socket the Env bound. Call it only
+// when no probe is running: a socket out on a probe is not in the list.
+func (e *Env) closeSockets() {
+	for _, sock := range e.udpSocks.Drain() {
+		sock.Close()
+	}
 }
 
 func (e *Env) udpTimeout() time.Duration {
@@ -224,12 +255,16 @@ func (m *HTTPModule) Port() uint16 {
 
 // Scan implements Module.
 func (m *HTTPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Result {
+	return scanNew(ctx, m, env, target)
+}
+
+func (m *HTTPModule) scanInto(ctx context.Context, env *Env, target netip.Addr, res *Result) {
 	port := env.portFor(m)
-	res := &Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
+	*res = Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
 	conn, status, errStr := env.dial(ctx, target, port)
 	if status != StatusSuccess {
 		res.Status, res.Error = status, errStr
-		return res
+		return
 	}
 	defer conn.Close()
 
@@ -240,7 +275,7 @@ func (m *HTTPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 			res.Status = StatusTLSError
 			res.Error = err.Error()
 			res.TLS = tlsFail(err)
-			return res
+			return
 		}
 		res.TLS = tlsGrab(tc.State())
 		appConn = tc
@@ -249,7 +284,7 @@ func (m *HTTPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 	if err != nil {
 		res.Status = StatusProtocolError
 		res.Error = err.Error()
-		return res
+		return
 	}
 	res.Status = StatusSuccess
 	res.HTTP = &HTTPGrab{
@@ -257,7 +292,6 @@ func (m *HTTPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 		Title:      interned(resp.Title()),
 		Server:     interned(resp.Header["Server"]),
 	}
-	return res
 }
 
 // SSHModule grabs the identification string and host key.
@@ -271,19 +305,23 @@ func (m *SSHModule) Port() uint16 { return 22 }
 
 // Scan implements Module.
 func (m *SSHModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Result {
+	return scanNew(ctx, m, env, target)
+}
+
+func (m *SSHModule) scanInto(ctx context.Context, env *Env, target netip.Addr, res *Result) {
 	port := env.portFor(m)
-	res := &Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
+	*res = Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
 	conn, status, errStr := env.dial(ctx, target, port)
 	if status != StatusSuccess {
 		res.Status, res.Error = status, errStr
-		return res
+		return
 	}
 	defer conn.Close()
 	grab, err := sshx.Scan(conn)
 	if err != nil {
 		res.Status = StatusProtocolError
 		res.Error = err.Error()
-		return res
+		return
 	}
 	res.Status = StatusSuccess
 	res.SSH = &SSHGrab{
@@ -296,7 +334,6 @@ func (m *SSHModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Resu
 		fp := grab.HostKey.Fingerprint()
 		res.SSH.KeyFingerprint = internedHex(fp[:])
 	}
-	return res
 }
 
 // MQTTModule grabs broker connection policy, optionally over TLS.
@@ -322,12 +359,16 @@ func (m *MQTTModule) Port() uint16 {
 
 // Scan implements Module.
 func (m *MQTTModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Result {
+	return scanNew(ctx, m, env, target)
+}
+
+func (m *MQTTModule) scanInto(ctx context.Context, env *Env, target netip.Addr, res *Result) {
 	port := env.portFor(m)
-	res := &Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
+	*res = Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
 	conn, status, errStr := env.dial(ctx, target, port)
 	if status != StatusSuccess {
 		res.Status, res.Error = status, errStr
-		return res
+		return
 	}
 	defer conn.Close()
 	var appConn net.Conn = conn
@@ -337,7 +378,7 @@ func (m *MQTTModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 			res.Status = StatusTLSError
 			res.Error = err.Error()
 			res.TLS = tlsFail(err)
-			return res
+			return
 		}
 		res.TLS = tlsGrab(tc.State())
 		appConn = tc
@@ -346,11 +387,10 @@ func (m *MQTTModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 	if err != nil {
 		res.Status = StatusProtocolError
 		res.Error = err.Error()
-		return res
+		return
 	}
 	res.Status = StatusSuccess
 	res.MQTT = &MQTTGrab{ReturnCode: grab.ReturnCode, Open: grab.Open}
-	return res
 }
 
 // AMQPModule grabs broker negotiation, optionally over TLS.
@@ -376,12 +416,16 @@ func (m *AMQPModule) Port() uint16 {
 
 // Scan implements Module.
 func (m *AMQPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Result {
+	return scanNew(ctx, m, env, target)
+}
+
+func (m *AMQPModule) scanInto(ctx context.Context, env *Env, target netip.Addr, res *Result) {
 	port := env.portFor(m)
-	res := &Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
+	*res = Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
 	conn, status, errStr := env.dial(ctx, target, port)
 	if status != StatusSuccess {
 		res.Status, res.Error = status, errStr
-		return res
+		return
 	}
 	defer conn.Close()
 	var appConn net.Conn = conn
@@ -391,7 +435,7 @@ func (m *AMQPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 			res.Status = StatusTLSError
 			res.Error = err.Error()
 			res.TLS = tlsFail(err)
-			return res
+			return
 		}
 		res.TLS = tlsGrab(tc.State())
 		appConn = tc
@@ -400,7 +444,7 @@ func (m *AMQPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 	if err != nil {
 		res.Status = StatusProtocolError
 		res.Error = err.Error()
-		return res
+		return
 	}
 	res.Status = StatusSuccess
 	res.AMQP = &AMQPGrab{
@@ -409,7 +453,6 @@ func (m *AMQPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 		Open:       grab.Open,
 		CloseCode:  grab.CloseCode,
 	}
-	return res
 }
 
 // CoAPModule probes /.well-known/core over UDP.
@@ -423,21 +466,23 @@ func (m *CoAPModule) Port() uint16 { return coapx.Port }
 
 // Scan implements Module.
 func (m *CoAPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Result {
+	return scanNew(ctx, m, env, target)
+}
+
+func (m *CoAPModule) scanInto(ctx context.Context, env *Env, target netip.Addr, res *Result) {
 	port := env.portFor(m)
-	res := &Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
-	var sock coapx.PacketSocket
-	if v := env.udpSocks.Get(); v != nil {
-		sock = v.(coapx.PacketSocket)
-	} else {
+	*res = Result{IP: target, Module: m.Name(), Port: port, Time: env.now()}
+	sock := env.udpSocks.Get()
+	if sock == nil {
 		s, err := env.Net.ListenUDP(netip.AddrPortFrom(env.Source, 0))
 		if err != nil {
 			res.Status = StatusIOError
 			res.Error = err.Error()
-			return res
+			return
 		}
 		sock = s
 	}
-	defer env.udpSocks.Put(sock)
+	defer env.putSocket(sock)
 	// The message ID varies per retry attempt so a retransmission is a
 	// fresh datagram to the fabric's flow-hashed loss process.
 	mid := msgIDFor(target) + uint16(netsim.AttemptFrom(ctx))*0x9d7
@@ -445,11 +490,10 @@ func (m *CoAPModule) Scan(ctx context.Context, env *Env, target netip.Addr) *Res
 	if err != nil {
 		res.Status = StatusTimeout
 		res.Error = err.Error()
-		return res
+		return
 	}
 	res.Status = StatusSuccess
 	res.CoAP = &CoAPGrab{Code: grab.Code.String(), Resources: grab.Resources}
-	return res
 }
 
 // msgIDFor derives a stable CoAP message ID per target.

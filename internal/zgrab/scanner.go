@@ -3,6 +3,7 @@ package zgrab
 import (
 	"context"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,10 +115,19 @@ const revisitAfter = 72 * time.Hour
 // Only the submitting goroutine and the drain barrier touch it — no
 // scan worker does — so one map behind one mutex serves; all methods
 // are safe for concurrent use.
+//
+// Beside the map, order keeps every admission in time order (a min-heap
+// on the admission time), so Sweep pops what has expired instead of
+// walking every tracked address. A re-admitted address leaves its older
+// entry in the heap; that entry is stale once the map holds a different
+// time for the address, and Sweep drops it when it reaches the top. The
+// heap, not a queue, because now need not grow from call to call: a
+// RealClock can step back.
 type Revisit struct {
 	after time.Duration
 	mu    sync.Mutex
 	last  map[netip.Addr]time.Time
+	order revisitHeap
 }
 
 // NewRevisit returns a suppressor with the given re-scan holdoff.
@@ -134,6 +144,7 @@ func (rv *Revisit) Allow(addr netip.Addr, now time.Time) bool {
 		return false
 	}
 	rv.last[addr] = now
+	rv.order.push(RevisitEntry{Addr: addr, Last: now})
 	return true
 }
 
@@ -141,17 +152,66 @@ func (rv *Revisit) Allow(addr netip.Addr, now time.Time) bool {
 // suppress anything (Allow would admit them) and over a long campaign
 // would otherwise accumulate without bound. Returns how many entries
 // were dropped. The scanner sweeps at each drain barrier.
+//
+// An entry has expired when now.Sub(Last) >= after, which holds for
+// every admission at or before the heap's top once it holds for the
+// top: Sub does not grow with Last. A popped entry evicts its address
+// only while the map still holds its time; otherwise it is a stale
+// admission, and the address's current one sits deeper in the heap.
 func (rv *Revisit) Sweep(now time.Time) int {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	evicted := 0
-	for addr, t := range rv.last {
-		if now.Sub(t) >= rv.after {
-			delete(rv.last, addr)
+	for len(rv.order) > 0 && now.Sub(rv.order[0].Last) >= rv.after {
+		e := rv.order.pop()
+		if t, ok := rv.last[e.Addr]; ok && t == e.Last {
+			delete(rv.last, e.Addr)
 			evicted++
 		}
 	}
 	return evicted
+}
+
+// revisitHeap is a binary min-heap of admissions on Last. It compares
+// with Time.Before, which reads the same clock Sub does.
+type revisitHeap []RevisitEntry
+
+func (h *revisitHeap) push(e RevisitEntry) {
+	*h = append(*h, e)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].Last.Before(q[parent].Last) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+func (h *revisitHeap) pop() RevisitEntry {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = RevisitEntry{}
+	q = q[:n]
+	for i := 0; ; {
+		least, l, r := i, 2*i+1, 2*i+2
+		if l < n && q[l].Last.Before(q[least].Last) {
+			least = l
+		}
+		if r < n && q[r].Last.Before(q[least].Last) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		q[i], q[least] = q[least], q[i]
+		i = least
+	}
+	*h = q
+	return top
 }
 
 // RevisitEntry is one tracked address in a checkpoint.
@@ -172,7 +232,8 @@ func (rv *Revisit) Snapshot() []RevisitEntry {
 	return out
 }
 
-// Restore replaces the tracked set with a snapshot.
+// Restore replaces the tracked set with a snapshot and rebuilds the
+// admission order from it: the entries sorted by time are a heap.
 func (rv *Revisit) Restore(entries []RevisitEntry) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
@@ -180,6 +241,8 @@ func (rv *Revisit) Restore(entries []RevisitEntry) {
 	for _, e := range entries {
 		rv.last[e.Addr] = e.Last
 	}
+	rv.order = slices.Clone(entries)
+	slices.SortStableFunc(rv.order, func(a, b RevisitEntry) int { return a.Last.Compare(b.Last) })
 }
 
 // Config assembles a scanner.
@@ -242,6 +305,11 @@ type Config struct {
 	// and a worker scans a session's targets, and each target's
 	// modules, in order; core's sink merges on that instead of
 	// sorting. ScanNow emits as worker 0 outside this order.
+	//
+	// The sink may keep r: the scanner never writes a row again once it
+	// is emitted. Rows share allocations, though: a session's rows (up
+	// to 64 targets' worth) are slots of one slab, so a kept row keeps
+	// its whole session's slab alive.
 	OnResultWorker func(worker int, r *Result)
 }
 
@@ -449,9 +517,14 @@ func (s *Scanner) Start(ctx context.Context) {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
+			modules := len(s.cfg.Modules)
 			for sess := range s.queue {
-				for _, t := range sess.targets {
-					s.scanOne(ctx, worker, t)
+				// The session's result slab: one allocation for every row
+				// its targets produce, target i's modules in slots
+				// [i*modules, (i+1)*modules).
+				slab := make([]Result, len(sess.targets)*modules)
+				for i, t := range sess.targets {
+					s.scanOne(ctx, worker, t, slab[i*modules:(i+1)*modules])
 				}
 				n := len(sess.targets)
 				s.sessions.release(sess)
@@ -554,13 +627,15 @@ func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
 	tl := &s.tallies[0]
 	seq := s.nextSeq.Add(1) - 1
 	s.met.Submitted.Inc()
+	slab := make([]Result, len(s.cfg.Modules))
 	out := make([]*Result, 0, len(s.cfg.Modules))
 	for i, m := range s.cfg.Modules {
 		if s.wait(ctx, tl) != nil {
 			return out
 		}
 		tl.probes[i].Add(1)
-		r := m.Scan(ctx, s.env, addr)
+		r := &slab[i]
+		m.scanInto(ctx, s.env, addr, r)
 		if r.Status == StatusSuccess {
 			tl.successes[i].Add(1)
 		}
@@ -592,14 +667,16 @@ func (s *Scanner) emit(worker int, r *Result) {
 	}
 }
 
-func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
+// scanOne scans target t with every module, module i's row in rows[i].
+func (s *Scanner) scanOne(ctx context.Context, worker int, t target, rows []Result) {
 	if s.breaker != nil && !s.breaker.Allow(t.addr) {
 		// Shed the target but keep the sequence space dense: every
 		// module slot still gets a result, so sinks and offsets line up
 		// whether or not the breaker fired.
 		now := s.env.now()
 		for i, m := range s.cfg.Modules {
-			r := &Result{
+			r := &rows[i]
+			*r = Result{
 				IP: t.addr, Module: m.Name(), Port: s.env.portFor(m),
 				Time: now, Status: StatusBreakerOpen,
 			}
@@ -612,8 +689,8 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 	tl := &s.tallies[worker]
 	alive := false
 	for i, m := range s.cfg.Modules {
-		r := s.scanModule(ctx, tl, t.addr, i, m)
-		if r == nil {
+		r := &rows[i]
+		if !s.scanModule(ctx, tl, t.addr, i, m, r) {
 			return // cancelled in the limiter
 		}
 		if Alive(r) {
@@ -634,20 +711,21 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target) {
 	tl.completed.Add(1)
 }
 
-// scanModule runs one module probe under the retry policy and returns
-// the final attempt's result (nil if the context died in the limiter).
-// Retries re-roll the fabric's fault hashes via the context attempt
-// tag; accumulated backoff is stamped into the result's schedule under
-// a logical clock and slept under a real one.
-func (s *Scanner) scanModule(ctx context.Context, tl *tally, addr netip.Addr, mi int, m Module) *Result {
+// scanModule runs one module probe under the retry policy and leaves
+// the final attempt's result in r; every attempt overwrites the slot.
+// It reports false if the context died in the limiter. Retries re-roll
+// the fabric's fault hashes via the context attempt tag; accumulated
+// backoff is stamped into the result's schedule under a logical clock
+// and slept under a real one.
+func (s *Scanner) scanModule(ctx context.Context, tl *tally, addr netip.Addr, mi int, m Module, r *Result) bool {
 	attempts := s.cfg.Retry.attempts()
 	var backoff time.Duration
 	for attempt := 0; ; attempt++ {
 		if s.wait(ctx, tl) != nil {
-			return nil
+			return false
 		}
 		tl.probes[mi].Add(1)
-		r := m.Scan(netsim.WithAttempt(ctx, attempt), s.env, addr)
+		m.scanInto(netsim.WithAttempt(ctx, attempt), s.env, addr, r)
 		if attempt > 0 {
 			r.Attempts = attempt + 1
 		}
@@ -658,7 +736,7 @@ func (s *Scanner) scanModule(ctx context.Context, tl *tally, addr netip.Addr, mi
 			if attempt > 0 && Classify(r).Retryable() {
 				s.met.RetryExhausted.Inc()
 			}
-			return r
+			return true
 		}
 		s.met.Retries.Inc(mi)
 		d := s.cfg.Retry.Backoff(addr, m.Name(), attempt)
@@ -670,7 +748,7 @@ func (s *Scanner) scanModule(ctx context.Context, tl *tally, addr netip.Addr, mi
 			select {
 			case <-ctx.Done():
 				timer.Stop()
-				return r
+				return true
 			case <-timer.C:
 			}
 		}
@@ -708,9 +786,9 @@ func (s *Scanner) Restore(st ScanState) {
 	}
 }
 
-// Close drains the queue and stops the workers. The scanner cannot be
-// restarted; Submit calls racing or following Close are rejected rather
-// than panicking.
+// Close drains the queue, stops the workers and closes every socket
+// the scanner bound. The scanner cannot be restarted; Submit calls
+// racing or following Close are rejected rather than panicking.
 func (s *Scanner) Close() {
 	s.closeMu.Lock()
 	if s.closed {
@@ -722,4 +800,5 @@ func (s *Scanner) Close() {
 	s.closeMu.Unlock()
 	s.wg.Wait()
 	s.fold()
+	s.env.closeSockets()
 }
