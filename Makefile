@@ -76,6 +76,7 @@ FUZZ_TARGETS := \
 	./internal/proto/mqttx:FuzzReadPacket \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/zgrab:FuzzResultAppendJSON \
+	./internal/zgrab:FuzzDecodeJSONL \
 	./internal/core:FuzzCheckpointAppendJSON \
 	./internal/core:FuzzOrderedSinkMerge \
 	./internal/store:FuzzSegmentDecode \

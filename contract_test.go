@@ -33,6 +33,24 @@ func liveHeap() float64 {
 	return float64(ms.HeapAlloc)
 }
 
+// settleGoroutines yields until no more than want goroutines are left.
+// The public-hitlist sweep inside a collection closes every connection
+// it dials, but the fabric serves each accepted connection on a handler
+// goroutine of its own that nobody joins; until those have seen the
+// close and returned, each holds its connection and through it the
+// world, so a heap read taken earlier follows the scheduler.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	const yields = 1_000_000
+	for i := 0; i < yields; i++ {
+		if runtime.NumGoroutine() <= want {
+			return
+		}
+		runtime.Gosched()
+	}
+	t.Fatalf("%d goroutines still running after %d yields, want at most %d", runtime.NumGoroutine(), yields, want)
+}
+
 // TestLiveHeapSubLinearInWorldScale climbs the memory scale ladder: the
 // address-only eyeball population (the bulk of the world) grows
 // 1x/10x/100x while the reachable population, and so the campaign's
@@ -54,7 +72,9 @@ func TestLiveHeapSubLinearInWorldScale(t *testing.T) {
 	// One throwaway run warms process-global state (the intern table,
 	// lazily-built profile tables), so a rung's delta is what its own
 	// run retains whichever tests ran before this one.
+	goroutines := runtime.NumGoroutine()
 	ntpscan.CollectExperiments(rung(1))
+	settleGoroutines(t, goroutines)
 
 	live := map[int]float64{}
 	for _, scale := range []int{1, 10, 100} {
@@ -64,6 +84,7 @@ func TestLiveHeapSubLinearInWorldScale(t *testing.T) {
 		if s.HitFullSum.Set().Len() == 0 {
 			t.Fatalf("scale %d: empty collection", scale)
 		}
+		settleGoroutines(t, goroutines)
 		live[scale] = liveHeap() - before
 		runtime.KeepAlive(s)
 		t.Logf("scale %3d: %.2f MB live heap retained", scale, live[scale]/1e6)

@@ -117,7 +117,7 @@ func growth(t *testing.T) (early, late growthPoint) {
 // more per slice fails here; one that holds less lowers the bound in
 // the same commit, towards a heap that does not grow with history.
 func TestLiveHeapGrowthRatchet(t *testing.T) {
-	const bound = 2.47
+	const bound = 2.44
 	early, late := growth(t)
 	if ratio := late.heap / early.heap; ratio > bound {
 		t.Fatalf("live heap at slice %d is %.2fx slice %d's (%.1f vs %.1f MB), bound %.2fx",

@@ -412,8 +412,8 @@ func TestEUI64Stats(t *testing.T) {
 	// Non-EUI address.
 	plain := ipv6x.FromParts(0x20010db8_00030000, 0xdeadbeefcafe0001)
 
+	// Add keeps no set: the caller passes first sightings only.
 	e.Add(aListed, "DE")
-	e.Add(aListed, "DE") // dup ignored
 	e.Add(aUnlisted, "IN")
 	e.Add(aLocal, "IN")
 	e.Add(plain, "IN")

@@ -41,7 +41,7 @@ func (c MACClass) String() string {
 type EUI64Stats struct {
 	ctx *Context
 
-	// AddrsTotal counts all distinct addresses observed.
+	// AddrsTotal counts the distinct addresses observed.
 	AddrsTotal int
 	// AddrsEUI counts EUI-64-shaped addresses.
 	AddrsEUI int
@@ -54,7 +54,6 @@ type EUI64Stats struct {
 	// perClassOrigin counts addresses per (MAC class, capture
 	// country) for Figure 4.
 	perClassOrigin map[MACClass]map[string]int
-	seen           map[netip.Addr]struct{}
 }
 
 // VendorCount is one manufacturer's row in Table 4.
@@ -71,17 +70,14 @@ func NewEUI64Stats(ctx *Context) *EUI64Stats {
 		macs:           make(map[ipv6x.MAC]MACClass),
 		vendors:        make(map[string]*VendorCount),
 		perClassOrigin: make(map[MACClass]map[string]int),
-		seen:           make(map[netip.Addr]struct{}),
 	}
 }
 
 // Add observes one captured address together with the country of the
-// capturing vantage server. Duplicate addresses are ignored.
+// capturing vantage server. It keeps no set of its own: the caller
+// passes each address once, on its first sighting (the campaign feeds
+// it behind AddrSummary.Add, whose set is the one first-sighting set).
 func (e *EUI64Stats) Add(addr netip.Addr, captureCountry string) {
-	if _, dup := e.seen[addr]; dup {
-		return
-	}
-	e.seen[addr] = struct{}{}
 	e.AddrsTotal++
 
 	mac, ok := ipv6x.ExtractMAC(addr)

@@ -5,7 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net/netip"
 	"testing"
+
+	"ntpscan/internal/analysis"
+	"ntpscan/internal/netsim"
+	"ntpscan/internal/world"
 )
 
 // RunCampaign with zero options must be RunNTPCampaign exactly.
@@ -117,5 +122,86 @@ func TestResumeValidation(t *testing.T) {
 	}
 	if _, err := p.ResumeCampaign(context.Background(), cp, CampaignOpts{}); err == nil {
 		t.Error("resume accepted a non-fresh pipeline")
+	}
+}
+
+// euiTables renders every figure the Table 4 / Figure 4 renderers read
+// from EUI64Stats.
+func euiTables(e *analysis.EUI64Stats) string {
+	s := fmt.Sprintf("addrs %d eui %d unique %d macs %d listed %d vendors %+v",
+		e.AddrsTotal, e.AddrsEUI, e.AddrsUnique, e.DistinctMACs(), e.ListedMACs(), e.TopVendors(1<<20))
+	for c := analysis.MACClass(0); c < analysis.NMACClasses; c++ {
+		countries, shares := e.OriginDistribution(c)
+		s += fmt.Sprintf(" %v:%v%v", c, countries, shares)
+	}
+	return s
+}
+
+// EUI64Stats keeps no first-sighting set of its own: the campaign feeds
+// it behind AddrSummary.Add. Every address Summary counts must reach EUI
+// exactly once, on a clean and on a faulted campaign (a vantage blackout
+// and a loss window, so first captures are lost and caught up later),
+// and a resume from slices 8, 48 and 88 — whose capture-log replay
+// feeds EUI a second way — must end on the uninterrupted run's tables.
+func TestEUISeesEachFirstSightingOnce(t *testing.T) {
+	faulted := func(p *Pipeline) {
+		start := p.W.Cfg.Start
+		plan := &netsim.FaultPlan{Seed: 11}
+		plan.Add(netsim.Fault{
+			Kind: netsim.FaultOutage, Addr: p.Servers[0].Addr,
+			From: start.Add(world.CollectionWindow / 4), Until: start.Add(world.CollectionWindow / 2),
+		})
+		plan.Add(netsim.Fault{
+			Kind: netsim.FaultLoss, Prefix: netip.MustParsePrefix("::/0"),
+			From: start, Until: start.Add(2 * world.CollectionWindow), Prob: 0.2,
+		})
+		p.InstallFaults(plan)
+	}
+	for _, tc := range []struct {
+		name   string
+		faults func(*Pipeline)
+	}{
+		{"clean", func(*Pipeline) {}},
+		{"faulted", faulted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(11)
+			cfg.CaptureBudget = 4000
+			check := func(label string, p *Pipeline) string {
+				t.Helper()
+				if got, want := p.EUI.AddrsTotal, p.Summary.Stats().Addrs; got != want {
+					t.Fatalf("%s: EUI.AddrsTotal = %d, want Summary's %d distinct addresses", label, got, want)
+				}
+				return euiTables(p.EUI)
+			}
+			p1 := NewPipeline(cfg)
+			tc.faults(p1)
+			cps := map[int]*Checkpoint{}
+			if _, err := p1.RunCampaign(context.Background(), CampaignOpts{
+				CheckpointEvery: 8,
+				OnCheckpoint:    func(cp *Checkpoint) { cps[cp.NextSlice] = cp },
+			}); err != nil {
+				t.Fatal(err)
+			}
+			want := check("uninterrupted", p1)
+			if p1.EUI.AddrsEUI == 0 {
+				t.Fatal("the campaign captured no EUI-64 address; the test has nothing to compare")
+			}
+			for _, s := range []int{8, 48, 88} {
+				cp := cps[s]
+				if cp == nil {
+					t.Fatalf("no checkpoint at slice %d", s)
+				}
+				p2 := NewPipeline(cfg)
+				tc.faults(p2)
+				if _, err := p2.ResumeCampaign(context.Background(), cp, CampaignOpts{}); err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("resumed from slice %d", s)
+				if got := check(label, p2); got != want {
+					t.Errorf("%s: EUI tables\n%s\nwant the uninterrupted run's\n%s", label, got, want)
+				}
+			}
+		})
 	}
 }

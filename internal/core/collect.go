@@ -328,9 +328,9 @@ func (p *Pipeline) commitShard(sh *collectShard, batch func([]netip.Addr)) {
 			country := p.Servers[vi].Country
 			p.met.capEvents.Inc(vi)
 			if p.Summary.Add(ev.addr) {
-				// EUI keeps first sightings only, and Summary has just
-				// found this one new: the same stream, without a second
-				// lookup of every repeat.
+				// Summary's set is the campaign's one first-sighting
+				// set: EUI sees each address once, from here or from a
+				// resume's capture-log replay.
 				p.EUI.Add(ev.addr, country)
 				p.perCountryN[vi]++
 				p.met.capDistinct.Inc(vi)
@@ -467,30 +467,29 @@ func (p *Pipeline) runShardSlice(sh *collectShard, s, slices, nshards int, quota
 }
 
 // responsiveShardSlice captures the shard's portion of the responsive
-// population for one slice. Device i belongs to shard i%nshards and is
-// due for its first capture in slice i%slices (spreading the
-// population over the window); if that slice falls while the device's
-// vantage is drained, or the sync itself is lost, the capture is
-// retried every following slice until it lands (the device keeps
-// syncing — a four-week window makes eventual capture near-certain
-// even under faults). Once captured, dynamic devices are re-captured
-// in later epochs with probability derived from responsiveDupRate —
-// drawn from the shard's own stream, so the decision sequence is fixed
-// per shard regardless of worker count.
+// population for one slice. Device i belongs to shard i%nshards, which
+// alone walks it, and is due for its first capture in slice i%slices
+// (spreading the population over the window); if that slice falls
+// while the device's vantage is drained, or the sync itself is lost,
+// the capture is retried every following slice until it lands (the
+// device keeps syncing — a four-week window makes eventual capture
+// near-certain even under faults). Once captured, dynamic devices are
+// re-captured in later epochs with probability derived from
+// responsiveDupRate — drawn from the shard's own stream, so the
+// decision sequence is fixed per shard regardless of worker count.
 func (p *Pipeline) responsiveShardSlice(sh *collectShard, s, slices, nshards int) {
 	clock := p.W.Clock()
-	for i, dev := range p.responsive() {
-		if i%nshards != sh.idx {
-			continue
-		}
-		vs, ok := p.ServerByCountry(dev.Country)
-		if !ok {
-			continue
-		}
+	resp := p.responsive()
+	for i := sh.idx; i < len(resp); i += nshards {
 		first := i % slices
 		if s < first {
 			continue
 		}
+		vs := p.respServers[i]
+		if vs == nil {
+			continue
+		}
+		dev := resp[i]
 		if !p.respCaptured[i] {
 			// First capture, or catch-up after an outage/loss ate it.
 			// Shard sh owns index i and visits it once per slice, so
@@ -517,11 +516,15 @@ func (p *Pipeline) responsiveShardSlice(sh *collectShard, s, slices, nshards int
 	}
 }
 
-// responsive caches the responsive NTP population and sizes its
-// first-capture bitmap.
+// responsive caches the responsive NTP population, resolves each
+// device's vantage and sizes the first-capture bitmap.
 func (p *Pipeline) responsive() []*world.Device {
 	if p.respCache == nil {
 		p.respCache = p.W.ResponsiveNTP()
+		p.respServers = make([]*VantageServer, len(p.respCache))
+		for i, dev := range p.respCache {
+			p.respServers[i] = p.serverByCountry[dev.Country]
+		}
 		p.respCaptured = make([]bool, len(p.respCache))
 	}
 	return p.respCache

@@ -125,17 +125,6 @@ type VantageServer struct {
 	idx int
 }
 
-// countryKey is a 2-letter ISO country code packed into a comparable
-// array — the allocation-free key of serverByCountry.
-type countryKey [2]byte
-
-func ckey(code string) (countryKey, bool) {
-	if len(code) != 2 {
-		return countryKey{}, false
-	}
-	return countryKey{code[0], code[1]}, true
-}
-
 // Pipeline is a deployed experiment.
 type Pipeline struct {
 	Cfg  Config
@@ -166,13 +155,15 @@ type Pipeline struct {
 	Captures   int            // total capture events
 
 	rng *rng.Stream
-	// respCache memoises the responsive NTP population.
-	respCache []*world.Device
+	// respCache memoises the responsive NTP population; respServers
+	// holds, at the same index, the vantage that captures each device
+	// (nil when its country has none), so the per-slice walk resolves
+	// no country.
+	respCache   []*world.Device
+	respServers []*VantageServer
 
-	// serverByCountry indexes Servers for the per-device lookup on the
-	// responsive channel, keyed by the packed country code (no string
-	// hashing on the per-device path).
-	serverByCountry map[countryKey]*VantageServer
+	// serverByCountry indexes Servers by country code.
+	serverByCountry map[string]*VantageServer
 
 	// Counters behind PerCountry and Captures. perCountryN is indexed
 	// by VantageServer.idx, sized at deploy time (the vantage set is
@@ -236,7 +227,7 @@ func NewPipeline(cfg Config) *Pipeline {
 			Geo: w.Geo,
 			OUI: w.OUIReg,
 		},
-		serverByCountry: make(map[countryKey]*VantageServer),
+		serverByCountry: make(map[string]*VantageServer),
 		rng:             rng.New(cfg.Seed ^ 0xc0fe),
 	}
 	p.Summary = analysis.NewAddrSummary(p.Ctx)
@@ -292,9 +283,7 @@ func (p *Pipeline) deployServers() {
 		vs.NTP = srv
 		p.W.Fabric().Register(addr, netsim.NewHost("vantage-"+country).HandleUDP(ntp.Port, srv.Handle))
 		p.Servers = append(p.Servers, vs)
-		if k, ok := ckey(country); ok {
-			p.serverByCountry[k] = vs
-		}
+		p.serverByCountry[country] = vs
 		p.Pool.AddServer(&ntppool.Server{
 			ID: vs.ID, Country: country, Addr: addr, NetSpeed: 1,
 		})
@@ -325,11 +314,7 @@ func (p *Pipeline) tuneNetspeed(vs *VantageServer) {
 
 // ServerByCountry returns the vantage deployment for a country.
 func (p *Pipeline) ServerByCountry(code string) (*VantageServer, bool) {
-	k, ok := ckey(code)
-	if !ok {
-		return nil, false
-	}
-	vs, ok := p.serverByCountry[k]
+	vs, ok := p.serverByCountry[code]
 	return vs, ok
 }
 

@@ -98,6 +98,28 @@ func TestCollectFeedSeesEveryCapture(t *testing.T) {
 	}
 }
 
+// On a clean fabric the responsive channel captures every scan-reachable
+// NTP client with a vantage in its country at least once: device i is
+// walked by shard i%CollectShards alone, from slice i%96 on, until its
+// first capture lands.
+func TestCleanCollectCapturesEveryResponsiveDevice(t *testing.T) {
+	p := NewPipeline(testConfig(1))
+	p.CollectOnly()
+	walked := 0
+	for i, dev := range p.responsive() {
+		if _, ok := p.ServerByCountry(dev.Country); !ok {
+			continue
+		}
+		walked++
+		if !p.respCaptured[i] {
+			t.Errorf("responsive device %d (shard %d) was never captured", i, i%p.Cfg.CollectShards)
+		}
+	}
+	if walked == 0 {
+		t.Fatal("no responsive device has a vantage; the test has nothing to check")
+	}
+}
+
 // respFields is what a client can tell one server's answer from
 // another's by.
 type respFields struct {

@@ -139,6 +139,12 @@ func (e *Env) dial(ctx context.Context, target netip.Addr, port uint16) (net.Con
 	}
 	conn, err := e.Net.DialTCP(ctx, e.Source, netip.AddrPortFrom(target, port))
 	if err != nil {
+		// A dark dial, the common failure, is the fabric's one shared
+		// timeout value: one compare classifies it. Refusals come next;
+		// every other error is classified structurally below.
+		if err == netsim.DialTimeout() {
+			return nil, StatusTimeout, netsim.DialErrString(err)
+		}
 		if errors.Is(err, netsim.ErrConnRefused) || errors.Is(err, syscall.ECONNREFUSED) {
 			return nil, StatusRefused, netsim.DialErrString(err)
 		}
