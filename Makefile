@@ -73,6 +73,7 @@ FUZZ_TARGETS := \
 	./internal/proto/amqpx:FuzzReadFrame \
 	./internal/proto/httpx:FuzzReadResponse \
 	./internal/proto/httpx:FuzzExtractTitle \
+	./internal/proto/httpx:FuzzServeConn \
 	./internal/proto/mqttx:FuzzReadPacket \
 	./internal/proto/mqttx:FuzzDecodeConnect \
 	./internal/zgrab:FuzzResultAppendJSON \

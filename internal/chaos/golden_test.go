@@ -5,9 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"net/netip"
 	"testing"
 
 	"ntpscan/internal/core"
+	"ntpscan/internal/netsim"
 	"ntpscan/internal/store"
 )
 
@@ -61,6 +63,40 @@ func TestFaultedCampaignGoldenDigests(t *testing.T) {
 				if c.got != c.want {
 					t.Errorf("%s moved: sha256 %s, golden %s", c.name, c.got, c.want)
 				}
+			}
+		})
+	}
+}
+
+// TestFaultedSilentTargetsMoveNoByte is core's TestSilentTargetsMoveNoByte
+// under the default fault plan, with retries off so the scanner asks the
+// fabric whether a target is silent: a dark address a fault acts on is
+// not, so its probes run and the fault books count the dials and
+// datagrams the plan kills. The JSONL and the telemetry must be the same
+// bytes as the campaign's beside an idle sniffer, where every probe runs.
+func TestFaultedSilentTargetsMoveNoByte(t *testing.T) {
+	for _, seed := range chaosSeeds(t) {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			run := func(sniff bool) (jsonl, telemetry string) {
+				cfg := Config(seed)
+				cfg.Retry = nil
+				p := FaultedPipeline(cfg, seed+1, DefaultSpec())
+				if sniff {
+					defer p.W.Fabric().Sniff(netip.MustParsePrefix("2001:db8::/32"), func(netsim.PacketInfo) {})()
+				}
+				var out, tel bytes.Buffer
+				if _, err := p.RunCampaign(context.Background(), core.CampaignOpts{Out: &out, Telemetry: &tel}); err != nil {
+					t.Fatal(err)
+				}
+				return fmt.Sprintf("%x", sha256.Sum256(out.Bytes())), fmt.Sprintf("%x", sha256.Sum256(tel.Bytes()))
+			}
+			silentOut, silentTel := run(false)
+			probedOut, probedTel := run(true)
+			if silentOut != probedOut {
+				t.Errorf("JSONL: sha256 %s with silent targets, %s with every probe run", silentOut, probedOut)
+			}
+			if silentTel != probedTel {
+				t.Errorf("telemetry: sha256 %s with silent targets, %s with every probe run", silentTel, probedTel)
 			}
 		})
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"ntpscan/internal/netsim/link"
 )
 
 var faultStart = time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
@@ -294,4 +296,80 @@ func TestFabricErrorsAreNetErrors(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("timeout error lost sentinel identity: %v", err)
 	}
+}
+
+// TestSilentAddress walks Silent through every condition it names: an
+// address goes loud under a host at it or its /64, a sniffer anywhere,
+// a socket bound at it, a plan with links, and a fault acting on it now;
+// a plan of node faults alone or a fault outside its window leaves it
+// silent.
+func TestSilentAddress(t *testing.T) {
+	n, clock := faultNet(t)
+	dark := addr("2001:db8:d::7")
+	silent := func(want bool, when string) {
+		t.Helper()
+		if got := n.Silent(dark); got != want {
+			t.Fatalf("%s: Silent = %v, want %v", when, got, want)
+		}
+	}
+	silent(true, "empty address")
+	if n.Silent(addr("2001:db8::80")) {
+		t.Fatal("an address with a host reads silent")
+	}
+
+	n.Register(dark, NewHost("closed"))
+	silent(false, "exact host")
+	n.Unregister(dark)
+	silent(true, "host unregistered")
+	if err := n.RegisterPrefix(netip.MustParsePrefix("2001:db8:d::/64"), NewHost("alias")); err != nil {
+		t.Fatal(err)
+	}
+	if n.Silent(addr("2001:db8:d::7")) || !n.Silent(addr("2001:db8:e::7")) {
+		t.Fatal("an aliased /64 host does not govern exactly its /64")
+	}
+	dark = addr("2001:db8:e::7")
+
+	cancel := n.Sniff(netip.MustParsePrefix("2001:db8:ffff::/48"), func(PacketInfo) {})
+	silent(false, "sniffer on another prefix")
+	cancel()
+	silent(true, "sniffer cancelled")
+
+	a, err := n.ListenUDP(netip.AddrPortFrom(dark, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := n.ListenUDP(netip.AddrPortFrom(dark, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	silent(false, "one of two sockets still bound")
+	b.Close()
+	silent(true, "sockets closed")
+
+	nodes := &FaultPlan{Seed: 1}
+	nodes.AddNode(NodeFault{Kind: NodeCrash, Node: 0, From: faultStart, Until: faultStart.Add(time.Hour)})
+	n.InstallFaults(nodes)
+	silent(true, "plan of node faults only")
+
+	n.InstallFaults(&FaultPlan{Seed: 1, Links: &link.Plan{Seed: 2}})
+	silent(false, "plan with links")
+
+	outage := &FaultPlan{Seed: 1}
+	outage.Add(Fault{Kind: FaultOutage, Addr: dark, From: faultStart.Add(time.Minute), Until: faultStart.Add(time.Hour)})
+	n.InstallFaults(outage)
+	silent(true, "outage not yet open")
+	clock.Advance(time.Minute)
+	silent(false, "outage open")
+	clock.Advance(time.Hour)
+	silent(true, "outage closed")
+
+	loss := &FaultPlan{Seed: 1}
+	loss.Add(Fault{Kind: FaultLoss, Prefix: netip.MustParsePrefix("2001:db8:e::/48"), Prob: 0.5,
+		From: clock.Now(), Until: clock.Now().Add(time.Hour)})
+	n.InstallFaults(loss)
+	silent(false, "prefix loss covering the address")
+
+	n.InstallFaults(nil)
+	silent(true, "plan removed")
 }

@@ -116,7 +116,10 @@ type Network struct {
 	// CDN front ends where the whole block responds).
 	prefixHosts map[netip.Prefix]*Host
 	udpBinds    map[netip.AddrPort]*UDPConn
-	sniffers    []snifferEntry
+	// bindsAt counts udpBinds by address, so Silent asks whether any
+	// socket is bound at an address with one lookup.
+	bindsAt  map[netip.Addr]int
+	sniffers []snifferEntry
 	// sniffing counts the live entries of sniffers, so a send with
 	// nobody listening builds no PacketInfo and takes no lock for one.
 	sniffing atomic.Int32
@@ -153,6 +156,7 @@ func New(cfg Config) *Network {
 		hosts:       make(map[netip.Addr]*Host),
 		prefixHosts: make(map[netip.Prefix]*Host),
 		udpBinds:    make(map[netip.AddrPort]*UDPConn),
+		bindsAt:     make(map[netip.Addr]int),
 	}
 }
 
@@ -210,6 +214,29 @@ func (n *Network) hostAtLocked(addr netip.Addr) (*Host, bool) {
 		}
 	}
 	return nil, false
+}
+
+// Silent reports whether no probe of addr can answer or be counted: no
+// host is registered at addr or its /64, no sniffer is listening, no
+// socket is bound at addr, and the installed plan, if any, has no links
+// and no fault acting on addr now. Every TCP dial to addr then
+// blackholes and every datagram to it vanishes, with nothing booked on
+// the fault or link metrics, so a scanner on a manual clock may write
+// the timeout each probe would end in without sending it. A plan of
+// node faults alone leaves addr silent: the fabric ignores them.
+func (n *Network) Silent(addr netip.Addr) bool {
+	if n.sniffing.Load() > 0 {
+		return false
+	}
+	if plan := n.plan(); plan != nil &&
+		(plan.Links != nil || plan.effectsOn(addr, n.clock.Now()) != faultEffects{}) {
+		return false
+	}
+	n.mu.RLock()
+	_, host := n.hostAtLocked(addr)
+	bound := n.bindsAt[addr] > 0
+	n.mu.RUnlock()
+	return !host && !bound
 }
 
 // Sniff registers fn for all traffic destined into prefix (the
@@ -485,6 +512,7 @@ func (n *Network) ListenUDP(local netip.AddrPort) (*UDPConn, error) {
 	}
 	c := newUDPConn(n, local)
 	n.udpBinds[local] = c
+	n.bindsAt[local.Addr()]++
 	return c, nil
 }
 
@@ -492,4 +520,9 @@ func (n *Network) closeUDP(local netip.AddrPort) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	delete(n.udpBinds, local)
+	if a := local.Addr(); n.bindsAt[a] > 1 {
+		n.bindsAt[a]--
+	} else {
+		delete(n.bindsAt, a)
+	}
 }

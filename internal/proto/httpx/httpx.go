@@ -104,10 +104,13 @@ func Get(conn net.Conn, host, path string) (*Response, error) {
 
 // ReadResponse parses an HTTP/1.x response from r.
 func ReadResponse(r *bufio.Reader) (*Response, error) {
-	line, err := readLine(r)
+	b, err := readLine(r)
 	if err != nil {
 		return nil, err
 	}
+	// Proto and Status are kept, so the status line is the one line
+	// converted whole.
+	line := string(b)
 	proto, rest, ok := strings.Cut(line, " ")
 	if !ok || !strings.HasPrefix(proto, "HTTP/") {
 		return nil, ErrMalformedResponse
@@ -129,17 +132,18 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		if line == "" {
+		if len(line) == 0 {
 			break
 		}
 		total += len(line)
 		if total > maxHeaderBytes {
 			return nil, ErrMalformedResponse
 		}
-		name, value, ok := strings.Cut(line, ":")
-		if !ok {
+		if bytes.IndexByte(line, ':') < 0 {
 			continue // tolerate junk header lines
 		}
+		// Name and value are both kept: one conversion backs the two.
+		name, value, _ := strings.Cut(string(line), ":")
 		resp.Header[canonical(name)] = strings.TrimSpace(value)
 	}
 
@@ -173,16 +177,25 @@ func ReadResponse(r *bufio.Reader) (*Response, error) {
 	return resp, nil
 }
 
-func readLine(r *bufio.Reader) (string, error) {
-	line, err := r.ReadString('\n')
-	if err != nil {
-		if errors.Is(err, io.EOF) && line != "" {
-			// Tolerate a final unterminated line.
-			return strings.TrimRight(line, "\r\n"), nil
+// readLine returns the next line without its trailing CR and LF bytes.
+// The slice points into r's buffer and holds only until the next read
+// from r, so a caller converts to a string just what it keeps. A line
+// longer than the buffer is gathered into a fresh slice.
+func readLine(r *bufio.Reader) ([]byte, error) {
+	line, err := r.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		long := append([]byte(nil), line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.ReadSlice('\n')
+			long = append(long, line...)
 		}
-		return "", err
+		line = long
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	if err != nil && (!errors.Is(err, io.EOF) || len(line) == 0) {
+		return nil, err
+	}
+	// A final unterminated line is tolerated.
+	return bytes.TrimRight(line, "\r\n"), nil
 }
 
 // canonical normalises a header field name (Content-Length style).

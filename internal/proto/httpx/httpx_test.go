@@ -205,3 +205,15 @@ func bufioReader(c net.Conn) *bufio.Reader { return bufio.NewReader(c) }
 func bufioReaderFromString(s string) *bufio.Reader {
 	return bufio.NewReader(strings.NewReader(s))
 }
+
+// isHostField is canonical(name) == "Host" without the string.
+func TestIsHostFieldMatchesCanonical(t *testing.T) {
+	for _, name := range []string{
+		"Host", "host", "HOST", "hOsT", " Host\t", "Hos", "Hostt", "Ho st",
+		"X-Host", "Host-", "-Host", "Ho\u017ft", "\u00a0host", "Gost", "Hosu", "",
+	} {
+		if got, want := isHostField([]byte(name)), canonical(name) == "Host"; got != want {
+			t.Errorf("isHostField(%q) = %v, canonical says %v", name, got, want)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package httpx
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"net"
 	"strconv"
@@ -88,11 +89,11 @@ func ServeConn(conn net.Conn, opts ServerOptions) {
 		br.Reset(nil)
 		serverReaders.Put(br)
 	}()
-	reqLine, err := readLine(br)
+	line, err := readLine(br)
 	if err != nil {
 		return
 	}
-	parts := strings.SplitN(reqLine, " ", 3)
+	parts := strings.SplitN(string(line), " ", 3)
 	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
 		writeResponse(conn, 400, "", "", "<html><body>Bad Request</body></html>\n")
 		return
@@ -103,11 +104,11 @@ func ServeConn(conn net.Conn, opts ServerOptions) {
 	host := ""
 	for {
 		line, err := readLine(br)
-		if err != nil || line == "" {
+		if err != nil || len(line) == 0 {
 			break
 		}
-		if name, value, ok := strings.Cut(line, ":"); ok && canonical(name) == "Host" {
-			host = strings.TrimSpace(value)
+		if name, value, ok := bytes.Cut(line, []byte(":")); ok && isHostField(name) {
+			host = string(bytes.TrimSpace(value))
 		}
 	}
 
@@ -163,6 +164,15 @@ func writeResponse(conn net.Conn, code int, serverHeader, contentType, body stri
 	conn.Write(b)
 	*bp = b[:0]
 	responseBufs.Put(bp)
+}
+
+// isHostField reports whether a header field name canonicalises to
+// "Host" (canonical(name) == "Host") without building the string: the
+// name is "host" in any ASCII case, with space around it.
+func isHostField(name []byte) bool {
+	name = bytes.TrimSpace(name)
+	return len(name) == 4 && name[0]|0x20 == 'h' && name[1]|0x20 == 'o' &&
+		name[2]|0x20 == 's' && name[3]|0x20 == 't'
 }
 
 // Handler returns a netsim-compatible stream handler serving opts.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"syscall"
 	"time"
 
@@ -170,6 +171,21 @@ func (e *Env) dial(ctx context.Context, target netip.Addr, port uint16) (net.Con
 		conn.SetDeadline(time.Now().Add(e.Timeout))
 	}
 	return conn, StatusSuccess, ""
+}
+
+// silentInto writes the row m's probe of target ends in when the
+// fabric has declared target silent (netsim's Network.Silent): the
+// dial's timeout for a TCP module, the missed read deadline for CoAP's
+// datagram.
+func silentInto(env *Env, m Module, target netip.Addr, res *Result) {
+	errStr := netsim.DialErrString(netsim.DialTimeout())
+	if _, udp := m.(*CoAPModule); udp {
+		errStr = os.ErrDeadlineExceeded.Error()
+	}
+	*res = Result{
+		IP: target, Module: m.Name(), Port: env.portFor(m), Time: env.now(),
+		Status: StatusTimeout, Error: errStr,
+	}
 }
 
 // AllModules returns the paper's module set: HTTP, SSH, AMQP, MQTT and

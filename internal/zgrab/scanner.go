@@ -430,6 +430,11 @@ type Scanner struct {
 	// tallies holds each worker's per-probe books, folded into met at
 	// every quiescent point (see tally).
 	tallies []tally
+	// quiet is the fabric asked whether a target is silent (see
+	// silent); nil unless the scanner runs over SimNet on a logical
+	// clock without a retry policy. A kernel socket learns silence only
+	// by waiting.
+	quiet *netsim.Network
 
 	sessions sessionTable
 	queue    chan *session
@@ -491,6 +496,9 @@ func NewScanner(cfg Config) *Scanner {
 	}
 	s.met = newScanMetrics(reg, cfg.Modules)
 	s.tallies = newTallies(cfg.Workers, len(cfg.Modules))
+	if sn, ok := cfg.Net.(simNet); ok && logical && cfg.Retry == nil {
+		s.quiet = sn.f
+	}
 	if cfg.Breaker != nil {
 		s.breaker = NewBreaker(*cfg.Breaker)
 		s.breaker.met = s.met
@@ -629,13 +637,18 @@ func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
 	s.met.Submitted.Inc()
 	slab := make([]Result, len(s.cfg.Modules))
 	out := make([]*Result, 0, len(s.cfg.Modules))
+	silent := s.silent(addr)
 	for i, m := range s.cfg.Modules {
 		if s.wait(ctx, tl) != nil {
 			return out
 		}
 		tl.probes[i].Add(1)
 		r := &slab[i]
-		m.scanInto(ctx, s.env, addr, r)
+		if silent {
+			silentInto(s.env, m, addr, r)
+		} else {
+			m.scanInto(ctx, s.env, addr, r)
+		}
 		if r.Status == StatusSuccess {
 			tl.successes[i].Add(1)
 		}
@@ -659,6 +672,18 @@ func (s *Scanner) wait(ctx context.Context, tl *tally) error {
 		s.met.LimiterWait.Observe(ms)
 	}
 	return err
+}
+
+// silent reports whether every probe of addr is known to end in a
+// timeout before it is sent. On a logical clock a probe of a silent
+// address returns at once with the same row whatever the module does on
+// the way (a dial that blackholes, a datagram nobody reads), and with no
+// retry policy there is no second attempt to differ; so the scanner
+// writes the row (silentInto) and keeps everything else a probe does:
+// the limiter wait, the probe tally, the schedule stamp, the Seq and the
+// breaker's record.
+func (s *Scanner) silent(addr netip.Addr) bool {
+	return s.quiet != nil && s.quiet.Silent(addr)
 }
 
 func (s *Scanner) emit(worker int, r *Result) {
@@ -687,10 +712,17 @@ func (s *Scanner) scanOne(ctx context.Context, worker int, t target, rows []Resu
 		return
 	}
 	tl := &s.tallies[worker]
+	silent := s.silent(t.addr)
 	alive := false
 	for i, m := range s.cfg.Modules {
 		r := &rows[i]
-		if !s.scanModule(ctx, tl, t.addr, i, m, r) {
+		if silent {
+			if s.wait(ctx, tl) != nil {
+				return // cancelled in the limiter
+			}
+			tl.probes[i].Add(1)
+			silentInto(s.env, m, t.addr, r)
+		} else if !s.scanModule(ctx, tl, t.addr, i, m, r) {
 			return // cancelled in the limiter
 		}
 		if Alive(r) {

@@ -13,10 +13,16 @@ import (
 
 // darkScanner is a Workers-1 scanner over an empty fabric on a manual
 // clock: every probe meets silence, as 91 % of a campaign's targets do.
-func darkScanner(t *testing.T, onResult func(int, *Result)) (*Scanner, *netsim.ManualClock, *netsim.Network) {
+// The targets read silent, so the scanner writes their rows without
+// probing, unless probe is set: then an idle sniffer keeps them from
+// reading silent and every probe runs its module's dial or datagram.
+func darkScanner(t *testing.T, probe bool, onResult func(int, *Result)) (*Scanner, *netsim.ManualClock, *netsim.Network) {
 	t.Helper()
 	clock := netsim.NewManualClock(time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC))
 	f := netsim.New(netsim.Config{Clock: clock, DialTimeout: 10 * time.Millisecond})
+	if probe {
+		f.Sniff(netip.MustParsePrefix("2001:db8::/32"), func(netsim.PacketInfo) {})
+	}
 	s := NewScanner(Config{Fabric: f, Source: scanSrc, Workers: 1, OnResultWorker: onResult})
 	s.Start(context.Background())
 	return s, clock, f
@@ -34,7 +40,8 @@ func darkTargets() []netip.Addr {
 // TestDarkSessionAllocatesOneSlab pins the scanner's allocation per
 // session: 64 dark targets through SubmitBatch and Drain make exactly
 // one object, the session's result slab — no Result per probe, no
-// scratch the free lists already hold, no session overhead. Each round
+// scratch the free lists already hold, no session overhead — whether
+// the targets read silent or every probe runs. Each round
 // moves the clock past the holdoff first, outside the count, so the
 // same targets are admitted again and the revisit map and heap stay at
 // their warmed size.
@@ -46,10 +53,15 @@ func darkTargets() []netip.Addr {
 // runtime object (a sudog or a goroutine's first wait), so the bound
 // holds for the best of three stretches of 20 rounds.
 func TestDarkSessionAllocatesOneSlab(t *testing.T) {
+	t.Run("silent", func(t *testing.T) { darkSessionAllocatesOneSlab(t, false) })
+	t.Run("probed", func(t *testing.T) { darkSessionAllocatesOneSlab(t, true) })
+}
+
+func darkSessionAllocatesOneSlab(t *testing.T, probe bool) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rows := 0
-	s, clock, _ := darkScanner(t, func(int, *Result) { rows++ })
+	s, clock, _ := darkScanner(t, probe, func(int, *Result) { rows++ })
 	defer s.Close()
 	addrs := darkTargets()
 	var ms runtime.MemStats
@@ -91,7 +103,7 @@ func TestDarkSessionAllocatesOneSlab(t *testing.T) {
 // module and Seq once the scanner has moved on to later sessions.
 func TestSessionRowsOutliveTheirSession(t *testing.T) {
 	var got []*Result
-	s, _, _ := darkScanner(t, func(_ int, r *Result) { got = append(got, r) })
+	s, _, _ := darkScanner(t, false, func(_ int, r *Result) { got = append(got, r) })
 	addrs := make([]netip.Addr, 3*submitChunk+5)
 	for i := range addrs {
 		addrs[i] = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0xda, 0x4c, 14: byte(i >> 8), 15: byte(i)})
@@ -119,7 +131,7 @@ func TestSessionRowsOutliveTheirSession(t *testing.T) {
 // its source address, counted up from 33000, and Close must leave every
 // one of those ports free for the next bind.
 func TestCloseUnbindsEverySocket(t *testing.T) {
-	s, _, f := darkScanner(t, nil)
+	s, _, f := darkScanner(t, true, nil)
 	s.SubmitBatch(darkTargets())
 	s.Close()
 	for port := uint16(33000); port < 33000+64; port++ {
