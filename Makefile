@@ -64,6 +64,11 @@ chaos:
 # default 10s) on top of its committed seed corpus under testdata/fuzz.
 # This is the CI tier of fuzzing — long exploratory runs stay manual:
 #   go test -fuzz '^FuzzDecode$' -fuzztime 10m ./internal/ntp/
+# The fuzzer minimizes each new interesting input for up to
+# -fuzzminimizetime (60s by default) and runs no new input meanwhile,
+# so a burst that finds one early could spend the rest minimizing; one
+# minimization attempt per input keeps the burst fuzzing. Each target's
+# last exec count is printed after its log, so an idle burst shows.
 FUZZ_TARGETS := \
 	./internal/ntp:FuzzDecode \
 	./internal/tlsx:FuzzUnmarshalCert \
@@ -91,10 +96,16 @@ FUZZ_TARGETS := \
 	./internal/rng:FuzzHashMatchesFNV
 
 fuzz-smoke:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+	@set -e; log=$$(mktemp); trap 'rm -f "$$log"' EXIT; \
+	for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; fn=$${t##*:}; \
 		echo "== fuzz $$pkg $$fn"; \
-		$(GO) test -run NONE -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		if ! $(GO) test -run NONE -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) \
+			-fuzzminimizetime 1x $$pkg >"$$log" 2>&1; then \
+			cat "$$log"; exit 1; \
+		fi; \
+		cat "$$log"; \
+		echo "== $$fn execs $$(grep -o 'execs: [0-9]*' "$$log" | tail -n 1 | cut -d' ' -f2)"; \
 	done
 
 # cover writes the library coverage profile (cmd/ mains are glue over

@@ -33,9 +33,10 @@ type Context struct {
 // order (Add); a failed grab leaves only its address behind.
 type Dataset struct {
 	Name string
-	// Results is the row slice NewDataset was handed, kept as given for
-	// a caller that walks every row (the benchmark's layer probes). No
-	// analysis reads it and Add does not extend it.
+	// Results is the row slice NewDataset was handed, or the rows a
+	// campaign folded in one by one, kept for a caller that walks every
+	// row (the benchmark's layer probes). No analysis reads it and Add
+	// does not extend it.
 	Results []*zgrab.Result
 
 	byModule map[string][]*zgrab.Result // successes only

@@ -197,7 +197,10 @@ type orderedSink struct {
 	// runs are the workers', taken the ones the last take set aside.
 	runs, taken []sinkRun
 	all         []*zgrab.Result
-	encode      bool
+	// ds, when set, is the campaign's dataset: merge folds every row
+	// into it, in order, on the goroutine that merges.
+	ds     *analysis.Dataset
+	encode bool
 	// n counts the JSONL bytes takes have booked: the output offset a
 	// checkpoint records.
 	n int64
@@ -280,9 +283,10 @@ func (s *orderedSink) take() error {
 	return err
 }
 
-// merge joins the taken runs in sequence order into batch, which also
-// joins the accumulated dataset, and with encode set and nothing failed
-// their JSONL bytes into jsonl, then empties the taken runs. It may run
+// merge joins the taken runs in sequence order into batch, and with
+// encode set and nothing failed their JSONL bytes into jsonl, then
+// empties the taken runs. The batch also joins the accumulated rows
+// (all) and, when ds is set, is folded into it. It may run
 // beside the workers' adds: they fill the other set. A run that does
 // not ascend in Seq is a scanner bug, and merge panics rather than emit
 // rows out of order.
@@ -349,6 +353,11 @@ func (s *orderedSink) merge() {
 		run.err, run.head = nil, 0
 	}
 	s.all = append(s.all, batch...)
+	if s.ds != nil {
+		for _, r := range batch {
+			s.ds.Add(r)
+		}
+	}
 }
 
 // flush is take and merge at once, for a caller with no sink job.
@@ -365,7 +374,8 @@ func (s *orderedSink) flush() error {
 // the next take hands the sink's other set of runs back to the
 // workers. The merge leaves no job empty: even with nothing to write
 // and neither a store nor an aggregator, the job merges the slice's
-// rows into the dataset.
+// rows and folds them into the campaign's dataset, which only the jobs
+// touch until the campaign has joined the last.
 //
 // Every slice's telemetry line and checkpoint are captured at the
 // slice's barrier and written or delivered after the join, with only
@@ -466,6 +476,9 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 	defer func() { p.dispatch = nil }()
 	p.recordCaps = true
 	sink := newOrderedSink(p.Cfg.Workers, opts.Out != nil)
+	// The sink jobs fold the rows into the dataset as they merge them,
+	// so nothing is left to fold once the last job has run.
+	sink.ds = analysis.NewDataset("ntp", nil)
 	if p.restoreCp != nil && sink.encode {
 		sink.n = p.restoreCp.OutOffset
 	}
@@ -559,7 +572,8 @@ func (p *Pipeline) runCampaignFrom(ctx context.Context, startSlice int, opts Cam
 		keep(opts.Store.Seal())
 	}
 	p.restoreCp, p.restoreArenas = nil, nil
-	return analysis.NewDataset("ntp", sink.all), werr
+	sink.ds.Results = sink.all
+	return sink.ds, werr
 }
 
 // checkpoint snapshots the campaign at a drain barrier. next is the

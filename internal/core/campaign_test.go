@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"ntpscan/internal/analysis"
 	"ntpscan/internal/netsim"
 	"ntpscan/internal/world"
+	"ntpscan/internal/zgrab"
 )
 
 // RunCampaign with zero options must be RunNTPCampaign exactly.
@@ -204,4 +206,87 @@ func TestEUISeesEachFirstSightingOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCampaignDatasetIsItsRows holds the dataset a campaign returns,
+// folded slice by slice in its sink jobs, to the one NewDataset builds
+// over the campaign's JSONL read back: the same number of rows, the
+// same successes module by module (as JSON) and the same hit rate. It
+// runs at Workers 1 and 3 and on a resume from slice 48, where both
+// sides hold only the rows written after the checkpoint.
+func TestCampaignDatasetIsItsRows(t *testing.T) {
+	check := func(t *testing.T, ds *analysis.Dataset, jsonl []byte) {
+		t.Helper()
+		var rows []*zgrab.Result
+		if err := zgrab.DecodeJSONL(bytes.NewReader(jsonl), func(r *zgrab.Result) error {
+			rows = append(rows, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := analysis.NewDataset("ntp", rows)
+		if len(ds.Results) != len(rows) {
+			t.Fatalf("dataset holds %d rows, its JSONL %d", len(ds.Results), len(rows))
+		}
+		successes := 0
+		for _, m := range zgrab.AllModules() {
+			got, exp := ds.Successes(m.Name()), want.Successes(m.Name())
+			if !slices.EqualFunc(got, exp, sameRow) {
+				t.Errorf("module %s: %d successes, the JSONL's %d (or a different row)", m.Name(), len(got), len(exp))
+			}
+			successes += len(exp)
+		}
+		if successes == 0 {
+			t.Fatal("no successful grab to compare")
+		}
+		gr, gs, grate := analysis.HitRate(ds)
+		wr, ws, wrate := analysis.HitRate(want)
+		if gr != wr || gs != ws || grate != wrate {
+			t.Errorf("HitRate = %d/%d (%v), the JSONL's %d/%d (%v)", gr, gs, grate, wr, ws, wrate)
+		}
+	}
+	run := func(t *testing.T, workers int, opts CampaignOpts) (*analysis.Dataset, []byte) {
+		t.Helper()
+		cfg := testConfig(51)
+		cfg.Workers = workers
+		var out bytes.Buffer
+		opts.Out = &out
+		ds, err := NewPipeline(cfg).RunCampaign(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ds, out.Bytes()
+	}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			ds, jsonl := run(t, workers, CampaignOpts{})
+			check(t, ds, jsonl)
+		})
+	}
+	t.Run("resume48", func(t *testing.T) {
+		var cp *Checkpoint
+		run(t, 2, CampaignOpts{CheckpointEvery: 48, OnCheckpoint: func(c *Checkpoint) {
+			if c.NextSlice == 48 {
+				cp = c
+			}
+		}})
+		if cp == nil {
+			t.Fatal("no checkpoint at slice 48")
+		}
+		cfg := testConfig(51)
+		cfg.Workers = 2
+		var rest bytes.Buffer
+		ds, err := NewPipeline(cfg).ResumeCampaign(context.Background(), cp, CampaignOpts{Out: &rest})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, ds, rest.Bytes())
+	})
+}
+
+// sameRow reports whether two rows encode to the same JSON.
+func sameRow(a, b *zgrab.Result) bool {
+	ja, erra := json.Marshal(a)
+	jb, errb := json.Marshal(b)
+	return erra == nil && errb == nil && bytes.Equal(ja, jb)
 }

@@ -134,22 +134,44 @@ func ClassifyIID(addr netip.Addr) IIDClass {
 // IIDEntropy returns the Shannon entropy, in bits, of the byte values of
 // addr's interface identifier. With eight samples the maximum is 3 bits
 // (all bytes distinct); fully repeated bytes give 0.
+//
+// The eight bytes are sorted, so equal values form runs, and each run
+// of c bytes adds plogp[c]. Runs come in ascending byte value, the
+// order a 256-entry histogram sums in, so the result is the
+// histogram's to the bit.
 func IIDEntropy(addr netip.Addr) float64 {
 	iid := IID(addr)
-	var counts [256]uint8
-	for i := 0; i < 8; i++ {
-		counts[byte(iid>>(8*uint(i)))]++
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], iid)
+	for i := 1; i < len(b); i++ {
+		v, j := b[i], i
+		for ; j > 0 && b[j-1] > v; j-- {
+			b[j] = b[j-1]
+		}
+		b[j] = v
 	}
 	var h float64
-	for _, c := range counts {
-		if c == 0 {
+	run := 1
+	for i := 1; i <= len(b); i++ {
+		if i < len(b) && b[i] == b[i-1] {
+			run++
 			continue
 		}
-		p := float64(c) / 8
-		h -= p * math.Log2(p)
+		h -= plogp[run]
+		run = 1
 	}
 	return h
 }
+
+// plogp[c] is p·log2(p) for p = c/8, a byte value's share of an IID
+// that holds it c times.
+var plogp = func() (t [9]float64) {
+	for c := 1; c < len(t); c++ {
+		p := float64(c) / 8
+		t[c] = p * math.Log2(p)
+	}
+	return t
+}()
 
 // MAC is a 48-bit IEEE 802 hardware address.
 type MAC [6]byte

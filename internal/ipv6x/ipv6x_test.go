@@ -2,6 +2,7 @@ package ipv6x
 
 import (
 	"math"
+	"math/rand/v2"
 	"net/netip"
 	"testing"
 	"testing/quick"
@@ -127,6 +128,104 @@ func TestIIDEntropyKnown(t *testing.T) {
 	}
 }
 
+// histogramEntropy is IIDEntropy as a 256-entry histogram of the IID's
+// bytes, summed in ascending byte value: the reference the sorted runs
+// must match to the bit.
+func histogramEntropy(iid uint64) float64 {
+	var counts [256]uint8
+	for i := 0; i < 8; i++ {
+		counts[byte(iid>>(8*uint(i)))]++
+	}
+	var h float64
+	for _, c := range counts {
+		if c == 0 {
+			continue
+		}
+		p := float64(c) / 8
+		h -= p * math.Log2(p)
+	}
+	return h
+}
+
+// partitions8 returns every way to write 8 as a sum of positive parts
+// in non-increasing order: the count profiles an IID's bytes can have.
+func partitions8() [][]int {
+	var out [][]int
+	var walk func(rest, max int, parts []int)
+	walk = func(rest, max int, parts []int) {
+		if rest == 0 {
+			out = append(out, append([]int(nil), parts...))
+			return
+		}
+		for p := min(rest, max); p >= 1; p-- {
+			walk(rest-p, p, append(parts, p))
+		}
+	}
+	walk(8, 8, nil)
+	return out
+}
+
+// TestIIDEntropyMatchesHistogram holds IIDEntropy to the histogram
+// reference bit for bit: every count partition of eight bytes, each
+// with distinct values drawn low, high and at random and laid out in
+// shuffled orders, then a million seeded IIDs over alphabets of 1 to
+// 256 byte values.
+func TestIIDEntropyMatchesHistogram(t *testing.T) {
+	r := rand.New(rand.NewPCG(20240720, 51))
+	check := func(iid uint64) {
+		t.Helper()
+		got, want := IIDEntropy(FromParts(0x20010db8, iid)), histogramEntropy(iid)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("IID %016x: entropy %v (%#x), histogram %v (%#x)",
+				iid, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	parts := partitions8()
+	if len(parts) != 22 {
+		t.Fatalf("%d partitions of 8, want 22", len(parts))
+	}
+	for _, part := range parts {
+		for trial := 0; trial < 64; trial++ {
+			var vals [8]int
+			perm := r.Perm(256)
+			for i := range vals {
+				switch trial {
+				case 0: // the lowest values, largest count on the lowest
+					vals[i] = i
+				case 1: // the highest values, largest count on the highest
+					vals[i] = 255 - i
+				default:
+					vals[i] = perm[i]
+				}
+			}
+			var b []byte
+			for i, c := range part {
+				for range c {
+					b = append(b, byte(vals[i]))
+				}
+			}
+			if trial > 1 {
+				r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
+			}
+			var iid uint64
+			for _, v := range b {
+				iid = iid<<8 | uint64(v)
+			}
+			check(iid)
+		}
+	}
+	alphabets := []int{1, 2, 3, 4, 5, 8, 16, 256}
+	for range 1_000_000 {
+		k := alphabets[r.IntN(len(alphabets))]
+		base := r.IntN(256)
+		var iid uint64
+		for range 8 {
+			iid = iid<<8 | uint64(byte(base+r.IntN(k)))
+		}
+		check(iid)
+	}
+}
+
 func TestIIDClassString(t *testing.T) {
 	for c := IIDClass(0); c < NIIDClasses; c++ {
 		if c.String() == "" {
@@ -211,6 +310,21 @@ func TestAddrSet(t *testing.T) {
 	s.Add(b)
 	if sorted := s.Sorted(); len(sorted) != 2 || sorted[0] != a || sorted[1] != b {
 		t.Fatalf("Sorted = %v", sorted)
+	}
+	// The set takes plain IPv6 only, as Is6 defines it: an IPv4 address
+	// and its IPv4-mapped form would share one key, so both are refused.
+	for _, bad := range []netip.Addr{mustAddr("192.0.2.1"), mustAddr("::ffff:192.0.2.1"), {}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Add(%v) did not panic", bad)
+				}
+			}()
+			s.Add(bad)
+		}()
+	}
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d after refused Adds, want 2", s.Len())
 	}
 }
 

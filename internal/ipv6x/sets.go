@@ -1,28 +1,34 @@
 package ipv6x
 
 import (
+	"fmt"
 	"net/netip"
 	"sort"
 )
 
-// AddrSet is a set of IPv6 addresses with cheap distinct counting. The
-// zero value is not usable; call NewAddrSet.
+// AddrSet is a set of IPv6 addresses with cheap distinct counting. It
+// keys on the 16 address bytes, so its map holds no pointer for the
+// collector to scan; like the rest of the package it takes plain IPv6
+// addresses only (Is6), and a zone is not kept. The zero value is not
+// usable; call NewAddrSet.
 type AddrSet struct {
-	m map[netip.Addr]struct{}
+	m map[[16]byte]struct{}
 }
 
 // NewAddrSet returns an empty address set.
 func NewAddrSet() *AddrSet {
-	return &AddrSet{m: make(map[netip.Addr]struct{})}
+	return &AddrSet{m: make(map[[16]byte]struct{})}
 }
 
-// Add inserts addr and reports whether it was not already present.
+// Add inserts addr and reports whether it was not already present. It
+// panics if addr is not IPv6.
 func (s *AddrSet) Add(addr netip.Addr) bool {
-	if _, dup := s.m[addr]; dup {
-		return false
+	if !Is6(addr) {
+		panic(fmt.Sprintf("ipv6x: AddrSet.Add of non-IPv6 address %v", addr))
 	}
-	s.m[addr] = struct{}{}
-	return true
+	n := len(s.m)
+	s.m[addr.As16()] = struct{}{}
+	return len(s.m) > n
 }
 
 // Len returns the number of distinct addresses.
@@ -33,7 +39,7 @@ func (s *AddrSet) Len() int { return len(s.m) }
 func (s *AddrSet) Sorted() []netip.Addr {
 	out := make([]netip.Addr, 0, len(s.m))
 	for a := range s.m {
-		out = append(out, a)
+		out = append(out, netip.AddrFrom16(a))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out

@@ -67,8 +67,10 @@ type revisitEvent struct {
 
 // revisitStream draws n events over a few dozen addresses. Times sit on
 // a whole-hour grid, so a Sweep often lands exactly one holdoff after
-// an admission, and a fifth of the steps go back in time, as a stepped
-// RealClock can.
+// an admission. Every Sweep and a third of the Allows move the clock,
+// and a fifth of the moves go back in time, as a stepped RealClock
+// can; the other Allows share the instant before them, as one
+// SubmitBatch's do, so admissions pile into one bucket.
 func revisitStream(seed uint64, n int) []revisitEvent {
 	r := rand.New(rand.NewPCG(seed, 46))
 	addrs := make([]netip.Addr, 40)
@@ -78,12 +80,15 @@ func revisitStream(seed uint64, n int) []revisitEvent {
 	now := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
 	evs := make([]revisitEvent, n)
 	for i := range evs {
-		if r.IntN(5) == 0 {
-			now = now.Add(-time.Duration(r.IntN(48)) * time.Hour)
-		} else {
-			now = now.Add(time.Duration(r.IntN(24)) * time.Hour)
+		sweep := r.IntN(3) == 0
+		if sweep || r.IntN(3) == 0 {
+			if r.IntN(5) == 0 {
+				now = now.Add(-time.Duration(r.IntN(48)) * time.Hour)
+			} else {
+				now = now.Add(time.Duration(r.IntN(24)) * time.Hour)
+			}
 		}
-		evs[i] = revisitEvent{sweep: r.IntN(3) == 0, addr: addrs[r.IntN(len(addrs))], at: now}
+		evs[i] = revisitEvent{sweep: sweep, addr: addrs[r.IntN(len(addrs))], at: now}
 	}
 	return evs
 }
@@ -147,5 +152,34 @@ func TestRevisitMatchesFullMapModel(t *testing.T) {
 				stepRevisit(t, "restored", j, rc, mc, evs[j])
 			}
 		}
+	}
+}
+
+// TestRevisitOneBucketPerInstant pins the shape the sweep's cost rests
+// on: the Allows of one instant share one heap bucket, and a popped
+// bucket is reused by the next instant rather than allocated again.
+func TestRevisitOneBucketPerInstant(t *testing.T) {
+	rv := NewRevisit(revisitAfter)
+	t0 := time.Date(2024, 7, 20, 0, 0, 0, 0, time.UTC)
+	admit := func(at time.Time, lo, hi int) {
+		t.Helper()
+		for i := lo; i < hi; i++ {
+			if !rv.Allow(netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 14: byte(i >> 8), 15: byte(i)}), at) {
+				t.Fatalf("address %d refused at %v", i, at)
+			}
+		}
+	}
+	admit(t0, 0, 300)
+	admit(t0.Add(time.Hour), 300, 600)
+	if len(rv.order) != 2 {
+		t.Fatalf("two instants pushed %d buckets, want 2", len(rv.order))
+	}
+	if n := rv.Sweep(t0.Add(revisitAfter)); n != 300 || len(rv.order) != 1 || len(rv.free) != 1 {
+		t.Fatalf("sweep evicted %d, left %d buckets and %d free; want 300, 1 and 1", n, len(rv.order), len(rv.free))
+	}
+	spent := rv.free[0]
+	admit(t0.Add(revisitAfter), 0, 300)
+	if len(rv.free) != 0 || rv.top != spent {
+		t.Fatal("the next instant did not reuse the spent bucket")
 	}
 }

@@ -116,36 +116,89 @@ const revisitAfter = 72 * time.Hour
 // scan worker does — so one map behind one mutex serves; all methods
 // are safe for concurrent use.
 //
-// Beside the map, order keeps every admission in time order (a min-heap
-// on the admission time), so Sweep pops what has expired instead of
-// walking every tracked address. A re-admitted address leaves its older
-// entry in the heap; that entry is stale once the map holds a different
-// time for the address, and Sweep drops it when it reaches the top. The
-// heap, not a queue, because now need not grow from call to call: a
-// RealClock can step back.
+// Beside the map, order keeps the admissions in time order: a min-heap
+// of buckets, one per admission instant, each holding the keys
+// admitted at it. SubmitBatch admits a whole batch at one instant, so
+// a slice pushes about one bucket, and Sweep pops whole buckets of
+// what has expired instead of walking every tracked address. A
+// re-admitted address leaves its older admission in an older bucket;
+// that admission is stale once the map holds a different time for the
+// address, and Sweep skips it. The heap, not a queue, because now need
+// not grow from call to call: a RealClock can step back.
 type Revisit struct {
 	after time.Duration
 	mu    sync.Mutex
-	last  map[netip.Addr]time.Time
+	last  map[revisitKey]time.Time
 	order revisitHeap
+	// top is the bucket pushed last, which Allow extends while the
+	// instant stays the same; nil once it has been popped.
+	top *revisitBucket
+	// free holds popped buckets for reuse. Only the callers of Allow,
+	// Sweep and Restore touch it, under mu, so a campaign allocates the
+	// same buckets whatever its scan workers do.
+	free []*revisitBucket
+}
+
+// revisitKey is an address as a map key with no pointer in it (a
+// netip.Addr holds its zone behind one): the 16 bytes of As16, and
+// whether the address is IPv4, so an IPv4 address and its IPv4-mapped
+// form stay apart and each comes back as it went in. A zone is not
+// kept; the scanner's targets carry none.
+type revisitKey struct {
+	a  [16]byte
+	v4 bool
+}
+
+func keyOf(addr netip.Addr) revisitKey { return revisitKey{addr.As16(), addr.Is4()} }
+
+func (k revisitKey) addr() netip.Addr {
+	if k.v4 {
+		return netip.AddrFrom16(k.a).Unmap()
+	}
+	return netip.AddrFrom16(k.a)
+}
+
+// revisitBucket is the admissions of one instant.
+type revisitBucket struct {
+	at   time.Time
+	keys []revisitKey
 }
 
 // NewRevisit returns a suppressor with the given re-scan holdoff.
 func NewRevisit(after time.Duration) *Revisit {
-	return &Revisit{after: after, last: make(map[netip.Addr]time.Time)}
+	return &Revisit{after: after, last: make(map[revisitKey]time.Time)}
 }
 
 // Allow reports whether addr may be scanned at now, and records the scan
 // if so.
 func (rv *Revisit) Allow(addr netip.Addr, now time.Time) bool {
+	k := keyOf(addr)
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	if t, seen := rv.last[addr]; seen && now.Sub(t) < rv.after {
+	if t, seen := rv.last[k]; seen && now.Sub(t) < rv.after {
 		return false
 	}
-	rv.last[addr] = now
-	rv.order.push(RevisitEntry{Addr: addr, Last: now})
+	rv.last[k] = now
+	// Join the last bucket only at the very same Time value: Sweep's
+	// stale check compares the map's time with the bucket's by ==.
+	if rv.top == nil || rv.top.at != now {
+		rv.top = rv.bucket(now)
+		rv.order.push(rv.top)
+	}
+	rv.top.keys = append(rv.top.keys, k)
 	return true
+}
+
+// bucket returns an empty bucket for at, reused when one is free.
+func (rv *Revisit) bucket(at time.Time) *revisitBucket {
+	if n := len(rv.free); n > 0 {
+		b := rv.free[n-1]
+		rv.free[n-1] = nil
+		rv.free = rv.free[:n-1]
+		b.at = at
+		return b
+	}
+	return &revisitBucket{at: at}
 }
 
 // Sweep evicts entries whose holdoff has expired — they no longer
@@ -153,35 +206,43 @@ func (rv *Revisit) Allow(addr netip.Addr, now time.Time) bool {
 // would otherwise accumulate without bound. Returns how many entries
 // were dropped. The scanner sweeps at each drain barrier.
 //
-// An entry has expired when now.Sub(Last) >= after, which holds for
-// every admission at or before the heap's top once it holds for the
-// top: Sub does not grow with Last. A popped entry evicts its address
-// only while the map still holds its time; otherwise it is a stale
-// admission, and the address's current one sits deeper in the heap.
+// An admission has expired when now.Sub(at) >= after, which holds for
+// every bucket at or before the heap's top once it holds for the top:
+// Sub does not grow with at. A popped bucket evicts a key only while
+// the map still holds the bucket's time for it; otherwise the key's
+// admission there is stale, and its current one sits in a later
+// bucket.
 func (rv *Revisit) Sweep(now time.Time) int {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	evicted := 0
-	for len(rv.order) > 0 && now.Sub(rv.order[0].Last) >= rv.after {
-		e := rv.order.pop()
-		if t, ok := rv.last[e.Addr]; ok && t == e.Last {
-			delete(rv.last, e.Addr)
-			evicted++
+	for len(rv.order) > 0 && now.Sub(rv.order[0].at) >= rv.after {
+		b := rv.order.pop()
+		for _, k := range b.keys {
+			if t, ok := rv.last[k]; ok && t == b.at {
+				delete(rv.last, k)
+				evicted++
+			}
 		}
+		if b == rv.top {
+			rv.top = nil
+		}
+		b.at, b.keys = time.Time{}, b.keys[:0]
+		rv.free = append(rv.free, b)
 	}
 	return evicted
 }
 
-// revisitHeap is a binary min-heap of admissions on Last. It compares
-// with Time.Before, which reads the same clock Sub does.
-type revisitHeap []RevisitEntry
+// revisitHeap is a binary min-heap of buckets on their instant. It
+// compares with Time.Before, which reads the same clock Sub does.
+type revisitHeap []*revisitBucket
 
-func (h *revisitHeap) push(e RevisitEntry) {
-	*h = append(*h, e)
+func (h *revisitHeap) push(b *revisitBucket) {
+	*h = append(*h, b)
 	q := *h
 	for i := len(q) - 1; i > 0; {
 		parent := (i - 1) / 2
-		if !q[i].Last.Before(q[parent].Last) {
+		if !q[i].at.Before(q[parent].at) {
 			break
 		}
 		q[i], q[parent] = q[parent], q[i]
@@ -189,19 +250,19 @@ func (h *revisitHeap) push(e RevisitEntry) {
 	}
 }
 
-func (h *revisitHeap) pop() RevisitEntry {
+func (h *revisitHeap) pop() *revisitBucket {
 	q := *h
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
-	q[n] = RevisitEntry{}
+	q[n] = nil
 	q = q[:n]
 	for i := 0; ; {
 		least, l, r := i, 2*i+1, 2*i+2
-		if l < n && q[l].Last.Before(q[least].Last) {
+		if l < n && q[l].at.Before(q[least].at) {
 			least = l
 		}
-		if r < n && q[r].Last.Before(q[least].Last) {
+		if r < n && q[r].at.Before(q[least].at) {
 			least = r
 		}
 		if least == i {
@@ -224,8 +285,8 @@ type RevisitEntry struct {
 func (rv *Revisit) Snapshot() []RevisitEntry {
 	rv.mu.Lock()
 	var out []RevisitEntry
-	for addr, t := range rv.last {
-		out = append(out, RevisitEntry{Addr: addr, Last: t})
+	for k, t := range rv.last {
+		out = append(out, RevisitEntry{Addr: k.addr(), Last: t})
 	}
 	rv.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Less(out[j].Addr) })
@@ -233,16 +294,26 @@ func (rv *Revisit) Snapshot() []RevisitEntry {
 }
 
 // Restore replaces the tracked set with a snapshot and rebuilds the
-// admission order from it: the entries sorted by time are a heap.
+// admission order from it: the entries sorted by time, one bucket per
+// run of equal times, are a heap.
 func (rv *Revisit) Restore(entries []RevisitEntry) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	rv.last = make(map[netip.Addr]time.Time, len(entries))
+	rv.last = make(map[revisitKey]time.Time, len(entries))
 	for _, e := range entries {
-		rv.last[e.Addr] = e.Last
+		rv.last[keyOf(e.Addr)] = e.Last
 	}
-	rv.order = slices.Clone(entries)
-	slices.SortStableFunc(rv.order, func(a, b RevisitEntry) int { return a.Last.Compare(b.Last) })
+	byTime := slices.Clone(entries)
+	slices.SortStableFunc(byTime, func(a, b RevisitEntry) int { return a.Last.Compare(b.Last) })
+	rv.order, rv.top = nil, nil
+	var b *revisitBucket
+	for _, e := range byTime {
+		if b == nil || b.at != e.Last {
+			b = rv.bucket(e.Last)
+			rv.order = append(rv.order, b)
+		}
+		b.keys = append(b.keys, keyOf(e.Addr))
+	}
 }
 
 // Config assembles a scanner.
@@ -435,6 +506,10 @@ type Scanner struct {
 	// clock without a retry policy. A kernel socket learns silence only
 	// by waiting.
 	quiet *netsim.Network
+	// zeroWait is set when every limiter wait is known to take 0 ms: a
+	// NopLimiter on a logical clock. wait then books it with no clock
+	// read and no limiter call.
+	zeroWait bool
 
 	sessions sessionTable
 	queue    chan *session
@@ -499,6 +574,8 @@ func NewScanner(cfg Config) *Scanner {
 	if sn, ok := cfg.Net.(simNet); ok && logical && cfg.Retry == nil {
 		s.quiet = sn.f
 	}
+	_, nop := cfg.Limiter.(*NopLimiter)
+	s.zeroWait = nop && logical
 	if cfg.Breaker != nil {
 		s.breaker = NewBreaker(*cfg.Breaker)
 		s.breaker.met = s.met
@@ -664,6 +741,10 @@ func (s *Scanner) ScanNow(ctx context.Context, addr netip.Addr) []*Result {
 // the injected clock: a wait of 0 ms in the worker's tally, any other
 // in the histogram directly.
 func (s *Scanner) wait(ctx context.Context, tl *tally) error {
+	if s.zeroWait {
+		tl.zeroWaits.Add(1)
+		return nil
+	}
 	start := s.cfg.Clock.Now()
 	err := s.cfg.Limiter.Wait(ctx)
 	if ms := s.cfg.Clock.Now().Sub(start).Milliseconds(); ms == 0 {
